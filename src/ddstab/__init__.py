@@ -38,7 +38,6 @@ from .informativity import (
     IdentificationReport,
     NotInformative,
     NotUnique,
-    StackedDataOperator,
     closed_range_inequality_holds,
     gain_inequality_holds,
     identification_informative,
@@ -47,7 +46,6 @@ from .informativity import (
     range_inclusion_diagnostic,
     sample_compatible_systems,
     stabilization_informative,
-    stacked_operator,
     unique_system,
 )
 from .lmi import (

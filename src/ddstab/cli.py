@@ -177,58 +177,35 @@ def cmd_verify(args):
             raise SystemExit(
                 f"error: gain has {K.shape[1]} columns, expected n_plus = {dec.n_plus}"
             )
-        fam = finitedata.verify_on_compatible_plus(
-            pd, K, args.gamma, trials=args.trials, seed=args.seed, scale=args.scale
-        )
         report["decomposition"] = {"n0": n0, "n_plus": dec.n_plus}
-        report["worst_radius"] = fam.worst_radius
-        report["failures"] = fam.failures
-        if fam.failures > 0 and fam.worst_sample is not None:
-            report["offending_sample"] = {
-                "A_plus": fam.worst_sample[0].tolist(),
-                "B_plus": fam.worst_sample[1].tolist(),
-                "radius": fam.worst_radius,
-            }
-        if args.csv:
-            _write_radii_csv(args.csv, fam.radii)
-        print(
-            f"compatible family on X+: worst radius {fam.worst_radius:.6f} "
-            f"over {fam.trials} samples, {fam.failures} failures"
-        )
-        code = 0 if fam.failures == 0 else 1
+        keys, where = ("A_plus", "B_plus"), "compatible family on X+"
     elif args.mode == "full":
         if K.shape != (batch.m, batch.n):
             raise SystemExit(
                 f"error: gain must be m x n = {(batch.m, batch.n)}, got {K.shape}"
             )
-        systems = informativity.sample_compatible_systems(
-            batch, max(args.trials, 1), scale=args.scale, seed=args.seed
-        )
-        if args.trials == 0:
-            systems = []
-        bound = args.gamma + 1e-6
-        radii, offending = [], None
-        for sys_ in systems:
-            rho = spectral_radius(sys_.A + sys_.B @ K)
-            radii.append(rho)
-            if rho > bound and offending is None:
-                offending = {"A": sys_.A.tolist(), "B": sys_.B.tolist(), "radius": rho}
-        failures = sum(r > bound for r in radii)
-        report["worst_radius"] = max(radii) if radii else 0.0
-        report["failures"] = failures
-        if offending is not None:
-            report["offending_sample"] = offending
-        if args.csv:
-            _write_radii_csv(args.csv, radii)
-        print(
-            f"compatible family: worst radius {report['worst_radius']:.6f} "
-            f"over {len(radii)} samples, {failures} failures"
-        )
-        code = 0 if failures == 0 else 1
+        pd = finitedata.ProjectedData(Xi1p=batch.Xi1, Xi0p=batch.Xi0, Ups0=batch.Ups0)
+        keys, where = ("A", "B"), "compatible family"
     else:
         raise SystemExit(f"error: unknown mode {args.mode}")
+    fam = finitedata.verify_on_compatible_plus(
+        pd, K, args.gamma, trials=args.trials, seed=args.seed, scale=args.scale
+    )
+    report["worst_radius"] = fam.worst_radius
+    report["failures"] = fam.failures
+    if fam.failures > 0:
+        A, B = fam.worst_sample
+        report["offending_sample"] = {
+            keys[0]: A.tolist(), keys[1]: B.tolist(), "radius": fam.worst_radius
+        }
+    if args.csv:
+        _write_radii_csv(args.csv, fam.radii)
+    print(
+        f"{where}: worst radius {fam.worst_radius:.6f} "
+        f"over {fam.trials} samples, {fam.failures} failures"
+    )
     _write_report(report, args.out)
-    return code
+    return 0 if fam.failures == 0 else 1
 
 
 def _write_radii_csv(path, radii):

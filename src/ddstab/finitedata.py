@@ -18,7 +18,7 @@ from .errors import (
     DimensionMismatch,
     InvalidParams,
 )
-from .informativity import NotInformative, synthesize_gain
+from .informativity import NotInformative, sample_compatible_systems, synthesize_gain
 from .operators import (
     DEFAULT_TOL,
     construct_certificate,
@@ -50,6 +50,8 @@ class Decomposition:
             raise InvalidParams("gamma_minus must lie in (0, 1)")
         if np.linalg.norm(Pi @ Pi - Pi) > 1e-12 * max(1.0, np.linalg.norm(Pi)):
             raise InvalidParams("Pi is not idempotent")
+        if np.linalg.norm(basis.T @ basis - np.eye(self.n_plus)) > 1e-12:
+            raise InvalidParams("basis_plus must have orthonormal columns")
         object.__setattr__(self, "Pi", Pi)
         object.__setattr__(self, "basis_plus", basis)
 
@@ -60,14 +62,10 @@ class Decomposition:
     def coordinate_map(self):
         """The matrix of x -> coordinates of Pi x in basis_plus (n_plus x n).
 
-        Exact (structural zeros preserved) when basis_plus has orthonormal
-        columns, as in the modal split.
+        basis_plus has orthonormal columns, so this is basis_plus^T Pi; a
+        coordinate split keeps its structural zeros.
         """
-        B = self.basis_plus
-        gram_defect = np.linalg.norm(B.T @ B - np.eye(self.n_plus))
-        if gram_defect == 0.0:
-            return B.T @ self.Pi
-        return np.linalg.pinv(B) @ self.Pi
+        return self.basis_plus.T @ self.Pi
 
 
 @dataclass(frozen=True)
@@ -239,37 +237,25 @@ def verify_on_compatible_plus(
 ) -> CompatibleFamilyReport:
     """Sample the compatible family on X+ and check the decay of each loop.
 
-    The family is [A+ B+] = Xi1p W^+ + T (I - W W^+) with W = [Xi0p; Ups0];
-    with trials = 0 the report is empty and vacuously passing.
+    The family is [A+ B+] = Xi1p W^+ + T (I - W W^+) with W = [Xi0p; Ups0],
+    drawn by sample_compatible_systems; with trials = 0 the report is empty
+    and vacuously passing.
     """
     K_plus = np.atleast_2d(np.asarray(K_plus, dtype=float))
-    W = np.vstack([pd.Xi0p, pd.Ups0])
-    Wp = np.linalg.pinv(W)
-    base = pd.Xi1p @ Wp
-    projector = np.eye(W.shape[0]) - W @ Wp
-    npl, m = pd.n_plus, pd.m
+    AB = sample_compatible_systems(pd.Xi0p, pd.Xi1p, pd.Ups0, int(trials), scale=scale, seed=seed)
+    npl = pd.n_plus
+    radii = spectral_radius(AB[:, :, :npl] + AB[:, :, npl:] @ K_plus)
     bound = gamma + 1e-6
-    radii = []
-    failures = 0
-    worst_sample = None
-    worst = -np.inf
-    for i in range(int(trials)):
-        rng = np.random.default_rng([seed, i])
-        T = scale * rng.standard_normal((npl, npl + m))
-        AB = base + T @ projector
-        A_plus, B_plus = AB[:, :npl], AB[:, npl:]
-        rho = spectral_radius(A_plus + B_plus @ K_plus)
-        radii.append(rho)
-        if rho > worst:
-            worst, worst_sample = rho, (A_plus, B_plus)
-        if rho > bound:
-            failures += 1
+    worst_radius, worst_sample = 0.0, None
+    if radii.size:
+        i = int(np.argmax(radii))
+        worst_radius, worst_sample = float(radii[i]), (AB[i, :, :npl], AB[i, :, npl:])
     return CompatibleFamilyReport(
         trials=int(trials),
-        worst_radius=worst if radii else 0.0,
+        worst_radius=worst_radius,
         radius_bound=bound,
-        failures=failures,
-        radii=tuple(radii),
+        failures=int(np.sum(radii > bound)),
+        radii=tuple(radii.tolist()),
         worst_sample=worst_sample,
     )
 

@@ -26,21 +26,6 @@ from .systems import DataBatch, LinearSystem, counterexample_sequences
 
 
 @dataclass(frozen=True)
-class StackedDataOperator:
-    """Stacked matrix H = [Xi0; Ups0] with the state block Xi1 alongside."""
-
-    H: np.ndarray
-    Xi1: np.ndarray
-    tol: float
-
-
-def stacked_operator(batch: DataBatch, tol=DEFAULT_TOL) -> StackedDataOperator:
-    return StackedDataOperator(
-        H=np.vstack([batch.Xi0, batch.Ups0]), Xi1=np.asarray(batch.Xi1), tol=tol
-    )
-
-
-@dataclass(frozen=True)
 class IdentificationReport:
     """Rank verdict for identification informativity; truthy when informative."""
 
@@ -248,31 +233,29 @@ def input_distinguishes_kernel(batch: DataBatch, tol=DEFAULT_TOL):
     return bool(np.linalg.norm(batch.Ups0 @ Z) > tol * max(1.0, np.linalg.norm(batch.Ups0)))
 
 
-def sample_compatible_systems(batch: DataBatch, count, scale=1.0, seed=0):
-    """Draw systems from the affine family compatible with the batch.
+def sample_compatible_systems(Xi0, Xi1, Ups0, count, scale=1.0, seed=0):
+    """Draw [A B] from the affine family compatible with the data.
 
     The general solution of [A B] W = Xi1 with W = [Xi0; Ups0] is
-    Xi1 W^+ + T (I - W W^+) over free T; T is standard Gaussian times
-    ``scale``, drawn from a per-sample splittable stream so results do not
-    depend on evaluation order.  Requires a consistent batch (one generated
-    by some system).
+    Xi1 W^+ + T (I - W W^+) over free T.  Returns the draws stacked as an
+    array of shape (count, n, n + m); slice i uses T = ``scale`` times a
+    standard Gaussian from the stream (seed, i), so a slice does not depend
+    on ``count`` or on evaluation order.  Requires consistent data (data
+    generated by some system).
     """
-    if count < 1:
-        raise InvalidParams("count must be >= 1")
+    if count < 0:
+        raise InvalidParams("count must be >= 0")
     if scale <= 0:
         raise InvalidParams("scale must be positive")
-    W = np.vstack([batch.Xi0, batch.Ups0])
+    W = np.vstack([Xi0, Ups0])
     Wp = pseudo_inverse(W)
-    base = batch.Xi1 @ Wp
+    base = Xi1 @ Wp
     projector = np.eye(W.shape[0]) - W @ Wp
-    n, m = batch.n, batch.m
-    systems = []
+    shape = (Xi1.shape[0], W.shape[0])
+    T = np.empty((count,) + shape)
     for i in range(count):
-        rng = np.random.default_rng([seed, i])
-        T = scale * rng.standard_normal((n, n + m))
-        AB = base + T @ projector
-        systems.append(LinearSystem(A=AB[:, :n], B=AB[:, n:]))
-    return systems
+        T[i] = np.random.default_rng([seed, i]).standard_normal(shape)
+    return base + (scale * T) @ projector
 
 
 def least_squares_gain_norm_growth(n_list):

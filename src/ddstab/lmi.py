@@ -27,7 +27,8 @@ from .operators import DEFAULT_TOL, pseudo_inverse, rank_at_tol
 
 #: Accept a solution when the block's smallest eigenvalue is >= -feas_margin.
 DEFAULT_FEAS_MARGIN = 1e-8
-#: Largest tolerated Frobenius asymmetry of Xi0 Lambda.
+#: Largest tolerated Frobenius asymmetry of Xi0 Lambda, relative to
+#: max(1, ||Xi0 Lambda||_F).
 DEFAULT_SYM_TOL = 1e-9
 DEFAULT_MAX_ITERS = 500
 
@@ -40,7 +41,14 @@ _MU_MIN = 1e-10
 
 @dataclass(frozen=True)
 class LmiProblem:
-    """Feasibility data: matrices Xi0, Xi1 (n x N) and the decay rate."""
+    """Feasibility data: matrices Xi0, Xi1 (n x N) and the decay rate.
+
+    A point is accepted when the block's smallest eigenvalue is at least
+    ``-feas_margin`` and ||Xi0 Lambda - (Xi0 Lambda)^T||_F is at most
+    ``sym_tol * max(1, ||Xi0 Lambda||_F)``: the asymmetry is judged against
+    the size of Xi0 Lambda, which on ill-conditioned data can be large
+    enough that round-off alone exceeds any fixed absolute level.
+    """
 
     Xi0: np.ndarray
     Xi1: np.ndarray
@@ -295,7 +303,7 @@ def solve_feasibility(problem: LmiProblem, max_iters=DEFAULT_MAX_ITERS, seed=0):
     min_eig_r, sym_residual_r = evaluate_block(Xi0, Xi1, gamma, refined)
     if min_eig_r >= -problem.feas_margin and sym_residual_r <= sym_residual:
         Lambda, min_eig, sym_residual = refined, min_eig_r, sym_residual_r
-    if sym_residual > problem.sym_tol:
+    if sym_residual > problem.sym_tol * max(1.0, float(np.linalg.norm(Xi0 @ Lambda))):
         return Infeasible(best_margin=min_eig, iterations=iterations)
     return LmiSolution(
         Lambda=Lambda, min_eig=min_eig, sym_residual=sym_residual, iterations=iterations

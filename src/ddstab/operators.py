@@ -204,23 +204,35 @@ def douglas_minimal_constant(A, B, tol=1e-8):
 
 
 def spectral_radius(F):
-    """Largest eigenvalue modulus of a square matrix."""
+    """Largest eigenvalue modulus of a square matrix.
+
+    A stack of shape (..., n, n) gives an array of shape (...), one radius
+    per matrix.
+    """
     F = np.asarray(F, dtype=float)
-    if F.ndim != 2 or F.shape[0] != F.shape[1]:
+    if F.ndim < 2 or F.shape[-1] != F.shape[-2]:
         raise DimensionMismatch(f"expected a square matrix, got {F.shape}")
     if not np.all(np.isfinite(F)):
         raise InvalidParams("matrix entries must be finite")
-    if F.shape[0] == 0:
-        return 0.0
-    return float(np.max(np.abs(np.linalg.eigvals(F))))
+    if F.shape[-1] == 0:
+        radius = np.zeros(F.shape[:-2])
+    else:
+        radius = np.max(np.abs(np.linalg.eigvals(F)), axis=-1)
+    return float(radius) if F.ndim == 2 else radius
 
 
 def operator_norm(F):
-    """Spectral (2-) norm."""
+    """Spectral (2-) norm.
+
+    A stack of shape (..., p, q) gives an array of shape (...), one norm
+    per matrix.
+    """
     F = np.asarray(F, dtype=float)
-    if F.size == 0:
-        return 0.0
-    return float(np.linalg.svd(F, compute_uv=False)[0])
+    if F.shape[-1] == 0 or F.shape[-2] == 0:
+        norm = np.zeros(F.shape[:-2])
+    else:
+        norm = np.linalg.svd(F, compute_uv=False)[..., 0]
+    return float(norm) if F.ndim == 2 else norm
 
 
 def construct_certificate(F, gamma, k_max=10000):

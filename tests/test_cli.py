@@ -146,6 +146,23 @@ class TestVerify:
         assert "offending_sample" in payload
         assert payload["offending_sample"]["radius"] > 0.9
 
+    def test_full_mode_reports_worst_sample(self, cascade_file, tmp_path):
+        gain = tmp_path / "zero.json"
+        write_gain(gain, np.zeros((1, 52)))
+        report, csv = tmp_path / "full.json", tmp_path / "radii.csv"
+        assert run(
+            "verify", "--in", str(cascade_file), "--gain", str(gain), "--mode", "full",
+            "--gamma", "0.9", "--trials", "20", "--out", str(report), "--csv", str(csv),
+        ) == 1
+        radii = [float(line.split(",")[1]) for line in csv.read_text().splitlines()[1:]]
+        assert min(radii) > 0.9 and np.argmax(radii) != 0  # the first failure is not the worst
+        payload = json.loads(report.read_text())
+        assert payload["failures"] == 20
+        sample = payload["offending_sample"]
+        assert sample["radius"] == payload["worst_radius"] == max(radii)
+        loop = np.array(sample["A"])  # zero gain: the loop is A
+        assert np.max(np.abs(np.linalg.eigvals(loop))) == pytest.approx(sample["radius"], rel=1e-12)
+
     def test_full_mode_accepts_synthesized_gain(self, tmp_path):
         data = tmp_path / "lti.json"
         assert run(

@@ -126,6 +126,10 @@ class TestProjectData:
         assert np.array_equal(pd.Xi1p, batch.Xi1)
         assert np.array_equal(pd.Ups0, batch.Ups0)
 
+    def test_non_orthonormal_basis_rejected(self):
+        with pytest.raises(InvalidParams):
+            Decomposition(Pi=np.eye(3), basis_plus=2.0 * np.eye(3), n_plus=3, gamma_minus=0.5)
+
     def test_reference_shapes(self, reference_setup):
         _, batch, _, dec = reference_setup
         pd = project_data(batch, dec)

@@ -17,8 +17,7 @@ from ddstab.informativity import (
     stabilization_informative,
     unique_system,
 )
-from ddstab.informativity import stacked_operator
-from ddstab.operators import spectral_radius
+from ddstab.operators import pseudo_inverse, spectral_radius
 from ddstab.systems import DataBatch, LinearSystem, counterexample_sequences, simulate
 
 
@@ -40,15 +39,12 @@ def excited_batch(A, B, N, seed=0):
     )
 
 
-class TestIdentification:
-    def test_stacked_operator_layout(self):
-        batch = counterexample_sequences(3)
-        stacked = stacked_operator(batch)
-        assert stacked.H.shape == (4, 3)
-        assert np.array_equal(stacked.H[:3], batch.Xi0)
-        assert np.array_equal(stacked.H[3:], batch.Ups0)
-        assert np.array_equal(stacked.Xi1, batch.Xi1)
+def sample(batch, count, scale=1.0, seed=0):
+    """Compatible [A B] draws for a batch, shape (count, n, n + m)."""
+    return sample_compatible_systems(batch.Xi0, batch.Xi1, batch.Ups0, count, scale=scale, seed=seed)
 
+
+class TestIdentification:
     def test_two_independent_samples(self):
         batch = batch_from(
             x0_cols=np.array([[1.0, 1.0]]), u0_cols=np.array([[0.0, 1.0]]),
@@ -138,8 +134,8 @@ class TestStabilization:
         assert isinstance(result, GainResult)
         F_data = batch.Xi1 @ result.right_inverse
         for seed in (0, 1):
-            for sys_ in sample_compatible_systems(batch, 30, scale=10.0, seed=seed):
-                closed = sys_.A + sys_.B @ result.K
+            for AB in sample(batch, 30, scale=10.0, seed=seed):
+                closed = AB[:, :2] + AB[:, 2:] @ result.K
                 assert spectral_radius(closed) <= 0.9 + 1e-6
                 # every compatible closed loop coincides with the reconstruction
                 assert np.linalg.norm(closed - F_data) < 1e-8
@@ -241,35 +237,46 @@ class TestSampleCompatible:
         A = 0.5 * rng.standard_normal((2, 2))
         B = rng.standard_normal((2, 1))
         batch = excited_batch(A, B, N=3, seed=5)
-        systems = sample_compatible_systems(batch, 10, scale=3.0, seed=2)
-        for sys_ in systems:
-            assert np.linalg.norm(sys_.A - systems[0].A) < 1e-9
-            assert np.linalg.norm(sys_.B - systems[0].B) < 1e-9
+        systems = sample(batch, 10, scale=3.0, seed=2)
+        assert systems.shape == (10, 2, 3)
+        assert np.max(np.linalg.norm(systems - systems[0], axis=(1, 2))) < 1e-9
 
     def test_determinism(self):
         batch = counterexample_sequences(4)
-        a = sample_compatible_systems(batch, 5, seed=11)
-        b = sample_compatible_systems(batch, 5, seed=11)
-        for sa, sb in zip(a, b):
-            assert sa.A.tobytes() == sb.A.tobytes()
-            assert sa.B.tobytes() == sb.B.tobytes()
+        a = sample(batch, 5, seed=11)
+        b = sample(batch, 5, seed=11)
+        assert a.tobytes() == b.tobytes()
+
+    def test_prefix_and_single_draws(self):
+        """Slice i depends only on (seed, i): a shorter stack is a prefix of a
+        longer one, and each slice equals the single draw from its stream."""
+        rng = np.random.default_rng(8)
+        batch = excited_batch(0.6 * rng.standard_normal((3, 3)), rng.standard_normal((3, 2)), N=4, seed=2)
+        W = np.vstack([batch.Xi0, batch.Ups0])
+        Wp = pseudo_inverse(W)
+        base, projector = batch.Xi1 @ Wp, np.eye(5) - W @ Wp
+        full = sample(batch, 9, scale=2.5, seed=6)
+        for k in (0, 1, 4):
+            prefix = sample(batch, k, scale=2.5, seed=6)
+            assert prefix.shape == (k, 3, 5)
+            assert prefix.tobytes() == full[:k].tobytes()
+        for i in range(9):
+            T = 2.5 * np.random.default_rng([6, i]).standard_normal((3, 5))
+            assert full[i].tobytes() == (base + T @ projector).tobytes()
 
     def test_rank_deficient_family_spreads(self):
         batch = counterexample_sequences(4)  # W is 5x4, kernel projector has rank 1
-        systems = sample_compatible_systems(batch, 6, scale=1.0, seed=0)
-        diffs = [
-            np.linalg.norm(np.hstack([s.A, s.B]) - np.hstack([systems[0].A, systems[0].B]))
-            for s in systems[1:]
-        ]
-        assert max(diffs) > 1e-6
+        systems = sample(batch, 6, scale=1.0, seed=0)
+        assert np.max(np.linalg.norm(systems[1:] - systems[0], axis=(1, 2))) > 1e-6
 
     def test_samples_are_compatible(self):
         rng = np.random.default_rng(8)
         A = 0.6 * rng.standard_normal((3, 3))
         B = rng.standard_normal((3, 1))
         batch = excited_batch(A, B, N=5, seed=9)
-        for sys_ in sample_compatible_systems(batch, 8, scale=2.0, seed=4):
-            res = np.linalg.norm(sys_.A @ batch.Xi0 + sys_.B @ batch.Ups0 - batch.Xi1)
+        W = np.vstack([batch.Xi0, batch.Ups0])
+        for AB in sample(batch, 8, scale=2.0, seed=4):
+            res = np.linalg.norm(AB @ W - batch.Xi1)
             assert res <= 1e-8 * (1 + np.linalg.norm(batch.Xi1))
 
     def test_identification_informative_implies_singleton(self):
@@ -278,9 +285,9 @@ class TestSampleCompatible:
         B = rng.standard_normal((2, 1))
         batch = excited_batch(A, B, N=6, seed=10)
         assert identification_informative(batch)
-        sys0 = sample_compatible_systems(batch, 1, seed=0)[0]
-        sys1 = sample_compatible_systems(batch, 1, seed=99)[0]
-        assert np.linalg.norm(sys0.A - sys1.A) < 1e-9
+        sys0 = sample(batch, 1, seed=0)[0]
+        sys1 = sample(batch, 1, seed=99)[0]
+        assert np.linalg.norm(sys0 - sys1) < 1e-9
 
 
 class TestGainNormGrowth:

@@ -85,6 +85,22 @@ class TestSolveFeasibility:
             S = 0.5 * (Xi0 @ sol.Lambda + (Xi0 @ sol.Lambda).T)
             assert np.linalg.eigvalsh(S)[0] >= (1.0 + sol.min_eig) / gamma**2 - 1e-9
 
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_symmetry_judged_relative_to_size(self, seed):
+        """Minimal random data (N = n + 1) whose feasible points have
+        ||Xi0 Lambda|| of order 1e6: the round-off asymmetry, of order 1e-9,
+        must not reject them."""
+        rng = np.random.default_rng([seed, 12])
+        Xi0 = rng.standard_normal((12, 13))
+        Xi1 = rng.standard_normal((12, 13))
+        problem = LmiProblem(Xi0=Xi0, Xi1=Xi1, gamma=0.9)
+        sol = solve_feasibility(problem)
+        assert isinstance(sol, LmiSolution)
+        min_eig, sym = evaluate_block(Xi0, Xi1, 0.9, sol.Lambda)
+        assert min_eig == sol.min_eig and min_eig >= -problem.feas_margin
+        assert sym == sol.sym_residual
+        assert sym <= problem.sym_tol * max(1.0, np.linalg.norm(Xi0 @ sol.Lambda))
+
     def test_scale_covariance_verdicts(self):
         rng = np.random.default_rng(4)
         Xi0, Xi1, gamma = random_feasible_instance(rng, n=3, N=6)

@@ -6,7 +6,7 @@ import pytest
 
 from ddstab.errors import IndexOutOfRange, InvalidParams
 from ddstab.finitedata import cascade_decomposition, projected_batch
-from ddstab.informativity import stabilization_informative
+from ddstab.informativity import sample_compatible_systems, stabilization_informative
 from ddstab.noise import (
     Incompatible,
     NoiseClassParams,
@@ -20,6 +20,7 @@ from ddstab.noise import (
     robust_decay_rate,
     robust_stabilization,
     verify_robust_gain,
+    _scaled_noise_draw,
 )
 from ddstab.operators import frame_bounds, operator_norm, spectral_radius
 from ddstab.systems import DataBatch, counterexample_sequences, reference_cascade_scenario
@@ -225,6 +226,49 @@ class TestVerifyRobustGain:
             projected_cascade, res.K, res.M, res.gamma_tilde, 0.002, 0.002, res.Omega, **kwargs
         )
         assert json.dumps(asdict(a), sort_keys=True) == json.dumps(asdict(b), sort_keys=True)
+
+
+    @pytest.mark.parametrize("M, gamma_tilde", [(5.0, 0.93), (4.8, 0.86)])
+    def test_violations_match_per_system_loop(self, projected_cascade, M, gamma_tilde):
+        """M set below the gain's transient: part of the sampled loops exceed
+        M gamma~^k, and at gamma~ = 0.86 some radii exceed gamma~ too.  The
+        stacked check must count what a loop over single systems counts,
+        stopping each system at its first excess."""
+        res = robust_stabilization(projected_cascade, 0.9, 0.003, 0.003)
+        c, trials, seed, per_trial = 0.02, 10, 3, 3
+        report = verify_robust_gain(
+            projected_cascade, res.K, M, gamma_tilde, c, c, res.Omega, trials=trials, seed=seed,
+            systems_per_trial=per_trial,
+        )
+        n = projected_cascade.n
+        violations, worst_excess, worst_radius = 0, -np.inf, 0.0
+        for t in range(trials):
+            noise, failed = _scaled_noise_draw(
+                np.random.default_rng([seed, t]), projected_cascade, res.Omega, c, c
+            )
+            assert not failed
+            Xi1 = projected_cascade.Xi1 - noise.Xi1
+            Xi0 = projected_cascade.Xi0 - noise.Xi0
+            Ups0 = projected_cascade.Ups0 - noise.Ups0
+            for AB in sample_compatible_systems(Xi0, Xi1, Ups0, per_trial, seed=seed + 7 * t + 1):
+                F = AB[:, :n] + AB[:, n:] @ res.K
+                rho = spectral_radius(F)
+                worst_radius = max(worst_radius, rho)
+                violations += rho > gamma_tilde + 1e-6
+                P, bound = np.eye(n), M + 1e-6
+                for _ in range(100):
+                    P = F @ P
+                    bound *= gamma_tilde
+                    excess = operator_norm(P) - bound
+                    worst_excess = max(worst_excess, excess)
+                    if excess > 0:
+                        violations += 1
+                        break
+        assert 0 < violations < 2 * trials * per_trial
+        assert report.violations == violations
+        assert report.worst_power_excess == worst_excess
+        assert report.worst_radius == worst_radius
+        assert report.rejected_draws == 0
 
 
 class TestRangeBreakingNoise:
