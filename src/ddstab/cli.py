@@ -253,13 +253,25 @@ def cmd_noise(args):
         seed=args.seed,
     )
     report["verification"] = verification.to_dict()
+    # every draw rejected: no system was checked, so the check says nothing
+    inconclusive = args.trials > 0 and verification.rejected_draws == args.trials
+    if inconclusive:
+        outcome = (
+            f"sampled check inconclusive: all {args.trials} noise draws rejected, "
+            "no system checked"
+        )
+    else:
+        outcome = (
+            f"sampled worst radius {verification.worst_radius:.6f} "
+            f"({verification.violations} violations)"
+        )
     print(
         f"robust synthesis: M={result.M:.4f}, gamma_tilde={result.gamma_tilde:.6f}, "
-        f"margin_ok={result.margin_ok}; sampled worst radius "
-        f"{verification.worst_radius:.6f} ({verification.violations} violations)"
+        f"margin_ok={result.margin_ok}; {outcome}"
     )
     _write_report(report, args.out)
-    return 0 if (result.margin_ok and verification.violations == 0) else 1
+    ok = result.margin_ok and verification.violations == 0 and not inconclusive
+    return 0 if ok else 1
 
 
 def build_parser():

@@ -243,12 +243,17 @@ def sample_compatible_systems(Xi0, Xi1, Ups0, count, scale=1.0, seed=0):
     on ``count`` or on evaluation order.  Requires consistent data (data
     generated by some system).
     """
+    W = np.vstack([Xi0, Ups0])
+    return _compatible_family(Xi1, W, pseudo_inverse(W), count, scale, seed)
+
+
+def _compatible_family(Xi1, W, Wp, count, scale, seed):
+    """The draws of ``sample_compatible_systems`` from W = [Xi0; Ups0] and
+    its pseudoinverse ``Wp``, for callers that already hold both."""
     if count < 0:
         raise InvalidParams("count must be >= 0")
     if scale <= 0:
         raise InvalidParams("scale must be positive")
-    W = np.vstack([Xi0, Ups0])
-    Wp = pseudo_inverse(W)
     base = Xi1 @ Wp
     projector = np.eye(W.shape[0]) - W @ Wp
     shape = (Xi1.shape[0], W.shape[0])

@@ -12,16 +12,13 @@ rate gamma for the reconstructed closed loop degrades to
 which is below one exactly when gamma c1 + c0 < (1 - gamma) / M.
 """
 
+import itertools
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, IndexOutOfRange, InvalidParams
-from .informativity import (
-    NotInformative,
-    sample_compatible_systems,
-    synthesize_gain,
-)
+from .informativity import NotInformative, _compatible_family, synthesize_gain
 from .operators import (
     DEFAULT_TOL,
     DouglasFactor,
@@ -121,9 +118,10 @@ def _check_noise_shapes(noise_batch: DataBatch, noisy_batch: DataBatch):
 
 
 def _psd_margin(lhs, rhs):
-    """Smallest eigenvalue of rhs - lhs after symmetrization."""
+    """Smallest eigenvalue of rhs - lhs after symmetrization, one per matrix
+    of a stack."""
     M = rhs - lhs
-    return float(np.linalg.eigvalsh(0.5 * (M + M.T))[0])
+    return np.linalg.eigvalsh(0.5 * (M + np.swapaxes(M, -1, -2)))[..., 0]
 
 
 def noise_in_class(noise_batch: DataBatch, noisy_batch: DataBatch, params: NoiseClassParams, tol=DEFAULT_TOL):
@@ -138,10 +136,10 @@ def noise_in_class(noise_batch: DataBatch, noisy_batch: DataBatch, params: Noise
         raise DimensionMismatch(f"Omega must be N x n = {(noisy_batch.N, noisy_batch.n)}, got {Om.shape}")
     D1 = noise_batch.Xi1 @ Om
     X1 = noisy_batch.Xi1 @ Om
-    margin_state = _psd_margin(D1 @ D1.T, params.c1**2 * (X1 @ X1.T))
+    margin_state = float(_psd_margin(D1 @ D1.T, params.c1**2 * (X1 @ X1.T)))
     D0 = np.vstack([noise_batch.Xi0, noise_batch.Ups0]) @ Om
     W0 = np.vstack([noisy_batch.Xi0, noisy_batch.Ups0]) @ Om
-    margin_stacked = _psd_margin(D0 @ D0.T, params.c0**2 * (W0 @ W0.T))
+    margin_stacked = float(_psd_margin(D0 @ D0.T, params.c0**2 * (W0 @ W0.T)))
     return NoiseClassCheck(
         in_class=bool(margin_state >= -tol and margin_stacked >= -tol),
         margin_state=margin_state,
@@ -224,11 +222,18 @@ class RobustVerificationReport:
 
 
 def _rescale_to_norm(M, target):
+    """Each matrix of the stack M scaled to operator norm ``target``; a zero
+    matrix stays zero."""
     top = operator_norm(M)
-    return M * (target / top) if top > 0 else M
+    return M * np.divide(target, top, out=np.ones_like(top), where=top > 0)[:, None, None]
 
 
-def _scaled_noise_draw(rng, noisy_batch, Omega, c1, c0, fill=0.9, max_tries=50):
+#: At most this many noise generators (about 4.5 KB each) are held and
+#: drawn for as one stack.
+_DRAW_STACK = 64
+
+
+class _NoiseSampler:
     """Gaussian noise inside the class, scaled to ``fill`` of the budget.
 
     Class membership forces the noise, seen through Omega, to factor over
@@ -239,33 +244,91 @@ def _scaled_noise_draw(rng, noisy_batch, Omega, c1, c0, fill=0.9, max_tries=50):
     factors Phi rescaled to ``fill`` of (c1, c0); a free Gaussian component
     invisible to Omega (and hence unconstrained by the class) is added at a
     matching magnitude.  Draws whose minimal constants still exceed the
-    budget are rejected.
+    budget are rejected.  Everything that does not depend on the random
+    stream is computed once, here.
     """
+
+    def __init__(self, noisy_batch, Omega, c1, c0, fill=0.9):
+        params = NoiseClassParams(c1=c1, c0=c0, Omega=Omega)
+        n, m, N = noisy_batch.n, noisy_batch.m, noisy_batch.N
+        Om = params.Omega
+        if Om.shape != (N, n):
+            raise DimensionMismatch(f"Omega must be N x n = {(N, n)}, got {Om.shape}")
+        data0 = np.vstack([noisy_batch.Xi0, noisy_batch.Ups0])
+        self.n, self.m, self.N = n, m, N
+        self.c1, self.c0, self.fill = c1, c0, fill
+        self.Om = Om
+        self.Om_pinv = pseudo_inverse(Om)
+        self.perp = np.eye(N) - Om @ self.Om_pinv
+        self.B1 = noisy_batch.Xi1 @ Om
+        self.B0 = data0 @ Om
+        self.budget1 = c1**2 * (self.B1 @ self.B1.T)
+        self.budget0 = c0**2 * (self.B0 @ self.B0.T)
+        self.rms1 = np.linalg.norm(noisy_batch.Xi1) / max(1.0, np.sqrt(N * n))
+        self.rms0 = np.linalg.norm(data0) / max(1.0, np.sqrt(N * (n + m)))
+
+    def draw(self, rngs, max_tries=50):
+        """Noise inside the class from each generator of the iterable
+        ``rngs``: a list of (Delta1, [Delta0; Theta0]), or None where all
+        ``max_tries`` draws from that generator were rejected.  A generator's
+        draws do not depend on the others.  The generators are taken
+        ``_DRAW_STACK`` at a time, which bounds the memory they hold."""
+        rngs, drawn = iter(rngs), []
+        while stack := list(itertools.islice(rngs, _DRAW_STACK)):
+            drawn += self._draw_stack(stack, max_tries)
+        return drawn
+
+    def _draw_stack(self, rngs, max_tries):
+        """``draw`` for a list of generators; each try of those still
+        pending runs as one stack."""
+        n, m, N = self.n, self.m, self.N
+        c1, c0, fill = self.c1, self.c0, self.fill
+        drawn = [None] * len(rngs)
+        pending = np.arange(len(rngs))
+        for _ in range(max_tries):
+            if pending.size == 0:
+                break
+            G1, G0 = np.zeros((pending.size, n, n)), np.zeros((pending.size, n, n))
+            E1, E0 = np.zeros((pending.size, n, N)), np.zeros((pending.size, n + m, N))
+            for j, i in enumerate(pending):
+                if c1 > 0:
+                    G1[j] = rngs[i].standard_normal((n, n))
+                if c0 > 0:
+                    G0[j] = rngs[i].standard_normal((n, n))
+                if c1 > 0:
+                    E1[j] = rngs[i].standard_normal((n, N))
+                if c0 > 0:
+                    E0[j] = rngs[i].standard_normal((n + m, N))
+            Phi1 = _rescale_to_norm(G1, fill * c1) if c1 > 0 else G1
+            Phi0 = _rescale_to_norm(G0, fill * c0) if c0 > 0 else G0
+            free1 = fill * c1 * self.rms1 * E1 @ self.perp if c1 > 0 else E1
+            free0 = fill * c0 * self.rms0 * E0 @ self.perp if c0 > 0 else E0
+            # each Delta1 in the column-major layout of DataBatch.Xi1, so that
+            # BLAS sums the products below as noise_in_class does on a batch
+            Delta1 = np.swapaxes(np.swapaxes(self.B1 @ Phi1 @ self.Om_pinv + free1, 1, 2).copy(), 1, 2)
+            D0 = self.B0 @ Phi0 @ self.Om_pinv + free0
+            D1m, D0m = Delta1 @ self.Om, D0 @ self.Om
+            ok = (_psd_margin(D1m @ np.swapaxes(D1m, 1, 2), self.budget1) >= -DEFAULT_TOL) & (
+                _psd_margin(D0m @ np.swapaxes(D0m, 1, 2), self.budget0) >= -DEFAULT_TOL
+            )
+            for j in np.flatnonzero(ok):
+                drawn[pending[j]] = Delta1[j], D0[j]
+            pending = pending[~ok]
+        return drawn
+
+
+def _scaled_noise_draw(rng, noisy_batch, Omega, c1, c0, fill=0.9, max_tries=50):
+    """One draw of ``_NoiseSampler`` as a DataBatch, and whether it failed
+    (then the batch is zero)."""
     n, m, N = noisy_batch.n, noisy_batch.m, noisy_batch.N
-    Om = np.asarray(Omega, dtype=float)
-    Om_pinv = pseudo_inverse(Om)
-    perp = np.eye(N) - Om @ Om_pinv
-    B1 = noisy_batch.Xi1 @ Om
-    B0 = np.vstack([noisy_batch.Xi0, noisy_batch.Ups0]) @ Om
-    rms1 = np.linalg.norm(noisy_batch.Xi1) / max(1.0, np.sqrt(N * n))
-    rms0 = np.linalg.norm(np.vstack([noisy_batch.Xi0, noisy_batch.Ups0])) / max(
-        1.0, np.sqrt(N * (n + m))
-    )
-    for _ in range(max_tries):
-        Phi1 = _rescale_to_norm(rng.standard_normal((n, n)), fill * c1) if c1 > 0 else np.zeros((n, n))
-        Phi0 = _rescale_to_norm(rng.standard_normal((n, n)), fill * c0) if c0 > 0 else np.zeros((n, n))
-        free1 = fill * c1 * rms1 * rng.standard_normal((n, N)) @ perp if c1 > 0 else np.zeros((n, N))
-        free0 = fill * c0 * rms0 * rng.standard_normal((n + m, N)) @ perp if c0 > 0 else np.zeros((n + m, N))
-        Delta1 = B1 @ Phi1 @ Om_pinv + free1
-        D0 = B0 @ Phi0 @ Om_pinv + free0
-        draw = DataBatch(x1=Delta1.T, x0=D0[:n].T, u0=D0[n:].T, meta="noise draw")
-        check = noise_in_class(draw, noisy_batch, NoiseClassParams(c1=c1, c0=c0, Omega=Om))
-        if check.in_class:
-            return draw, False
-    return (
-        DataBatch(x1=np.zeros((N, n)), x0=np.zeros((N, n)), u0=np.zeros((N, m))),
-        True,
-    )
+    drawn = _NoiseSampler(noisy_batch, Omega, c1, c0, fill).draw([rng], max_tries)[0]
+    if drawn is None:
+        return (
+            DataBatch(x1=np.zeros((N, n)), x0=np.zeros((N, n)), u0=np.zeros((N, m))),
+            True,
+        )
+    Delta1, D0 = drawn
+    return DataBatch(x1=Delta1.T, x0=D0[:n].T, u0=D0[n:].T, meta="noise draw"), False
 
 
 def verify_robust_gain(
@@ -290,52 +353,38 @@ def verify_robust_gain(
     with ||(A + B K)^k|| <= (M + 1e-6) gamma_tilde^k for k up to
     ``power_horizon``.  All trials' closed loops are checked as one stack;
     a loop leaves the power check at its first excess, which counts as one
-    violation.  Inconsistent denoised batches (possible when the sampled
-    noise misses the data's row space) are rejected and counted.
+    violation.  At each step singular values are computed only for the loops
+    that cheap norm bounds cannot clear (``_check_closed_loops``); the others
+    can neither exceed the bound nor hold the step's largest norm, so the
+    report is the one the full computation gives.  Inconsistent denoised
+    batches (possible when the sampled noise misses the data's row space)
+    are rejected and counted.
     """
     K = np.atleast_2d(np.asarray(K, dtype=float))
-    Om = np.asarray(Omega, dtype=float)
     n = noisy_batch.n
     radius_bound = gamma_tilde + 1e-6
+    sampler = _NoiseSampler(noisy_batch, Omega, c1, c0)
+    data0 = np.vstack([noisy_batch.Xi0, noisy_batch.Ups0])
     rejected = 0
     draws = [np.empty((0, n, n + noisy_batch.m))]
-    for t in range(int(trials)):
-        rng = np.random.default_rng([seed, t])
-        noise, failed = _scaled_noise_draw(rng, noisy_batch, Om, c1, c0)
-        if failed:
+    rngs = (np.random.default_rng([seed, t]) for t in range(int(trials)))
+    for t, drawn in enumerate(sampler.draw(rngs)):
+        if drawn is None:
             rejected += 1
             continue
-        Xi1 = noisy_batch.Xi1 - noise.Xi1
-        W = np.vstack([noisy_batch.Xi0 - noise.Xi0, noisy_batch.Ups0 - noise.Ups0])
-        proj = Xi1 @ pseudo_inverse(W) @ W
+        Delta1, D0 = drawn
+        Xi1 = noisy_batch.Xi1 - Delta1
+        W = data0 - D0
+        Wp = pseudo_inverse(W)
+        proj = Xi1 @ Wp @ W
         if np.linalg.norm(proj - Xi1) > 1e-8 * (1.0 + np.linalg.norm(Xi1)):
             rejected += 1
             continue
-        draws.append(
-            sample_compatible_systems(
-                W[:n], Xi1, W[n:], systems_per_trial, scale=scale, seed=seed + 7 * t + 1
-            )
-        )
+        draws.append(_compatible_family(Xi1, W, Wp, systems_per_trial, scale, seed + 7 * t + 1))
     AB = np.concatenate(draws)
-    F = AB[:, :, :n] + AB[:, :, n:] @ K
-    radii = spectral_radius(F)
-    worst_radius = float(radii.max(initial=0.0))
-    violations = int(np.sum(radii > radius_bound))
-    worst_power_excess = -np.inf
-    P = np.eye(n)
-    bound = M + 1e-6
-    for _ in range(power_horizon):
-        if F.shape[0] == 0:
-            break
-        P = F @ P
-        bound *= gamma_tilde
-        excess = operator_norm(P) - bound
-        worst_power_excess = max(worst_power_excess, float(excess.max()))
-        keep = excess <= 0
-        violations += int(np.sum(~keep))
-        F, P = F[keep], P[keep]
-    if not np.isfinite(worst_power_excess):
-        worst_power_excess = 0.0
+    worst_radius, violations, worst_power_excess = _check_closed_loops(
+        AB[:, :, :n] + AB[:, :, n:] @ K, M, gamma_tilde, power_horizon
+    )
     return RobustVerificationReport(
         trials=int(trials),
         systems_per_trial=systems_per_trial,
@@ -345,6 +394,50 @@ def verify_robust_gain(
         violations=violations,
         rejected_draws=rejected,
     )
+
+
+#: Relative widening of the Frobenius and row/column bounds on ||F^k|| in
+#: ``_check_closed_loops``, far above the rounding of either bound or of the SVD.
+_NORM_BOUND_SLACK = 1e-9
+
+
+def _check_closed_loops(F, M, gamma_tilde, power_horizon):
+    """(worst radius, violations, worst power excess) of the stack F of
+    closed loops against rho <= gamma_tilde + 1e-6 and
+    ||F^k|| <= (M + 1e-6) gamma_tilde^k for k up to ``power_horizon``; a
+    loop leaves the power check at its first excess."""
+    n = F.shape[-1]
+    radii = spectral_radius(F)
+    worst_radius = float(radii.max(initial=0.0))
+    violations = int(np.sum(radii > gamma_tilde + 1e-6))
+    worst_power_excess = -np.inf
+    P = np.eye(n)
+    bound = M + 1e-6
+    for _ in range(power_horizon):
+        if F.shape[0] == 0:
+            break
+        P = F @ P
+        bound *= gamma_tilde
+        # ||P||_F >= ||P||_2 >= its largest row or column norm; the slack
+        # covers the rounding of both sides.  A loop whose upper bound stays
+        # within ``bound`` cannot exceed it, and one whose upper bound is
+        # below another loop's lower bound cannot hold the step's largest
+        # norm, so only the rest needs its singular values.  The stack axis
+        # goes last because numpy reduces a short trailing axis slowly.
+        sq = np.ascontiguousarray(P.transpose(1, 2, 0)) ** 2
+        rows, cols = sq.sum(axis=1), sq.sum(axis=0)
+        upper = np.sqrt(rows.sum(axis=0)) * (1.0 + _NORM_BOUND_SLACK)
+        lower = np.sqrt(np.maximum(rows.max(axis=0), cols.max(axis=0)))
+        exact = np.flatnonzero((upper > bound) | (upper >= lower.max() * (1.0 - _NORM_BOUND_SLACK)))
+        excess = operator_norm(P[exact]) - bound
+        worst_power_excess = max(worst_power_excess, float(excess.max()))
+        over = exact[~(excess <= 0)]
+        if over.size:
+            violations += over.size
+            F, P = np.delete(F, over, axis=0), np.delete(P, over, axis=0)
+    if not np.isfinite(worst_power_excess):
+        worst_power_excess = 0.0
+    return worst_radius, violations, worst_power_excess
 
 
 def range_breaking_noise(x0_cols, k0):

@@ -279,3 +279,21 @@ class TestNoise:
             "noise", "--in", str(cascade_file), "--gamma", "0.9", "--c1", "0", "--c0", "0",
         )
         assert code == 1
+
+    def test_all_draws_rejected_is_inconclusive(self, tmp_path, capsys):
+        """Unprojected data with N > n + m: every denoised batch leaves the
+        data's row space, so no system is checked and the exit code says so."""
+        data, report = tmp_path / "rl.json", tmp_path / "noise.json"
+        assert run("generate", "--scenario", "random-lti", "--n", "3", "--seed", "7",
+                   "--out", str(data)) == 0
+        capsys.readouterr()
+        code = run(
+            "noise", "--in", str(data), "--gamma", "0.9", "--c1", "0.001", "--c0", "0.001",
+            "--trials", "50", "--out", str(report),
+        )
+        assert code == 1
+        assert "inconclusive: all 50 noise draws rejected" in capsys.readouterr().out
+        payload = json.loads(report.read_text())
+        assert payload["margin_ok"] is True
+        assert payload["verification"]["rejected_draws"] == 50
+        assert payload["verification"]["violations"] == 0

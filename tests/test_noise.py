@@ -20,9 +20,13 @@ from ddstab.noise import (
     robust_decay_rate,
     robust_stabilization,
     verify_robust_gain,
+    _DRAW_STACK,
+    _NoiseSampler,
+    _check_closed_loops,
     _scaled_noise_draw,
 )
-from ddstab.operators import frame_bounds, operator_norm, spectral_radius
+from ddstab import noise as noise_mod
+from ddstab.operators import frame_bounds, operator_norm, pseudo_inverse, spectral_radius
 from ddstab.systems import DataBatch, counterexample_sequences, reference_cascade_scenario
 
 
@@ -37,6 +41,90 @@ def projected_cascade():
     _, batch, params = reference_cascade_scenario(n_modes=20, n_samples=5)
     dec = cascade_decomposition(params, 0.89, 0.1, 0.0)
     return projected_batch(batch, dec)
+
+
+def full_power_check(F, M, gamma_tilde, horizon=100):
+    """The power check without pruning: the SVD of every remaining loop at
+    every step.  Also returns the step of each power violation."""
+    radii = spectral_radius(F)
+    worst_radius = float(radii.max(initial=0.0))
+    violations = int(np.sum(radii > gamma_tilde + 1e-6))
+    worst, steps = -np.inf, []
+    P, bound = np.eye(F.shape[-1]), M + 1e-6
+    for k in range(1, horizon + 1):
+        if F.shape[0] == 0:
+            break
+        P = F @ P
+        bound *= gamma_tilde
+        excess = operator_norm(P) - bound
+        worst = max(worst, float(excess.max()))
+        keep = excess <= 0
+        steps += [k] * int(np.sum(~keep))
+        F, P = F[keep], P[keep]
+    return worst_radius, violations + len(steps), worst if np.isfinite(worst) else 0.0, steps
+
+
+def random_loops(count, radii, seed):
+    """Gaussian 4x4 matrices rescaled to the given spectral radii: non-normal,
+    so their powers have transients of different lengths."""
+    G = np.random.default_rng(seed).standard_normal((count, 4, 4))
+    return G * (np.asarray(radii) / spectral_radius(G))[:, None, None]
+
+
+def cascade_loops(batch, count=60):
+    """Closed loops of the robust gain over systems compatible with ``batch``."""
+    res = robust_stabilization(batch, 0.9, 0.003, 0.003)
+    AB = sample_compatible_systems(batch.Xi0, batch.Xi1, batch.Ups0, count, seed=5)
+    return AB[:, :, : batch.n] + AB[:, :, batch.n :] @ res.K, res.M
+
+
+def power_check_case(name, batch):
+    """(closed loops, M, gamma~) of one oracle case."""
+    nilpotent = np.triu(np.random.default_rng(1).standard_normal((4, 4)), 1)
+    if name == "steps":
+        return random_loops(40, np.linspace(0.3, 0.95, 40), seed=2), 3.0, 0.9
+    if name == "radius-above-1":
+        return random_loops(30, np.linspace(0.5, 1.2, 30), seed=3), 2.0, 1.13
+    if name == "cascade-c0.02":
+        F, M = cascade_loops(batch)
+        return F, M, robust_decay_rate(M, 0.9, 0.02, 0.02)
+    if name == "zero-and-nilpotent":
+        F = np.concatenate([np.zeros((1, 4, 4)), nilpotent[None], random_loops(5, [0.8] * 5, seed=4)])
+        return F, 2.0, 0.9
+    if name == "violators-apart":
+        # a loop whose only excess, at step 1, is far below another's norm
+        E01 = np.zeros((4, 4))
+        E01[0, 1] = 1.0
+        return np.stack([5.0 * np.eye(4), E01, 0.5 * np.eye(4)]), 1.0, 0.9
+    if name == "only-nilpotent":
+        return np.stack([np.zeros((4, 4)), nilpotent, 3.0 * nilpotent]), 1.0, 0.9
+    if name == "single":
+        return random_loops(1, [0.85], seed=5), 1.5, 0.9
+    assert name == "empty"
+    return np.empty((0, 4, 4)), 2.0, 0.9
+
+
+def one_draw_at_a_time(rng, batch, Omega, c1, c0, fill, max_tries):
+    """The noise draw written for one generator (c1, c0 > 0): every try is
+    built as a DataBatch and checked with noise_in_class."""
+    n, m, N = batch.n, batch.m, batch.N
+    Om_pinv = pseudo_inverse(Omega)
+    perp = np.eye(N) - Omega @ Om_pinv
+    data0 = np.vstack([batch.Xi0, batch.Ups0])
+    B1, B0 = batch.Xi1 @ Omega, data0 @ Omega
+    rms1 = np.linalg.norm(batch.Xi1) / max(1.0, np.sqrt(N * n))
+    rms0 = np.linalg.norm(data0) / max(1.0, np.sqrt(N * (n + m)))
+    for _ in range(max_tries):
+        G1, G0 = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+        Phi1 = G1 * (fill * c1 / operator_norm(G1))
+        Phi0 = G0 * (fill * c0 / operator_norm(G0))
+        free1 = fill * c1 * rms1 * rng.standard_normal((n, N)) @ perp
+        free0 = fill * c0 * rms0 * rng.standard_normal((n + m, N)) @ perp
+        D0 = B0 @ Phi0 @ Om_pinv + free0
+        draw = DataBatch(x1=(B1 @ Phi1 @ Om_pinv + free1).T, x0=D0[:n].T, u0=D0[n:].T)
+        if noise_in_class(draw, batch, NoiseClassParams(c1, c0, Omega)):
+            return draw
+    return None
 
 
 class TestNoiseClass:
@@ -269,6 +357,68 @@ class TestVerifyRobustGain:
         assert report.worst_power_excess == worst_excess
         assert report.worst_radius == worst_radius
         assert report.rejected_draws == 0
+
+    @pytest.mark.parametrize(
+        "case",
+        ["steps", "violators-apart", "radius-above-1", "cascade-c0.02", "zero-and-nilpotent",
+         "only-nilpotent", "single", "empty"],
+    )
+    def test_pruned_power_check_matches_full_svd(self, projected_cascade, case):
+        """Skipping the SVD of the loops that the Frobenius and row/column
+        bounds clear must not change a bit of the result."""
+        F, M, gamma_tilde = power_check_case(case, projected_cascade)
+        worst_radius, violations, worst_excess, steps = full_power_check(F, M, gamma_tilde)
+        assert _check_closed_loops(F, M, gamma_tilde, 100) == (worst_radius, violations, worst_excess)
+        if case == "steps":
+            assert len(set(steps)) >= 3
+        if case in ("radius-above-1", "cascade-c0.02"):
+            assert gamma_tilde > 1.1
+        if case == "radius-above-1":
+            assert violations > 0
+
+    def test_pruning_skips_most_svds(self, monkeypatch):
+        F = random_loops(200, np.linspace(0.3, 0.9, 200), seed=6)
+        sizes = []
+        monkeypatch.setattr(
+            noise_mod, "operator_norm", lambda P: sizes.append(len(P)) or operator_norm(P)
+        )
+        assert _check_closed_loops(F, 20.0, 0.95, 100)[1] == 0
+        assert len(sizes) == 100
+        assert sum(sizes) < 0.25 * 100 * len(F)
+
+    @pytest.mark.parametrize("c, fill", [(0.003, 0.9), (0.02, 0.9), (0.01, 1 + 3e-6)])
+    def test_stacked_draws_match_one_at_a_time(self, projected_cascade, c, fill):
+        """Drawing for many generators in stacks gives bitwise what each
+        generator draws alone, here and through _scaled_noise_draw.  At
+        fill 1 + 3e-6 some first tries leave the class and are drawn again."""
+        res = robust_stabilization(projected_cascade, 0.9, 0.003, 0.003)
+        rngs = lambda: [np.random.default_rng([9, t]) for t in range(_DRAW_STACK + 10)]
+        sampler = _NoiseSampler(projected_cascade, res.Omega, c, c, fill=fill)
+        stacked = sampler.draw(rngs(), max_tries=5)
+        assert len(stacked) == _DRAW_STACK + 10
+        for rng, again, drawn in zip(rngs(), rngs(), stacked):
+            ref = one_draw_at_a_time(rng, projected_cascade, res.Omega, c, c, fill, 5)
+            draw, failed = _scaled_noise_draw(
+                again, projected_cascade, res.Omega, c, c, fill=fill, max_tries=5
+            )
+            assert ref is not None and drawn is not None and not failed
+            ref0 = np.vstack([ref.Xi0, ref.Ups0])
+            assert np.array_equal(drawn[0], ref.Xi1) and np.array_equal(drawn[1], ref0)
+            assert np.array_equal(draw.Xi1, ref.Xi1)
+            assert np.array_equal(np.vstack([draw.Xi0, draw.Ups0]), ref0)
+        if fill > 1:
+            first = sampler.draw(rngs(), max_tries=1)
+            assert 0 < sum(d is None for d in first) < len(first)
+
+    def test_draws_outside_budget_all_rejected(self, projected_cascade):
+        """Factors at twice the budget leave the class: every path gives up."""
+        res = robust_stabilization(projected_cascade, 0.9, 0.003, 0.003)
+        args = (projected_cascade, res.Omega, 0.01, 0.01)
+        draw, failed = _scaled_noise_draw(np.random.default_rng(0), *args, fill=2.0, max_tries=3)
+        assert failed and not draw.x1.any()
+        assert one_draw_at_a_time(np.random.default_rng(0), *args, 2.0, 3) is None
+        sampler = _NoiseSampler(*args, fill=2.0)
+        assert sampler.draw([np.random.default_rng(0)], max_tries=3) == [None]
 
 
 class TestRangeBreakingNoise:
