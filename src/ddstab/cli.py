@@ -120,13 +120,13 @@ def cmd_analyze(args):
         )
         code = 0 if verdict else 1
     elif args.mode == "stabilize":
-        result = informativity.stabilization_informative(batch, args.gamma, args.tol, seed=args.seed)
+        result = informativity.stabilization_informative(batch, args.gamma, args.tol)
         code = _fill_gain_report(report, result, args.gamma)
     elif args.mode == "finite-plus":
         dec, n0 = _build_decomposition(args, batch.n)
         pd = finitedata.project_data(batch, dec)
         report["decomposition"] = {"n0": n0, "n_plus": dec.n_plus, "gamma_minus": args.gamma_minus}
-        result = finitedata.finite_informative(pd, args.gamma, args.gamma_minus, args.tol, seed=args.seed)
+        result = finitedata.finite_informative(pd, args.gamma, args.gamma_minus, args.tol)
         code = _fill_gain_report(report, result, args.gamma, gain_key="K_plus")
         if code == 0:
             print(f"decomposition: n0={n0}, n_plus={dec.n_plus}")
@@ -141,8 +141,13 @@ def _fill_gain_report(report, result, gamma, gain_key="K"):
     if isinstance(result, informativity.NotInformative):
         report["informative"] = False
         report["stage"] = result.stage
+        report["reason"] = result.reason
         report["margin"] = result.margin
-        print(f"not informative at gamma={gamma} (stage {result.stage}, margin {result.margin:.3e})")
+        why = result.reason
+        if result.mode is not None:
+            report["pbh_mode"] = [result.mode.real, result.mode.imag]
+            why += f" mode {result.mode:.6g} (|mode| {abs(result.mode):.6g})"
+        print(f"not informative at gamma={gamma} (stage {result.stage}, {why}, margin {result.margin:.3e})")
         return 1
     report["informative"] = True
     report[gain_key] = result.K.tolist()
@@ -228,7 +233,7 @@ def cmd_noise(args):
         dec, n0 = _build_decomposition(args, batch.n)
         batch = finitedata.projected_batch(batch, dec)
         report["decomposition"] = {"n0": n0, "n_plus": dec.n_plus}
-    result = noise_mod.robust_stabilization(batch, args.gamma, args.c1, args.c0, args.tol, seed=args.seed)
+    result = noise_mod.robust_stabilization(batch, args.gamma, args.c1, args.c0, args.tol)
     if isinstance(result, noise_mod.NotApplicable):
         report["applicable"] = False
         report["stage"] = result.stage
@@ -303,7 +308,7 @@ def build_parser():
     ana.add_argument("--mode", required=True, choices=["identify", "stabilize", "finite-plus"])
     ana.add_argument("--gamma", type=float, default=0.9)
     ana.add_argument("--tol", type=float, default=1e-9)
-    ana.add_argument("--seed", type=int, default=0)
+    ana.add_argument("--seed", type=int, default=0, help="unused: the synthesis is deterministic")
     ana.add_argument("--out", default=None, help="write a JSON report here")
     _decomposition_args(ana)
     ana.set_defaults(func=cmd_analyze)

@@ -177,20 +177,20 @@ def projected_batch(batch: DataBatch, dec: Decomposition) -> DataBatch:
     )
 
 
-def finite_informative(pd: ProjectedData, gamma, gamma_minus, tol=DEFAULT_TOL, seed=0):
+def finite_informative(pd: ProjectedData, gamma, gamma_minus, tol=DEFAULT_TOL):
     """Informativity for stabilization on X+ at decay rate gamma.
 
     Requires gamma_minus < gamma < 1.  Checks surjectivity of Xi0p (the
-    finite stand-in for Ran Xi0+ = X+), then runs the LMI synthesis on the
-    projected operators.  The returned gain acts on X+ coordinates; lift it
+    finite stand-in for Ran Xi0+ = X+), then decides and solves the LMI on
+    the projected operators.  The returned gain acts on X+ coordinates; lift it
     with lift_gain.
     """
     if not (0.0 < gamma_minus < gamma < 1.0):
         raise InvalidParams("need 0 < gamma_minus < gamma < 1")
     rank = rank_at_tol(pd.Xi0p, tol)
     if rank < pd.n_plus:
-        return NotInformative(stage="rank", margin=float(rank - pd.n_plus))
-    return synthesize_gain(pd.Xi0p, pd.Xi1p, pd.Ups0, gamma, seed=seed)
+        return NotInformative(stage="rank", margin=float(rank - pd.n_plus), reason="rank")
+    return synthesize_gain(pd.Xi0p, pd.Xi1p, pd.Ups0, gamma)
 
 
 def lift_gain(K_plus, dec: Decomposition):

@@ -3,9 +3,9 @@
 All tests operate on the synthesis-operator matrices of a DataBatch.  Rank
 decisions stand in for the dense-range conditions of the underlying theory;
 they are exact when the batch dimensions are the true ones.  Gains are
-extracted from a feasible point of the lmi module as K = Ups0 L (Xi0 L)^-1,
-and certificates always refer to the data-reconstructed closed loop
-Xi1 L (Xi0 L)^-1, which equals A + B K for every data-compatible (A, B).
+taken from the right inverse R of Xi0 that the lmi module returns, as
+K = Ups0 R, and certificates always refer to the data-reconstructed closed
+loop Xi1 R, which equals A + B K for every data-compatible (A, B).
 """
 
 from dataclasses import dataclass
@@ -48,10 +48,18 @@ class NotUnique:
 
 @dataclass(frozen=True)
 class NotInformative:
-    """Stabilization test failed at ``stage`` ('rank', 'lmi' or 'certificate')."""
+    """Stabilization test failed at ``stage`` ('rank', 'lmi' or 'certificate').
+
+    ``reason`` says whether the verdict is a certificate: "rank" (the state
+    data do not span), "pbh" (the eigenvalue ``mode`` of the data's open
+    loop, at or above gamma, is out of the inputs' reach) or "numerical"
+    (inconclusive: no candidate gain was accepted).
+    """
 
     stage: str
     margin: float
+    reason: str
+    mode: complex | None = None
 
 
 @dataclass(frozen=True)
@@ -61,9 +69,8 @@ class GainResult:
     ``lmi_margin`` is the accepted block minimum eigenvalue and
     ``achieved_radius`` the spectral radius of the data-reconstructed closed
     loop; callers needing strict decay should check achieved_radius < gamma
-    with their own slack.  ``right_inverse`` is the map
-    Lambda (Xi0 Lambda)^-1 behind the gain: Xi0 right_inverse = I,
-    K = Ups0 right_inverse, closed loop = Xi1 right_inverse.
+    with their own slack.  ``right_inverse`` is the map R behind the gain:
+    Xi0 R = I, K = Ups0 R, closed loop = Xi1 R.
     """
 
     K: np.ndarray
@@ -102,25 +109,27 @@ def unique_system(batch: DataBatch, tol=DEFAULT_TOL):
     return LinearSystem(A=A, B=B)
 
 
-def synthesize_gain(Xi0, Xi1, Ups0, gamma, max_iters=lmi.DEFAULT_MAX_ITERS, seed=0):
-    """Shared LMI route: solve for Lambda, extract the gain, certify.
+def synthesize_gain(Xi0, Xi1, Ups0, gamma):
+    """Shared LMI route: decide, take the gain from the right inverse, certify.
 
-    Returns GainResult or NotInformative; used by the full-dimension test
-    here and by the projected test in finitedata.  Feasibility and symmetry
-    thresholds are the lmi module defaults.
+    The lmi module returns a right inverse R of Xi0 with rho(Xi1 R) < gamma;
+    the gain is K = Ups0 R and the certificate refers to F = Xi1 R.  Returns
+    GainResult or NotInformative; used by the full-dimension test here and by
+    the projected test in finitedata.  Feasibility and symmetry thresholds are
+    the lmi module defaults.
     """
     problem = lmi.LmiProblem(Xi0=Xi0, Xi1=Xi1, gamma=gamma)
-    outcome = lmi.solve_feasibility(problem, max_iters=max_iters, seed=seed)
+    outcome = lmi.solve_feasibility(problem)
     if isinstance(outcome, lmi.Infeasible):
-        return NotInformative(stage="lmi", margin=outcome.best_margin)
-    S = Xi0 @ outcome.Lambda
-    S = 0.5 * (S + S.T)
-    right_inverse = outcome.Lambda @ np.linalg.inv(S)
+        return NotInformative(
+            stage="lmi", margin=outcome.best_margin, reason=outcome.reason, mode=outcome.mode
+        )
+    right_inverse = outcome.right_inverse
     K = Ups0 @ right_inverse
     F = Xi1 @ right_inverse
     certificate = construct_certificate(F, gamma)
     if not isinstance(certificate, PowerStabilityCertificate):
-        return NotInformative(stage="certificate", margin=outcome.min_eig)
+        return NotInformative(stage="certificate", margin=outcome.min_eig, reason="numerical")
     return GainResult(
         K=K,
         certificate=certificate,
@@ -130,13 +139,13 @@ def synthesize_gain(Xi0, Xi1, Ups0, gamma, max_iters=lmi.DEFAULT_MAX_ITERS, seed
     )
 
 
-def stabilization_informative(batch: DataBatch, gamma, tol=DEFAULT_TOL, seed=0):
+def stabilization_informative(batch: DataBatch, gamma, tol=DEFAULT_TOL):
     """Decide informativity for stabilization with decay rate gamma.
 
-    Solves the block LMI; on success returns the gain
-    K = Ups0 Lambda (Xi0 Lambda)^-1 together with a power-stability
-    certificate of the reconstructed closed loop at rate gamma.  Failure
-    returns NotInformative carrying the best LMI margin reached; rank
+    Decides the block LMI exactly (rank of Xi0, then a PBH test); on success
+    returns the gain K = Ups0 R, for a right inverse R of Xi0, together with
+    a power-stability certificate of the reconstructed closed loop Xi1 R at
+    rate gamma.  Failure returns NotInformative with its reason; rank
     deficiency of the state data surfaces there rather than as a separate
     stage.  Feasibility and symmetry thresholds are the lmi defaults.
     """
@@ -144,7 +153,7 @@ def stabilization_informative(batch: DataBatch, gamma, tol=DEFAULT_TOL, seed=0):
         raise InvalidParams("gamma must lie in (0, 1)")
     if tol <= 0:
         raise InvalidParams("tol must be positive")
-    return synthesize_gain(batch.Xi0, batch.Xi1, batch.Ups0, gamma, seed=seed)
+    return synthesize_gain(batch.Xi0, batch.Xi1, batch.Ups0, gamma)
 
 
 def _min_eig_sym(M):
@@ -243,24 +252,24 @@ def sample_compatible_systems(Xi0, Xi1, Ups0, count, scale=1.0, seed=0):
     on ``count`` or on evaluation order.  Requires consistent data (data
     generated by some system).
     """
-    W = np.vstack([Xi0, Ups0])
-    return _compatible_family(Xi1, W, pseudo_inverse(W), count, scale, seed)
-
-
-def _compatible_family(Xi1, W, Wp, count, scale, seed):
-    """The draws of ``sample_compatible_systems`` from W = [Xi0; Ups0] and
-    its pseudoinverse ``Wp``, for callers that already hold both."""
     if count < 0:
         raise InvalidParams("count must be >= 0")
     if scale <= 0:
         raise InvalidParams("scale must be positive")
-    base = Xi1 @ Wp
-    projector = np.eye(W.shape[0]) - W @ Wp
+    W = np.vstack([Xi0, Ups0])
     shape = (Xi1.shape[0], W.shape[0])
     T = np.empty((count,) + shape)
     for i in range(count):
         T[i] = np.random.default_rng([seed, i]).standard_normal(shape)
-    return base + (scale * T) @ projector
+    return _compatible_family(Xi1, W, pseudo_inverse(W), scale * T)
+
+
+def _compatible_family(Xi1, W, Wp, T):
+    """Xi1 W^+ + T_i (I - W W^+) for each slice T_i of the stack T, from
+    W = [Xi0; Ups0] and its pseudoinverse ``Wp``: the draws of
+    ``sample_compatible_systems`` for callers that hold W^+ and draw T
+    themselves."""
+    return Xi1 @ Wp + T @ (np.eye(W.shape[0]) - W @ Wp)
 
 
 def least_squares_gain_norm_growth(n_list):

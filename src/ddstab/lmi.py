@@ -1,42 +1,59 @@
-"""Small dense LMI feasibility engine for data-driven stabilization.
+"""Exact decision and constructive solution of the data-driven stabilization LMI.
 
-Solves: find Lambda (N x n) with Xi0 Lambda self-adjoint and
+The LMI: find Lambda (N x n) with Xi0 Lambda self-adjoint and
 
     [[gamma^2 Xi0 Lambda - I,  Xi1 Lambda],
      [(Xi1 Lambda)^T,          Xi0 Lambda]]  >=  0.
 
-The symmetry constraint is eliminated by restricting Lambda to the null
-space of the linear map Lambda -> Xi0 Lambda - (Xi0 Lambda)^T (computed by
-SVD); over the reduced variable the smallest eigenvalue of the block matrix
-is maximized through its smooth softmin surrogate with a damped Newton
-method and a decreasing smoothing parameter.  Newton is affine invariant,
-which matters here: feasible Lambda can be orders of magnitude larger than
-the data when the stacked data matrix is ill conditioned, and first-order
-ascent stalls long before reaching them.
+Its (1,1) block forces S = Xi0 Lambda > 0, so R = Lambda S^-1 is a right
+inverse of Xi0, and the Schur complement reads gamma^2 S - F S F^T >= I with
+F = Xi1 R: the LMI is feasible iff some right inverse R of Xi0 puts
+rho(Xi1 R) below gamma.  When Xi0 has full row rank its right inverses are
+R = Xi0^+ + Z Y over free Y, with Z an orthonormal kernel basis of Xi0, and
+Xi1 R = A^ + B^ Y with (A^, B^) = (Xi1 Xi0^+, Xi1 Z).  Feasibility is thus
+gamma-stabilizability of (A^, B^), which a PBH test decides exactly: every
+eigenvalue |lambda| >= gamma of A^ must leave [A^ - lambda I, B^] of full
+row rank (van Waarde et al., "Data informativity", IEEE TAC 2020; the gains
+Ups0 R are those of De Persis and Tesi, "Formulas for data-driven control",
+IEEE TAC 2020).
 
-Instances are tiny (block sizes around 20 x 20), so robustness is preferred
-over asymptotic speed throughout.
+A feasible instance is then solved constructively.  A fixed grid of
+candidate gains Y comes from the gamma_d-scaled discrete Riccati equations
+of (A^, B^) over design rates gamma_d and input weights r, all solved as one
+stacked structure-preserving doubling iteration (Chu, Fan, Lin et al.,
+2004-05).  Of the candidates with rho(F) < gamma, the one with the smallest
+power-stability constant M is kept, and Lambda = R P with
+gamma'^2 P - F P F^T = I at gamma' = (rho(F) + gamma) / 2 (Smith doubling)
+is the witness that evaluate_block re-checks.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidParams, NumericalBreakdown
-from .operators import DEFAULT_TOL, pseudo_inverse, rank_at_tol
+from .errors import DimensionMismatch, InvalidParams
+from .operators import DEFAULT_TOL, operator_norm, spectral_radius
 
 #: Accept a solution when the block's smallest eigenvalue is >= -feas_margin.
 DEFAULT_FEAS_MARGIN = 1e-8
 #: Largest tolerated Frobenius asymmetry of Xi0 Lambda, relative to
 #: max(1, ||Xi0 Lambda||_F).
 DEFAULT_SYM_TOL = 1e-9
-DEFAULT_MAX_ITERS = 500
 
-# early-stop level for the smoothed ascent; anything above it is comfortably
-# feasible and further polishing only inflates Lambda
-_STOP_MARGIN = 1e-3
-_MU_SCHEDULE_FACTOR = 0.2
-_MU_MIN = 1e-10
+#: Design rates of the scan are gamma plus these offsets (those above 0);
+#: each rate is paired with each input weight, rate-major.
+_RATE_OFFSETS = np.arange(-10, 10) / 100
+_INPUT_WEIGHTS = (1e-6, 1.0)
+#: Doubling steps of the Riccati and Stein iterations: step k has summed
+#: 2^k terms of a convergent series, so the cap is never the binding stop on
+#: a closed loop that is stable at its design rate.
+_DOUBLING_STEPS = 64
+#: Largest power examined when ranking the candidates by M (as in
+#: construct_certificate) and when summing the Stein series term by term.
+_POWER_HORIZON = 10000
+#: Widening of the log-scale norm bounds in _least_certificate, far above
+#: the rounding of either bound.
+_LOG_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -73,24 +90,38 @@ class LmiProblem:
 
 @dataclass(frozen=True)
 class LmiSolution:
-    """Accepted feasible point with its independently checkable residuals."""
+    """Accepted feasible point with its independently checkable residuals.
+
+    ``right_inverse`` is the R behind the point: Xi0 R = I, the gain is
+    Ups0 R and the closed loop Xi1 R.  ``iterations`` counts the scan's
+    candidate gains.
+    """
 
     Lambda: np.ndarray
     min_eig: float
     sym_residual: float
     iterations: int
+    right_inverse: np.ndarray
 
 
 @dataclass(frozen=True)
 class Infeasible:
-    """No feasible point found; best_margin is the largest min-eig reached.
+    """No feasible point, and why.
 
-    Not a certificate of infeasibility: a negative best margin only means
-    the search stopped without producing a point at the requested level.
+    ``reason`` is "rank" when Xi0 lacks full row rank and "pbh" when the
+    eigenvalue ``mode`` of A^, with |mode| >= gamma, is out of reach of B^:
+    both are certificates, and ``best_margin`` (-1 and -1 / (1 + |mode|^2))
+    bounds the block's smallest eigenvalue at every admissible Lambda.
+    "numerical" means the instance passed both tests but no candidate gain
+    was accepted: not a certificate, and ``best_margin`` is the block's
+    smallest eigenvalue at the least-squares point Lambda = Xi0^+ / gamma^2.
+    ``iterations`` counts the scan's candidate gains.
     """
 
     best_margin: float
     iterations: int
+    reason: str
+    mode: complex | None = None
 
 
 def evaluate_block(Xi0, Xi1, gamma, Lambda):
@@ -116,195 +147,243 @@ def evaluate_block(Xi0, Xi1, gamma, Lambda):
     return min_eig, sym_residual
 
 
-def _commutation(n):
-    K = np.zeros((n * n, n * n))
-    for i in range(n):
-        for j in range(n):
-            K[i * n + j, j * n + i] = 1.0
+def _rank(s):
+    """Rank from descending singular values at DEFAULT_TOL, as rank_at_tol."""
+    return 0 if s.size == 0 or s[0] == 0.0 else int(np.sum(s >= DEFAULT_TOL * s[0]))
+
+
+def _unreachable_modes(A, B, modes):
+    """The eigenvalues among ``modes`` at which [A - lambda I, B] loses row
+    rank at DEFAULT_TOL (the PBH test)."""
+    n = A.shape[0]
+    if modes.size == 0:
+        return modes
+    pencil = np.concatenate(
+        [A - modes[:, None, None] * np.eye(n), np.broadcast_to(B, (modes.size,) + B.shape)], axis=2
+    )
+    s = np.linalg.svd(pencil, compute_uv=False)
+    return modes[(s[:, n - 1] < DEFAULT_TOL * s[:, 0]) | (s[:, 0] == 0.0)]
+
+
+def _riccati_gains(A, B, rates, weights):
+    """Stabilizing gains of the rate-scaled Riccati equations, one per
+    (rate, weight) pair, rate-major; NaN where the doubling broke down.
+
+    For each pair the DARE of (A / rate, B / rate) with state weight I and
+    input weight ``weight`` I is solved by structure-preserving doubling:
+    A_k+1 = A_k W^-1 A_k, G_k+1 = G_k + A_k W^-1 G_k A_k^T,
+    H_k+1 = H_k + A_k^T H_k W^-1 A_k with W = I + G_k H_k, from
+    (A_0, G_0, H_0) = (A / rate, B B^T / (weight rate^2), I); H_k converges
+    to the stabilizing solution X, and K = -(weight I + B'^T X B')^-1 B'^T X A'
+    with (A', B') the scaled pair.
+    """
+    n, q = B.shape
+    rate = np.repeat(rates, len(weights))[:, None, None]
+    weight = np.tile(weights, len(rates))[:, None, None]
+    c = rate.shape[0]
+    As, Bs = A / rate, B / rate
+    Ak = As.copy()
+    G = Bs @ np.swapaxes(Bs, 1, 2) / weight
+    H = np.broadcast_to(np.eye(n), (c, n, n)).copy()
+    live = np.arange(c)
+    with np.errstate(all="ignore"):
+        for _ in range(_DOUBLING_STEPS):
+            a, g, h = Ak[live], G[live], H[live]
+            at = np.swapaxes(a, 1, 2)
+            solved = np.linalg.solve(np.eye(n) + g @ h, np.concatenate([a, g @ at], axis=2))
+            WA, WGAt = solved[..., :n], solved[..., n:]
+            h_next = h + at @ h @ WA
+            h_next = 0.5 * (h_next + np.swapaxes(h_next, 1, 2))
+            g_next = g + a @ WGAt
+            Ak[live] = a @ WA
+            G[live] = 0.5 * (g_next + np.swapaxes(g_next, 1, 2))
+            H[live] = h_next
+            change = np.linalg.norm(h_next - h, axis=(1, 2))
+            size = np.linalg.norm(h_next, axis=(1, 2))
+            settled = ~(change > 4 * np.finfo(float).eps * size)
+            live = live[~settled & np.isfinite(size)]
+            if live.size == 0:
+                break
+        Bt = np.swapaxes(Bs, 1, 2)
+        K = -np.linalg.solve(weight * np.eye(q) + Bt @ H @ Bs, Bt @ H @ As)
+    K[~np.all(np.isfinite(K), axis=(1, 2))] = np.nan
     return K
 
 
-def _symmetry_null_basis(Xi0):
-    """Orthonormal basis of {vec Lambda : Xi0 Lambda symmetric} (column-major vec)."""
-    n, N = Xi0.shape
-    asym = (np.eye(n * n) - _commutation(n)) @ np.kron(np.eye(n), Xi0)
-    _, s, Vt = np.linalg.svd(asym)
-    cutoff = max(asym.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
-    rank = int(np.sum(s > cutoff))
-    return Vt[rank:].T
+def _least_certificate(F, gamma):
+    """Index of the loop in the stack F with the smallest power-stability
+    constant M, ties to the lowest index; None when none certifies within
+    _POWER_HORIZON powers.
 
-
-class _SmoothedMinEig:
-    """Softmin of the block eigenvalues with exact gradient and Hessian.
-
-    f_mu(theta) = -mu log tr exp(-M(theta)/mu) with M(theta) affine in the
-    reduced variable; f_mu is smooth, concave, and within mu*log(2n) of the
-    true minimum eigenvalue.  Derivatives follow from the Daleckii-Krein
-    divided-difference formula in the eigenbasis.
+    M of a loop is the largest ||F^r|| / gamma^r over r < k0, where k0 is
+    the first power with ||F^k0|| <= gamma^k0 (as construct_certificate
+    computes it).  All loops are powered as one stack, in log scale; a loop
+    leaves as soon as its running maximum exceeds the smallest M finished so
+    far, since its own M can only be larger, so the argmin is exact.  Each
+    power is kept at unit Frobenius norm, which bounds its 2-norm by 1 from
+    above and by its largest row or column norm from below (each bound
+    widened by _LOG_SLACK against rounding); the SVD runs only where these
+    bounds could raise the running maximum or straddle the k0 test.
     """
-
-    def __init__(self, Xi0, Xi1, gamma, basis):
-        n, N = Xi0.shape
-        self.n = n
-        d = basis.shape[1]
-        self.d = d
-        M0 = np.zeros((2 * n, 2 * n))
-        M0[:n, :n] = -np.eye(n)
-        self.M0 = M0
-        Bs = np.zeros((d, 2 * n, 2 * n))
-        for j in range(d):
-            Lj = basis[:, j].reshape((N, n), order="F")
-            S = Xi0 @ Lj
-            S = 0.5 * (S + S.T)
-            T = Xi1 @ Lj
-            Bs[j, :n, :n] = gamma**2 * S
-            Bs[j, :n, n:] = T
-            Bs[j, n:, :n] = T.T
-            Bs[j, n:, n:] = S
-        self.Bs = Bs
-
-    def assemble(self, theta):
-        return self.M0 + np.tensordot(theta, self.Bs, axes=1)
-
-    def min_eig(self, theta):
-        return float(np.linalg.eigvalsh(self.assemble(theta))[0])
-
-    def value(self, theta, mu):
-        lam = np.linalg.eigvalsh(self.assemble(theta))
-        lmin = lam[0]
-        return float(lmin - mu * np.log(np.sum(np.exp((lmin - lam) / mu)))), float(lmin)
-
-    def value_grad_hess(self, theta, mu):
-        M = self.assemble(theta)
-        lam, V = np.linalg.eigh(M)
-        lmin = lam[0]
-        w = np.exp((lmin - lam) / mu)
-        phi = w.sum()
-        f = lmin - mu * np.log(phi)
-        wbar = w / phi
-        # basis matrices rotated into the eigenbasis of M
-        Bt = np.einsum("pi,jpq,qk->jik", V, self.Bs, V, optimize=True)
-        g = np.einsum("jpp,p->j", Bt, wbar)
-        dl = lam[None, :] - lam[:, None]
-        diff = w[:, None] - w[None, :]
-        scale = max(1.0, float(abs(lam[-1] - lam[0])))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            G = np.where(
-                np.abs(dl) > 1e-14 * scale,
-                mu * diff / np.where(dl == 0.0, 1.0, dl),
-                w[:, None],
+    log_gamma = np.log(gamma)
+    index = np.arange(len(F))  # the stack position of each live loop
+    P = np.broadcast_to(np.eye(F.shape[-1]), F.shape)
+    log_scale = np.zeros(len(F))  # log ||F^k||_F
+    running = np.zeros(len(F))  # log of the largest ratio so far; r = 0 gives 0
+    best, best_log = None, np.inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(1, _POWER_HORIZON + 1):
+            P = F @ P
+            sq = P * P
+            rows = sq.sum(axis=2)
+            fro = np.sqrt(rows.sum(axis=1))
+            edge = np.sqrt(np.maximum(rows.max(axis=1), sq.sum(axis=1).max(axis=1)))
+            fro_safe = np.where(fro > 0, fro, 1.0)
+            P = P / fro_safe[:, None, None]
+            log_scale += np.log(fro)
+            upper = log_scale - k * log_gamma
+            lower = upper + np.log(edge / fro_safe)
+            ratio = np.where(upper <= 0.0, upper, lower)  # decides the k0 test alone
+            exact = (upper + _LOG_SLACK > running) | (
+                (upper + _LOG_SLACK > 0.0) & (lower - _LOG_SLACK <= 0.0)
             )
-        G = G / phi
-        H1 = np.einsum("jpq,kpq,pq->jk", Bt, Bt, G, optimize=True)
-        H = -(H1 - np.outer(g, g)) / mu
-        return float(f), g, H, float(lmin)
+            if exact.any():
+                ratio[exact] = upper[exact] + np.log(operator_norm(P[exact]))
+                running = np.where(exact, np.maximum(running, ratio), running)
+            done = ratio <= 0.0
+            for i in np.flatnonzero(done):
+                if running[i] < best_log:
+                    best, best_log = int(index[i]), running[i]
+            keep = ~done & (running <= best_log)
+            if not keep.all():
+                F, P, index = F[keep], P[keep], index[keep]
+                log_scale, running = log_scale[keep], running[keep]
+                if index.size == 0:
+                    break
+    return best
 
 
-def _symmetrize_refinement(Xi0, Lambda):
+def _stein_solution(F, rate):
+    """P with rate^2 P - F P F^T = I; needs rho(F) < rate.
+
+    With Fs = F / rate, P = sum_k Fs^k Fs^kT / rate^2.  The terms are summed
+    one by one up to the first power A = Fs^L with ||A||_F <= 1/2, past any
+    transient of the powers; the rest of the series is sum_j A^j H A^jT for
+    that head sum H, which Smith doubling adds up (Smith, SIAM J. Appl. Math.
+    1968): step j adds the next 2^j terms through A^(2^j).  Squaring A only
+    after its powers contract keeps the squares accurate; doubling from Fs
+    itself loses the solution when the powers have a large transient.
+    """
+    n = F.shape[0]
+    Fs = F / rate
+    A = np.eye(n)
+    P = np.eye(n)
+    for _ in range(_POWER_HORIZON):
+        A = Fs @ A
+        if np.linalg.norm(A) <= 0.5:
+            break
+        P += A @ A.T
+    P /= rate**2
+    for _ in range(_DOUBLING_STEPS):
+        step = A @ P @ A.T
+        P = P + 0.5 * (step + step.T)
+        if not np.linalg.norm(step) > np.finfo(float).eps * np.linalg.norm(P):
+            break
+        A = A @ A
+    return P
+
+
+def _admissible(Xi0, R, F, gamma):
+    """Which candidates of the stacks R, F = Xi1 R are right inverses of Xi0
+    to DEFAULT_TOL (Frobenius residual) with a finite loop F of spectral
+    radius below gamma; a huge gain can lose the first in round-off."""
+    ok = np.linalg.norm(Xi0 @ R - np.eye(Xi0.shape[0]), axis=(1, 2)) <= DEFAULT_TOL
+    ok &= np.all(np.isfinite(F), axis=(1, 2))
+    ok[ok] = spectral_radius(F[ok]) < gamma
+    return ok
+
+
+def _symmetrize_refinement(Xi0, Xi0_pinv, Lambda):
     """One correction step pushing the asymmetry of Xi0 Lambda to round-off.
 
-    Valid when Xi0 has full row rank (guaranteed on the accepted branch by
-    the (1,1) block); Xi0 Xi0^+ = I there, so subtracting
+    Xi0 has full row rank here, so Xi0 Xi0^+ = I and subtracting
     Xi0^+ (skew part)/2 cancels the asymmetry exactly in real arithmetic.
     """
     S = Xi0 @ Lambda
-    skew = S - S.T
-    return Lambda - pseudo_inverse(Xi0, tol=DEFAULT_TOL) @ (0.5 * skew)
+    return Lambda - Xi0_pinv @ (0.5 * (S - S.T))
 
 
-def solve_feasibility(problem: LmiProblem, max_iters=DEFAULT_MAX_ITERS, seed=0):
-    """Search for a feasible Lambda; deterministic for a fixed seed.
+def solve_feasibility(problem: LmiProblem, max_iters=None, seed=None):
+    """Decide the LMI exactly and, when feasible, construct a point.
 
     Returns an LmiSolution whose ``min_eig`` and ``sym_residual`` are the
     values an independent call to evaluate_block reproduces, or Infeasible
-    carrying the best margin reached within the iteration budget.
-
-    Raises NumericalBreakdown if non-finite values appear.
+    with its reason (see there).  The route has no iteration budget and no
+    randomness: ``max_iters`` and ``seed`` are accepted and ignored, and a
+    fixed problem always gives the same bits.
     """
     Xi0, Xi1, gamma = problem.Xi0, problem.Xi1, problem.gamma
     n, N = Xi0.shape
+    U, s, Vt = np.linalg.svd(Xi0)
+    if _rank(s) < n:
+        # a unit x orthogonal to Ran Xi0 gives [x; 0]^T M [x; 0] = -1
+        return Infeasible(best_margin=-1.0, iterations=0, reason="rank")
+    Xi0_pinv = (Vt[:n].T / s) @ U.T
+    A = Xi1 @ Xi0_pinv
+    # B^ cut to its range: B^ Zc = Ub sb with Zc = Z Vb, so that
+    # R = Xi0^+ + Zc K for a gain K of (A^, Ub sb)
+    Z = Vt[n:].T
+    Ub, sb, Vbt = np.linalg.svd(Xi1 @ Z, full_matrices=False)
+    rb = _rank(sb)
+    B, Zc = Ub[:, :rb] * sb[:rb], Z @ Vbt[:rb].T
 
-    # warm start near Xi0 Lambda = I / gamma^2, which already satisfies the
-    # diagonal blocks whenever Xi0 has full row rank
-    warm = pseudo_inverse(Xi0, tol=DEFAULT_TOL) / gamma**2
+    # fixed order (largest modulus first) so the reported mode is deterministic
+    modes = np.linalg.eigvals(A)
+    modes = modes[np.lexsort((-modes.imag, -np.abs(modes)))]
+    unreachable = _unreachable_modes(A, B, modes[np.abs(modes) >= gamma])
+    if unreachable.size:
+        # with w^* A^ = mode w^*, w^* B^ = 0, the vector [w; -conj(mode) w]
+        # bounds the margin of every admissible Lambda by -1 / (1 + |mode|^2)
+        mode = complex(unreachable[0])
+        return Infeasible(
+            best_margin=-1.0 / (1.0 + abs(mode) ** 2), iterations=0, reason="pbh", mode=mode
+        )
 
-    if rank_at_tol(Xi0, DEFAULT_TOL) < n:
-        # any unit x orthogonal to Ran Xi0 gives [x; 0]^T M [x; 0] = -1 for
-        # every Lambda, so the supremum margin is capped at -1: no search
-        min_eig, _ = evaluate_block(Xi0, Xi1, gamma, warm)
-        min_eig_zero, _ = evaluate_block(Xi0, Xi1, gamma, np.zeros((N, n)))
-        return Infeasible(best_margin=max(min_eig, min_eig_zero), iterations=0)
+    def loops(K):
+        R = Xi0_pinv + Zc @ K
+        return R, Xi1 @ R
 
-    basis = _symmetry_null_basis(Xi0)
-    if basis.shape[1] == 0:
-        # only Lambda = 0 is admissible
-        min_eig, _ = evaluate_block(Xi0, Xi1, gamma, np.zeros((N, n)))
-        return Infeasible(best_margin=min_eig, iterations=0)
-
-    obj = _SmoothedMinEig(Xi0, Xi1, gamma, basis)
-    d = obj.d
-
-    theta = basis.T @ warm.reshape(-1, order="F")
-    rng = np.random.default_rng(seed)
-    theta = theta + 1e-6 * (1.0 + np.linalg.norm(theta)) * rng.standard_normal(d)
-
-    best_theta = theta.copy()
-    best_eig = obj.min_eig(theta)
-    iterations = 0
-    mu = 1.0
-    while mu >= _MU_MIN and iterations < max_iters and best_eig < _STOP_MARGIN:
-        converged = False
-        while iterations < max_iters:
-            f, g, H, lmin = obj.value_grad_hess(theta, mu)
-            if not (np.isfinite(f) and np.all(np.isfinite(g)) and np.all(np.isfinite(H))):
-                raise NumericalBreakdown("non-finite values in LMI ascent")
-            if lmin > best_eig:
-                best_eig, best_theta = lmin, theta.copy()
-            if best_eig >= _STOP_MARGIN:
-                break
-            # damped Newton ascent step
-            Hn = -H
-            ridge = 1e-12 * max(1.0, float(np.abs(np.diag(Hn)).max()))
-            try:
-                L = np.linalg.cholesky(Hn + ridge * np.eye(d))
-                step = np.linalg.solve(L.T, np.linalg.solve(L, g))
-            except np.linalg.LinAlgError:
-                step = g
-            slope = float(g @ step)
-            if not np.isfinite(slope) or slope <= 0.0:
-                step, slope = g, float(g @ g)
-            t, improved = 1.0, False
-            for _ in range(60):
-                f_trial, lmin_trial = obj.value(theta + t * step, mu)
-                if np.isfinite(f_trial) and f_trial >= f + 1e-4 * t * slope:
-                    improved = True
-                    break
-                t *= 0.5
-            iterations += 1
-            if not improved:
-                converged = True
-                break
-            theta = theta + t * step
-            if lmin_trial > best_eig:
-                best_eig, best_theta = lmin_trial, theta.copy()
-            if t * np.linalg.norm(step) < 1e-12 * max(1.0, np.linalg.norm(theta)):
-                converged = True
-                break
-        mu *= _MU_SCHEDULE_FACTOR
-        if not converged and iterations >= max_iters:
-            break
-
-    Lambda = (basis @ best_theta).reshape((N, n), order="F")
-    min_eig, sym_residual = evaluate_block(Xi0, Xi1, gamma, Lambda)
-    if min_eig < -problem.feas_margin:
-        return Infeasible(best_margin=min_eig, iterations=iterations)
-
-    refined = _symmetrize_refinement(Xi0, Lambda)
-    min_eig_r, sym_residual_r = evaluate_block(Xi0, Xi1, gamma, refined)
-    if min_eig_r >= -problem.feas_margin and sym_residual_r <= sym_residual:
-        Lambda, min_eig, sym_residual = refined, min_eig_r, sym_residual_r
-    if sym_residual > problem.sym_tol * max(1.0, float(np.linalg.norm(Xi0 @ Lambda))):
-        return Infeasible(best_margin=min_eig, iterations=iterations)
-    return LmiSolution(
-        Lambda=Lambda, min_eig=min_eig, sym_residual=sym_residual, iterations=iterations
-    )
+    R, F = Xi0_pinv[None], A[None]  # no kernel direction moves the loop
+    if rb:
+        rates = gamma + _RATE_OFFSETS
+        R, F = loops(_riccati_gains(A, B, rates[rates > 0], _INPUT_WEIGHTS))
+        if not _admissible(Xi0, R, F, gamma).any():
+            # every unreachable mode lies below gamma, so the pair scaled by a
+            # rate between the slowest of them and gamma is stabilizable, and
+            # the DARE gain at that rate puts rho(F) below the rate
+            slow = np.abs(_unreachable_modes(A, B, modes)).max(initial=0.0)
+            R2, F2 = loops(_riccati_gains(A, B, np.array([0.5 * (slow + gamma)]), _INPUT_WEIGHTS))
+            R, F = np.concatenate([R, R2]), np.concatenate([F, F2])
+    candidates = len(R)
+    ok = np.flatnonzero(_admissible(Xi0, R, F, gamma))
+    best = _least_certificate(F[ok], gamma) if ok.size else None
+    if best is not None:
+        R, F = R[ok[best]], F[ok[best]]
+        P = _stein_solution(F, 0.5 * (spectral_radius(F) + gamma))
+        Lambda = R @ P
+        min_eig, sym_residual = evaluate_block(Xi0, Xi1, gamma, Lambda)
+        refined = _symmetrize_refinement(Xi0, Xi0_pinv, Lambda)
+        min_eig_r, sym_residual_r = evaluate_block(Xi0, Xi1, gamma, refined)
+        if min_eig_r >= -problem.feas_margin and sym_residual_r <= sym_residual:
+            Lambda, min_eig, sym_residual = refined, min_eig_r, sym_residual_r
+        size = max(1.0, float(np.linalg.norm(Xi0 @ Lambda)))
+        if min_eig >= -problem.feas_margin and sym_residual <= problem.sym_tol * size:
+            return LmiSolution(
+                Lambda=Lambda,
+                min_eig=min_eig,
+                sym_residual=sym_residual,
+                iterations=candidates,
+                right_inverse=R,
+            )
+    min_eig, _ = evaluate_block(Xi0, Xi1, gamma, Xi0_pinv / gamma**2)
+    return Infeasible(best_margin=min_eig, iterations=candidates, reason="numerical")

@@ -169,11 +169,11 @@ def minimal_noise_constants(noise_batch: DataBatch, noisy_batch: DataBatch, Omeg
     return state.norm_c, stacked.norm_c
 
 
-def robust_stabilization(noisy_batch: DataBatch, gamma, c1, c0, tol=DEFAULT_TOL, seed=0):
+def robust_stabilization(noisy_batch: DataBatch, gamma, c1, c0, tol=DEFAULT_TOL):
     """Synthesize a gain from noisy data and certify the degraded rate.
 
-    Pipeline: frame test on Xi0~, LMI synthesis of a right inverse
-    Omega = Lambda (Xi0~ Lambda)^-1, certificate (M, gamma) for
+    Pipeline: frame test on Xi0~, LMI synthesis of a right inverse Omega of
+    Xi0~, certificate (M, gamma) for
     F = Xi1~ Omega, then gamma~ and the budget margin.  Returns
     NotApplicable naming the failing stage when any step is unavailable.
     """
@@ -187,11 +187,9 @@ def robust_stabilization(noisy_batch: DataBatch, gamma, c1, c0, tol=DEFAULT_TOL,
             stage="frame",
             detail=f"state sequence is not a frame: rank {fb.rank} < dim {noisy_batch.n}",
         )
-    synth = synthesize_gain(
-        noisy_batch.Xi0, noisy_batch.Xi1, noisy_batch.Ups0, gamma, seed=seed
-    )
+    synth = synthesize_gain(noisy_batch.Xi0, noisy_batch.Xi1, noisy_batch.Ups0, gamma)
     if isinstance(synth, NotInformative):
-        return NotApplicable(stage=synth.stage, detail=f"margin {synth.margin:.3e}")
+        return NotApplicable(stage=synth.stage, detail=f"{synth.reason}, margin {synth.margin:.3e}")
     M = synth.certificate.M
     if M * c0 >= 1.0:
         return NotApplicable(stage="margin", detail=f"M*c0 = {M * c0:.3g} >= 1")
@@ -347,11 +345,13 @@ def verify_robust_gain(
 ):
     """Sample the noisy compatible set and check the robust decay bound.
 
-    Each trial draws admissible noise (rejection-scaled Gaussian, per-seed
-    deterministic), denoises the batch, samples systems compatible with the
-    denoised data, and checks rho(A + B K) <= gamma_tilde + 1e-6 together
-    with ||(A + B K)^k|| <= (M + 1e-6) gamma_tilde^k for k up to
-    ``power_horizon``.  All trials' closed loops are checked as one stack;
+    Each trial draws admissible noise (rejection-scaled Gaussian from the
+    trial's own stream (seed, t)), denoises the batch, and samples
+    ``systems_per_trial`` systems compatible with the denoised data; the
+    systems of all trials come, trial after trial, from the one stream
+    (seed, 0, 1), which no noise stream shares.  It checks
+    rho(A + B K) <= gamma_tilde + 1e-6 together with
+    ||(A + B K)^k|| <= (M + 1e-6) gamma_tilde^k for k up to ``power_horizon``.  All trials' closed loops are checked as one stack;
     a loop leaves the power check at its first excess, which counts as one
     violation.  At each step singular values are computed only for the loops
     that cheap norm bounds cannot clear (``_check_closed_loops``); the others
@@ -360,15 +360,21 @@ def verify_robust_gain(
     batches (possible when the sampled noise misses the data's row space)
     are rejected and counted.
     """
+    if systems_per_trial < 0:
+        raise InvalidParams("systems_per_trial must be >= 0")
+    if scale <= 0:
+        raise InvalidParams("scale must be positive")
     K = np.atleast_2d(np.asarray(K, dtype=float))
     n = noisy_batch.n
+    shape = (systems_per_trial, n, n + noisy_batch.m)
     radius_bound = gamma_tilde + 1e-6
     sampler = _NoiseSampler(noisy_batch, Omega, c1, c0)
     data0 = np.vstack([noisy_batch.Xi0, noisy_batch.Ups0])
     rejected = 0
-    draws = [np.empty((0, n, n + noisy_batch.m))]
+    draws = [np.empty((0,) + shape[1:])]
     rngs = (np.random.default_rng([seed, t]) for t in range(int(trials)))
-    for t, drawn in enumerate(sampler.draw(rngs)):
+    family = np.random.default_rng([seed, 0, 1])
+    for drawn in sampler.draw(rngs):
         if drawn is None:
             rejected += 1
             continue
@@ -380,7 +386,7 @@ def verify_robust_gain(
         if np.linalg.norm(proj - Xi1) > 1e-8 * (1.0 + np.linalg.norm(Xi1)):
             rejected += 1
             continue
-        draws.append(_compatible_family(Xi1, W, Wp, systems_per_trial, scale, seed + 7 * t + 1))
+        draws.append(_compatible_family(Xi1, W, Wp, scale * family.standard_normal(shape)))
     AB = np.concatenate(draws)
     worst_radius, violations, worst_power_excess = _check_closed_loops(
         AB[:, :, :n] + AB[:, :, n:] @ K, M, gamma_tilde, power_horizon

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ddstab.cli import main
+from ddstab.lmi import LmiProblem, solve_feasibility
 from ddstab.systems import DataBatch, REFERENCE_CASCADE_GAIN_PLUS
 
 
@@ -90,9 +91,55 @@ class TestAnalyze:
         ).save(path)
         assert run("analyze", "--in", str(path), "--mode", "identify") == 0
 
-    def test_stabilize_full_dimension_fails_on_cascade(self, cascade_file):
+    def test_stabilize_full_dimension_fails_on_cascade(self, cascade_file, tmp_path):
         # 52 states from 5 samples cannot be informative at full dimension
-        assert run("analyze", "--in", str(cascade_file), "--mode", "stabilize") == 1
+        report = tmp_path / "report.json"
+        assert run(
+            "analyze", "--in", str(cascade_file), "--mode", "stabilize", "--out", str(report)
+        ) == 1
+        payload = json.loads(report.read_text())
+        assert payload["stage"] == "lmi" and payload["reason"] == "rank"
+        assert payload["margin"] < 0.0 and "pbh_mode" not in payload
+
+    def test_unreachable_mode_reported(self, tmp_path, capsys):
+        """x1 = A x0 + B u0 with the mode 1.25 of A out of the input's reach:
+        the report names the mode that decides the negative verdict."""
+        rng = np.random.default_rng(3)
+        A = np.array([[1.25, 0.0, 0.0], [0.0, 0.5, 1.0], [0.0, 0.0, 1.5]])
+        B = np.array([[0.0], [0.0], [1.0]])
+        x0, u0 = rng.standard_normal((8, 3)), rng.standard_normal((8, 1))
+        path, report = tmp_path / "pbh.json", tmp_path / "report.json"
+        DataBatch(x1=x0 @ A.T + u0 @ B.T, x0=x0, u0=u0).save(path)
+        capsys.readouterr()
+        assert run("analyze", "--in", str(path), "--mode", "stabilize", "--out", str(report)) == 1
+        assert "pbh mode 1.25" in capsys.readouterr().out
+        payload = json.loads(report.read_text())
+        assert payload["stage"] == "lmi" and payload["reason"] == "pbh"
+        assert payload["pbh_mode"] == pytest.approx([1.25, 0.0], abs=1e-9)
+        assert payload["margin"] == pytest.approx(-1.0 / (1.0 + 1.25**2), rel=1e-9)
+
+    @pytest.mark.parametrize("n, seed", [(8, 3), (12, 0), (12, 1), (12, 2), (16, 0)])
+    def test_minimal_data_former_false_negatives(self, tmp_path, n, seed):
+        """Minimal random-LTI data (N = n + 1, radius 2) that a damped-Newton
+        LMI search used to call not informative at its iteration cap, though
+        a Riccati gain stabilizes each: the verdict is informative, and the
+        right inverse behind the gain is exact to 1e-10."""
+        data, report = tmp_path / "data.json", tmp_path / "report.json"
+        assert run(
+            "generate", "--scenario", "random-lti", "--n", str(n), "--seed", str(seed),
+            "--samples", str(n + 1), "--radius", "2.0", "--out", str(data),
+        ) == 0
+        assert run(
+            "analyze", "--in", str(data), "--mode", "stabilize", "--gamma", "0.9",
+            "--out", str(report),
+        ) == 0
+        payload = json.loads(report.read_text())
+        assert payload["informative"] is True
+        assert payload["achieved_radius"] < 0.9
+        batch = DataBatch.load(data)
+        sol = solve_feasibility(LmiProblem(Xi0=batch.Xi0, Xi1=batch.Xi1, gamma=0.9))
+        assert np.linalg.norm(batch.Xi0 @ sol.right_inverse - np.eye(n)) <= 1e-10
+        assert np.allclose(batch.Ups0 @ sol.right_inverse, payload["K"], rtol=0, atol=0)
 
     def test_malformed_input_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"

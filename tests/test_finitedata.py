@@ -174,6 +174,7 @@ class TestFiniteInformative:
         result = finite_informative(pd, 0.95, 0.5)
         assert isinstance(result, NotInformative)
         assert result.stage == "lmi"
+        assert result.reason == "pbh" and result.mode == pytest.approx(1.1)
 
     def test_gamma_ordering_guard(self, reference_setup):
         _, batch, _, dec = reference_setup

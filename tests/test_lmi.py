@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from ddstab import lmi
 from ddstab.errors import DimensionMismatch, InvalidParams
+from ddstab.informativity import NotInformative, synthesize_gain
 from ddstab.lmi import (
     Infeasible,
     LmiProblem,
@@ -137,3 +139,125 @@ class TestSolveFeasibility:
         )
         assert isinstance(out, Infeasible)
         assert out.best_margin <= -1.0 + 1e-9
+
+
+def data_from_system(A, B, rng, N):
+    """(Xi0, Xi1, Ups0) with N random samples x1 = A x0 + B u0."""
+    Xi0 = rng.standard_normal((A.shape[0], N))
+    Ups0 = rng.standard_normal((B.shape[1], N))
+    return Xi0, A @ Xi0 + B @ Ups0, Ups0
+
+
+def admissible_margins(Xi0, Xi1, gamma, rng, count=20):
+    """Block margins at random admissible points Lambda = R P: R a random
+    right inverse of Xi0, P symmetric positive definite, so Xi0 Lambda = P."""
+    n, N = Xi0.shape
+    Xi0_pinv = np.linalg.pinv(Xi0)
+    kernel = np.eye(N) - Xi0_pinv @ Xi0
+    margins = []
+    for _ in range(count):
+        R = Xi0_pinv + kernel @ rng.standard_normal((N, n)) * rng.uniform(0.1, 10.0)
+        G = rng.standard_normal((n, n))
+        P = (G @ G.T + 1e-3 * np.eye(n)) * 10.0 ** rng.uniform(-2, 4)
+        margins.append(evaluate_block(Xi0, Xi1, gamma, R @ P)[0])
+    return margins
+
+
+class TestExactVerdict:
+    def test_minimal_data_fuzz(self):
+        """Minimal data N = n + 1, random Xi0, Xi1 and one input, n up to 32,
+        gamma in [0.5, 0.95].  [Xi0; Ups0] is square, so one system (A, B)
+        stands behind the data.  A positive verdict must give rho(A + B K) <
+        gamma by eigvals on that system and ||F^k|| <= M gamma^k with M
+        attained.  A negative verdict must be a rank or PBH certificate that
+        an independent SVD confirms, or else say it is inconclusive
+        ("numerical") on data that pass both tests.  Inconclusive verdicts
+        are the double-precision limit of single-input data with many fast
+        unstable modes; they are counted, and none may occur below n = 20."""
+        rng = np.random.default_rng(2024)
+        verdicts = {"positive": 0, "rank": 0, "pbh": 0, "numerical": 0}
+        for n in [2, 3, 4, 5, 6, 8, 10, 12, 16, 20, 24, 32] * 2:
+            gamma = float(rng.uniform(0.5, 0.95))
+            Xi0 = rng.standard_normal((n, n + 1))
+            Xi1 = rng.standard_normal((n, n + 1))
+            Ups0 = rng.standard_normal((1, n + 1))
+            AB = np.linalg.solve(np.vstack([Xi0, Ups0]).T, Xi1.T).T
+            A, B = AB[:, :n], AB[:, n:]
+            result = synthesize_gain(Xi0, Xi1, Ups0, gamma)
+            if isinstance(result, NotInformative):
+                verdicts[result.reason] += 1
+                assert result.margin < 0.0
+                A_hat, Z = Xi1 @ np.linalg.pinv(Xi0), np.linalg.svd(Xi0)[2][n:].T
+                pencils = [
+                    np.linalg.svd(np.hstack([A_hat - lam * np.eye(n), Xi1 @ Z]), compute_uv=False)
+                    for lam in np.linalg.eigvals(A_hat)
+                    if abs(lam) >= gamma
+                ]
+                uncontrollable = any(s[-1] < 1e-9 * s[0] for s in pencils)
+                if result.reason == "numerical":
+                    assert n >= 20 and not uncontrollable
+                else:
+                    assert result.reason == "pbh" and uncontrollable
+                continue
+            verdicts["positive"] += 1
+            F = A + B @ result.K
+            assert np.max(np.abs(np.linalg.eigvals(F))) < gamma
+            M, k0 = result.certificate.M, result.certificate.horizon_checked
+            ratios = []
+            P = np.eye(n)
+            for k in range(2 * k0 + 100):
+                ratios.append(np.linalg.norm(P, 2) / gamma**k)
+                P = F @ P
+            assert max(ratios) <= M * (1.0 + 1e-9)
+            assert max(ratios) >= M * (1.0 - 1e-6)
+        print(f"minimal-data fuzz verdicts: {verdicts}")
+        assert verdicts["positive"] >= 20
+
+    def test_unreachable_mode_above_gamma_is_certified_infeasible(self):
+        """A mode at 1.2 that no input reaches: the verdict is a PBH
+        certificate naming it, and no admissible point beats its margin."""
+        rng = np.random.default_rng(5)
+        A = np.diag([1.2, 1.5, 0.3])
+        A[1, 2] = 1.0
+        B = np.array([[0.0], [1.0], [1.0]])
+        Xi0, Xi1, _ = data_from_system(A, B, rng, 6)
+        out = solve_feasibility(LmiProblem(Xi0=Xi0, Xi1=Xi1, gamma=0.9))
+        assert isinstance(out, Infeasible)
+        assert out.reason == "pbh"
+        assert out.mode == pytest.approx(1.2, abs=1e-9)
+        assert out.best_margin == pytest.approx(-1.0 / (1.0 + 1.2**2), rel=1e-9)
+        assert max(admissible_margins(Xi0, Xi1, 0.9, rng)) <= out.best_margin + 1e-9
+
+    def test_rank_verdict_bounds_every_margin(self):
+        rng = np.random.default_rng(6)
+        Xi0 = np.outer(rng.standard_normal(3), rng.standard_normal(5))
+        out = solve_feasibility(LmiProblem(Xi0=Xi0, Xi1=rng.standard_normal((3, 5)), gamma=0.9))
+        assert isinstance(out, Infeasible) and out.reason == "rank" and out.best_margin == -1.0
+
+    @pytest.mark.parametrize("slow", [0.899, 0.8999999])
+    def test_unreachable_mode_just_below_gamma_certifies(self, slow):
+        """An unreachable mode just below gamma leaves the pair
+        gamma-stabilizable: the verdict must be positive, with the slow mode
+        in the closed loop."""
+        rng = np.random.default_rng(7)
+        A = np.diag([slow, 1.4, -1.1])
+        A[1, 2] = 0.5
+        B = np.array([[0.0], [1.0], [0.7]])
+        Xi0, Xi1, Ups0 = data_from_system(A, B, rng, 6)
+        result = synthesize_gain(Xi0, Xi1, Ups0, 0.9)
+        assert not isinstance(result, NotInformative), result
+        radius = np.max(np.abs(np.linalg.eigvals(A + B @ result.K)))
+        assert slow - 1e-6 <= radius < 0.9
+
+    def test_fallback_rate_when_no_grid_rate_works(self, monkeypatch):
+        """With every scan rate below the slowest unreachable mode, no grid
+        gain works; the rate halfway between that mode and gamma does."""
+        rng = np.random.default_rng(8)
+        A = np.diag([0.85, 1.3])
+        B = np.array([[0.0], [1.0]])
+        Xi0, Xi1, _ = data_from_system(A, B, rng, 4)
+        monkeypatch.setattr(lmi, "_RATE_OFFSETS", np.array([-0.3, -0.2]))
+        sol = solve_feasibility(LmiProblem(Xi0=Xi0, Xi1=Xi1, gamma=0.9))
+        assert isinstance(sol, LmiSolution)
+        assert sol.iterations == 2 * len(lmi._INPUT_WEIGHTS) + len(lmi._INPUT_WEIGHTS)
+        assert spectral_radius(Xi1 @ sol.right_inverse) < 0.9

@@ -30,6 +30,12 @@ from ddstab.operators import frame_bounds, operator_norm, pseudo_inverse, spectr
 from ddstab.systems import DataBatch, counterexample_sequences, reference_cascade_scenario
 
 
+#: M and noise-free closed-loop radius of a cascade gain that the oracle
+#: cases below were first written for; their constants scale with the
+#: synthesized gain's.
+REFERENCE_M, REFERENCE_RADIUS = 5.773209082287391, 0.827367934882
+
+
 def zero_noise_like(batch):
     return DataBatch(
         x1=np.zeros_like(batch.x1), x0=np.zeros_like(batch.x0), u0=np.zeros_like(batch.u0)
@@ -86,8 +92,10 @@ def power_check_case(name, batch):
     if name == "radius-above-1":
         return random_loops(30, np.linspace(0.5, 1.2, 30), seed=3), 2.0, 1.13
     if name == "cascade-c0.02":
+        # c = 0.02 at M = REFERENCE_M; c M is kept, so gamma~ stays about 1.135
         F, M = cascade_loops(batch)
-        return F, M, robust_decay_rate(M, 0.9, 0.02, 0.02)
+        c = 0.02 * REFERENCE_M / M
+        return F, M, robust_decay_rate(M, 0.9, c, c)
     if name == "zero-and-nilpotent":
         F = np.concatenate([np.zeros((1, 4, 4)), nilpotent[None], random_loops(5, [0.8] * 5, seed=4)])
         return F, 2.0, 0.9
@@ -316,13 +324,27 @@ class TestVerifyRobustGain:
         assert json.dumps(asdict(a), sort_keys=True) == json.dumps(asdict(b), sort_keys=True)
 
 
-    @pytest.mark.parametrize("M, gamma_tilde", [(5.0, 0.93), (4.8, 0.86)])
-    def test_violations_match_per_system_loop(self, projected_cascade, M, gamma_tilde):
+    @pytest.mark.parametrize(
+        "M_ratio, radius_gap",
+        [
+            pytest.param(5.0 / REFERENCE_M, None, id="5.0-0.93"),
+            pytest.param(4.8 / REFERENCE_M, 0.86 - REFERENCE_RADIUS, id="4.8-0.86"),
+        ],
+    )
+    def test_violations_match_per_system_loop(self, projected_cascade, M_ratio, radius_gap):
         """M set below the gain's transient: part of the sampled loops exceed
-        M gamma~^k, and at gamma~ = 0.86 some radii exceed gamma~ too.  The
+        M gamma~^k, and in the second case some radii exceed gamma~ too.  The
         stacked check must count what a loop over single systems counts,
-        stopping each system at its first excess."""
+        stopping each system at its first excess.  The ids are (M, gamma~)
+        for the gain with M = REFERENCE_M and noise-free closed-loop radius
+        REFERENCE_RADIUS; M keeps its ratio to the synthesized M, and the
+        second gamma~ its distance to the synthesized loop's radius (gamma~ =
+        0.93 in the first case)."""
         res = robust_stabilization(projected_cascade, 0.9, 0.003, 0.003)
+        M = M_ratio * res.M
+        gamma_tilde = 0.93
+        if radius_gap is not None:
+            gamma_tilde = spectral_radius(projected_cascade.Xi1 @ res.Omega) + radius_gap
         c, trials, seed, per_trial = 0.02, 10, 3, 3
         report = verify_robust_gain(
             projected_cascade, res.K, M, gamma_tilde, c, c, res.Omega, trials=trials, seed=seed,
@@ -330,15 +352,18 @@ class TestVerifyRobustGain:
         )
         n = projected_cascade.n
         violations, worst_excess, worst_radius = 0, -np.inf, 0.0
+        # the systems of all trials come, trial after trial, from one stream
+        family = np.random.default_rng([seed, 0, 1])
         for t in range(trials):
             noise, failed = _scaled_noise_draw(
                 np.random.default_rng([seed, t]), projected_cascade, res.Omega, c, c
             )
             assert not failed
             Xi1 = projected_cascade.Xi1 - noise.Xi1
-            Xi0 = projected_cascade.Xi0 - noise.Xi0
-            Ups0 = projected_cascade.Ups0 - noise.Ups0
-            for AB in sample_compatible_systems(Xi0, Xi1, Ups0, per_trial, seed=seed + 7 * t + 1):
+            W = np.vstack([projected_cascade.Xi0 - noise.Xi0, projected_cascade.Ups0 - noise.Ups0])
+            Wp = pseudo_inverse(W)
+            T = family.standard_normal((per_trial, n, W.shape[0]))
+            for AB in Xi1 @ Wp + T @ (np.eye(W.shape[0]) - W @ Wp):
                 F = AB[:, :n] + AB[:, n:] @ res.K
                 rho = spectral_radius(F)
                 worst_radius = max(worst_radius, rho)
