@@ -229,6 +229,8 @@ def cmd_noise(args):
         "c1": args.c1,
         "c0": args.c0,
     }
+    if args.trials == 0:
+        print("warning: trials = 0, verification passes vacuously")
     if args.project:
         dec, n0 = _build_decomposition(args, batch.n)
         batch = finitedata.projected_batch(batch, dec)

@@ -268,8 +268,10 @@ def _compatible_family(Xi1, W, Wp, T):
     """Xi1 W^+ + T_i (I - W W^+) for each slice T_i of the stack T, from
     W = [Xi0; Ups0] and its pseudoinverse ``Wp``: the draws of
     ``sample_compatible_systems`` for callers that hold W^+ and draw T
-    themselves."""
-    return Xi1 @ Wp + T @ (np.eye(W.shape[0]) - W @ Wp)
+    themselves.  Stacks of data, Xi1 (..., n, N), W (..., n + m, N) and Wp
+    (..., N, n + m), pair with T of shape (..., count, n, n + m)."""
+    free = np.eye(W.shape[-2]) - W @ Wp
+    return (Xi1 @ Wp)[..., None, :, :] + T @ free[..., None, :, :]
 
 
 def least_squares_gain_norm_growth(n_list):

@@ -242,8 +242,9 @@ class _NoiseSampler:
     factors Phi rescaled to ``fill`` of (c1, c0); a free Gaussian component
     invisible to Omega (and hence unconstrained by the class) is added at a
     matching magnitude.  Draws whose minimal constants still exceed the
-    budget are rejected.  Everything that does not depend on the random
-    stream is computed once, here.
+    budget are rejected.  ``denoise`` subtracts accepted draws from the
+    data.  Everything that does not depend on the random stream is computed
+    once, here.
     """
 
     def __init__(self, noisy_batch, Omega, c1, c0, fill=0.9):
@@ -256,6 +257,7 @@ class _NoiseSampler:
         self.n, self.m, self.N = n, m, N
         self.c1, self.c0, self.fill = c1, c0, fill
         self.Om = Om
+        self.Xi1, self.data0 = noisy_batch.Xi1, data0
         self.Om_pinv = pseudo_inverse(Om)
         self.perp = np.eye(N) - Om @ self.Om_pinv
         self.B1 = noisy_batch.Xi1 @ Om
@@ -275,6 +277,41 @@ class _NoiseSampler:
         while stack := list(itertools.islice(rngs, _DRAW_STACK)):
             drawn += self._draw_stack(stack, max_tries)
         return drawn
+
+    def state_in_budget(self, Delta1):
+        """Whether each Delta1 of the stack meets the state-update
+        majorization of the class (the c1 budget)."""
+        D1m = Delta1 @ self.Om
+        return _psd_margin(D1m @ np.swapaxes(D1m, 1, 2), self.budget1) >= -DEFAULT_TOL
+
+    def denoise(self, drawn):
+        """The batches denoised by the non-empty list ``drawn`` of ``draw``
+        results, as stacks (Xi1, W, W^+) with W = [Xi0; Ups0], and which of
+        them are kept.
+
+        Where W has rank below N (its rank at ``DEFAULT_TOL`` is the trace
+        of the projector W^+ W, from the same SVD as W^+), the part of Xi1
+        outside the row space of W is moved into Delta1, which makes the
+        batch consistent; the draw is dropped if Delta1 then leaves the c1
+        budget.  A batch is also dropped if Xi1 W^+ W misses Xi1 by more
+        than 1e-8 relative.
+        """
+        N = self.N
+        # each Delta1 keeps the column-major layout it was drawn in
+        Delta1 = np.swapaxes(np.stack([d[0].T for d in drawn]), 1, 2)
+        W = self.data0 - np.stack([d[1] for d in drawn])
+        Wp = pseudo_inverse(W)
+        Xi1 = self.Xi1 - Delta1
+        ok = np.ones(len(drawn), dtype=bool)
+        WpW = Wp @ W
+        short = np.flatnonzero(np.rint(np.trace(WpW, axis1=1, axis2=2)) < N)
+        if short.size:
+            Delta1[short] += Xi1[short] @ (np.eye(N) - WpW[short])
+            ok[short] = self.state_in_budget(Delta1[short])
+            Xi1 = self.Xi1 - Delta1
+        residual = np.linalg.norm(Xi1 @ Wp @ W - Xi1, axis=(1, 2))
+        ok &= residual <= 1e-8 * (1.0 + np.linalg.norm(Xi1, axis=(1, 2)))
+        return Xi1, W, Wp, ok
 
     def _draw_stack(self, rngs, max_tries):
         """``draw`` for a list of generators; each try of those still
@@ -305,8 +342,8 @@ class _NoiseSampler:
             # BLAS sums the products below as noise_in_class does on a batch
             Delta1 = np.swapaxes(np.swapaxes(self.B1 @ Phi1 @ self.Om_pinv + free1, 1, 2).copy(), 1, 2)
             D0 = self.B0 @ Phi0 @ self.Om_pinv + free0
-            D1m, D0m = Delta1 @ self.Om, D0 @ self.Om
-            ok = (_psd_margin(D1m @ np.swapaxes(D1m, 1, 2), self.budget1) >= -DEFAULT_TOL) & (
+            D0m = D0 @ self.Om
+            ok = self.state_in_budget(Delta1) & (
                 _psd_margin(D0m @ np.swapaxes(D0m, 1, 2), self.budget0) >= -DEFAULT_TOL
             )
             for j in np.flatnonzero(ok):
@@ -346,20 +383,24 @@ def verify_robust_gain(
     """Sample the noisy compatible set and check the robust decay bound.
 
     Each trial draws admissible noise (rejection-scaled Gaussian from the
-    trial's own stream (seed, t)), denoises the batch, and samples
-    ``systems_per_trial`` systems compatible with the denoised data; the
-    systems of all trials come, trial after trial, from the one stream
-    (seed, 0, 1), which no noise stream shares.  It checks
+    trial's own stream (seed, t)) and denoises the batch; all trials are
+    denoised as one stack.  Where the denoised [Xi0; Ups0] has rank below N,
+    the part of the denoised Xi1 outside its row space is moved into the
+    noise, and the draw is rejected if that leaves the c1 budget.  Then
+    ``systems_per_trial`` systems compatible with each denoised batch are
+    sampled; the systems of all trials come, trial after trial, from the
+    one stream (seed, 0, 1), which no noise stream shares.  It checks
     rho(A + B K) <= gamma_tilde + 1e-6 together with
-    ||(A + B K)^k|| <= (M + 1e-6) gamma_tilde^k for k up to ``power_horizon``.  All trials' closed loops are checked as one stack;
-    a loop leaves the power check at its first excess, which counts as one
-    violation.  At each step singular values are computed only for the loops
-    that cheap norm bounds cannot clear (``_check_closed_loops``); the others
-    can neither exceed the bound nor hold the step's largest norm, so the
-    report is the one the full computation gives.  Inconsistent denoised
-    batches (possible when the sampled noise misses the data's row space)
-    are rejected and counted.
+    ||(A + B K)^k|| <= (M + 1e-6) gamma_tilde^k for k up to
+    ``power_horizon``.  All trials' closed loops are checked as one stack
+    (``_check_closed_loops``); a loop leaves the power check at its first
+    excess, which counts as one violation, and singular values are computed
+    only where a Frobenius bound cannot rule out an excess or the worst
+    excess, so the report is the one the full computation gives.  Rejected
+    and inconsistent draws are counted in ``rejected_draws``.
     """
+    if trials < 0:
+        raise InvalidParams("trials must be >= 0")
     if systems_per_trial < 0:
         raise InvalidParams("systems_per_trial must be >= 0")
     if scale <= 0:
@@ -367,27 +408,15 @@ def verify_robust_gain(
     K = np.atleast_2d(np.asarray(K, dtype=float))
     n = noisy_batch.n
     shape = (systems_per_trial, n, n + noisy_batch.m)
-    radius_bound = gamma_tilde + 1e-6
     sampler = _NoiseSampler(noisy_batch, Omega, c1, c0)
-    data0 = np.vstack([noisy_batch.Xi0, noisy_batch.Ups0])
-    rejected = 0
-    draws = [np.empty((0,) + shape[1:])]
     rngs = (np.random.default_rng([seed, t]) for t in range(int(trials)))
-    family = np.random.default_rng([seed, 0, 1])
-    for drawn in sampler.draw(rngs):
-        if drawn is None:
-            rejected += 1
-            continue
-        Delta1, D0 = drawn
-        Xi1 = noisy_batch.Xi1 - Delta1
-        W = data0 - D0
-        Wp = pseudo_inverse(W)
-        proj = Xi1 @ Wp @ W
-        if np.linalg.norm(proj - Xi1) > 1e-8 * (1.0 + np.linalg.norm(Xi1)):
-            rejected += 1
-            continue
-        draws.append(_compatible_family(Xi1, W, Wp, scale * family.standard_normal(shape)))
-    AB = np.concatenate(draws)
+    drawn = [d for d in sampler.draw(rngs) if d is not None]
+    AB, accepted = np.empty((0,) + shape[1:]), 0
+    if drawn:
+        Xi1, W, Wp, ok = sampler.denoise(drawn)
+        accepted = int(ok.sum())
+        T = scale * np.random.default_rng([seed, 0, 1]).standard_normal((accepted,) + shape)
+        AB = _compatible_family(Xi1[ok], W[ok], Wp[ok], T).reshape((-1,) + shape[1:])
     worst_radius, violations, worst_power_excess = _check_closed_loops(
         AB[:, :, :n] + AB[:, :, n:] @ K, M, gamma_tilde, power_horizon
     )
@@ -395,15 +424,15 @@ def verify_robust_gain(
         trials=int(trials),
         systems_per_trial=systems_per_trial,
         worst_radius=worst_radius,
-        radius_bound=radius_bound,
+        radius_bound=gamma_tilde + 1e-6,
         worst_power_excess=worst_power_excess,
         violations=violations,
-        rejected_draws=rejected,
+        rejected_draws=int(trials) - accepted,
     )
 
 
-#: Relative widening of the Frobenius and row/column bounds on ||F^k|| in
-#: ``_check_closed_loops``, far above the rounding of either bound or of the SVD.
+#: Relative widening of the Frobenius bound on ||F^k|| in
+#: ``_check_closed_loops``, far above the rounding of the bound or of the SVD.
 _NORM_BOUND_SLACK = 1e-9
 
 
@@ -411,39 +440,68 @@ def _check_closed_loops(F, M, gamma_tilde, power_horizon):
     """(worst radius, violations, worst power excess) of the stack F of
     closed loops against rho <= gamma_tilde + 1e-6 and
     ||F^k|| <= (M + 1e-6) gamma_tilde^k for k up to ``power_horizon``; a
-    loop leaves the power check at its first excess."""
-    n = F.shape[-1]
+    loop leaves the power check at its first excess.
+
+    The power check is exact in two passes.  Pass 1 powers the live loops
+    and bounds ||P|| by u = ||P||_F (1 + slack); only where u exceeds the
+    step's bound b_k can the loop exceed it, so only there the SVD runs and
+    a violator is dropped.  It keeps u - b_k of every other counted (step,
+    loop) pair.  Pass 2 sets T to the largest excess known exactly: those
+    of pass 1 and that of the pair with the largest u - b_k.  A pair with
+    u - b_k < T has ||P|| - b_k < T, so only the pairs with u - b_k >= T
+    can hold the worst excess, and only their powers are recomputed and
+    their SVDs taken.
+    """
+    L, n = F.shape[0], F.shape[-1]
     radii = spectral_radius(F)
     worst_radius = float(radii.max(initial=0.0))
     violations = int(np.sum(radii > gamma_tilde + 1e-6))
-    worst_power_excess = -np.inf
-    P = np.eye(n)
-    bound = M + 1e-6
+    bounds, bound = [], M + 1e-6
     for _ in range(power_horizon):
-        if F.shape[0] == 0:
-            break
-        P = F @ P
         bound *= gamma_tilde
-        # ||P||_F >= ||P||_2 >= its largest row or column norm; the slack
-        # covers the rounding of both sides.  A loop whose upper bound stays
-        # within ``bound`` cannot exceed it, and one whose upper bound is
-        # below another loop's lower bound cannot hold the step's largest
-        # norm, so only the rest needs its singular values.  The stack axis
-        # goes last because numpy reduces a short trailing axis slowly.
-        sq = np.ascontiguousarray(P.transpose(1, 2, 0)) ** 2
-        rows, cols = sq.sum(axis=1), sq.sum(axis=0)
-        upper = np.sqrt(rows.sum(axis=0)) * (1.0 + _NORM_BOUND_SLACK)
-        lower = np.sqrt(np.maximum(rows.max(axis=0), cols.max(axis=0)))
-        exact = np.flatnonzero((upper > bound) | (upper >= lower.max() * (1.0 - _NORM_BOUND_SLACK)))
-        excess = operator_norm(P[exact]) - bound
-        worst_power_excess = max(worst_power_excess, float(excess.max()))
-        over = exact[~(excess <= 0)]
-        if over.size:
-            violations += over.size
-            F, P = np.delete(F, over, axis=0), np.delete(P, over, axis=0)
-    if not np.isfinite(worst_power_excess):
-        worst_power_excess = 0.0
-    return worst_radius, violations, worst_power_excess
+        bounds.append(bound)
+    # u - b_k of the counted pairs not yet known exactly, -inf elsewhere
+    gap = np.full((power_horizon, L), -np.inf)
+    worst = -np.inf
+    live, P, F_live = np.arange(L), np.eye(n), F
+    for k, bound in enumerate(bounds):
+        if live.size == 0:
+            break
+        P = F_live @ P
+        u = np.sqrt(np.einsum("lij,lij->l", P, P)) * (1.0 + _NORM_BOUND_SLACK)
+        gap[k, live] = u - bound
+        exact = np.flatnonzero(~(u <= bound))
+        if exact.size:
+            gap[k, live[exact]] = -np.inf
+            excess = operator_norm(P[exact]) - bound
+            worst = max(worst, float(excess.max()))
+            over = exact[~(excess <= 0)]
+            if over.size:
+                violations += over.size
+                live, F_live, P = (np.delete(a, over, axis=0) for a in (live, F_live, P))
+    if gap.size and gap.max() > worst:
+        top = np.unravel_index(np.argmax(gap), gap.shape)
+        worst = max(worst, _largest_power_excess(F, bounds, *top))
+        gap[top] = -np.inf
+        worst = max(worst, _largest_power_excess(F, bounds, *np.nonzero(gap >= worst)))
+    if not np.isfinite(worst):
+        worst = 0.0
+    return worst_radius, violations, worst
+
+
+def _largest_power_excess(F, bounds, steps, loops):
+    """Largest ||F[j]^(k+1)|| - bounds[k] over the pairs (k, j) zipped from
+    ``steps`` and ``loops``, each power formed as pass 1 of
+    ``_check_closed_loops`` forms it, from F alone; -inf for no pair."""
+    steps, loops = np.atleast_1d(steps), np.atleast_1d(loops)
+    used, slot = np.unique(loops, return_inverse=True)
+    F, P, worst = F[used], np.eye(F.shape[-1]), -np.inf
+    for k in range(steps.max(initial=-1) + 1):
+        P = F @ P
+        at = slot[steps == k]
+        if at.size:
+            worst = max(worst, float((operator_norm(P[at]) - bounds[k]).max()))
+    return worst
 
 
 def range_breaking_noise(x0_cols, k0):

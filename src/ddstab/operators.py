@@ -169,17 +169,22 @@ def frame_bounds(S, tol=DEFAULT_TOL):
 def pseudo_inverse(M, tol=DEFAULT_TOL):
     """Moore-Penrose pseudoinverse with a relative singular-value cutoff.
 
-    Singular values below ``tol * sigma_max`` are treated as zero.
+    Singular values below ``tol * sigma_max`` are treated as zero.  A stack
+    of shape (..., p, q) gives a stack of shape (..., q, p), each slice the
+    pseudoinverse of the matching slice.
     """
     if tol <= 0:
         raise InvalidParams("tol must be positive")
     M = np.asarray(M, dtype=float)
+    if 0 in M.shape[-2:]:
+        return np.zeros(M.shape[:-2] + (M.shape[-1], M.shape[-2]))
     U, s, Vt = np.linalg.svd(M, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((M.shape[1], M.shape[0]))
-    keep = s >= tol * s[0]
+    top = s[..., :1]
+    keep = (s >= tol * top) & (top > 0.0)
     s_inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
-    return (Vt.T * s_inv) @ U.T
+    pinv = (np.swapaxes(Vt, -1, -2) * s_inv[..., None, :]) @ np.swapaxes(U, -1, -2)
+    # a zero slice is +0.0 throughout, not the signed zeros of the product
+    return np.where(top[..., None] > 0.0, pinv, 0.0)
 
 
 def douglas_minimal_constant(A, B, tol=1e-8):

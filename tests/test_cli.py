@@ -328,14 +328,15 @@ class TestNoise:
         assert code == 1
 
     def test_all_draws_rejected_is_inconclusive(self, tmp_path, capsys):
-        """Unprojected data with N > n + m: every denoised batch leaves the
-        data's row space, so no system is checked and the exit code says so."""
+        """Unprojected data with N > n + m and no state-noise budget: every
+        denoised batch needs state noise to be consistent, so every draw is
+        rejected, no system is checked and the exit code says so."""
         data, report = tmp_path / "rl.json", tmp_path / "noise.json"
         assert run("generate", "--scenario", "random-lti", "--n", "3", "--seed", "7",
                    "--out", str(data)) == 0
         capsys.readouterr()
         code = run(
-            "noise", "--in", str(data), "--gamma", "0.9", "--c1", "0.001", "--c0", "0.001",
+            "noise", "--in", str(data), "--gamma", "0.9", "--c1", "0", "--c0", "0.01",
             "--trials", "50", "--out", str(report),
         )
         assert code == 1
@@ -344,3 +345,37 @@ class TestNoise:
         assert payload["margin_ok"] is True
         assert payload["verification"]["rejected_draws"] == 50
         assert payload["verification"]["violations"] == 0
+
+    def test_unprojected_draws_checked(self, tmp_path, capsys):
+        """Unprojected data with N > n + m: the denoised batches are made
+        consistent, so systems are checked and the check passes."""
+        data, report = tmp_path / "rl.json", tmp_path / "noise.json"
+        assert run("generate", "--scenario", "random-lti", "--n", "3", "--seed", "7",
+                   "--out", str(data)) == 0
+        code = run(
+            "noise", "--in", str(data), "--gamma", "0.9", "--c1", "0.001", "--c0", "0.001",
+            "--trials", "50", "--out", str(report),
+        )
+        assert code == 0
+        assert "inconclusive" not in capsys.readouterr().out
+        verification = json.loads(report.read_text())["verification"]
+        assert verification["rejected_draws"] < 50
+        assert verification["worst_radius"] > 0.0
+        assert verification["violations"] == 0
+
+    def test_negative_trials_rejected(self, cascade_file, tmp_path):
+        report = tmp_path / "noise.json"
+        code = run(
+            "noise", "--in", str(cascade_file), "--gamma", "0.9", "--c1", "0.003",
+            "--c0", "0.003", "--project", "--trials", "-5", "--out", str(report),
+        )
+        assert code == 2
+        assert not report.exists()
+
+    def test_zero_trials_vacuous_pass(self, cascade_file, capsys):
+        code = run(
+            "noise", "--in", str(cascade_file), "--gamma", "0.9", "--c1", "0.003",
+            "--c0", "0.003", "--project", "--trials", "0",
+        )
+        assert code == 0
+        assert "warning: trials = 0, verification passes vacuously" in capsys.readouterr().out

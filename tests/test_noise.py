@@ -3,6 +3,8 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddstab.errors import IndexOutOfRange, InvalidParams
 from ddstab.finitedata import cascade_decomposition, projected_batch
@@ -51,11 +53,12 @@ def projected_cascade():
 
 def full_power_check(F, M, gamma_tilde, horizon=100):
     """The power check without pruning: the SVD of every remaining loop at
-    every step.  Also returns the step of each power violation."""
+    every step.  Also returns the step of each power violation and the
+    first step that holds the worst excess (0 if none)."""
     radii = spectral_radius(F)
     worst_radius = float(radii.max(initial=0.0))
     violations = int(np.sum(radii > gamma_tilde + 1e-6))
-    worst, steps = -np.inf, []
+    worst, worst_step, steps = -np.inf, 0, []
     P, bound = np.eye(F.shape[-1]), M + 1e-6
     for k in range(1, horizon + 1):
         if F.shape[0] == 0:
@@ -63,11 +66,13 @@ def full_power_check(F, M, gamma_tilde, horizon=100):
         P = F @ P
         bound *= gamma_tilde
         excess = operator_norm(P) - bound
-        worst = max(worst, float(excess.max()))
+        if excess.max() > worst:
+            worst, worst_step = float(excess.max()), k
         keep = excess <= 0
         steps += [k] * int(np.sum(~keep))
         F, P = F[keep], P[keep]
-    return worst_radius, violations + len(steps), worst if np.isfinite(worst) else 0.0, steps
+    worst = worst if np.isfinite(worst) else 0.0
+    return worst_radius, violations + len(steps), worst, steps, worst_step
 
 
 def random_loops(count, radii, seed):
@@ -108,6 +113,32 @@ def power_check_case(name, batch):
         return np.stack([np.zeros((4, 4)), nilpotent, 3.0 * nilpotent]), 1.0, 0.9
     if name == "single":
         return random_loops(1, [0.85], seed=5), 1.5, 0.9
+    if name == "early-excess":
+        # a steep transient: ||J^k|| / 0.95^k peaks at k = 2, where the
+        # bound clears it by 0.01, less than any late bound M 0.95^k
+        J = 0.5 * np.eye(4)
+        J[0, 1] = 8.0
+        M = (operator_norm(J @ J) + 0.01) / 0.95**2 - 1e-6
+        return np.concatenate([J[None], random_loops(20, [0.6] * 20, seed=7)]), M, 0.95
+    if name == "late-excess":
+        # loops far inside a large bound: the excess is about -M 0.9^k,
+        # largest at the last step
+        return random_loops(30, np.linspace(0.3, 0.85, 30), seed=8), 20.0, 0.9
+    if name == "frobenius-misleads":
+        # the pair with the largest Frobenius bound is not the worst: 0.9 I
+        # has ||P||_F = 2 ||P||, while the rank-one B has ||B^k|| = 1.5 0.9^k
+        B = np.zeros((4, 4))
+        B[0, :2] = 0.9, np.sqrt(1.35**2 - 0.81)
+        return np.stack([0.9 * np.eye(4), B]), 3.0, 0.97
+    if name == "rank-one-edge":
+        # rank one, so ||P||_F = ||P||: the first loop exceeds its step-1
+        # bound by a relative 1e-4, the second stays 1e-4 below it
+        D = np.diag([0.8, 0.0, 0.0, 0.0])
+        return np.stack([D, (1 - 2e-4) * D]), 1 - 1e-4 - 1e-6, 0.8
+    if name == "violator-grows":
+        # 1.5 I exceeds the bound at step 1 and then grows without limit;
+        # only its step-1 excess counts
+        return np.stack([1.5 * np.eye(4), 0.5 * np.eye(4), 0.3 * np.eye(4)]), 1.2, 0.9
     assert name == "empty"
     return np.empty((0, 4, 4)), 2.0, 0.9
 
@@ -386,13 +417,16 @@ class TestVerifyRobustGain:
     @pytest.mark.parametrize(
         "case",
         ["steps", "violators-apart", "radius-above-1", "cascade-c0.02", "zero-and-nilpotent",
-         "only-nilpotent", "single", "empty"],
+         "only-nilpotent", "single", "empty", "early-excess", "late-excess", "violator-grows",
+         "frobenius-misleads", "rank-one-edge"],
     )
     def test_pruned_power_check_matches_full_svd(self, projected_cascade, case):
-        """Skipping the SVD of the loops that the Frobenius and row/column
-        bounds clear must not change a bit of the result."""
+        """Skipping the SVD of the pairs that the Frobenius bound clears
+        must not change a bit of the result."""
         F, M, gamma_tilde = power_check_case(case, projected_cascade)
-        worst_radius, violations, worst_excess, steps = full_power_check(F, M, gamma_tilde)
+        worst_radius, violations, worst_excess, steps, worst_step = full_power_check(
+            F, M, gamma_tilde
+        )
         assert _check_closed_loops(F, M, gamma_tilde, 100) == (worst_radius, violations, worst_excess)
         if case == "steps":
             assert len(set(steps)) >= 3
@@ -400,6 +434,48 @@ class TestVerifyRobustGain:
             assert gamma_tilde > 1.1
         if case == "radius-above-1":
             assert violations > 0
+        if case == "early-excess":
+            assert worst_step == 2 and violations == 0
+        if case in ("late-excess", "frobenius-misleads"):
+            assert worst_step == 100 and violations == 0
+        if case in ("violator-grows", "rank-one-edge"):
+            assert steps == [1] and worst_step == 1
+        if case == "violator-grows":
+            assert worst_excess == pytest.approx(1.5 - 1.2 * 0.9, abs=1e-5)
+
+    @pytest.mark.parametrize("horizon", [0, 1])
+    @pytest.mark.parametrize("case", ["steps", "violator-grows", "empty"])
+    def test_short_horizons(self, projected_cascade, case, horizon):
+        F, M, gamma_tilde = power_check_case(case, projected_cascade)
+        full = full_power_check(F, M, gamma_tilde, horizon)
+        assert _check_closed_loops(F, M, gamma_tilde, horizon) == full[:3]
+        if horizon == 0:
+            assert full[1:3] == (int(np.sum(spectral_radius(F) > gamma_tilde + 1e-6)), 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        count=st.integers(0, 25),
+        gamma_tilde=st.floats(0.5, 1.2),
+        M=st.floats(1.0, 8.0),
+        horizon=st.integers(0, 100),
+        top_radius=st.floats(0.1, 1.3),
+        transient=st.floats(0.0, 6.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_power_check_fuzz(self, n, count, gamma_tilde, M, horizon, top_radius, transient, seed):
+        """Random non-normal loops, every third one triangular with a steep
+        transient, all of spectral radius at most ``top_radius``: the
+        two-pass check gives the full check's triple, bit for bit."""
+        rng = np.random.default_rng(seed)
+        G = rng.standard_normal((count, n, n))
+        radii = spectral_radius(G)
+        scale = rng.uniform(0.05, top_radius, count) / np.where(radii > 0, radii, 1.0)
+        F = G * scale[:, None, None]
+        diagonal = rng.uniform(-top_radius, top_radius, (count, n))[:, :, None] * np.eye(n)
+        F[::3] = (diagonal + transient * np.triu(rng.standard_normal((count, n, n)), 1))[::3]
+        expected = full_power_check(F, M, gamma_tilde, horizon)[:3]
+        assert _check_closed_loops(F, M, gamma_tilde, horizon) == expected
 
     def test_pruning_skips_most_svds(self, monkeypatch):
         F = random_loops(200, np.linspace(0.3, 0.9, 200), seed=6)
@@ -408,8 +484,27 @@ class TestVerifyRobustGain:
             noise_mod, "operator_norm", lambda P: sizes.append(len(P)) or operator_norm(P)
         )
         assert _check_closed_loops(F, 20.0, 0.95, 100)[1] == 0
-        assert len(sizes) == 100
-        assert sum(sizes) < 0.25 * 100 * len(F)
+        assert sum(sizes) < 0.01 * 100 * len(F)
+
+    def test_reference_chain_takes_few_svds(self, projected_cascade, monkeypatch):
+        """On the reference chain at c = 0.003 (200 trials, 600 loops) the
+        power check takes at most 10 SVDs."""
+        res = robust_stabilization(projected_cascade, 0.9, 0.003, 0.003)
+        loops, check = [], noise_mod._check_closed_loops
+        monkeypatch.setattr(
+            noise_mod, "_check_closed_loops", lambda *a: loops.append(a) or check(*a)
+        )
+        verify_robust_gain(
+            projected_cascade, res.K, res.M, res.gamma_tilde, 0.003, 0.003, res.Omega,
+            trials=200, seed=0,
+        )
+        sizes = []
+        monkeypatch.setattr(
+            noise_mod, "operator_norm", lambda P: sizes.append(len(P)) or operator_norm(P)
+        )
+        assert len(loops[0][0]) == 600
+        assert check(*loops[0]) == full_power_check(*loops[0])[:3]
+        assert sum(sizes) <= 10
 
     @pytest.mark.parametrize("c, fill", [(0.003, 0.9), (0.02, 0.9), (0.01, 1 + 3e-6)])
     def test_stacked_draws_match_one_at_a_time(self, projected_cascade, c, fill):
@@ -444,6 +539,54 @@ class TestVerifyRobustGain:
         assert one_draw_at_a_time(np.random.default_rng(0), *args, 2.0, 3) is None
         sampler = _NoiseSampler(*args, fill=2.0)
         assert sampler.draw([np.random.default_rng(0)], max_tries=3) == [None]
+
+
+class TestDenoise:
+    @pytest.fixture(scope="class")
+    def wide_batch(self):
+        """Noise-free data of a random system with N = 8 > n + m = 4."""
+        rng = np.random.default_rng(11)
+        A, B = rng.standard_normal((3, 3)), rng.standard_normal((3, 1))
+        x0, u0 = rng.standard_normal((8, 3)), rng.standard_normal((8, 1))
+        return DataBatch(x1=x0 @ A.T + u0 @ B.T, x0=x0, u0=u0)
+
+    def test_denoised_batches_consistent_beyond_square(self, wide_batch):
+        """Each raw draw takes Xi1 out of the row space of the denoised
+        W = [Xi0; Ups0]; after the correction every denoised batch is
+        consistent, and a batch is kept exactly when its state noise stays
+        in the c1 budget."""
+        res = robust_stabilization(wide_batch, 0.9, 0.002, 0.002)
+        sampler = _NoiseSampler(wide_batch, res.Omega, 0.002, 0.002)
+        drawn = sampler.draw([np.random.default_rng([4, t]) for t in range(30)])
+        assert all(d is not None for d in drawn)
+        Xi1, W, Wp, ok = sampler.denoise(drawn)
+        assert ok.sum() >= 20
+        data0 = np.vstack([wide_batch.Xi0, wide_batch.Ups0])
+        for (Delta1, D0), xi1, w, wp in zip(drawn, Xi1, W, Wp):
+            assert np.array_equal(w, data0 - D0) and np.array_equal(wp, pseudo_inverse(w))
+            assert np.linalg.matrix_rank(w) == 4
+            raw = wide_batch.Xi1 - Delta1
+            assert np.linalg.norm(raw @ wp @ w - raw) > 1e-6
+            assert np.linalg.norm(xi1 @ wp @ w - xi1) <= 1e-10 * (1.0 + np.linalg.norm(xi1))
+        assert np.array_equal(sampler.state_in_budget(wide_batch.Xi1 - Xi1), ok)
+
+    def test_no_state_budget_rejects_every_draw(self, wide_batch):
+        """With c1 = 0 no draw can move Xi1 into the row space of W."""
+        res = robust_stabilization(wide_batch, 0.9, 0.0, 0.01)
+        sampler = _NoiseSampler(wide_batch, res.Omega, 0.0, 0.01)
+        drawn = sampler.draw([np.random.default_rng([4, t]) for t in range(10)])
+        assert not sampler.denoise(drawn)[3].any()
+        report = verify_robust_gain(
+            wide_batch, res.K, res.M, res.gamma_tilde, 0.0, 0.01, res.Omega, trials=10, seed=4
+        )
+        assert report.rejected_draws == 10 and report.worst_radius == 0.0
+
+    def test_negative_trials_rejected(self, wide_batch):
+        res = robust_stabilization(wide_batch, 0.9, 0.002, 0.002)
+        with pytest.raises(InvalidParams):
+            verify_robust_gain(
+                wide_batch, res.K, res.M, res.gamma_tilde, 0.002, 0.002, res.Omega, trials=-1
+            )
 
 
 class TestRangeBreakingNoise:

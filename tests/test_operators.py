@@ -119,6 +119,26 @@ class TestPseudoInverse:
         A = rng.standard_normal((4, 2)) @ rng.standard_normal((2, 6))
         assert rank_at_tol(pseudo_inverse(A)) == rank_at_tol(A) == 2
 
+    @pytest.mark.parametrize("shape", [(5, 5), (3, 8), (8, 3)])
+    def test_stack_is_bitwise_slicewise(self, shape):
+        """Each slice of a stacked pseudoinverse is bitwise the 2-D result,
+        also for a zero slice and a rank-deficient one, and for slices
+        stored column-major."""
+        rng = np.random.default_rng(7)
+        S = rng.standard_normal((2, 6) + shape)
+        S[0, 1] = 0.0
+        S[1, 2] = rng.standard_normal((shape[0], 1)) @ rng.standard_normal((1, shape[1]))
+        for stack in (S, np.swapaxes(np.swapaxes(S, -1, -2).copy(), -1, -2)):
+            P = pseudo_inverse(stack)
+            assert P.shape == (2, 6, shape[1], shape[0])
+            for i, j in np.ndindex(2, 6):
+                assert P[i, j].tobytes() == pseudo_inverse(stack[i, j]).tobytes()
+        assert not np.signbit(P[0, 1]).any()
+        assert rank_at_tol(P[1, 2]) == 1
+
+    def test_stack_with_empty_dimension(self):
+        assert pseudo_inverse(np.zeros((4, 3, 0))).shape == (4, 0, 3)
+
 
 class TestDouglas:
     def test_equal_operands_unit_constant(self):
