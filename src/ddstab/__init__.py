@@ -78,8 +78,6 @@ from .operators import (
     NoFactorization,
     NotCertifiable,
     PowerStabilityCertificate,
-    SynthesisOperator,
-    build_synthesis,
     construct_certificate,
     douglas_minimal_constant,
     frame_bounds,

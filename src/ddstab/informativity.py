@@ -17,8 +17,8 @@ from .errors import InvalidParams
 from .operators import (
     DEFAULT_TOL,
     PowerStabilityCertificate,
-    construct_certificate,
     pseudo_inverse,
+    range_and_kernel,
     rank_at_tol,
     spectral_radius,
 )
@@ -48,7 +48,7 @@ class NotUnique:
 
 @dataclass(frozen=True)
 class NotInformative:
-    """Stabilization test failed at ``stage`` ('rank', 'lmi' or 'certificate').
+    """Stabilization test failed at ``stage`` ('rank' or 'lmi').
 
     ``reason`` says whether the verdict is a certificate: "rank" (the state
     data do not span), "pbh" (the eigenvalue ``mode`` of the data's open
@@ -110,13 +110,13 @@ def unique_system(batch: DataBatch, tol=DEFAULT_TOL):
 
 
 def synthesize_gain(Xi0, Xi1, Ups0, gamma):
-    """Shared LMI route: decide, take the gain from the right inverse, certify.
+    """Shared LMI route: decide, and take the gain from the right inverse.
 
-    The lmi module returns a right inverse R of Xi0 with rho(Xi1 R) < gamma;
-    the gain is K = Ups0 R and the certificate refers to F = Xi1 R.  Returns
-    GainResult or NotInformative; used by the full-dimension test here and by
-    the projected test in finitedata.  Feasibility and symmetry thresholds are
-    the lmi module defaults.
+    The lmi module returns a right inverse R of Xi0 with rho(Xi1 R) < gamma
+    and the certificate of F = Xi1 R from the ranking that chose it; the gain
+    is K = Ups0 R.  Returns GainResult or NotInformative; used by the
+    full-dimension test here and by the projected test in finitedata.
+    Feasibility and symmetry thresholds are the lmi module defaults.
     """
     problem = lmi.LmiProblem(Xi0=Xi0, Xi1=Xi1, gamma=gamma)
     outcome = lmi.solve_feasibility(problem)
@@ -125,16 +125,11 @@ def synthesize_gain(Xi0, Xi1, Ups0, gamma):
             stage="lmi", margin=outcome.best_margin, reason=outcome.reason, mode=outcome.mode
         )
     right_inverse = outcome.right_inverse
-    K = Ups0 @ right_inverse
-    F = Xi1 @ right_inverse
-    certificate = construct_certificate(F, gamma)
-    if not isinstance(certificate, PowerStabilityCertificate):
-        return NotInformative(stage="certificate", margin=outcome.min_eig, reason="numerical")
     return GainResult(
-        K=K,
-        certificate=certificate,
+        K=Ups0 @ right_inverse,
+        certificate=outcome.certificate,
         lmi_margin=outcome.min_eig,
-        achieved_radius=spectral_radius(F),
+        achieved_radius=spectral_radius(Xi1 @ right_inverse),
         right_inverse=right_inverse,
     )
 
@@ -192,16 +187,6 @@ def closed_range_inequality_holds(batch: DataBatch, c, tol=DEFAULT_TOL):
     return bool(float(nonzero.min()) * c**2 >= 1.0 - 1e-9)
 
 
-def kernel_basis(M, tol=DEFAULT_TOL):
-    """Orthonormal basis of Ker M as columns (possibly empty)."""
-    M = np.asarray(M, dtype=float)
-    _, s, Vt = np.linalg.svd(M)
-    if s.size == 0 or s[0] == 0.0:
-        return np.eye(M.shape[1])
-    rank = int(np.sum(s >= tol * s[0]))
-    return Vt[rank:].T
-
-
 def range_inclusion_diagnostic(batch: DataBatch, K, tol=DEFAULT_TOL):
     """Finite check of Ran(K Xi0 - Ups0) inside Ups0(Ker Xi0).
 
@@ -212,21 +197,10 @@ def range_inclusion_diagnostic(batch: DataBatch, K, tol=DEFAULT_TOL):
     """
     K = np.atleast_2d(np.asarray(K, dtype=float))
     target = K @ batch.Xi0 - batch.Ups0
-    Z = kernel_basis(batch.Xi0, tol)
-    image = batch.Ups0 @ Z if Z.size else np.zeros((batch.m, 0))
-    Q = _orthonormal_range(image, tol)
-    residual = target if Q.shape[1] == 0 else target - Q @ (Q.T @ target)
+    _, Z = range_and_kernel(batch.Xi0, tol)
+    Q, _ = range_and_kernel(batch.Ups0 @ Z, tol)
+    residual = target - Q @ (Q.T @ target)
     return bool(np.all(np.linalg.norm(residual, axis=0) <= tol))
-
-
-def _orthonormal_range(M, tol=DEFAULT_TOL):
-    if M.size == 0:
-        return np.zeros((M.shape[0], 0))
-    U, s, _ = np.linalg.svd(M, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((M.shape[0], 0))
-    rank = int(np.sum(s >= tol * s[0]))
-    return U[:, :rank]
 
 
 def input_distinguishes_kernel(batch: DataBatch, tol=DEFAULT_TOL):
@@ -236,7 +210,7 @@ def input_distinguishes_kernel(batch: DataBatch, tol=DEFAULT_TOL):
     non-proportional inputs.  Reported as a diagnostic only; no necessity
     claim is attached at finite truncation.
     """
-    Z = kernel_basis(batch.Xi0, tol)
+    _, Z = range_and_kernel(batch.Xi0, tol)
     if Z.shape[1] == 0:
         return False
     return bool(np.linalg.norm(batch.Ups0 @ Z) > tol * max(1.0, np.linalg.norm(batch.Ups0)))

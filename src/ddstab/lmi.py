@@ -21,10 +21,12 @@ A feasible instance is then solved constructively.  A fixed grid of
 candidate gains Y comes from the gamma_d-scaled discrete Riccati equations
 of (A^, B^) over design rates gamma_d and input weights r, all solved as one
 stacked structure-preserving doubling iteration (Chu, Fan, Lin et al.,
-2004-05).  Of the candidates with rho(F) < gamma, the one with the smallest
-power-stability constant M is kept, and Lambda = R P with
-gamma'^2 P - F P F^T = I at gamma' = (rho(F) + gamma) / 2 (Smith doubling)
-is the witness that evaluate_block re-checks.
+2004-05).  Of the candidates with rho(F) < gamma, operators.least_certificate
+keeps the one with the smallest power-stability constant M, and its
+certificate (M, gamma, k0) is the one the solution carries; no second pass
+certifies it again.  Lambda = R P with gamma'^2 P - F P F^T = I at
+gamma' = (rho(F) + gamma) / 2 (Smith doubling) is the witness that
+evaluate_block re-checks.
 """
 
 from dataclasses import dataclass
@@ -32,7 +34,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidParams
-from .operators import DEFAULT_TOL, operator_norm, spectral_radius
+from .operators import (
+    DEFAULT_TOL,
+    PowerStabilityCertificate,
+    _rank_count,
+    least_certificate,
+    spectral_radius,
+)
 
 #: Accept a solution when the block's smallest eigenvalue is >= -feas_margin.
 DEFAULT_FEAS_MARGIN = 1e-8
@@ -48,12 +56,10 @@ _INPUT_WEIGHTS = (1e-6, 1.0)
 #: 2^k terms of a convergent series, so the cap is never the binding stop on
 #: a closed loop that is stable at its design rate.
 _DOUBLING_STEPS = 64
-#: Largest power examined when ranking the candidates by M (as in
-#: construct_certificate) and when summing the Stein series term by term.
+#: Largest power examined when ranking the candidates by M (the k_max of
+#: least_certificate, as construct_certificate's default) and when summing
+#: the Stein series term by term.
 _POWER_HORIZON = 10000
-#: Widening of the log-scale norm bounds in _least_certificate, far above
-#: the rounding of either bound.
-_LOG_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -94,7 +100,8 @@ class LmiSolution:
 
     ``right_inverse`` is the R behind the point: Xi0 R = I, the gain is
     Ups0 R and the closed loop Xi1 R.  ``iterations`` counts the scan's
-    candidate gains.
+    candidate gains.  ``certificate`` is the (M, gamma, k0) of Xi1 R from the
+    ranking that chose it, as construct_certificate(Xi1 R, gamma) gives it.
     """
 
     Lambda: np.ndarray
@@ -102,6 +109,7 @@ class LmiSolution:
     sym_residual: float
     iterations: int
     right_inverse: np.ndarray
+    certificate: PowerStabilityCertificate
 
 
 @dataclass(frozen=True)
@@ -145,11 +153,6 @@ def evaluate_block(Xi0, Xi1, gamma, Lambda):
     min_eig = float(np.linalg.eigvalsh(M)[0])
     sym_residual = float(np.linalg.norm(S - S.T))
     return min_eig, sym_residual
-
-
-def _rank(s):
-    """Rank from descending singular values at DEFAULT_TOL, as rank_at_tol."""
-    return 0 if s.size == 0 or s[0] == 0.0 else int(np.sum(s >= DEFAULT_TOL * s[0]))
 
 
 def _unreachable_modes(A, B, modes):
@@ -208,59 +211,6 @@ def _riccati_gains(A, B, rates, weights):
         K = -np.linalg.solve(weight * np.eye(q) + Bt @ H @ Bs, Bt @ H @ As)
     K[~np.all(np.isfinite(K), axis=(1, 2))] = np.nan
     return K
-
-
-def _least_certificate(F, gamma):
-    """Index of the loop in the stack F with the smallest power-stability
-    constant M, ties to the lowest index; None when none certifies within
-    _POWER_HORIZON powers.
-
-    M of a loop is the largest ||F^r|| / gamma^r over r < k0, where k0 is
-    the first power with ||F^k0|| <= gamma^k0 (as construct_certificate
-    computes it).  All loops are powered as one stack, in log scale; a loop
-    leaves as soon as its running maximum exceeds the smallest M finished so
-    far, since its own M can only be larger, so the argmin is exact.  Each
-    power is kept at unit Frobenius norm, which bounds its 2-norm by 1 from
-    above and by its largest row or column norm from below (each bound
-    widened by _LOG_SLACK against rounding); the SVD runs only where these
-    bounds could raise the running maximum or straddle the k0 test.
-    """
-    log_gamma = np.log(gamma)
-    index = np.arange(len(F))  # the stack position of each live loop
-    P = np.broadcast_to(np.eye(F.shape[-1]), F.shape)
-    log_scale = np.zeros(len(F))  # log ||F^k||_F
-    running = np.zeros(len(F))  # log of the largest ratio so far; r = 0 gives 0
-    best, best_log = None, np.inf
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for k in range(1, _POWER_HORIZON + 1):
-            P = F @ P
-            sq = P * P
-            rows = sq.sum(axis=2)
-            fro = np.sqrt(rows.sum(axis=1))
-            edge = np.sqrt(np.maximum(rows.max(axis=1), sq.sum(axis=1).max(axis=1)))
-            fro_safe = np.where(fro > 0, fro, 1.0)
-            P = P / fro_safe[:, None, None]
-            log_scale += np.log(fro)
-            upper = log_scale - k * log_gamma
-            lower = upper + np.log(edge / fro_safe)
-            ratio = np.where(upper <= 0.0, upper, lower)  # decides the k0 test alone
-            exact = (upper + _LOG_SLACK > running) | (
-                (upper + _LOG_SLACK > 0.0) & (lower - _LOG_SLACK <= 0.0)
-            )
-            if exact.any():
-                ratio[exact] = upper[exact] + np.log(operator_norm(P[exact]))
-                running = np.where(exact, np.maximum(running, ratio), running)
-            done = ratio <= 0.0
-            for i in np.flatnonzero(done):
-                if running[i] < best_log:
-                    best, best_log = int(index[i]), running[i]
-            keep = ~done & (running <= best_log)
-            if not keep.all():
-                F, P, index = F[keep], P[keep], index[keep]
-                log_scale, running = log_scale[keep], running[keep]
-                if index.size == 0:
-                    break
-    return best
 
 
 def _stein_solution(F, rate):
@@ -325,7 +275,7 @@ def solve_feasibility(problem: LmiProblem, max_iters=None, seed=None):
     Xi0, Xi1, gamma = problem.Xi0, problem.Xi1, problem.gamma
     n, N = Xi0.shape
     U, s, Vt = np.linalg.svd(Xi0)
-    if _rank(s) < n:
+    if _rank_count(s, DEFAULT_TOL) < n:
         # a unit x orthogonal to Ran Xi0 gives [x; 0]^T M [x; 0] = -1
         return Infeasible(best_margin=-1.0, iterations=0, reason="rank")
     Xi0_pinv = (Vt[:n].T / s) @ U.T
@@ -334,7 +284,7 @@ def solve_feasibility(problem: LmiProblem, max_iters=None, seed=None):
     # R = Xi0^+ + Zc K for a gain K of (A^, Ub sb)
     Z = Vt[n:].T
     Ub, sb, Vbt = np.linalg.svd(Xi1 @ Z, full_matrices=False)
-    rb = _rank(sb)
+    rb = _rank_count(sb, DEFAULT_TOL)
     B, Zc = Ub[:, :rb] * sb[:rb], Z @ Vbt[:rb].T
 
     # fixed order (largest modulus first) so the reported mode is deterministic
@@ -366,8 +316,9 @@ def solve_feasibility(problem: LmiProblem, max_iters=None, seed=None):
             R, F = np.concatenate([R, R2]), np.concatenate([F, F2])
     candidates = len(R)
     ok = np.flatnonzero(_admissible(Xi0, R, F, gamma))
-    best = _least_certificate(F[ok], gamma) if ok.size else None
-    if best is not None:
+    least = least_certificate(F[ok], gamma, _POWER_HORIZON)
+    if least is not None:
+        best, certificate = least
         R, F = R[ok[best]], F[ok[best]]
         P = _stein_solution(F, 0.5 * (spectral_radius(F) + gamma))
         Lambda = R @ P
@@ -384,6 +335,7 @@ def solve_feasibility(problem: LmiProblem, max_iters=None, seed=None):
                 sym_residual=sym_residual,
                 iterations=candidates,
                 right_inverse=R,
+                certificate=certificate,
             )
     min_eig, _ = evaluate_block(Xi0, Xi1, gamma, Xi0_pinv / gamma**2)
     return Infeasible(best_margin=min_eig, iterations=candidates, reason="numerical")

@@ -71,7 +71,7 @@ class Incompatible:
 
 @dataclass(frozen=True)
 class NotApplicable:
-    """Robust synthesis stopped at ``stage`` (frame | lmi | certificate | margin)."""
+    """Robust synthesis stopped at ``stage`` (frame | lmi | margin)."""
 
     stage: str
     detail: str

@@ -1,8 +1,8 @@
 """Operator-theoretic primitives on dense matrices.
 
-Synthesis operators (matrices whose columns are data vectors), frame/Bessel
-bounds, rank-aware pseudoinverses, minimal-constant factorizations of the
-range-inclusion kind, and power-stability certificates.  Everything here is
+Singular values and the one rank rule, frame/Bessel bounds, range and
+kernel bases, rank-aware pseudoinverses, minimal-constant factorizations of
+the range-inclusion kind, and power-stability certificates.  Everything here is
 real double precision; complex data must be embedded by the caller.
 """
 
@@ -10,51 +10,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyData, InvalidParams
+from .errors import DimensionMismatch, InvalidParams
 
 #: Default relative singular-value threshold for rank decisions.
 DEFAULT_TOL = 1e-9
-
-
-def _as_matrix(S):
-    """Accept a SynthesisOperator or a plain 2-D array."""
-    if isinstance(S, SynthesisOperator):
-        return S.matrix
-    M = np.asarray(S, dtype=float)
-    if M.ndim != 2:
-        raise DimensionMismatch(f"expected a 2-D matrix, got shape {M.shape}")
-    return M
-
-
-@dataclass(frozen=True)
-class SynthesisOperator:
-    """Dense matrix whose k-th column is the k-th data vector.
-
-    The finite-truncation stand-in for the operator sending a coefficient
-    sequence w to sum_k w_k eta_k.
-    """
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        M = np.asarray(self.matrix, dtype=float)
-        if M.ndim != 2 or M.shape[0] < 1 or M.shape[1] < 1:
-            raise DimensionMismatch(f"synthesis operator needs a dim x N matrix, got {M.shape}")
-        if not np.all(np.isfinite(M)):
-            raise InvalidParams("synthesis operator entries must be finite")
-        M = M.copy()
-        M.setflags(write=False)
-        object.__setattr__(self, "matrix", M)
-
-    @property
-    def dim(self):
-        """Ambient dimension (number of rows)."""
-        return self.matrix.shape[0]
-
-    @property
-    def N(self):
-        """Number of data vectors (columns)."""
-        return self.matrix.shape[1]
+#: Widening of the log-scale norm bounds in least_certificate, far above
+#: the rounding of either bound.
+_LOG_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -113,38 +75,25 @@ class NoFactorization:
     residual: float
 
 
-def build_synthesis(data_vectors):
-    """Stack data vectors as columns of a SynthesisOperator.
-
-    Parameters
-    ----------
-    data_vectors : sequence of 1-D arrays
-        All vectors must share the same dimension.  Copied verbatim; no
-        normalization is applied.
-    """
-    vecs = [np.asarray(v, dtype=float).reshape(-1) for v in data_vectors]
-    if not vecs:
-        raise EmptyData("at least one data vector is required")
-    dim = vecs[0].shape[0]
-    for k, v in enumerate(vecs):
-        if v.shape[0] != dim:
-            raise DimensionMismatch(f"vector {k} has dimension {v.shape[0]}, expected {dim}")
-    return SynthesisOperator(np.column_stack(vecs))
+def _rank_count(s, tol):
+    """Rank from descending singular values ``s``: the count of those at or
+    above ``tol * s[0]``, and 0 when there are none or the largest is 0."""
+    if tol <= 0:
+        raise InvalidParams("tol must be positive")
+    return 0 if s.size == 0 or s[0] == 0.0 else int(np.sum(s >= tol * s[0]))
 
 
 def singular_values(S):
-    """Singular values of a synthesis operator or matrix, descending."""
-    return np.linalg.svd(_as_matrix(S), compute_uv=False)
+    """Singular values of a 2-D matrix, descending."""
+    S = np.asarray(S, dtype=float)
+    if S.ndim != 2:
+        raise DimensionMismatch(f"expected a 2-D matrix, got shape {S.shape}")
+    return np.linalg.svd(S, compute_uv=False)
 
 
 def rank_at_tol(S, tol=DEFAULT_TOL):
     """Rank from singular values >= tol * sigma_max."""
-    if tol <= 0:
-        raise InvalidParams("tol must be positive")
-    s = singular_values(S)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s >= tol * s[0]))
+    return _rank_count(singular_values(S), tol)
 
 
 def frame_bounds(S, tol=DEFAULT_TOL):
@@ -154,16 +103,20 @@ def frame_bounds(S, tol=DEFAULT_TOL):
     the smallest eigenvalue of S S^T when the columns span the ambient space
     (full row rank at ``tol``), and 0 otherwise.
     """
-    M = _as_matrix(S)
-    if tol <= 0:
-        raise InvalidParams("tol must be positive")
-    dim = M.shape[0]
-    s = singular_values(M)
-    smax = s[0] if s.size else 0.0
-    rank = 0 if smax == 0.0 else int(np.sum(s >= tol * smax))
-    upper = float(smax**2)
+    s = singular_values(S)
+    rank = _rank_count(s, tol)
+    dim = np.shape(S)[0]
+    upper = float(s[0] ** 2) if s.size else 0.0
     lower = float(s[dim - 1] ** 2) if (rank == dim and s.size >= dim) else 0.0
     return FrameBounds(upper=upper, lower=lower, rank=rank, tol=tol)
+
+
+def range_and_kernel(M, tol=DEFAULT_TOL):
+    """Orthonormal bases of Ran M and of Ker M, as columns, from one SVD of
+    the 2-D matrix M at the rank of rank_at_tol; either may have no columns."""
+    U, s, Vt = np.linalg.svd(np.asarray(M, dtype=float))
+    rank = _rank_count(s, tol)
+    return U[:, :rank], Vt[rank:].T
 
 
 def pseudo_inverse(M, tol=DEFAULT_TOL):
@@ -240,12 +193,74 @@ def operator_norm(F):
     return float(norm) if F.ndim == 2 else norm
 
 
+def least_certificate(F, gamma, k_max):
+    """The loop of the stack F (L, n, n) with the smallest power-stability
+    constant M at rate gamma, as (index, PowerStabilityCertificate); ties go
+    to the lowest index, and None when no loop reaches its k0 within
+    ``k_max`` powers.
+
+    k0 of a loop is the first power k >= 1 with ||F^k|| <= gamma^k, and M
+    the largest ratio ||F^r|| / gamma^r over 0 <= r < k0 (so M >= 1, from
+    r = 0).  All loops are powered as one stack, in log scale so that large
+    transients cannot overflow; a loop leaves as soon as its running maximum
+    exceeds the smallest M finished so far, since its own M can only be
+    larger, so the argmin is exact.  Each power is kept at unit Frobenius
+    norm, which bounds its 2-norm by 1 from above and by its largest row or
+    column norm from below (each bound widened by _LOG_SLACK against
+    rounding); the SVD runs only where these bounds could raise the running
+    maximum or straddle the k0 test, so the steps it skips cannot move M or
+    k0.
+    """
+    log_gamma = np.log(gamma)
+    index = np.arange(len(F))  # the stack position of each live loop
+    P = np.broadcast_to(np.eye(F.shape[-1]), F.shape)
+    log_scale = np.zeros(len(F))  # log ||F^k||_F
+    running = np.zeros(len(F))  # log of the largest ratio so far; r = 0 gives 0
+    best = (np.inf, len(F), None)  # (log M, index, k0) of the least loop finished
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(1, k_max + 1):
+            P = F @ P
+            sq = P * P
+            rows = sq.sum(axis=2)
+            fro = np.sqrt(rows.sum(axis=1))
+            cols = sq.sum(axis=1)
+            edge = np.sqrt(np.maximum(rows.max(axis=1, initial=0.0), cols.max(axis=1, initial=0.0)))
+            fro_safe = np.where(fro > 0, fro, 1.0)
+            P = P / fro_safe[:, None, None]
+            log_scale += np.log(fro)
+            upper = log_scale - k * log_gamma
+            lower = upper + np.log(edge / fro_safe)
+            ratio = np.where(upper <= 0.0, upper, lower)  # decides the k0 test alone
+            exact = (upper + _LOG_SLACK > running) | (
+                (upper + _LOG_SLACK > 0.0) & (lower - _LOG_SLACK <= 0.0)
+            )
+            if exact.any():
+                ratio[exact] = upper[exact] + np.log(operator_norm(P[exact]))
+                running = np.where(exact, np.maximum(running, ratio), running)
+            done = ratio <= 0.0
+            for i in np.flatnonzero(done):
+                if (running[i], index[i]) < best[:2]:
+                    best = (running[i], index[i], k)
+            keep = ~done & (running <= best[0])
+            if not keep.all():
+                F, P, index = F[keep], P[keep], index[keep]
+                log_scale, running = log_scale[keep], running[keep]
+            if index.size == 0:
+                break
+    log_m, i, k0 = best
+    if k0 is None:
+        return None
+    return int(i), PowerStabilityCertificate(
+        M=float(np.exp(log_m)), gamma=float(gamma), horizon_checked=k0
+    )
+
+
 def construct_certificate(F, gamma, k_max=10000):
     """Power-stability certificate ||F^k|| <= M gamma^k for all k >= 0.
 
-    Searches for the smallest k0 in 1..k_max with ||F^k0|| <= gamma^k0 and
-    sets M to the largest ratio ||F^r|| / gamma^r over 0 <= r < k0.  Norms
-    are tracked in log scale so large transients cannot overflow.
+    The smallest k0 in 1..k_max with ||F^k0|| <= gamma^k0, and M the largest
+    ratio ||F^r|| / gamma^r over 0 <= r < k0: least_certificate on the
+    one-loop stack.
 
     Returns NotCertifiable when the spectral radius exceeds gamma or when no
     such k0 exists within ``k_max`` (the gap to gamma is reported through
@@ -263,30 +278,11 @@ def construct_certificate(F, gamma, k_max=10000):
             spectral_radius=rho,
             gamma=gamma,
         )
-    log_gamma = np.log(gamma)
-    # log ||F^r|| for r = 0 .. k0, computed on a running normalized power
-    log_norms = [0.0]
-    P = np.eye(F.shape[0])
-    log_scale = 0.0
-    k0 = None
-    for k in range(1, k_max + 1):
-        P = F @ P
-        s = operator_norm(P)
-        if s == 0.0:
-            log_norm = -np.inf
-        else:
-            P = P / s
-            log_scale += np.log(s)
-            log_norm = log_scale
-        log_norms.append(log_norm)
-        if log_norm <= k * log_gamma:
-            k0 = k
-            break
-    if k0 is None:
+    least = least_certificate(F[None], gamma, k_max)
+    if least is None:
         return NotCertifiable(
             reason=f"no k0 <= {k_max} with ||F^k0|| <= gamma^k0; raise k_max",
             spectral_radius=rho,
             gamma=gamma,
         )
-    M = float(np.exp(max(log_norms[r] - r * log_gamma for r in range(k0))))
-    return PowerStabilityCertificate(M=max(M, 1.0), gamma=float(gamma), horizon_checked=k0)
+    return least[1]

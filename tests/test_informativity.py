@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ddstab import cli
+from ddstab.finitedata import cascade_decomposition, project_data
 from ddstab.informativity import (
     GainResult,
     NotInformative,
@@ -15,10 +17,17 @@ from ddstab.informativity import (
     range_inclusion_diagnostic,
     sample_compatible_systems,
     stabilization_informative,
+    synthesize_gain,
     unique_system,
 )
-from ddstab.operators import pseudo_inverse, spectral_radius
-from ddstab.systems import DataBatch, LinearSystem, counterexample_sequences, simulate
+from ddstab.operators import construct_certificate, pseudo_inverse, spectral_radius
+from ddstab.systems import (
+    DataBatch,
+    LinearSystem,
+    counterexample_sequences,
+    reference_cascade_scenario,
+    simulate,
+)
 
 
 def batch_from(x0_cols, u0_cols, x1_cols, meta=""):
@@ -139,6 +148,27 @@ class TestStabilization:
                 assert spectral_radius(closed) <= 0.9 + 1e-6
                 # every compatible closed loop coincides with the reconstruction
                 assert np.linalg.norm(closed - F_data) < 1e-8
+
+    @pytest.mark.parametrize("scenario", ["cascade", "minimal"])
+    def test_certificate_is_the_certificate_of_the_loop(self, scenario, tmp_path):
+        """The certificate that comes with the chosen gain is bitwise the one
+        construct_certificate gives on its closed loop: on the reference
+        cascade's projected data, and on random-LTI minimal data (n = 8,
+        N = n + 1, seed 0)."""
+        if scenario == "cascade":
+            _, batch, params = reference_cascade_scenario(n_modes=50, n_samples=5)
+            pd = project_data(batch, cascade_decomposition(params, 0.89, 0.1, 0.0))
+            Xi0, Xi1, Ups0 = pd.Xi0p, pd.Xi1p, pd.Ups0
+        else:
+            path = tmp_path / "data.json"
+            argv = ["generate", "--scenario", "random-lti", "--n", "8", "--seed", "0",
+                    "--samples", "9", "--radius", "2.0", "--out", str(path)]
+            assert cli.main(argv) == 0
+            batch = DataBatch.load(path)
+            Xi0, Xi1, Ups0 = batch.Xi0, batch.Xi1, batch.Ups0
+        result = synthesize_gain(Xi0, Xi1, Ups0, 0.9)
+        assert isinstance(result, GainResult)
+        assert result.certificate == construct_certificate(Xi1 @ result.right_inverse, 0.9)
 
 
 class TestOperatorInequalities:

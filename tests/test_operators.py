@@ -3,55 +3,60 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddstab.errors import DimensionMismatch, EmptyData, InvalidParams
+from ddstab.errors import DimensionMismatch, InvalidParams
 from ddstab.operators import (
     DouglasFactor,
     NoFactorization,
     NotCertifiable,
     PowerStabilityCertificate,
-    build_synthesis,
     construct_certificate,
     douglas_minimal_constant,
     frame_bounds,
+    least_certificate,
     operator_norm,
     pseudo_inverse,
+    range_and_kernel,
     rank_at_tol,
+    singular_values,
     spectral_radius,
 )
 
 
-class TestBuildSynthesis:
-    def test_standard_basis(self):
-        S = build_synthesis([np.array([1.0, 0.0]), np.array([0.0, 1.0])])
-        assert np.array_equal(S.matrix, np.eye(2))
-        assert S.dim == 2 and S.N == 2
+def reference_certificate(F, gamma, k_max):
+    """(M, k0) from one SVD per power step, the loop construct_certificate
+    ran before the pruned routine; None when no k0 <= k_max exists."""
+    log_gamma = np.log(gamma)
+    log_norms = [0.0]
+    P = np.eye(F.shape[0])
+    log_scale = 0.0
+    for k in range(1, k_max + 1):
+        P = F @ P
+        s = operator_norm(P)
+        if s == 0.0:
+            log_norm = -np.inf
+        else:
+            P = P / s
+            log_scale += np.log(s)
+            log_norm = log_scale
+        log_norms.append(log_norm)
+        if log_norm <= k * log_gamma:
+            M = float(np.exp(max(log_norms[r] - r * log_gamma for r in range(k))))
+            return max(M, 1.0), k
+    return None
 
-    def test_scaled_basis_columns(self):
-        vecs = [np.eye(4)[k] / (k + 1) for k in range(4)]
-        S = build_synthesis(vecs)
-        assert np.array_equal(S.matrix, np.diag([1.0, 0.5, 1.0 / 3.0, 0.25]))
 
-    def test_single_vector_copy(self):
-        S = build_synthesis([np.array([3.0, 4.0])])
-        assert S.matrix.shape == (2, 1)
-        assert np.array_equal(S.matrix, np.array([[3.0], [4.0]]))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            build_synthesis([np.ones(2), np.ones(3)])
-
-    def test_empty(self):
-        with pytest.raises(EmptyData):
-            build_synthesis([])
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(InvalidParams):
-            build_synthesis([np.array([1.0, np.nan])])
-
-    def test_matrix_immutable(self):
-        S = build_synthesis([np.array([1.0, 2.0])])
-        with pytest.raises(ValueError):
-            S.matrix[0, 0] = 5.0
+def fuzz_loop(kind, n, gamma, rng):
+    """A loop of the given kind: "near" has rho just below gamma, so k0 runs
+    into the hundreds; "random" has rho well below; "zero" and "nilpotent"
+    reach a zero power."""
+    if kind == "zero":
+        return np.zeros((n, n))
+    F = rng.standard_normal((n, n))
+    if kind == "nilpotent":
+        return np.triu(F, 1) * rng.uniform(0.1, 3.0)
+    rho = spectral_radius(F)
+    shrink = 1.0 - rng.uniform(1e-3, 4e-3) if kind == "near" else rng.uniform(0.2, 0.9)
+    return F * (gamma * shrink / rho)
 
 
 class TestFrameBounds:
@@ -87,6 +92,33 @@ class TestFrameBounds:
         fb = frame_bounds(S)
         assert fb.upper == pytest.approx(4.0)
         assert fb.lower == pytest.approx(0.25)
+
+
+class TestPlainMatrices:
+    @pytest.mark.parametrize("fn", [singular_values, rank_at_tol, frame_bounds])
+    def test_rejects_non_matrix(self, fn):
+        with pytest.raises(DimensionMismatch):
+            fn(np.ones(3))
+
+    def test_rank_tol_must_be_positive(self):
+        for fn in (rank_at_tol, frame_bounds, range_and_kernel):
+            with pytest.raises(InvalidParams):
+                fn(np.eye(2), tol=0.0)
+
+    def test_range_and_kernel_bases(self):
+        rng = np.random.default_rng(4)
+        M = rng.standard_normal((4, 2)) @ rng.standard_normal((2, 6))
+        Q, Z = range_and_kernel(M)
+        assert Q.shape == (4, 2) and Z.shape == (6, 4)
+        assert np.allclose(Q.T @ Q, np.eye(2)) and np.allclose(Z.T @ Z, np.eye(4))
+        assert np.linalg.norm(M @ Z) < 1e-12 * np.linalg.norm(M)
+        assert np.allclose(Q @ (Q.T @ M), M)
+
+    def test_range_and_kernel_of_zero_and_empty(self):
+        Q, Z = range_and_kernel(np.zeros((2, 3)))
+        assert Q.shape == (2, 0) and Z.shape == (3, 3)
+        Q, Z = range_and_kernel(np.zeros((2, 0)))
+        assert Q.shape == (2, 0) and Z.shape == (0, 0)
 
 
 class TestPseudoInverse:
@@ -256,3 +288,73 @@ class TestCertificate:
         out = douglas_minimal_constant(A, B)
         assert isinstance(out, DouglasFactor)
         assert np.linalg.norm(B @ out.C - A) <= 1e-8 * max(1.0, np.linalg.norm(A))
+
+
+class TestLeastCertificate:
+    """The one (M, k0) routine against the one-SVD-per-step reference."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=8),
+        st.lists(st.sampled_from(["near", "random", "zero", "nilpotent"]), min_size=1, max_size=4),
+        st.floats(min_value=0.3, max_value=0.99),
+        st.sampled_from([5, 40, 1000]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_matches_reference(self, n, kinds, gamma, k_max, seed):
+        rng = np.random.default_rng(seed)
+        F = np.stack([fuzz_loop(kind, n, gamma, rng) for kind in kinds])
+        expected = [reference_certificate(f, gamma, k_max) for f in F]
+        least = least_certificate(F, gamma, k_max)
+        if all(e is None for e in expected):
+            assert least is None
+            return
+        index, cert = least
+        M_min = min(e[0] for e in expected if e is not None)
+        assert expected[index] is not None
+        assert cert.horizon_checked == expected[index][1]
+        assert cert.M == pytest.approx(expected[index][0], rel=1e-12, abs=0.0)
+        assert cert.M == pytest.approx(M_min, rel=1e-12, abs=0.0)
+        assert cert.gamma == gamma
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    def test_jordan_loop_near_gamma(self, n):
+        F = 0.9 * 0.99 * np.eye(n) + 0.2 * np.eye(n, k=1)
+        M, k0 = reference_certificate(F, 0.9, 10000)
+        assert k0 >= 400
+        cert = construct_certificate(F, 0.9)
+        assert cert.horizon_checked == k0
+        assert cert.M == pytest.approx(M, rel=1e-12, abs=0.0)
+
+    def test_ties_go_to_lowest_index(self):
+        rng = np.random.default_rng(8)
+        worse, least = fuzz_loop("near", 4, 0.9, rng), fuzz_loop("nilpotent", 4, 0.9, rng)
+        stack = np.stack([worse, least, worse, least])
+        assert reference_certificate(least, 0.9, 100)[0] < reference_certificate(worse, 0.9, 10000)[0]
+        assert least_certificate(stack, 0.9, 10000)[0] == 1
+        # M = 1 ties: the zero loop and a contraction
+        stack = np.stack([worse, 0.5 * np.eye(4), np.zeros((4, 4))])
+        index, cert = least_certificate(stack, 0.9, 10)
+        assert index == 1 and cert.M == 1.0 and cert.horizon_checked == 1
+
+    def test_late_finisher_with_smaller_M_wins(self):
+        """A loop that reaches k0 late but has the smaller M must outlast the
+        early finisher's bound: a nilpotent loop with M = 8.3 at k0 = 2
+        against a Jordan loop with M = 8.23 at k0 = 462."""
+        early = np.array([[0.0, 8.3 * 0.9], [0.0, 0.0]])
+        late = 0.9 * 0.99 * np.eye(2) + 0.2 * np.eye(2, k=1)
+        M, k0 = reference_certificate(late, 0.9, 10000)
+        index, cert = least_certificate(np.stack([early, late]), 0.9, 10000)
+        assert index == 1 and cert.horizon_checked == k0 == 462
+        assert cert.M == pytest.approx(M, rel=1e-12, abs=0.0)
+
+    def test_empty_loop(self):
+        cert = construct_certificate(np.zeros((0, 0)), 0.5)
+        assert cert.M == 1.0 and cert.horizon_checked == 1
+
+    def test_horizon_runs_out(self):
+        F = fuzz_loop("near", 5, 0.9, np.random.default_rng(2))
+        k0 = reference_certificate(F, 0.9, 10000)[1]
+        assert least_certificate(F[None], 0.9, k0 - 1) is None
+        assert least_certificate(F[None], 0.9, k0)[1].horizon_checked == k0
+        assert isinstance(construct_certificate(F, 0.9, k_max=k0 - 1), NotCertifiable)
