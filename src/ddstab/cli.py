@@ -7,6 +7,7 @@ success / informative, 1 for a completed analysis with a negative verdict,
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -281,7 +282,11 @@ def cmd_noise(args):
     return 0 if ok else 1
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process.  It holds no command
+    functions: main looks ``cmd_<command>`` up when it runs, so a rebinding
+    of those names (a tracer, a test) takes effect."""
     parser = argparse.ArgumentParser(
         prog="ddstab",
         description="Data informativity analysis and certified gain synthesis "
@@ -303,7 +308,6 @@ def build_parser():
     gen.add_argument("--m", type=int, default=1, help="input dimension (random-lti)")
     gen.add_argument("--scale", type=float, default=1.0, help="input excitation scale")
     gen.add_argument("--radius", type=float, default=1.1, help="spectral radius of random A")
-    gen.set_defaults(func=cmd_generate)
 
     ana = sub.add_parser("analyze", help="informativity analysis of a data batch")
     ana.add_argument("--in", dest="input", required=True)
@@ -313,7 +317,6 @@ def build_parser():
     ana.add_argument("--seed", type=int, default=0, help="unused: the synthesis is deterministic")
     ana.add_argument("--out", default=None, help="write a JSON report here")
     _decomposition_args(ana)
-    ana.set_defaults(func=cmd_analyze)
 
     ver = sub.add_parser("verify", help="check a gain against the compatible family")
     ver.add_argument("--in", dest="input", required=True)
@@ -326,7 +329,6 @@ def build_parser():
     ver.add_argument("--csv", default=None, help="write per-sample spectral radii as CSV")
     ver.add_argument("--out", default=None)
     _decomposition_args(ver)
-    ver.set_defaults(func=cmd_verify)
 
     noi = sub.add_parser("noise", help="robust synthesis and verification from noisy data")
     noi.add_argument("--in", dest="input", required=True)
@@ -339,17 +341,15 @@ def build_parser():
     noi.add_argument("--project", action="store_true", help="analyze on X+ via the modal split")
     noi.add_argument("--out", default=None)
     _decomposition_args(noi)
-    noi.set_defaults(func=cmd_noise)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if args.command == "generate" and args.scenario == "heat-cascade" and args.samples is None:
         args.samples = 5
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except SystemExit as exc:
         if isinstance(exc.code, str):
             print(exc.code, file=sys.stderr)

@@ -190,7 +190,7 @@ def finite_informative(pd: ProjectedData, gamma, gamma_minus, tol=DEFAULT_TOL):
     rank = rank_at_tol(pd.Xi0p, tol)
     if rank < pd.n_plus:
         return NotInformative(stage="rank", margin=float(rank - pd.n_plus), reason="rank")
-    return synthesize_gain(pd.Xi0p, pd.Xi1p, pd.Ups0, gamma)
+    return synthesize_gain(pd.Xi0p, pd.Xi1p, pd.Ups0, gamma, tol)
 
 
 def lift_gain(K_plus, dec: Decomposition):

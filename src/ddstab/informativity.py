@@ -109,16 +109,17 @@ def unique_system(batch: DataBatch, tol=DEFAULT_TOL):
     return LinearSystem(A=A, B=B)
 
 
-def synthesize_gain(Xi0, Xi1, Ups0, gamma):
+def synthesize_gain(Xi0, Xi1, Ups0, gamma, tol=DEFAULT_TOL):
     """Shared LMI route: decide, and take the gain from the right inverse.
 
     The lmi module returns a right inverse R of Xi0 with rho(Xi1 R) < gamma
     and the certificate of F = Xi1 R from the ranking that chose it; the gain
     is K = Ups0 R.  Returns GainResult or NotInformative; used by the
     full-dimension test here and by the projected test in finitedata.
-    Feasibility and symmetry thresholds are the lmi module defaults.
+    ``tol`` is the rank and PBH tolerance of the LMI decision; feasibility
+    and symmetry thresholds are the lmi module defaults.
     """
-    problem = lmi.LmiProblem(Xi0=Xi0, Xi1=Xi1, gamma=gamma)
+    problem = lmi.LmiProblem(Xi0=Xi0, Xi1=Xi1, gamma=gamma, tol=tol)
     outcome = lmi.solve_feasibility(problem)
     if isinstance(outcome, lmi.Infeasible):
         return NotInformative(
@@ -142,13 +143,14 @@ def stabilization_informative(batch: DataBatch, gamma, tol=DEFAULT_TOL):
     a power-stability certificate of the reconstructed closed loop Xi1 R at
     rate gamma.  Failure returns NotInformative with its reason; rank
     deficiency of the state data surfaces there rather than as a separate
-    stage.  Feasibility and symmetry thresholds are the lmi defaults.
+    stage.  ``tol`` is the rank and PBH tolerance; feasibility and symmetry
+    thresholds are the lmi defaults.
     """
     if not (0.0 < gamma < 1.0):
         raise InvalidParams("gamma must lie in (0, 1)")
     if tol <= 0:
         raise InvalidParams("tol must be positive")
-    return synthesize_gain(batch.Xi0, batch.Xi1, batch.Ups0, gamma)
+    return synthesize_gain(batch.Xi0, batch.Xi1, batch.Ups0, gamma, tol)
 
 
 def _min_eig_sym(M):

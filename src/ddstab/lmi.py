@@ -24,9 +24,11 @@ stacked structure-preserving doubling iteration (Chu, Fan, Lin et al.,
 2004-05).  Of the candidates with rho(F) < gamma, operators.least_certificate
 keeps the one with the smallest power-stability constant M, and its
 certificate (M, gamma, k0) is the one the solution carries; no second pass
-certifies it again.  Lambda = R P with gamma'^2 P - F P F^T = I at
-gamma' = (rho(F) + gamma) / 2 (Smith doubling) is the witness that
-evaluate_block re-checks.
+certifies it again.  The ranking itself takes spectral radii, of the loops
+that can win only; when it finds no loop, one more design rate, above the
+slowest unreachable mode, is tried.  Lambda = R P with
+gamma'^2 P - F P F^T = I at gamma' = (rho(F) + gamma) / 2 (Smith doubling)
+is the witness that evaluate_block re-checks.
 """
 
 from dataclasses import dataclass
@@ -70,7 +72,8 @@ class LmiProblem:
     ``-feas_margin`` and ||Xi0 Lambda - (Xi0 Lambda)^T||_F is at most
     ``sym_tol * max(1, ||Xi0 Lambda||_F)``: the asymmetry is judged against
     the size of Xi0 Lambda, which on ill-conditioned data can be large
-    enough that round-off alone exceeds any fixed absolute level.
+    enough that round-off alone exceeds any fixed absolute level.  ``tol``
+    is the relative singular-value threshold of the rank and PBH tests.
     """
 
     Xi0: np.ndarray
@@ -78,6 +81,7 @@ class LmiProblem:
     gamma: float
     feas_margin: float = DEFAULT_FEAS_MARGIN
     sym_tol: float = DEFAULT_SYM_TOL
+    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         Xi0 = np.asarray(self.Xi0, dtype=float)
@@ -88,8 +92,8 @@ class LmiProblem:
             raise InvalidParams("problem data must be finite")
         if not (0.0 < self.gamma < 1.0):
             raise InvalidParams("gamma must lie in (0, 1)")
-        if self.feas_margin <= 0 or self.sym_tol <= 0:
-            raise InvalidParams("feas_margin and sym_tol must be positive")
+        if self.feas_margin <= 0 or self.sym_tol <= 0 or self.tol <= 0:
+            raise InvalidParams("feas_margin, sym_tol and tol must be positive")
         object.__setattr__(self, "Xi0", Xi0)
         object.__setattr__(self, "Xi1", Xi1)
 
@@ -100,8 +104,11 @@ class LmiSolution:
 
     ``right_inverse`` is the R behind the point: Xi0 R = I, the gain is
     Ups0 R and the closed loop Xi1 R.  ``iterations`` counts the scan's
-    candidate gains.  ``certificate`` is the (M, gamma, k0) of Xi1 R from the
-    ranking that chose it, as construct_certificate(Xi1 R, gamma) gives it.
+    candidate gains, the fallback rate's included when it was tried.
+    ``certificate`` is the (M, gamma, k0) of Xi1 R from the ranking that
+    chose it (operators.least_certificate, whose result for a loop does not
+    depend on the stack it is ranked in), so it is bitwise what
+    construct_certificate(Xi1 R, gamma) gives.
     """
 
     Lambda: np.ndarray
@@ -155,9 +162,9 @@ def evaluate_block(Xi0, Xi1, gamma, Lambda):
     return min_eig, sym_residual
 
 
-def _unreachable_modes(A, B, modes):
+def _unreachable_modes(A, B, modes, tol):
     """The eigenvalues among ``modes`` at which [A - lambda I, B] loses row
-    rank at DEFAULT_TOL (the PBH test)."""
+    rank at ``tol`` (the PBH test)."""
     n = A.shape[0]
     if modes.size == 0:
         return modes
@@ -165,7 +172,7 @@ def _unreachable_modes(A, B, modes):
         [A - modes[:, None, None] * np.eye(n), np.broadcast_to(B, (modes.size,) + B.shape)], axis=2
     )
     s = np.linalg.svd(pencil, compute_uv=False)
-    return modes[(s[:, n - 1] < DEFAULT_TOL * s[:, 0]) | (s[:, 0] == 0.0)]
+    return modes[(s[:, n - 1] < tol * s[:, 0]) | (s[:, 0] == 0.0)]
 
 
 def _riccati_gains(A, B, rates, weights):
@@ -243,14 +250,13 @@ def _stein_solution(F, rate):
     return P
 
 
-def _admissible(Xi0, R, F, gamma):
+def _admissible(Xi0, R, F):
     """Which candidates of the stacks R, F = Xi1 R are right inverses of Xi0
-    to DEFAULT_TOL (Frobenius residual) with a finite loop F of spectral
-    radius below gamma; a huge gain can lose the first in round-off."""
+    to DEFAULT_TOL (Frobenius residual) with a finite loop F; a huge gain can
+    lose the first in round-off.  The spectral radius below gamma is left to
+    least_certificate, which takes it only of the loops that can win."""
     ok = np.linalg.norm(Xi0 @ R - np.eye(Xi0.shape[0]), axis=(1, 2)) <= DEFAULT_TOL
-    ok &= np.all(np.isfinite(F), axis=(1, 2))
-    ok[ok] = spectral_radius(F[ok]) < gamma
-    return ok
+    return ok & np.all(np.isfinite(F), axis=(1, 2))
 
 
 def _symmetrize_refinement(Xi0, Xi0_pinv, Lambda):
@@ -272,10 +278,10 @@ def solve_feasibility(problem: LmiProblem, max_iters=None, seed=None):
     randomness: ``max_iters`` and ``seed`` are accepted and ignored, and a
     fixed problem always gives the same bits.
     """
-    Xi0, Xi1, gamma = problem.Xi0, problem.Xi1, problem.gamma
+    Xi0, Xi1, gamma, tol = problem.Xi0, problem.Xi1, problem.gamma, problem.tol
     n, N = Xi0.shape
     U, s, Vt = np.linalg.svd(Xi0)
-    if _rank_count(s, DEFAULT_TOL) < n:
+    if _rank_count(s, tol) < n:
         # a unit x orthogonal to Ran Xi0 gives [x; 0]^T M [x; 0] = -1
         return Infeasible(best_margin=-1.0, iterations=0, reason="rank")
     Xi0_pinv = (Vt[:n].T / s) @ U.T
@@ -284,13 +290,13 @@ def solve_feasibility(problem: LmiProblem, max_iters=None, seed=None):
     # R = Xi0^+ + Zc K for a gain K of (A^, Ub sb)
     Z = Vt[n:].T
     Ub, sb, Vbt = np.linalg.svd(Xi1 @ Z, full_matrices=False)
-    rb = _rank_count(sb, DEFAULT_TOL)
+    rb = _rank_count(sb, tol)
     B, Zc = Ub[:, :rb] * sb[:rb], Z @ Vbt[:rb].T
 
     # fixed order (largest modulus first) so the reported mode is deterministic
     modes = np.linalg.eigvals(A)
     modes = modes[np.lexsort((-modes.imag, -np.abs(modes)))]
-    unreachable = _unreachable_modes(A, B, modes[np.abs(modes) >= gamma])
+    unreachable = _unreachable_modes(A, B, modes[np.abs(modes) >= gamma], tol)
     if unreachable.size:
         # with w^* A^ = mode w^*, w^* B^ = 0, the vector [w; -conj(mode) w]
         # bounds the margin of every admissible Lambda by -1 / (1 + |mode|^2)
@@ -303,23 +309,27 @@ def solve_feasibility(problem: LmiProblem, max_iters=None, seed=None):
         R = Xi0_pinv + Zc @ K
         return R, Xi1 @ R
 
+    def rank(R, F):
+        ok = np.flatnonzero(_admissible(Xi0, R, F))
+        least = least_certificate(F[ok], gamma, _POWER_HORIZON)
+        return None if least is None else (R[ok[least[0]]], F[ok[least[0]]], least[1])
+
     R, F = Xi0_pinv[None], A[None]  # no kernel direction moves the loop
     if rb:
         rates = gamma + _RATE_OFFSETS
         R, F = loops(_riccati_gains(A, B, rates[rates > 0], _INPUT_WEIGHTS))
-        if not _admissible(Xi0, R, F, gamma).any():
-            # every unreachable mode lies below gamma, so the pair scaled by a
-            # rate between the slowest of them and gamma is stabilizable, and
-            # the DARE gain at that rate puts rho(F) below the rate
-            slow = np.abs(_unreachable_modes(A, B, modes)).max(initial=0.0)
-            R2, F2 = loops(_riccati_gains(A, B, np.array([0.5 * (slow + gamma)]), _INPUT_WEIGHTS))
-            R, F = np.concatenate([R, R2]), np.concatenate([F, F2])
     candidates = len(R)
-    ok = np.flatnonzero(_admissible(Xi0, R, F, gamma))
-    least = least_certificate(F[ok], gamma, _POWER_HORIZON)
+    least = rank(R, F)
+    if least is None and rb:
+        # every unreachable mode lies below gamma, so the pair scaled by a
+        # rate between the slowest of them and gamma is stabilizable, and
+        # the DARE gain at that rate puts rho(F) below the rate
+        slow = np.abs(_unreachable_modes(A, B, modes, tol)).max(initial=0.0)
+        R, F = loops(_riccati_gains(A, B, np.array([0.5 * (slow + gamma)]), _INPUT_WEIGHTS))
+        candidates += len(R)
+        least = rank(R, F)
     if least is not None:
-        best, certificate = least
-        R, F = R[ok[best]], F[ok[best]]
+        R, F, certificate = least
         P = _stein_solution(F, 0.5 * (spectral_radius(F) + gamma))
         Lambda = R @ P
         min_eig, sym_residual = evaluate_block(Xi0, Xi1, gamma, Lambda)

@@ -187,7 +187,7 @@ def robust_stabilization(noisy_batch: DataBatch, gamma, c1, c0, tol=DEFAULT_TOL)
             stage="frame",
             detail=f"state sequence is not a frame: rank {fb.rank} < dim {noisy_batch.n}",
         )
-    synth = synthesize_gain(noisy_batch.Xi0, noisy_batch.Xi1, noisy_batch.Ups0, gamma)
+    synth = synthesize_gain(noisy_batch.Xi0, noisy_batch.Xi1, noisy_batch.Ups0, gamma, tol)
     if isinstance(synth, NotInformative):
         return NotApplicable(stage=synth.stage, detail=f"{synth.reason}, margin {synth.margin:.3e}")
     M = synth.certificate.M

@@ -15,8 +15,15 @@ from .errors import DimensionMismatch, InvalidParams
 #: Default relative singular-value threshold for rank decisions.
 DEFAULT_TOL = 1e-9
 #: Widening of the log-scale norm bounds in least_certificate, far above
-#: the rounding of either bound.
+#: the rounding of any bound.
 _LOG_SLACK = 1e-9
+#: Most numbers (loops x steps x n x n) in one block of powers of
+#: least_certificate, and most steps in a block.
+_BLOCK_ELEMENTS = 2**16
+_BLOCK_STEPS = 16
+#: First step at which least_certificate drops live loops with rho >= gamma;
+#: the next checks follow at four times the last.
+_FIRST_CHECKPOINT = 64
 
 
 @dataclass(frozen=True)
@@ -194,59 +201,223 @@ def operator_norm(F):
 
 
 def least_certificate(F, gamma, k_max):
-    """The loop of the stack F (L, n, n) with the smallest power-stability
-    constant M at rate gamma, as (index, PowerStabilityCertificate); ties go
-    to the lowest index, and None when no loop reaches its k0 within
-    ``k_max`` powers.
+    """The loop of the stack F (L, n, n) with spectral radius below gamma and
+    the smallest power-stability constant M at rate gamma, as (index,
+    PowerStabilityCertificate); ties go to the lowest index, and None when
+    no such loop reaches its k0 within ``k_max`` powers.
 
     k0 of a loop is the first power k >= 1 with ||F^k|| <= gamma^k, and M
     the largest ratio ||F^r|| / gamma^r over 0 <= r < k0 (so M >= 1, from
-    r = 0).  All loops are powered as one stack, in log scale so that large
-    transients cannot overflow; a loop leaves as soon as its running maximum
-    exceeds the smallest M finished so far, since its own M can only be
-    larger, so the argmin is exact.  Each power is kept at unit Frobenius
-    norm, which bounds its 2-norm by 1 from above and by its largest row or
-    column norm from below (each bound widened by _LOG_SLACK against
-    rounding); the SVD runs only where these bounds could raise the running
-    maximum or straddle the k0 test, so the steps it skips cannot move M or
-    k0.
+    r = 0).  Every comparison, of a ratio with 1 for k0 and of two steps'
+    ratios for the running maximum, is settled lazily by the cheapest of
+    three brackets on the 2-norm of a power, each widened by _LOG_SLACK
+    against rounding: the Frobenius norm above and a step of power
+    iteration below (_power_block), then the Gram-power bracket
+    (_gram_bracket), then the SVD (operator_norm).  The SVD runs only where
+    two steps' Gram brackets overlap, or where one straddles the k0 test.
+    Each loop keeps one pending contender, the only unsettled step whose
+    bracket can still top its settled ratios, and settles it when the loop
+    finishes and can still win.  A loop leaves as soon as the lower end of
+    its running maximum exceeds the smallest M finished so far, since its
+    own M can only be larger, so the argmin is exact.  The powers and their
+    log scales are those of a loop that multiplies by F and rescales to unit
+    Frobenius norm one step at a time, and M is the ratio computed at the
+    loop's largest step, so a loop gets the same bits in any stack.
+
+    A finisher has rho <= gamma, since rho^k0 <= ||F^k0|| <= gamma^k0, so
+    spectral radii are taken only of the finishers that can still win, in
+    the order of the lower ends of their M, and of the live loops at steps
+    64, 256, 1024, ..., where loops with rho >= gamma leave rather than run
+    to ``k_max``.
     """
+    F = np.asarray(F, dtype=float)
+    return _least_certificate(F, gamma, k_max, check_radius=True)
+
+
+def _unit_frobenius(Q):
+    """Scale each matrix of the stack Q (..., n, n) in place to unit
+    Frobenius norm (a zero matrix stays zero) and return the norms.  The
+    squares are summed along each row, then over the rows: the last bits of
+    every certificate depend on this order."""
+    fro = np.sqrt(np.add.reduce(np.add.reduce(Q * Q, axis=-1), axis=-1))
+    Q /= np.where(fro > 0, fro, 1.0)[..., None, None]
+    return fro
+
+
+def _power_block(F, P, steps):
+    """The next ``steps`` powers F^j P of each loop of the stack F (L, n, n)
+    from its base power P (L, n, n), or from I when P is None, each formed
+    from the one before and scaled to unit Frobenius norm.  Returns the
+    block (L, steps, n, n), the log of each step's scaling, and a lower bound
+    on the log 2-norm of each scaled power: ||Q^T w|| / ||w|| for w = Q 1,
+    a step of power iteration (-inf where w = 0)."""
+    Q = np.empty((len(F), steps) + F.shape[1:])
+    fro = np.empty((len(F), steps))
+    for j in range(steps):
+        if P is None:
+            Q[:, j] = F
+        else:
+            np.matmul(F, P, out=Q[:, j])
+        P = Q[:, j]
+        fro[:, j] = _unit_frobenius(P)
+    w = np.einsum("...ij->...i", Q)
+    z = np.einsum("...ij,...i->...j", Q, w)
+    ww, zz = np.einsum("...i,...i->...", w, w), np.einsum("...i,...i->...", z, z)
+    lower = 0.5 * np.log(np.where(ww > 0, zz, 0.0) / np.where(ww > 0, ww, 1.0))
+    return Q, np.log(fro), lower
+
+
+def _gram_bracket(P):
+    """Bounds on log ||P|| for each nonzero matrix of the stack P.  With P
+    at unit Frobenius norm and G = P^T P, tr G^p is the sum of sigma^(2p),
+    so t9 / t8 <= ||P||^2 <= t8^(1/8) for t8 = tr G^8 = ||G^4||_F^2 and
+    t9 = tr G^9 = <G^4, G^5>: four matrix products, no factorization."""
+    P = P.copy()
+    log_fro = np.log(_unit_frobenius(P))
+    G = np.swapaxes(P, -1, -2) @ P
+    G4 = G @ G
+    G4 = G4 @ G4
+    t8 = np.einsum("...ij,...ij->...", G4, G4)
+    t9 = np.einsum("...ij,...ij->...", G4, G4 @ G)
+    return log_fro + 0.5 * np.log(t9 / t8), log_fro + np.log(t8) / 16
+
+
+def _first(mask):
+    """Index of the first True along the last axis, or its length for none."""
+    return np.where(mask.any(axis=-1), mask.argmax(axis=-1), mask.shape[-1])
+
+
+def _top(values, mask):
+    """Row-wise maximum of ``values`` over ``mask``, -inf where none."""
+    return np.where(mask, values, -np.inf).max(axis=-1)
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _least_certificate(F, gamma, k_max, check_radius):
+    """least_certificate; without ``check_radius`` the caller vouches for
+    rho <= gamma on every loop, and no spectral radius is taken.
+
+    Powers advance in blocks of up to _BLOCK_STEPS steps, fewer when the
+    live loops would fill a block with more than _BLOCK_ELEMENTS numbers.
+    Each power is still formed from the one before and scaled to unit
+    Frobenius norm, one step at a time, so the ratios of a loop do not
+    depend on the blocks or on the stack."""
     log_gamma = np.log(gamma)
-    index = np.arange(len(F))  # the stack position of each live loop
-    P = np.broadcast_to(np.eye(F.shape[-1]), F.shape)
-    log_scale = np.zeros(len(F))  # log ||F^k||_F
-    running = np.zeros(len(F))  # log of the largest ratio so far; r = 0 gives 0
+    n = max(F.shape[-1], 1)
+    spread = 0.5 * np.log(n)  # ||P||_F <= sqrt(n) ||P||
+    index = np.arange(len(F))
     best = (np.inf, len(F), None)  # (log M, index, k0) of the least loop finished
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for k in range(1, k_max + 1):
-            P = F @ P
-            sq = P * P
-            rows = sq.sum(axis=2)
-            fro = np.sqrt(rows.sum(axis=1))
-            cols = sq.sum(axis=1)
-            edge = np.sqrt(np.maximum(rows.max(axis=1, initial=0.0), cols.max(axis=1, initial=0.0)))
-            fro_safe = np.where(fro > 0, fro, 1.0)
-            P = P / fro_safe[:, None, None]
-            log_scale += np.log(fro)
-            upper = log_scale - k * log_gamma
-            lower = upper + np.log(edge / fro_safe)
-            ratio = np.where(upper <= 0.0, upper, lower)  # decides the k0 test alone
-            exact = (upper + _LOG_SLACK > running) | (
-                (upper + _LOG_SLACK > 0.0) & (lower - _LOG_SLACK <= 0.0)
+    P, log_scale = None, np.zeros(len(F))  # F^k / exp(log_scale); None is I
+    running = np.zeros(len(F))  # largest settled log ratio; r = 0 gives 0
+    # the pending contender: its bracket, its power and its log ratio's offset
+    pending_lo, pending_hi = np.full(len(F), -np.inf), np.full(len(F), -np.inf)
+    pending_P, pending_base = np.zeros(F.shape), np.zeros(len(F))
+    k, checkpoint = 0, _FIRST_CHECKPOINT
+    while index.size and k < k_max:
+        steps = min(_BLOCK_STEPS, max(_BLOCK_ELEMENTS // (len(F) * n * n), 1), k_max - k)
+        if check_radius:
+            steps = min(steps, checkpoint - k)
+        after = np.arange(1, steps + 1)  # steps of the block past k
+        Q, log_fro, log_lower = _power_block(F, P, steps)
+        # log ||F^r||_F, summed step by step as in a one-step-at-a-time loop
+        log_step = np.cumsum(np.concatenate([log_scale[:, None], log_fro], axis=1), axis=1)[:, 1:]
+        # log ||F^r|| / gamma^r = base + log ||Q||, which lies in [lo, hi]
+        base = log_step - (k + after) * log_gamma
+        hi = base + _LOG_SLACK
+        lo = base + np.maximum(log_lower, -spread) - _LOG_SLACK
+        exact = np.zeros(base.shape, dtype=bool)
+
+        def refine(mask):
+            g_lo, g_hi = _gram_bracket(Q[mask])
+            lo[mask] = np.maximum(lo[mask], base[mask] + g_lo - _LOG_SLACK)
+            hi[mask] = np.minimum(hi[mask], base[mask] + g_hi + _LOG_SLACK)
+
+        def settle(mask):
+            lo[mask] = hi[mask] = base[mask] + np.log(operator_norm(Q[mask]))
+            exact[mask] = True
+
+        def undecided():
+            """The steps before the first sure finish, and among them those
+            whose k0 test the bracket leaves open."""
+            before = after <= _first(hi <= 0.0)[:, None]
+            return before, before & (hi > 0.0) & (lo <= 0.0)
+
+        # Gram brackets: the open k0 tests and each loop's highest step,
+        # then the steps whose upper ends still reach above the highest lower
+        # end, which may hold the maximum (two rounds take far fewer Gram
+        # brackets, and less memory, than one on every step that may)
+        before, open_ = undecided()
+        highest = before & (hi == _top(hi, before)[:, None])
+        highest &= hi > np.maximum(running, pending_lo)[:, None]
+        gram = open_ | highest
+        if gram.any():
+            refine(gram)
+        before = undecided()[0]
+        floor = np.maximum(np.maximum(running, pending_lo), _top(lo, before))
+        rest = before & ~gram & (hi > floor[:, None])
+        if rest.any():
+            refine(rest)
+        # SVDs where the Gram brackets do not decide: the open k0 tests...
+        open_ = undecided()[1]
+        if open_.any():
+            settle(open_)
+        done = _first(hi <= 0.0)  # k0 = k + done + 1 where done < steps
+        counted = after <= done[:, None]  # the steps r < k0
+
+        def contenders():
+            """The settled running maximum, the steps whose brackets reach
+            above every lower end, and whether the pending one does."""
+            known = np.maximum(running, _top(hi, counted & exact))
+            floor = np.maximum(np.maximum(known, pending_lo), _top(lo, counted))
+            return known, counted & ~exact & (hi > floor[:, None]), pending_hi > floor
+
+        # ...and, of two or more contenders for the running maximum, all but
+        # the one with the highest upper end, which becomes the pending step
+        known, contend, held = contenders()
+        crowded = contend.sum(axis=1) + held > 1
+        if crowded.any():
+            rows = np.flatnonzero(crowded & ~(held & (pending_hi >= _top(hi, contend))))
+            contend &= crowded[:, None]
+            contend[rows, np.where(contend, hi, -np.inf)[rows].argmax(axis=1)] = False
+            settle(contend)
+            drop = rows[held[rows]]
+            running[drop] = np.maximum(
+                running[drop], pending_base[drop] + np.log(operator_norm(pending_P[drop]))
             )
-            if exact.any():
-                ratio[exact] = upper[exact] + np.log(operator_norm(P[exact]))
-                running = np.where(exact, np.maximum(running, ratio), running)
-            done = ratio <= 0.0
-            for i in np.flatnonzero(done):
-                if (running[i], index[i]) < best[:2]:
-                    best = (running[i], index[i], k)
-            keep = ~done & (running <= best[0])
-            if not keep.all():
-                F, P, index = F[keep], P[keep], index[keep]
-                log_scale, running = log_scale[keep], running[keep]
-            if index.size == 0:
+            pending_lo[drop] = pending_hi[drop] = -np.inf
+            known, contend, held = contenders()
+        running = known
+        new = np.flatnonzero(contend.any(axis=1))
+        at = contend[new].argmax(axis=1)
+        pending_P[new], pending_base[new] = Q[new, at], base[new, at]
+        pending_lo[new], pending_hi[new] = lo[new, at], hi[new, at]
+        gone = ~held & ~contend.any(axis=1)
+        pending_lo[gone] = pending_hi[gone] = -np.inf
+
+        # finishers, by the lower end of their M: settle the pending step
+        # and check rho until the lower end exceeds the least M admitted
+        lower = np.maximum(running, pending_lo)
+        fin = done < steps
+        for i in np.flatnonzero(fin)[np.lexsort((index[fin], lower[fin]))]:
+            if lower[i] > best[0]:
                 break
+            if pending_hi[i] > running[i]:
+                ratio = pending_base[i] + np.log(operator_norm(pending_P[i]))
+                running[i] = max(running[i], ratio)
+            if (running[i], index[i]) < best[:2] and (
+                not check_radius or spectral_radius(F[i]) < gamma
+            ):
+                best = (running[i], index[i], k + int(done[i]) + 1)
+
+        k += steps
+        keep = ~fin & (np.maximum(running, pending_lo) <= best[0])
+        if check_radius and k == checkpoint:
+            checkpoint *= 4
+            if keep.any() and k < k_max:
+                keep[keep] = spectral_radius(F[keep]) < gamma
+        F, index, P, log_scale = F[keep], index[keep], Q[keep, -1], log_step[keep, -1]
+        running, pending_lo, pending_hi = running[keep], pending_lo[keep], pending_hi[keep]
+        pending_P, pending_base = pending_P[keep], pending_base[keep]
     log_m, i, k0 = best
     if k0 is None:
         return None
@@ -278,7 +449,7 @@ def construct_certificate(F, gamma, k_max=10000):
             spectral_radius=rho,
             gamma=gamma,
         )
-    least = least_certificate(F[None], gamma, k_max)
+    least = _least_certificate(F[None], gamma, k_max, check_radius=False)
     if least is None:
         return NotCertifiable(
             reason=f"no k0 <= {k_max} with ||F^k0|| <= gamma^k0; raise k_max",

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from ddstab import cli
 from ddstab.cli import main
 from ddstab.lmi import LmiProblem, solve_feasibility
 from ddstab.systems import DataBatch, REFERENCE_CASCADE_GAIN_PLUS
@@ -58,6 +59,30 @@ class TestGenerate:
         ) == 0
         batch = DataBatch.load(path)
         assert batch.n == 14 and batch.N == 8
+
+
+class TestParser:
+    def test_successive_calls_do_not_leak_state(self, tmp_path):
+        """The parser is built once per process; an option given in one call
+        does not carry over to the next."""
+        small, default = tmp_path / "small.json", tmp_path / "default.json"
+        assert run(
+            "generate", "--scenario", "heat-cascade", "--n-modes", "12", "--samples", "9",
+            "--out", str(small),
+        ) == 0
+        assert run("generate", "--scenario", "heat-cascade", "--out", str(default)) == 0
+        assert DataBatch.load(small).N == 9
+        batch = DataBatch.load(default)
+        assert batch.N == 5 and batch.n == 52
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_command_looked_up_at_call_time(self, cascade_file, monkeypatch):
+        """main runs the cmd_<command> bound when it is called, so a rebound
+        command function (a tracer's wrapper) is the one that runs."""
+        seen = []
+        monkeypatch.setattr(cli, "cmd_analyze", lambda args: seen.append(args.mode) or 7)
+        assert run("analyze", "--in", str(cascade_file), "--mode", "identify") == 7
+        assert seen == ["identify"]
 
 
 class TestAnalyze:
@@ -140,6 +165,24 @@ class TestAnalyze:
         sol = solve_feasibility(LmiProblem(Xi0=batch.Xi0, Xi1=batch.Xi1, gamma=0.9))
         assert np.linalg.norm(batch.Xi0 @ sol.right_inverse - np.eye(n)) <= 1e-10
         assert np.allclose(batch.Ups0 @ sol.right_inverse, payload["K"], rtol=0, atol=0)
+
+    def test_tol_reaches_rank_test(self, tmp_path):
+        """--tol is the rank and PBH tolerance of the stabilization verdict:
+        at 0.5 the state data of random-LTI n = 8 have rank 1 of 8, while the
+        default tolerance certifies the same data."""
+        data, loose, default = (tmp_path / f for f in ("data.json", "loose.json", "default.json"))
+        assert run(
+            "generate", "--scenario", "random-lti", "--n", "8", "--seed", "0", "--out", str(data)
+        ) == 0
+        args = ("analyze", "--in", str(data), "--mode", "stabilize", "--gamma", "0.9")
+        assert run(*args, "--tol", "0.5", "--out", str(loose)) == 1
+        payload = json.loads(loose.read_text())
+        assert payload["informative"] is False
+        assert payload["stage"] == "lmi" and payload["reason"] == "rank"
+        assert run(*args, "--out", str(default)) == 0
+        payload = json.loads(default.read_text())
+        assert payload["informative"] is True
+        assert payload["certificate"]["M"] == pytest.approx(2.7809, abs=5e-5)
 
     def test_malformed_input_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ddstab import operators
 from ddstab.errors import DimensionMismatch, InvalidParams
 from ddstab.operators import (
     DouglasFactor,
@@ -45,18 +46,72 @@ def reference_certificate(F, gamma, k_max):
     return None
 
 
+#: Radius of each fuzz_loop kind, as a multiple of gamma.
+RADIUS_RANGE = {
+    "near": lambda rng: 1.0 - rng.uniform(1e-3, 4e-3),
+    "random": lambda rng: rng.uniform(0.2, 0.9),
+    "unstable": lambda rng: rng.uniform(1.0 + 1e-6, 1.05),
+    "edge": lambda rng: 1.0 + rng.uniform(1e-12, 1e-9) * rng.choice([-1.0, 1.0]),
+}
+
+
+def jordan_loop(n, a, b, angle=None):
+    """The 2 x 2 Jordan block [[a, b], [0, a]], zero-padded to n x n, whose
+    power ratios peak after about 1 / (1 - a / gamma) steps at M of about
+    b / (e a (1 - a / gamma)); with ``angle``, the block times a rotation
+    (4 x 4), so every power has a double top singular value and its
+    Gram-power bracket stays wide."""
+    J = np.array([[a, b], [0.0, a]])
+    if angle is not None:
+        c, s = np.cos(angle), np.sin(angle)
+        J = np.kron(J, np.array([[c, -s], [s, c]]))
+    F = np.zeros((n, n))
+    F[: len(J), : len(J)] = J[:n, :n]
+    return F
+
+
 def fuzz_loop(kind, n, gamma, rng):
     """A loop of the given kind: "near" has rho just below gamma, so k0 runs
     into the hundreds; "random" has rho well below; "zero" and "nilpotent"
-    reach a zero power."""
+    reach a zero power; "unstable" has rho in (gamma, 1.05 gamma), and
+    "edge" rho within 1e-9 relative of gamma, on either side; "jordan" is a
+    Jordan block in a random orthonormal basis whose ratios peak after tens
+    of steps, at M below a few hundred (beyond about 1e4 the reference's own
+    rounding exceeds 1e-12), and for n >= 4 "paired" the block times a
+    rotation (see jordan_loop)."""
     if kind == "zero":
         return np.zeros((n, n))
+    if kind in ("jordan", "paired"):
+        a, b = gamma * (1.0 - rng.uniform(5e-3, 5e-2)), gamma * rng.uniform(0.05, 0.5)
+        if kind == "paired" and n >= 4:
+            return jordan_loop(n, a, b, angle=rng.uniform(0.1, 3.0))
+        Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        return Q.T @ jordan_loop(n, a, b) @ Q
     F = rng.standard_normal((n, n))
     if kind == "nilpotent":
         return np.triu(F, 1) * rng.uniform(0.1, 3.0)
     rho = spectral_radius(F)
-    shrink = 1.0 - rng.uniform(1e-3, 4e-3) if kind == "near" else rng.uniform(0.2, 0.9)
-    return F * (gamma * shrink / rho)
+    return F * (gamma * RADIUS_RANGE[kind](rng) / rho)
+
+
+#: Every fuzz_loop kind.
+KINDS = ["near", "random", "zero", "nilpotent", "unstable", "edge", "jordan", "paired"]
+
+
+def count_block_steps(monkeypatch, limit):
+    """Patch the block helper of least_certificate to count the power steps
+    it advances, failing past ``limit``; returns the running count as a
+    one-element list."""
+    steps = [0]
+    block = operators._power_block
+
+    def counted(F, P, count):
+        steps[0] += count
+        assert steps[0] <= limit, f"powered to step {steps[0]}"
+        return block(F, P, count)
+
+    monkeypatch.setattr(operators, "_power_block", counted)
+    return steps
 
 
 class TestFrameBounds:
@@ -358,3 +413,87 @@ class TestLeastCertificate:
         assert least_certificate(F[None], 0.9, k0 - 1) is None
         assert least_certificate(F[None], 0.9, k0)[1].horizon_checked == k0
         assert isinstance(construct_certificate(F, 0.9, k_max=k0 - 1), NotCertifiable)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=8),
+        st.lists(st.sampled_from(KINDS), min_size=1, max_size=5),
+        st.floats(min_value=0.3, max_value=0.99),
+        st.sampled_from([5, 40, 1000]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_least_among_loops_below_gamma(self, n, kinds, gamma, k_max, seed):
+        """Loops with rho >= gamma never win: the result is the reference's
+        least loop among those with rho < gamma, or None."""
+        rng = np.random.default_rng(seed)
+        F = np.stack([fuzz_loop(kind, n, gamma, rng) for kind in kinds])
+        expected = [
+            reference_certificate(f, gamma, k_max) if spectral_radius(f) < gamma else None
+            for f in F
+        ]
+        least = least_certificate(F, gamma, k_max)
+        if all(e is None for e in expected):
+            assert least is None
+            return
+        index, cert = least
+        M_min = min(e[0] for e in expected if e is not None)
+        assert expected[index] is not None
+        assert cert.horizon_checked == expected[index][1]
+        assert cert.M == pytest.approx(expected[index][0], rel=1e-12, abs=0.0)
+        assert cert.M == pytest.approx(M_min, rel=1e-12, abs=0.0)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=8),
+        st.lists(st.sampled_from(KINDS), min_size=1, max_size=6),
+        st.floats(min_value=0.3, max_value=0.99),
+        st.sampled_from([5, 40, 1000]),
+        st.sampled_from([None, 64, 512]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_winner_certificate_is_its_own(self, n, kinds, gamma, k_max, elements, seed):
+        """The certificate of the winner i is bitwise construct_certificate
+        of F[i] alone, also when a small block budget cuts the powers into
+        blocks of one or a few steps."""
+        rng = np.random.default_rng(seed)
+        F = np.stack([fuzz_loop(kind, n, gamma, rng) for kind in kinds])
+        with pytest.MonkeyPatch.context() as mp:
+            if elements is not None:
+                mp.setattr(operators, "_BLOCK_ELEMENTS", elements)
+            least = least_certificate(F, gamma, k_max)
+            if least is not None:
+                index, cert = least
+                assert construct_certificate(F[index], gamma, k_max) == cert
+
+    @pytest.mark.parametrize("angle", [0.3, 2.0])
+    def test_overlapping_brackets(self, angle):
+        """A Jordan block times a rotation: its powers have a double top
+        singular value, so the Gram-power brackets of the steps around its
+        flat peak overlap and the SVD must settle them."""
+        F = jordan_loop(6, 0.9 * 0.995, 0.2, angle=angle)
+        M, k0 = reference_certificate(F, 0.9, 10000)
+        _, cert = least_certificate(F[None], 0.9, 10000)
+        assert cert.horizon_checked == k0
+        assert cert.M == pytest.approx(M, rel=1e-12, abs=0.0)
+
+    def test_radius_at_gamma_never_wins(self):
+        """A loop with rho exactly gamma can reach k0 (diag(0.9, 0.2) at
+        gamma = 0.9 has k0 = 1 and M = 1, as construct_certificate reports),
+        but its rho is not below gamma, so the ranking passes over it."""
+        at_gamma = np.diag([0.9, 0.2])
+        other = np.array([[0.5, 1.0], [0.0, 0.5]])
+        assert construct_certificate(at_gamma, 0.9).M == 1.0
+        index, cert = least_certificate(np.stack([at_gamma, other]), 0.9, 100)
+        assert index == 1 and cert == construct_certificate(other, 0.9, 100)
+        assert least_certificate(at_gamma[None], 0.9, 100) is None
+
+    def test_unstable_loops_leave_at_first_checkpoint(self, monkeypatch):
+        """An all-unstable stack returns None without powering past the first
+        spectral-radius checkpoint, however large k_max is."""
+        rng = np.random.default_rng(5)
+        F = np.stack([fuzz_loop("unstable", 6, 0.9, rng) for _ in range(3)])
+        F[0] = 0.9 * 1.001 * np.eye(6) + 0.5 * np.eye(6, k=1)  # a slow Jordan transient
+        steps = count_block_steps(monkeypatch, limit=operators._FIRST_CHECKPOINT)
+        assert least_certificate(F, 0.9, 10**6) is None
+        assert steps[0] > 0
+
