@@ -18,7 +18,7 @@ from .errors import (
     DimensionMismatch,
     InvalidParams,
 )
-from .informativity import NotInformative, sample_compatible_systems, synthesize_gain
+from .informativity import NotInformative, _distinct_compatible_systems, synthesize_gain
 from .operators import (
     DEFAULT_TOL,
     construct_certificate,
@@ -238,18 +238,21 @@ def verify_on_compatible_plus(
     """Sample the compatible family on X+ and check the decay of each loop.
 
     The family is [A+ B+] = Xi1p W^+ + T (I - W W^+) with W = [Xi0p; Ups0],
-    drawn by sample_compatible_systems; with trials = 0 the report is empty
+    drawn as sample_compatible_systems draws it.  When W has rank n+ + m the
+    family is the one system Xi1p W^+: its loop is checked once and its
+    radius reported for every trial.  With trials = 0 the report is empty
     and vacuously passing.
     """
     K_plus = np.atleast_2d(np.asarray(K_plus, dtype=float))
-    AB = sample_compatible_systems(pd.Xi0p, pd.Xi1p, pd.Ups0, int(trials), scale=scale, seed=seed)
+    AB, point = _distinct_compatible_systems(pd.Xi0p, pd.Xi1p, pd.Ups0, int(trials), scale, seed)
     npl = pd.n_plus
-    radii = spectral_radius(AB[:, :, :npl] + AB[:, :, npl:] @ K_plus)
+    distinct = spectral_radius(AB[:, :, :npl] + AB[:, :, npl:] @ K_plus)
+    radii = np.repeat(distinct, int(trials)) if point else distinct
     bound = gamma + 1e-6
     worst_radius, worst_sample = 0.0, None
     if radii.size:
-        i = int(np.argmax(radii))
-        worst_radius, worst_sample = float(radii[i]), (AB[i, :, :npl], AB[i, :, npl:])
+        i = int(np.argmax(distinct))
+        worst_radius, worst_sample = float(distinct[i]), (AB[i, :, :npl], AB[i, :, npl:])
     return CompatibleFamilyReport(
         trials=int(trials),
         worst_radius=worst_radius,

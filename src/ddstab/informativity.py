@@ -20,7 +20,6 @@ from .operators import (
     pseudo_inverse,
     range_and_kernel,
     rank_at_tol,
-    spectral_radius,
 )
 from .systems import DataBatch, LinearSystem, counterexample_sequences
 
@@ -113,9 +112,10 @@ def synthesize_gain(Xi0, Xi1, Ups0, gamma, tol=DEFAULT_TOL):
     """Shared LMI route: decide, and take the gain from the right inverse.
 
     The lmi module returns a right inverse R of Xi0 with rho(Xi1 R) < gamma
-    and the certificate of F = Xi1 R from the ranking that chose it; the gain
-    is K = Ups0 R.  Returns GainResult or NotInformative; used by the
-    full-dimension test here and by the projected test in finitedata.
+    and the certificate and spectral radius of F = Xi1 R from the ranking
+    that chose it; the gain is K = Ups0 R.  Returns GainResult or
+    NotInformative; used by the full-dimension test here and by the
+    projected test in finitedata.
     ``tol`` is the rank and PBH tolerance of the LMI decision; feasibility
     and symmetry thresholds are the lmi module defaults.
     """
@@ -130,7 +130,7 @@ def synthesize_gain(Xi0, Xi1, Ups0, gamma, tol=DEFAULT_TOL):
         K=Ups0 @ right_inverse,
         certificate=outcome.certificate,
         lmi_margin=outcome.min_eig,
-        achieved_radius=spectral_radius(Xi1 @ right_inverse),
+        achieved_radius=outcome.radius,
         right_inverse=right_inverse,
     )
 
@@ -225,29 +225,50 @@ def sample_compatible_systems(Xi0, Xi1, Ups0, count, scale=1.0, seed=0):
     Xi1 W^+ + T (I - W W^+) over free T.  Returns the draws stacked as an
     array of shape (count, n, n + m); slice i uses T = ``scale`` times a
     standard Gaussian from the stream (seed, i), so a slice does not depend
-    on ``count`` or on evaluation order.  Requires consistent data (data
-    generated by some system).
+    on ``count`` or on evaluation order.  When W has rank n + m the family
+    is the one system Xi1 W^+: every slice is that system and no stream is
+    drawn.  Requires consistent data (data generated by some system).
     """
+    AB, point = _distinct_compatible_systems(Xi0, Xi1, Ups0, count, scale, seed)
+    return np.repeat(AB, count, axis=0) if point else AB
+
+
+def _distinct_compatible_systems(Xi0, Xi1, Ups0, count, scale, seed):
+    """The distinct systems of ``sample_compatible_systems`` and whether the
+    family is one point: (Xi1 W^+ as a stack of one, True) when it is, else
+    (the ``count`` draws, False)."""
     if count < 0:
         raise InvalidParams("count must be >= 0")
     if scale <= 0:
         raise InvalidParams("scale must be positive")
     W = np.vstack([Xi0, Ups0])
-    shape = (Xi1.shape[0], W.shape[0])
-    T = np.empty((count,) + shape)
+    base, free, point = _compatible_family(Xi1, W, pseudo_inverse(W))
+    if point:
+        return base[None], True
+    T = np.empty((count,) + base.shape)
     for i in range(count):
-        T[i] = np.random.default_rng([seed, i]).standard_normal(shape)
-    return _compatible_family(Xi1, W, pseudo_inverse(W), scale * T)
+        T[i] = np.random.default_rng([seed, i]).standard_normal(base.shape)
+    return _family_draws(base, free, scale * T), False
 
 
-def _compatible_family(Xi1, W, Wp, T):
-    """Xi1 W^+ + T_i (I - W W^+) for each slice T_i of the stack T, from
-    W = [Xi0; Ups0] and its pseudoinverse ``Wp``: the draws of
-    ``sample_compatible_systems`` for callers that hold W^+ and draw T
-    themselves.  Stacks of data, Xi1 (..., n, N), W (..., n + m, N) and Wp
-    (..., N, n + m), pair with T of shape (..., count, n, n + m)."""
-    free = np.eye(W.shape[-2]) - W @ Wp
-    return (Xi1 @ Wp)[..., None, :, :] + T @ free[..., None, :, :]
+def _compatible_family(Xi1, W, Wp):
+    """The family Xi1 W^+ + T (I - W W^+) of the data W = [Xi0; Ups0] with
+    pseudoinverse ``Wp``, as (base Xi1 W^+, free part I - W W^+, point).
+    ``point`` says that the family is the one system ``base``: W has rank
+    n + m, read as the trace of the projector W W^+ (the rank that the cut
+    of W^+ kept), and then the free part is zero in exact arithmetic.
+    Stacks of data, Xi1 (..., n, N), W (..., n + m, N) and Wp
+    (..., N, n + m), give stacks of each part."""
+    WWp = W @ Wp
+    point = np.rint(np.trace(WWp, axis1=-2, axis2=-1)) == W.shape[-2]
+    return Xi1 @ Wp, np.eye(W.shape[-2]) - WWp, point
+
+
+def _family_draws(base, free, T):
+    """base + T_i free for each slice T_i of the stack T, from the parts of
+    ``_compatible_family``: T (..., count, n, n + m) pairs with base
+    (..., n, n + m) and free (..., n + m, n + m)."""
+    return base[..., None, :, :] + T @ free[..., None, :, :]
 
 
 def least_squares_gain_norm_growth(n_list):

@@ -62,6 +62,11 @@ _DOUBLING_STEPS = 64
 #: least_certificate, as construct_certificate's default) and when summing
 #: the Stein series term by term.
 _POWER_HORIZON = 10000
+#: Powers the Stein head forms, and tests for ||A||_F <= 1/2, per block.
+_STEIN_BLOCK = 16
+#: A block norm this close to 1/2 is tested again by np.linalg.norm, whose
+#: rounding the one-step test had.
+_STEIN_NORM_MARGIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -108,7 +113,8 @@ class LmiSolution:
     ``certificate`` is the (M, gamma, k0) of Xi1 R from the ranking that
     chose it (operators.least_certificate, whose result for a loop does not
     depend on the stack it is ranked in), so it is bitwise what
-    construct_certificate(Xi1 R, gamma) gives.
+    construct_certificate(Xi1 R, gamma) gives.  ``radius`` is rho(Xi1 R),
+    from which the rate of the Stein solve behind ``Lambda`` is set.
     """
 
     Lambda: np.ndarray
@@ -117,6 +123,7 @@ class LmiSolution:
     iterations: int
     right_inverse: np.ndarray
     certificate: PowerStabilityCertificate
+    radius: float
 
 
 @dataclass(frozen=True)
@@ -229,17 +236,29 @@ def _stein_solution(F, rate):
     that head sum H, which Smith doubling adds up (Smith, SIAM J. Appl. Math.
     1968): step j adds the next 2^j terms through A^(2^j).  Squaring A only
     after its powers contract keeps the squares accurate; doubling from Fs
-    itself loses the solution when the powers have a large transient.
+    itself loses the solution when the powers have a large transient.  The
+    head forms its powers ``_STEIN_BLOCK`` at a time and takes their norms
+    in one call; a norm within ``_STEIN_NORM_MARGIN`` of 1/2 is taken again
+    as np.linalg.norm of the one power, so L is the L of a one-by-one loop.
     """
     n = F.shape[0]
     Fs = F / rate
     A = np.eye(n)
     P = np.eye(n)
-    for _ in range(_POWER_HORIZON):
-        A = Fs @ A
-        if np.linalg.norm(A) <= 0.5:
+    powers = np.empty((_STEIN_BLOCK, n, n))
+    for start in range(0, _POWER_HORIZON, _STEIN_BLOCK):
+        block = powers[: min(_STEIN_BLOCK, _POWER_HORIZON - start)]
+        for j in range(len(block)):
+            np.matmul(Fs, block[j - 1] if j else A, out=block[j])
+        norms = np.linalg.norm(block, axis=(1, 2))
+        near = np.flatnonzero(np.abs(norms - 0.5) <= _STEIN_NORM_MARGIN)
+        norms[near] = [np.linalg.norm(block[j]) for j in near]
+        stop = np.flatnonzero(norms <= 0.5)
+        for Ak in block[: stop[0] if stop.size else len(block)]:
+            P += Ak @ Ak.T
+        A = block[stop[0] if stop.size else -1].copy()
+        if stop.size:
             break
-        P += A @ A.T
     P /= rate**2
     for _ in range(_DOUBLING_STEPS):
         step = A @ P @ A.T
@@ -330,7 +349,8 @@ def solve_feasibility(problem: LmiProblem, max_iters=None, seed=None):
         least = rank(R, F)
     if least is not None:
         R, F, certificate = least
-        P = _stein_solution(F, 0.5 * (spectral_radius(F) + gamma))
+        radius = spectral_radius(F)
+        P = _stein_solution(F, 0.5 * (radius + gamma))
         Lambda = R @ P
         min_eig, sym_residual = evaluate_block(Xi0, Xi1, gamma, Lambda)
         refined = _symmetrize_refinement(Xi0, Xi0_pinv, Lambda)
@@ -346,6 +366,7 @@ def solve_feasibility(problem: LmiProblem, max_iters=None, seed=None):
                 iterations=candidates,
                 right_inverse=R,
                 certificate=certificate,
+                radius=radius,
             )
     min_eig, _ = evaluate_block(Xi0, Xi1, gamma, Xi0_pinv / gamma**2)
     return Infeasible(best_margin=min_eig, iterations=candidates, reason="numerical")

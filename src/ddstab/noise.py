@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, IndexOutOfRange, InvalidParams
-from .informativity import NotInformative, _compatible_family, synthesize_gain
+from .informativity import NotInformative, _compatible_family, _family_draws, synthesize_gain
 from .operators import (
     DEFAULT_TOL,
     DouglasFactor,
@@ -315,25 +315,29 @@ class _NoiseSampler:
 
     def _draw_stack(self, rngs, max_tries):
         """``draw`` for a list of generators; each try of those still
-        pending runs as one stack."""
+        pending runs as one stack.  A try draws the Gaussian blocks G1, G0,
+        E1, E0 in this order, those of a zero constant left out and left
+        zero, with one call per generator: consecutive draws of the blocks
+        give the same numbers."""
         n, m, N = self.n, self.m, self.N
         c1, c0, fill = self.c1, self.c0, self.fill
+        blocks = [((n, n), c1), ((n, n), c0), ((n, N), c1), ((n + m, N), c0)]
+        sizes = [a * b if c > 0 else 0 for (a, b), c in blocks]
+        starts = np.cumsum([0] + sizes[:-1])
         drawn = [None] * len(rngs)
         pending = np.arange(len(rngs))
         for _ in range(max_tries):
             if pending.size == 0:
                 break
-            G1, G0 = np.zeros((pending.size, n, n)), np.zeros((pending.size, n, n))
-            E1, E0 = np.zeros((pending.size, n, N)), np.zeros((pending.size, n + m, N))
-            for j, i in enumerate(pending):
-                if c1 > 0:
-                    G1[j] = rngs[i].standard_normal((n, n))
-                if c0 > 0:
-                    G0[j] = rngs[i].standard_normal((n, n))
-                if c1 > 0:
-                    E1[j] = rngs[i].standard_normal((n, N))
-                if c0 > 0:
-                    E0[j] = rngs[i].standard_normal((n + m, N))
+            Z = np.empty((pending.size, sum(sizes)))
+            for row, i in zip(Z, pending):
+                rngs[i].standard_normal(out=row)
+            G1, G0, E1, E0 = (
+                Z[:, start : start + size].reshape((-1,) + shape)
+                if size
+                else np.zeros((pending.size,) + shape)
+                for (shape, _), start, size in zip(blocks, starts, sizes)
+            )
             Phi1 = _rescale_to_norm(G1, fill * c1) if c1 > 0 else G1
             Phi0 = _rescale_to_norm(G0, fill * c0) if c0 > 0 else G0
             free1 = fill * c1 * self.rms1 * E1 @ self.perp if c1 > 0 else E1
@@ -389,15 +393,19 @@ def verify_robust_gain(
     noise, and the draw is rejected if that leaves the c1 budget.  Then
     ``systems_per_trial`` systems compatible with each denoised batch are
     sampled; the systems of all trials come, trial after trial, from the
-    one stream (seed, 0, 1), which no noise stream shares.  It checks
+    one stream (seed, 0, 1), which no noise stream shares.  A denoised
+    [Xi0; Ups0] of rank n + m leaves one compatible system, Xi1 W^+, which
+    stands for all ``systems_per_trial`` systems of its trial: its loop is
+    checked once and counted that many times.  It checks
     rho(A + B K) <= gamma_tilde + 1e-6 together with
     ||(A + B K)^k|| <= (M + 1e-6) gamma_tilde^k for k up to
     ``power_horizon``.  All trials' closed loops are checked as one stack
     (``_check_closed_loops``); a loop leaves the power check at its first
-    excess, which counts as one violation, and singular values are computed
-    only where a Frobenius bound cannot rule out an excess or the worst
-    excess, so the report is the one the full computation gives.  Rejected
-    and inconsistent draws are counted in ``rejected_draws``.
+    excess, which counts as one violation per system it stands for, and
+    singular values are computed only where a Frobenius bound cannot rule
+    out an excess or the worst excess, so the report is the one the full
+    computation gives.  Rejected and inconsistent draws are counted in
+    ``rejected_draws``.
     """
     if trials < 0:
         raise InvalidParams("trials must be >= 0")
@@ -411,14 +419,23 @@ def verify_robust_gain(
     sampler = _NoiseSampler(noisy_batch, Omega, c1, c0)
     rngs = (np.random.default_rng([seed, t]) for t in range(int(trials)))
     drawn = [d for d in sampler.draw(rngs) if d is not None]
-    AB, accepted = np.empty((0,) + shape[1:]), 0
+    AB, counts, accepted = np.empty((0,) + shape[1:]), np.empty(0, dtype=int), 0
     if drawn:
         Xi1, W, Wp, ok = sampler.denoise(drawn)
         accepted = int(ok.sum())
-        T = scale * np.random.default_rng([seed, 0, 1]).standard_normal((accepted,) + shape)
-        AB = _compatible_family(Xi1[ok], W[ok], Wp[ok], T).reshape((-1,) + shape[1:])
+    if drawn and systems_per_trial:
+        base, free, point = _compatible_family(Xi1[ok], W[ok], Wp[ok])
+        AB, counts = base[point], np.full(int(point.sum()), systems_per_trial)
+        if not point.all():
+            # drawn for every accepted trial, so that each keeps its place in
+            # the stream
+            T = scale * np.random.default_rng([seed, 0, 1]).standard_normal((accepted,) + shape)
+            spread = _family_draws(base[~point], free[~point], T[~point])
+            spread = spread.reshape((-1,) + shape[1:])
+            AB = np.concatenate([AB, spread])
+            counts = np.concatenate([counts, np.ones(len(spread), dtype=int)])
     worst_radius, violations, worst_power_excess = _check_closed_loops(
-        AB[:, :, :n] + AB[:, :, n:] @ K, M, gamma_tilde, power_horizon
+        AB[:, :, :n] + AB[:, :, n:] @ K, M, gamma_tilde, power_horizon, counts
     )
     return RobustVerificationReport(
         trials=int(trials),
@@ -436,11 +453,13 @@ def verify_robust_gain(
 _NORM_BOUND_SLACK = 1e-9
 
 
-def _check_closed_loops(F, M, gamma_tilde, power_horizon):
+def _check_closed_loops(F, M, gamma_tilde, power_horizon, counts=None):
     """(worst radius, violations, worst power excess) of the stack F of
     closed loops against rho <= gamma_tilde + 1e-6 and
     ||F^k|| <= (M + 1e-6) gamma_tilde^k for k up to ``power_horizon``; a
-    loop leaves the power check at its first excess.
+    loop leaves the power check at its first excess.  Loop j stands for
+    ``counts[j]`` systems (one each by default), and each of its violations
+    counts that many times.
 
     The power check is exact in two passes.  Pass 1 powers the live loops
     and bounds ||P|| by u = ||P||_F (1 + slack); only where u exceeds the
@@ -453,9 +472,10 @@ def _check_closed_loops(F, M, gamma_tilde, power_horizon):
     their SVDs taken.
     """
     L, n = F.shape[0], F.shape[-1]
+    counts = np.ones(L, dtype=int) if counts is None else np.asarray(counts)
     radii = spectral_radius(F)
     worst_radius = float(radii.max(initial=0.0))
-    violations = int(np.sum(radii > gamma_tilde + 1e-6))
+    violations = int(counts[radii > gamma_tilde + 1e-6].sum())
     bounds, bound = [], M + 1e-6
     for _ in range(power_horizon):
         bound *= gamma_tilde
@@ -477,7 +497,7 @@ def _check_closed_loops(F, M, gamma_tilde, power_horizon):
             worst = max(worst, float(excess.max()))
             over = exact[~(excess <= 0)]
             if over.size:
-                violations += over.size
+                violations += int(counts[live[over]].sum())
                 live, F_live, P = (np.delete(a, over, axis=0) for a in (live, F_live, P))
     if gap.size and gap.max() > worst:
         top = np.unravel_index(np.argmax(gap), gap.shape)

@@ -270,6 +270,33 @@ class TestVerify:
             "--gamma", "0.95", "--trials", "50",
         ) == 0
 
+    def test_full_mode_on_identifying_data_checks_one_loop(self, tmp_path):
+        """Random-LTI data with N = 2(n + m) identify their system, so the
+        compatible family is one system: every trial reports its radius."""
+        data = tmp_path / "lti.json"
+        assert run(
+            "generate", "--scenario", "random-lti", "--n", "3", "--seed", "7", "--out", str(data),
+        ) == 0
+        report = tmp_path / "analysis.json"
+        assert run(
+            "analyze", "--in", str(data), "--mode", "stabilize", "--gamma", "0.9",
+            "--out", str(report),
+        ) == 0
+        K = np.array(json.loads(report.read_text())["K"])
+        gain, csv, out = tmp_path / "gain.json", tmp_path / "radii.csv", tmp_path / "verify.json"
+        write_gain(gain, K)
+        assert run(
+            "verify", "--in", str(data), "--gain", str(gain), "--mode", "full",
+            "--gamma", "0.9", "--trials", "37", "--seed", "4", "--csv", str(csv), "--out", str(out),
+        ) == 0
+        radii = [float(line.split(",")[1]) for line in csv.read_text().splitlines()[1:]]
+        payload = json.loads(out.read_text())
+        assert len(radii) == 37 and set(radii) == {payload["worst_radius"]}
+        batch = DataBatch.load(data)
+        AB = batch.Xi1 @ np.linalg.pinv(np.vstack([batch.Xi0, batch.Ups0]))
+        loop = AB[:, :3] + AB[:, 3:] @ K
+        assert np.max(np.abs(np.linalg.eigvals(loop))) == pytest.approx(radii[0], rel=1e-9)
+
     def test_gain_shape_mismatch_exit_2(self, cascade_file, tmp_path):
         gain = tmp_path / "bad_gain.json"
         write_gain(gain, np.zeros((1, 3)))

@@ -309,6 +309,25 @@ class TestSampleCompatible:
             res = np.linalg.norm(AB @ W - batch.Xi1)
             assert res <= 1e-8 * (1 + np.linalg.norm(batch.Xi1))
 
+    @settings(max_examples=25, deadline=None)
+    @given(N=st.integers(3, 9), count=st.integers(0, 12), seed=st.integers(0, 2**63 - 1))
+    def test_one_point_family_draws_nothing(self, N, count, seed):
+        """Data with [Xi0; Ups0] of rank n + m = 3 leave one compatible
+        system: every slice is bitwise Xi1 W^+, whatever the seed, and no
+        generator is made."""
+        rng = np.random.default_rng(N)
+        batch = excited_batch(0.5 * rng.standard_normal((2, 2)), rng.standard_normal((2, 1)), N, N)
+        base = batch.Xi1 @ pseudo_inverse(np.vstack([batch.Xi0, batch.Ups0]))
+
+        def no_generator(*args, **kwargs):
+            raise AssertionError("a one-point family draws no stream")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np.random, "default_rng", no_generator)
+            systems = sample(batch, count, scale=3.0, seed=seed)
+        assert systems.shape == (count, 2, 3)
+        assert all(AB.tobytes() == base.tobytes() for AB in systems)
+
     def test_identification_informative_implies_singleton(self):
         rng = np.random.default_rng(10)
         A = 0.5 * rng.standard_normal((2, 2))

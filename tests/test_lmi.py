@@ -261,3 +261,69 @@ class TestExactVerdict:
         assert isinstance(sol, LmiSolution)
         assert sol.iterations == 2 * len(lmi._INPUT_WEIGHTS) + len(lmi._INPUT_WEIGHTS)
         assert spectral_radius(Xi1 @ sol.right_inverse) < 0.9
+
+
+def stein_one_step(F, rate):
+    """_stein_solution with its head summed and tested one power at a time."""
+    n = F.shape[0]
+    Fs = F / rate
+    A = np.eye(n)
+    P = np.eye(n)
+    for _ in range(lmi._POWER_HORIZON):
+        A = Fs @ A
+        if np.linalg.norm(A) <= 0.5:
+            break
+        P += A @ A.T
+    P /= rate**2
+    for _ in range(lmi._DOUBLING_STEPS):
+        step = A @ P @ A.T
+        P = P + 0.5 * (step + step.T)
+        if not np.linalg.norm(step) > np.finfo(float).eps * np.linalg.norm(P):
+            break
+        A = A @ A
+    return P
+
+
+def half_norm_loop():
+    """A 4 x 4 loop whose square is scaled to Frobenius norm 1/2: the
+    batched norm of the square reads 1/2 + 1 ulp, np.linalg.norm reads 1/2."""
+    G = np.random.default_rng([2, 30]).standard_normal((4, 4))
+    return G * np.sqrt(0.5 / np.linalg.norm(G @ G))
+
+
+def slow_loop(rho, n=6, seed=0):
+    """A non-normal n x n loop of spectral radius rho."""
+    G = np.random.default_rng(seed).standard_normal((n, n))
+    return G * (rho / spectral_radius(G))
+
+
+class TestSteinSolution:
+    @pytest.mark.parametrize(
+        "F, rate",
+        [
+            pytest.param(slow_loop(0.995), 1.0, id="rho/rate-0.995"),
+            pytest.param(slow_loop(0.9995, seed=1), 1.0, id="rho/rate-0.9995"),
+            pytest.param(slow_loop(0.99999, seed=2), 1.0, id="past-the-horizon"),
+            pytest.param(np.array([[0.5]]), 1.0, id="norm-exactly-half"),
+            pytest.param(half_norm_loop(), 1.0, id="norm-rounds-to-half"),
+            pytest.param(0.25 * np.eye(4), 1.0, id="half-at-step-1"),
+            pytest.param(np.array([[0.9, 40.0], [0.0, 0.9]]), 0.95, id="transient"),
+            pytest.param(np.zeros((3, 3)), 0.5, id="zero"),
+        ],
+    )
+    def test_blocked_head_matches_one_step_loop(self, F, rate):
+        """Forming the head's powers in blocks keeps every bit of P."""
+        assert lmi._stein_solution(F, rate).tobytes() == stein_one_step(F, rate).tobytes()
+
+    @pytest.mark.parametrize("n, N", [(4, 5), (8, 9), (12, 30)])
+    def test_achieved_radius_is_the_loop_radius(self, n, N):
+        """The radius a solution carries is bitwise rho(Xi1 R), which the gain
+        result reports as its achieved radius."""
+        rng = np.random.default_rng(n)
+        Xi0, Xi1, gamma = random_feasible_instance(rng, n, N)
+        Xi1 = Xi1 + rng.standard_normal(Xi1.shape)
+        sol = solve_feasibility(LmiProblem(Xi0=Xi0, Xi1=Xi1, gamma=gamma))
+        assert isinstance(sol, LmiSolution)
+        assert sol.radius == spectral_radius(Xi1 @ sol.right_inverse)
+        result = synthesize_gain(Xi0, Xi1, np.ones((1, N)), gamma)
+        assert result.achieved_radius == sol.radius

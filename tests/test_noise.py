@@ -166,6 +166,38 @@ def one_draw_at_a_time(rng, batch, Omega, c1, c0, fill, max_tries):
     return None
 
 
+def per_system_check(denoised, K, M, gamma_tilde, per_trial, seed):
+    """The noise check written as a loop over single systems, from the
+    denoised (Xi1, W, W^+) of each accepted trial: (violations, worst power
+    excess, worst radius, rank of each W).  The systems of all trials come,
+    trial after trial, from one stream; a trial whose W has full row rank
+    identifies its system, which then stands for each of its samples."""
+    n = K.shape[1]
+    violations, worst_excess, worst_radius, ranks = 0, -np.inf, 0.0, []
+    family = np.random.default_rng([seed, 0, 1])
+    for Xi1, W, Wp in denoised:
+        T = family.standard_normal((per_trial, n, W.shape[0]))
+        systems = Xi1 @ Wp + T @ (np.eye(W.shape[0]) - W @ Wp)
+        ranks.append(np.linalg.matrix_rank(W))
+        if ranks[-1] == W.shape[0]:
+            systems = [Xi1 @ Wp] * per_trial
+        for AB in systems:
+            F = AB[:, :n] + AB[:, n:] @ K
+            rho = spectral_radius(F)
+            worst_radius = max(worst_radius, rho)
+            violations += rho > gamma_tilde + 1e-6
+            P, bound = np.eye(n), M + 1e-6
+            for _ in range(100):
+                P = F @ P
+                bound *= gamma_tilde
+                excess = operator_norm(P) - bound
+                worst_excess = max(worst_excess, excess)
+                if excess > 0:
+                    violations += 1
+                    break
+    return violations, worst_excess, worst_radius, ranks
+
+
 class TestNoiseClass:
     def test_zero_noise_always_in_class(self, projected_cascade):
         noise = zero_noise_like(projected_cascade)
@@ -381,38 +413,56 @@ class TestVerifyRobustGain:
             projected_cascade, res.K, M, gamma_tilde, c, c, res.Omega, trials=trials, seed=seed,
             systems_per_trial=per_trial,
         )
-        n = projected_cascade.n
-        violations, worst_excess, worst_radius = 0, -np.inf, 0.0
-        # the systems of all trials come, trial after trial, from one stream
-        family = np.random.default_rng([seed, 0, 1])
+        denoised = []
         for t in range(trials):
             noise, failed = _scaled_noise_draw(
                 np.random.default_rng([seed, t]), projected_cascade, res.Omega, c, c
             )
             assert not failed
-            Xi1 = projected_cascade.Xi1 - noise.Xi1
             W = np.vstack([projected_cascade.Xi0 - noise.Xi0, projected_cascade.Ups0 - noise.Ups0])
-            Wp = pseudo_inverse(W)
-            T = family.standard_normal((per_trial, n, W.shape[0]))
-            for AB in Xi1 @ Wp + T @ (np.eye(W.shape[0]) - W @ Wp):
-                F = AB[:, :n] + AB[:, n:] @ res.K
-                rho = spectral_radius(F)
-                worst_radius = max(worst_radius, rho)
-                violations += rho > gamma_tilde + 1e-6
-                P, bound = np.eye(n), M + 1e-6
-                for _ in range(100):
-                    P = F @ P
-                    bound *= gamma_tilde
-                    excess = operator_norm(P) - bound
-                    worst_excess = max(worst_excess, excess)
-                    if excess > 0:
-                        violations += 1
-                        break
+            denoised.append((projected_cascade.Xi1 - noise.Xi1, W, pseudo_inverse(W)))
+        violations, worst_excess, worst_radius, _ = per_system_check(
+            denoised, res.K, M, gamma_tilde, per_trial, seed
+        )
         assert 0 < violations < 2 * trials * per_trial
         assert report.violations == violations
         assert report.worst_power_excess == worst_excess
         assert report.worst_radius == worst_radius
         assert report.rejected_draws == 0
+
+    def test_mixed_stack_matches_per_system_loop(self, projected_cascade, monkeypatch):
+        """Every other denoised batch loses its input row, so its family
+        spreads along B; the others identify their system.  On this mixed
+        stack the check counts what a loop over single systems counts, with
+        a one-point trial's system standing for each of its samples, and
+        finds the same worst excess and radius."""
+        res = robust_stabilization(projected_cascade, 0.9, 0.003, 0.003)
+        M, gamma_tilde, c, trials, seed, per_trial = 5.0 / REFERENCE_M * res.M, 0.93, 0.02, 10, 3, 3
+        denoised, denoise = [], _NoiseSampler.denoise
+
+        def drop_inputs(sampler, drawn):
+            Xi1, W, Wp, ok = denoise(sampler, drawn)
+            W[::2, -1] = 0.0
+            Wp[::2] = pseudo_inverse(W[::2])
+            denoised.append((Xi1, W, Wp, ok))
+            return Xi1, W, Wp, ok
+
+        monkeypatch.setattr(_NoiseSampler, "denoise", drop_inputs)
+        report = verify_robust_gain(
+            projected_cascade, res.K, M, gamma_tilde, c, c, res.Omega, trials=trials, seed=seed,
+            systems_per_trial=per_trial,
+        )
+        (Xi1, W, Wp, ok), = denoised
+        assert ok.all()
+        violations, worst_excess, worst_radius, ranks = per_system_check(
+            zip(Xi1, W, Wp), res.K, M, gamma_tilde, per_trial, seed
+        )
+        n = projected_cascade.n
+        assert ranks == [n, n + 1] * (trials // 2)
+        assert 0 < violations < 2 * trials * per_trial
+        assert report.violations == violations
+        assert report.worst_power_excess == worst_excess
+        assert report.worst_radius == worst_radius
 
     @pytest.mark.parametrize(
         "case",
@@ -487,8 +537,9 @@ class TestVerifyRobustGain:
         assert sum(sizes) < 0.01 * 100 * len(F)
 
     def test_reference_chain_takes_few_svds(self, projected_cascade, monkeypatch):
-        """On the reference chain at c = 0.003 (200 trials, 600 loops) the
-        power check takes at most 10 SVDs."""
+        """On the reference chain at c = 0.003 (200 trials of 3 systems) the
+        power check takes at most 10 SVDs.  Each denoised batch identifies
+        its system, so the check sees 200 distinct loops, each for 3."""
         res = robust_stabilization(projected_cascade, 0.9, 0.003, 0.003)
         loops, check = [], noise_mod._check_closed_loops
         monkeypatch.setattr(
@@ -502,8 +553,8 @@ class TestVerifyRobustGain:
         monkeypatch.setattr(
             noise_mod, "operator_norm", lambda P: sizes.append(len(P)) or operator_norm(P)
         )
-        assert len(loops[0][0]) == 600
-        assert check(*loops[0]) == full_power_check(*loops[0])[:3]
+        assert len(loops[0][0]) == 200 and list(loops[0][4]) == [3] * 200
+        assert check(*loops[0]) == full_power_check(*loops[0][:4])[:3]
         assert sum(sizes) <= 10
 
     @pytest.mark.parametrize("c, fill", [(0.003, 0.9), (0.02, 0.9), (0.01, 1 + 3e-6)])
