@@ -17,7 +17,6 @@ from .errors import (
     IndexOutOfRange,
     InvalidParams,
     LengthMismatch,
-    NumericalBreakdown,
 )
 from .finitedata import (
     CompatibleFamilyReport,

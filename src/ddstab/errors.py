@@ -27,7 +27,3 @@ class CutoffExceedsTruncation(InvalidParams):
 
 class IndexOutOfRange(DdstabError):
     """A 1-based sample index points outside the data."""
-
-
-class NumericalBreakdown(DdstabError):
-    """A solver produced non-finite intermediate values."""

@@ -223,11 +223,12 @@ def sample_compatible_systems(Xi0, Xi1, Ups0, count, scale=1.0, seed=0):
 
     The general solution of [A B] W = Xi1 with W = [Xi0; Ups0] is
     Xi1 W^+ + T (I - W W^+) over free T.  Returns the draws stacked as an
-    array of shape (count, n, n + m); slice i uses T = ``scale`` times a
-    standard Gaussian from the stream (seed, i), so a slice does not depend
-    on ``count`` or on evaluation order.  When W has rank n + m the family
-    is the one system Xi1 W^+: every slice is that system and no stream is
-    drawn.  Requires consistent data (data generated by some system).
+    array of shape (count, n, n + m); the T of all slices are ``scale``
+    times one standard Gaussian draw of shape (count, n, n + m) from the
+    stream ``seed``, filled slice after slice, so slice i does not depend on
+    ``count``.  When W has rank n + m the family is the one system
+    Xi1 W^+: every slice is that system and no stream is drawn.  Requires
+    consistent data (data generated by some system).
     """
     AB, point = _distinct_compatible_systems(Xi0, Xi1, Ups0, count, scale, seed)
     return np.repeat(AB, count, axis=0) if point else AB
@@ -245,9 +246,7 @@ def _distinct_compatible_systems(Xi0, Xi1, Ups0, count, scale, seed):
     base, free, point = _compatible_family(Xi1, W, pseudo_inverse(W))
     if point:
         return base[None], True
-    T = np.empty((count,) + base.shape)
-    for i in range(count):
-        T[i] = np.random.default_rng([seed, i]).standard_normal(base.shape)
+    T = np.random.default_rng(seed).standard_normal((count,) + base.shape)
     return _family_draws(base, free, scale * T), False
 
 

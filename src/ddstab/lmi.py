@@ -205,16 +205,20 @@ def _riccati_gains(A, B, rates, weights):
     live = np.arange(c)
     with np.errstate(all="ignore"):
         for _ in range(_DOUBLING_STEPS):
-            a, g, h = Ak[live], G[live], H[live]
+            # no gather or scatter copies while every pair is live
+            full = live.size == c
+            a, g, h = (Ak, G, H) if full else (Ak[live], G[live], H[live])
             at = np.swapaxes(a, 1, 2)
             solved = np.linalg.solve(np.eye(n) + g @ h, np.concatenate([a, g @ at], axis=2))
             WA, WGAt = solved[..., :n], solved[..., n:]
             h_next = h + at @ h @ WA
             h_next = 0.5 * (h_next + np.swapaxes(h_next, 1, 2))
             g_next = g + a @ WGAt
-            Ak[live] = a @ WA
-            G[live] = 0.5 * (g_next + np.swapaxes(g_next, 1, 2))
-            H[live] = h_next
+            a_next, g_next = a @ WA, 0.5 * (g_next + np.swapaxes(g_next, 1, 2))
+            if full:
+                Ak, G, H = a_next, g_next, h_next
+            else:
+                Ak[live], G[live], H[live] = a_next, g_next, h_next
             change = np.linalg.norm(h_next - h, axis=(1, 2))
             size = np.linalg.norm(h_next, axis=(1, 2))
             settled = ~(change > 4 * np.finfo(float).eps * size)
@@ -240,12 +244,18 @@ def _stein_solution(F, rate):
     head forms its powers ``_STEIN_BLOCK`` at a time and takes their norms
     in one call; a norm within ``_STEIN_NORM_MARGIN`` of 1/2 is taken again
     as np.linalg.norm of the one power, so L is the L of a one-by-one loop.
+    Each block's terms come from one stacked product and are added to P in
+    one call, term after term, so P has the bits of that loop too.
     """
     n = F.shape[0]
     Fs = F / rate
     A = np.eye(n)
     P = np.eye(n)
     powers = np.empty((_STEIN_BLOCK, n, n))
+    # slot 0 holds P and the next slots the block's terms; a running sum
+    # adds them in the order of a one-by-one loop (np.add.reduce may sum a
+    # 1 x 1 stack pairwise)
+    terms = np.empty((_STEIN_BLOCK + 1, n, n))
     for start in range(0, _POWER_HORIZON, _STEIN_BLOCK):
         block = powers[: min(_STEIN_BLOCK, _POWER_HORIZON - start)]
         for j in range(len(block)):
@@ -254,8 +264,11 @@ def _stein_solution(F, rate):
         near = np.flatnonzero(np.abs(norms - 0.5) <= _STEIN_NORM_MARGIN)
         norms[near] = [np.linalg.norm(block[j]) for j in near]
         stop = np.flatnonzero(norms <= 0.5)
-        for Ak in block[: stop[0] if stop.size else len(block)]:
-            P += Ak @ Ak.T
+        head = block[: stop[0] if stop.size else len(block)]
+        if len(head):
+            terms[0] = P
+            np.matmul(head, np.swapaxes(head, 1, 2), out=terms[1 : len(head) + 1])
+            P = np.add.accumulate(terms[: len(head) + 1], axis=0)[-1]
         A = block[stop[0] if stop.size else -1].copy()
         if stop.size:
             break
@@ -276,16 +289,6 @@ def _admissible(Xi0, R, F):
     least_certificate, which takes it only of the loops that can win."""
     ok = np.linalg.norm(Xi0 @ R - np.eye(Xi0.shape[0]), axis=(1, 2)) <= DEFAULT_TOL
     return ok & np.all(np.isfinite(F), axis=(1, 2))
-
-
-def _symmetrize_refinement(Xi0, Xi0_pinv, Lambda):
-    """One correction step pushing the asymmetry of Xi0 Lambda to round-off.
-
-    Xi0 has full row rank here, so Xi0 Xi0^+ = I and subtracting
-    Xi0^+ (skew part)/2 cancels the asymmetry exactly in real arithmetic.
-    """
-    S = Xi0 @ Lambda
-    return Lambda - Xi0_pinv @ (0.5 * (S - S.T))
 
 
 def solve_feasibility(problem: LmiProblem, max_iters=None, seed=None):
@@ -353,10 +356,6 @@ def solve_feasibility(problem: LmiProblem, max_iters=None, seed=None):
         P = _stein_solution(F, 0.5 * (radius + gamma))
         Lambda = R @ P
         min_eig, sym_residual = evaluate_block(Xi0, Xi1, gamma, Lambda)
-        refined = _symmetrize_refinement(Xi0, Xi0_pinv, Lambda)
-        min_eig_r, sym_residual_r = evaluate_block(Xi0, Xi1, gamma, refined)
-        if min_eig_r >= -problem.feas_margin and sym_residual_r <= sym_residual:
-            Lambda, min_eig, sym_residual = refined, min_eig_r, sym_residual_r
         size = max(1.0, float(np.linalg.norm(Xi0 @ Lambda)))
         if min_eig >= -problem.feas_margin and sym_residual <= problem.sym_tol * size:
             return LmiSolution(

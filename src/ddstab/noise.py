@@ -12,7 +12,6 @@ rate gamma for the reconstructed closed loop degrades to
 which is below one exactly when gamma c1 + c0 < (1 - gamma) / M.
 """
 
-import itertools
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -226,11 +225,6 @@ def _rescale_to_norm(M, target):
     return M * np.divide(target, top, out=np.ones_like(top), where=top > 0)[:, None, None]
 
 
-#: At most this many noise generators (about 4.5 KB each) are held and
-#: drawn for as one stack.
-_DRAW_STACK = 64
-
-
 class _NoiseSampler:
     """Gaussian noise inside the class, scaled to ``fill`` of the budget.
 
@@ -267,15 +261,50 @@ class _NoiseSampler:
         self.rms1 = np.linalg.norm(noisy_batch.Xi1) / max(1.0, np.sqrt(N * n))
         self.rms0 = np.linalg.norm(data0) / max(1.0, np.sqrt(N * (n + m)))
 
-    def draw(self, rngs, max_tries=50):
-        """Noise inside the class from each generator of the iterable
-        ``rngs``: a list of (Delta1, [Delta0; Theta0]), or None where all
-        ``max_tries`` draws from that generator were rejected.  A generator's
-        draws do not depend on the others.  The generators are taken
-        ``_DRAW_STACK`` at a time, which bounds the memory they hold."""
-        rngs, drawn = iter(rngs), []
-        while stack := list(itertools.islice(rngs, _DRAW_STACK)):
-            drawn += self._draw_stack(stack, max_tries)
+    def draw(self, rng, count, max_tries=50):
+        """Noise inside the class for ``count`` trials from the generator
+        ``rng``: a list of (Delta1, [Delta0; Theta0]), or None for a trial
+        whose ``max_tries`` tries were all rejected.
+
+        A try draws the Gaussian blocks G1, G0, E1, E0 in this order, those
+        of a zero constant left out and left zero, as one row.  The first
+        tries of all trials are the rows of one ``standard_normal((count,
+        size))`` call, row t for trial t, so a trial's first try does not
+        depend on the other trials.  Each later round is one call, one row
+        for each trial still pending, in trial order; each round runs as one
+        stack."""
+        n, m, N = self.n, self.m, self.N
+        c1, c0, fill = self.c1, self.c0, self.fill
+        blocks = [((n, n), c1), ((n, n), c0), ((n, N), c1), ((n + m, N), c0)]
+        sizes = [a * b if c > 0 else 0 for (a, b), c in blocks]
+        starts = np.cumsum([0] + sizes[:-1])
+        drawn = [None] * count
+        pending = np.arange(count)
+        for _ in range(max_tries):
+            if pending.size == 0:
+                break
+            Z = rng.standard_normal((pending.size, sum(sizes)))
+            G1, G0, E1, E0 = (
+                Z[:, start : start + size].reshape((-1,) + shape)
+                if size
+                else np.zeros((pending.size,) + shape)
+                for (shape, _), start, size in zip(blocks, starts, sizes)
+            )
+            Phi1 = _rescale_to_norm(G1, fill * c1) if c1 > 0 else G1
+            Phi0 = _rescale_to_norm(G0, fill * c0) if c0 > 0 else G0
+            free1 = fill * c1 * self.rms1 * E1 @ self.perp if c1 > 0 else E1
+            free0 = fill * c0 * self.rms0 * E0 @ self.perp if c0 > 0 else E0
+            # each Delta1 in the column-major layout of DataBatch.Xi1, so that
+            # BLAS sums the products below as noise_in_class does on a batch
+            Delta1 = np.swapaxes(np.swapaxes(self.B1 @ Phi1 @ self.Om_pinv + free1, 1, 2).copy(), 1, 2)
+            D0 = self.B0 @ Phi0 @ self.Om_pinv + free0
+            D0m = D0 @ self.Om
+            ok = self.state_in_budget(Delta1) & (
+                _psd_margin(D0m @ np.swapaxes(D0m, 1, 2), self.budget0) >= -DEFAULT_TOL
+            )
+            for j in np.flatnonzero(ok):
+                drawn[pending[j]] = Delta1[j], D0[j]
+            pending = pending[~ok]
         return drawn
 
     def state_in_budget(self, Delta1):
@@ -313,62 +342,6 @@ class _NoiseSampler:
         ok &= residual <= 1e-8 * (1.0 + np.linalg.norm(Xi1, axis=(1, 2)))
         return Xi1, W, Wp, ok
 
-    def _draw_stack(self, rngs, max_tries):
-        """``draw`` for a list of generators; each try of those still
-        pending runs as one stack.  A try draws the Gaussian blocks G1, G0,
-        E1, E0 in this order, those of a zero constant left out and left
-        zero, with one call per generator: consecutive draws of the blocks
-        give the same numbers."""
-        n, m, N = self.n, self.m, self.N
-        c1, c0, fill = self.c1, self.c0, self.fill
-        blocks = [((n, n), c1), ((n, n), c0), ((n, N), c1), ((n + m, N), c0)]
-        sizes = [a * b if c > 0 else 0 for (a, b), c in blocks]
-        starts = np.cumsum([0] + sizes[:-1])
-        drawn = [None] * len(rngs)
-        pending = np.arange(len(rngs))
-        for _ in range(max_tries):
-            if pending.size == 0:
-                break
-            Z = np.empty((pending.size, sum(sizes)))
-            for row, i in zip(Z, pending):
-                rngs[i].standard_normal(out=row)
-            G1, G0, E1, E0 = (
-                Z[:, start : start + size].reshape((-1,) + shape)
-                if size
-                else np.zeros((pending.size,) + shape)
-                for (shape, _), start, size in zip(blocks, starts, sizes)
-            )
-            Phi1 = _rescale_to_norm(G1, fill * c1) if c1 > 0 else G1
-            Phi0 = _rescale_to_norm(G0, fill * c0) if c0 > 0 else G0
-            free1 = fill * c1 * self.rms1 * E1 @ self.perp if c1 > 0 else E1
-            free0 = fill * c0 * self.rms0 * E0 @ self.perp if c0 > 0 else E0
-            # each Delta1 in the column-major layout of DataBatch.Xi1, so that
-            # BLAS sums the products below as noise_in_class does on a batch
-            Delta1 = np.swapaxes(np.swapaxes(self.B1 @ Phi1 @ self.Om_pinv + free1, 1, 2).copy(), 1, 2)
-            D0 = self.B0 @ Phi0 @ self.Om_pinv + free0
-            D0m = D0 @ self.Om
-            ok = self.state_in_budget(Delta1) & (
-                _psd_margin(D0m @ np.swapaxes(D0m, 1, 2), self.budget0) >= -DEFAULT_TOL
-            )
-            for j in np.flatnonzero(ok):
-                drawn[pending[j]] = Delta1[j], D0[j]
-            pending = pending[~ok]
-        return drawn
-
-
-def _scaled_noise_draw(rng, noisy_batch, Omega, c1, c0, fill=0.9, max_tries=50):
-    """One draw of ``_NoiseSampler`` as a DataBatch, and whether it failed
-    (then the batch is zero)."""
-    n, m, N = noisy_batch.n, noisy_batch.m, noisy_batch.N
-    drawn = _NoiseSampler(noisy_batch, Omega, c1, c0, fill).draw([rng], max_tries)[0]
-    if drawn is None:
-        return (
-            DataBatch(x1=np.zeros((N, n)), x0=np.zeros((N, n)), u0=np.zeros((N, m))),
-            True,
-        )
-    Delta1, D0 = drawn
-    return DataBatch(x1=Delta1.T, x0=D0[:n].T, u0=D0[n:].T, meta="noise draw"), False
-
 
 def verify_robust_gain(
     noisy_batch: DataBatch,
@@ -386,14 +359,18 @@ def verify_robust_gain(
 ):
     """Sample the noisy compatible set and check the robust decay bound.
 
-    Each trial draws admissible noise (rejection-scaled Gaussian from the
-    trial's own stream (seed, t)) and denoises the batch; all trials are
-    denoised as one stack.  Where the denoised [Xi0; Ups0] has rank below N,
-    the part of the denoised Xi1 outside its row space is moved into the
-    noise, and the draw is rejected if that leaves the c1 budget.  Then
-    ``systems_per_trial`` systems compatible with each denoised batch are
-    sampled; the systems of all trials come, trial after trial, from the
-    one stream (seed, 0, 1), which no noise stream shares.  A denoised
+    Each trial draws admissible noise (rejection-scaled Gaussian) and
+    denoises the batch; all trials are denoised as one stack.  The noise of
+    all trials comes from one stream, keyed ``seed``, in the layout of
+    ``_NoiseSampler.draw``: the first tries as one row per trial, then one
+    row per pending trial for each later round.  Where the denoised
+    [Xi0; Ups0] has rank below N, the part of the denoised Xi1 outside its
+    row space is moved into the noise, and the draw is rejected if that
+    leaves the c1 budget.  Then ``systems_per_trial`` systems compatible
+    with each denoised batch are sampled; the systems of all trials come,
+    trial after trial, from a second stream, keyed (seed, 0, 1), which the
+    noise stream does not share (numpy pads a short key with zeros, so
+    ``seed`` reads as (seed, 0, 0)).  A denoised
     [Xi0; Ups0] of rank n + m leaves one compatible system, Xi1 W^+, which
     stands for all ``systems_per_trial`` systems of its trial: its loop is
     checked once and counted that many times.  It checks
@@ -417,8 +394,8 @@ def verify_robust_gain(
     n = noisy_batch.n
     shape = (systems_per_trial, n, n + noisy_batch.m)
     sampler = _NoiseSampler(noisy_batch, Omega, c1, c0)
-    rngs = (np.random.default_rng([seed, t]) for t in range(int(trials)))
-    drawn = [d for d in sampler.draw(rngs) if d is not None]
+    drawn = sampler.draw(np.random.default_rng(seed), int(trials))
+    drawn = [d for d in drawn if d is not None]
     AB, counts, accepted = np.empty((0,) + shape[1:]), np.empty(0, dtype=int), 0
     if drawn:
         Xi1, W, Wp, ok = sampler.denoise(drawn)

@@ -20,7 +20,15 @@ _LOG_SLACK = 1e-9
 #: Most numbers (loops x steps x n x n) in one block of powers of
 #: least_certificate, and most steps in a block.
 _BLOCK_ELEMENTS = 2**16
-_BLOCK_STEPS = 16
+_BLOCK_STEPS = 64
+#: A block of powers whose Frobenius norms all lie in [2^-400, 2^400] (or
+#: are zero) keeps the mantissas of a chain rescaled at every step: the
+#: squares in the norm stay normal, and LAPACK's SVD rescales a matrix only
+#: when an entry passes about 2^459.  Other blocks are formed again one
+#: step at a time.
+_RANGE = 2.0**400
+#: ln 2, by which least_certificate turns power-of-two exponents into logs.
+_LN2 = np.log(2.0)
 #: First step at which least_certificate drops live loops with rho >= gamma;
 #: the next checks follow at four times the last.
 _FIRST_CHECKPOINT = 64
@@ -219,10 +227,11 @@ def least_certificate(F, gamma, k_max):
     bracket can still top its settled ratios, and settles it when the loop
     finishes and can still win.  A loop leaves as soon as the lower end of
     its running maximum exceeds the smallest M finished so far, since its
-    own M can only be larger, so the argmin is exact.  The powers and their
-    log scales are those of a loop that multiplies by F and rescales to unit
-    Frobenius norm one step at a time, and M is the ratio computed at the
-    loop's largest step, so a loop gets the same bits in any stack.
+    own M can only be larger, so the argmin is exact.  Each power is the
+    plain product of F with the one before, carried with an exact
+    power-of-two exponent, and each log norm is log(mantissa) + exponent
+    ln 2; M is the ratio computed at the loop's largest step, so a loop
+    gets the same bits in any stack and from any block breaks.
 
     A finisher has rho <= gamma, since rho^k0 <= ||F^k0|| <= gamma^k0, so
     spectral radii are taken only of the finishers that can still win, in
@@ -234,52 +243,77 @@ def least_certificate(F, gamma, k_max):
     return _least_certificate(F, gamma, k_max, check_radius=True)
 
 
-def _unit_frobenius(Q):
-    """Scale each matrix of the stack Q (..., n, n) in place to unit
-    Frobenius norm (a zero matrix stays zero) and return the norms.  The
-    squares are summed along each row, then over the rows: the last bits of
-    every certificate depend on this order."""
-    fro = np.sqrt(np.add.reduce(np.add.reduce(Q * Q, axis=-1), axis=-1))
-    Q /= np.where(fro > 0, fro, 1.0)[..., None, None]
-    return fro
+def _frobenius(Q):
+    """Frobenius norm of each matrix of the stack Q (..., n, n).  The squares
+    are summed along each row, then over the rows: the last bits of every
+    certificate depend on this order."""
+    return np.sqrt(np.add.reduce(np.add.reduce(Q * Q, axis=-1), axis=-1))
+
+
+def _log_norm(norm, exponent):
+    """log(norm 2^exponent), as log(mantissa) + (its exponent + exponent)
+    ln 2: the same bits for every power-of-two scaling of ``norm`` that
+    ``exponent`` makes up for."""
+    mantissa, own = np.frexp(norm)
+    return np.log(mantissa) + (own + exponent) * _LN2
 
 
 def _power_block(F, P, steps):
     """The next ``steps`` powers F^j P of each loop of the stack F (L, n, n)
-    from its base power P (L, n, n), or from I when P is None, each formed
-    from the one before and scaled to unit Frobenius norm.  Returns the
-    block (L, steps, n, n), the log of each step's scaling, and a lower bound
-    on the log 2-norm of each scaled power: ||Q^T w|| / ||w|| for w = Q 1,
-    a step of power iteration (-inf where w = 0)."""
+    from its base P (L, n, n), or from I when P is None, each the product
+    of F with the power before: one matmul per step for the whole stack.
+
+    Returns the block Q (L, steps, n, n), the exponents e (L, steps) with
+    F^j P = Q_j 2^e_j (zero unless rescaled, see below), the Frobenius norms
+    of Q (L, steps), and a lower bound on log(||Q|| / ||Q||_F) from one step
+    of power iteration: ||Q^T w|| / ||w|| for w = Q 1 (-inf where w = 0).
+
+    A loop whose block has a norm outside the range of _RANGE, an overflow
+    among them, is formed again one step at a time, each power rescaled by
+    the power of two that puts its Frobenius norm in [1/2, 1).  Powers of
+    two are exact, so either way Q_j 2^e_j has the mantissas of the plain
+    product F...F."""
     Q = np.empty((len(F), steps) + F.shape[1:])
-    fro = np.empty((len(F), steps))
     for j in range(steps):
-        if P is None:
-            Q[:, j] = F
+        if j == 0 and P is None:
+            Q[:, 0] = F
         else:
-            np.matmul(F, P, out=Q[:, j])
-        P = Q[:, j]
-        fro[:, j] = _unit_frobenius(P)
-    w = np.einsum("...ij->...i", Q)
-    z = np.einsum("...ij,...i->...j", Q, w)
+            np.matmul(F, Q[:, j - 1] if j else P, out=Q[:, j])
+    fro = _frobenius(Q)
+    exponents = np.zeros(fro.shape, dtype=np.int64)
+    wild = ~((fro == 0.0) | ((fro >= 1.0 / _RANGE) & (fro <= _RANGE))).all(axis=1)
+    if wild.any():
+        rows = np.flatnonzero(wild)
+        e, before = 0, None if P is None else P[rows]
+        for j in range(steps):
+            Qj = F[rows] if before is None else F[rows] @ before
+            shift = np.frexp(_frobenius(Qj))[1]
+            Q[rows, j] = before = np.ldexp(Qj, -shift[:, None, None])
+            e = e + shift
+            exponents[rows, j] = e
+        fro[rows] = _frobenius(Q[rows])
+    scale = np.where(fro > 0, fro, 1.0)[..., None]
+    w = np.einsum("...ij->...i", Q) / scale
+    z = np.einsum("...ij,...i->...j", Q, w) / scale
     ww, zz = np.einsum("...i,...i->...", w, w), np.einsum("...i,...i->...", z, z)
     lower = 0.5 * np.log(np.where(ww > 0, zz, 0.0) / np.where(ww > 0, ww, 1.0))
-    return Q, np.log(fro), lower
+    return Q, exponents, fro, lower
 
 
 def _gram_bracket(P):
-    """Bounds on log ||P|| for each nonzero matrix of the stack P.  With P
-    at unit Frobenius norm and G = P^T P, tr G^p is the sum of sigma^(2p),
-    so t9 / t8 <= ||P||^2 <= t8^(1/8) for t8 = tr G^8 = ||G^4||_F^2 and
-    t9 = tr G^9 = <G^4, G^5>: four matrix products, no factorization."""
-    P = P.copy()
-    log_fro = np.log(_unit_frobenius(P))
+    """Bounds on log(||P|| / ||P||_F) for each nonzero matrix of the stack
+    P.  With P scaled to unit Frobenius norm and G = P^T P, tr G^p is the
+    sum of sigma^(2p), so t9 / t8 <= ||P||^2 <= t8^(1/8) for
+    t8 = tr G^8 = ||G^4||_F^2 and t9 = tr G^9 = <G^4, G^5>: four matrix
+    products, no factorization."""
+    fro = _frobenius(P)
+    P = P / np.where(fro > 0, fro, 1.0)[..., None, None]
     G = np.swapaxes(P, -1, -2) @ P
     G4 = G @ G
     G4 = G4 @ G4
     t8 = np.einsum("...ij,...ij->...", G4, G4)
     t9 = np.einsum("...ij,...ij->...", G4, G4 @ G)
-    return log_fro + 0.5 * np.log(t9 / t8), log_fro + np.log(t8) / 16
+    return 0.5 * np.log(t9 / t8), np.log(t8) / 16
 
 
 def _first(mask):
@@ -292,37 +326,45 @@ def _top(values, mask):
     return np.where(mask, values, -np.inf).max(axis=-1)
 
 
-@np.errstate(divide="ignore", invalid="ignore")
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _least_certificate(F, gamma, k_max, check_radius):
     """least_certificate; without ``check_radius`` the caller vouches for
     rho <= gamma on every loop, and no spectral radius is taken.
 
     Powers advance in blocks of up to _BLOCK_STEPS steps, fewer when the
     live loops would fill a block with more than _BLOCK_ELEMENTS numbers.
-    Each power is still formed from the one before and scaled to unit
-    Frobenius norm, one step at a time, so the ratios of a loop do not
-    depend on the blocks or on the stack."""
+    Each power is the product of F with the one before, carried with a
+    power-of-two exponent (_power_block), and every log norm is taken as
+    log(mantissa) + exponent ln 2 (_log_norm), so the ratios of a loop do
+    not depend on the blocks or on the stack."""
     log_gamma = np.log(gamma)
     n = max(F.shape[-1], 1)
     spread = 0.5 * np.log(n)  # ||P||_F <= sqrt(n) ||P||
     index = np.arange(len(F))
     best = (np.inf, len(F), None)  # (log M, index, k0) of the least loop finished
-    P, log_scale = None, np.zeros(len(F))  # F^k / exp(log_scale); None is I
+    P, exponent = None, np.zeros(len(F), dtype=np.int64)  # F^k = P 2^exponent; None is I
     running = np.zeros(len(F))  # largest settled log ratio; r = 0 gives 0
-    # the pending contender: its bracket, its power and its log ratio's offset
+    # the pending contender: its bracket, its power with its exponent, and
+    # log gamma^r at its step
     pending_lo, pending_hi = np.full(len(F), -np.inf), np.full(len(F), -np.inf)
-    pending_P, pending_base = np.zeros(F.shape), np.zeros(len(F))
+    pending_P, pending_exponent = np.zeros(F.shape), np.zeros(len(F), dtype=np.int64)
+    pending_drift = np.zeros(len(F))
     k, checkpoint = 0, _FIRST_CHECKPOINT
+
+    def pending_ratio(i):
+        """The exact log ratio of the pending step of loop(s) i."""
+        return _log_norm(operator_norm(pending_P[i]), pending_exponent[i]) - pending_drift[i]
+
     while index.size and k < k_max:
         steps = min(_BLOCK_STEPS, max(_BLOCK_ELEMENTS // (len(F) * n * n), 1), k_max - k)
         if check_radius:
             steps = min(steps, checkpoint - k)
         after = np.arange(1, steps + 1)  # steps of the block past k
-        Q, log_fro, log_lower = _power_block(F, P, steps)
-        # log ||F^r||_F, summed step by step as in a one-step-at-a-time loop
-        log_step = np.cumsum(np.concatenate([log_scale[:, None], log_fro], axis=1), axis=1)[:, 1:]
-        # log ||F^r|| / gamma^r = base + log ||Q||, which lies in [lo, hi]
-        base = log_step - (k + after) * log_gamma
+        Q, exponents, fro, log_lower = _power_block(F, P, steps)
+        exponents += exponent[:, None]
+        drift = np.broadcast_to((k + after) * log_gamma, fro.shape)  # log gamma^r
+        # log ||F^r||_F / gamma^r; log ||F^r|| / gamma^r lies in [lo, hi]
+        base = _log_norm(fro, exponents) - drift
         hi = base + _LOG_SLACK
         lo = base + np.maximum(log_lower, -spread) - _LOG_SLACK
         exact = np.zeros(base.shape, dtype=bool)
@@ -333,7 +375,7 @@ def _least_certificate(F, gamma, k_max, check_radius):
             hi[mask] = np.minimum(hi[mask], base[mask] + g_hi + _LOG_SLACK)
 
         def settle(mask):
-            lo[mask] = hi[mask] = base[mask] + np.log(operator_norm(Q[mask]))
+            lo[mask] = hi[mask] = _log_norm(operator_norm(Q[mask]), exponents[mask]) - drift[mask]
             exact[mask] = True
 
         def undecided():
@@ -381,15 +423,14 @@ def _least_certificate(F, gamma, k_max, check_radius):
             contend[rows, np.where(contend, hi, -np.inf)[rows].argmax(axis=1)] = False
             settle(contend)
             drop = rows[held[rows]]
-            running[drop] = np.maximum(
-                running[drop], pending_base[drop] + np.log(operator_norm(pending_P[drop]))
-            )
+            running[drop] = np.maximum(running[drop], pending_ratio(drop))
             pending_lo[drop] = pending_hi[drop] = -np.inf
             known, contend, held = contenders()
         running = known
         new = np.flatnonzero(contend.any(axis=1))
         at = contend[new].argmax(axis=1)
-        pending_P[new], pending_base[new] = Q[new, at], base[new, at]
+        pending_P[new], pending_exponent[new] = Q[new, at], exponents[new, at]
+        pending_drift[new] = drift[new, at]
         pending_lo[new], pending_hi[new] = lo[new, at], hi[new, at]
         gone = ~held & ~contend.any(axis=1)
         pending_lo[gone] = pending_hi[gone] = -np.inf
@@ -402,8 +443,7 @@ def _least_certificate(F, gamma, k_max, check_radius):
             if lower[i] > best[0]:
                 break
             if pending_hi[i] > running[i]:
-                ratio = pending_base[i] + np.log(operator_norm(pending_P[i]))
-                running[i] = max(running[i], ratio)
+                running[i] = max(running[i], pending_ratio(i))
             if (running[i], index[i]) < best[:2] and (
                 not check_radius or spectral_radius(F[i]) < gamma
             ):
@@ -415,9 +455,13 @@ def _least_certificate(F, gamma, k_max, check_radius):
             checkpoint *= 4
             if keep.any() and k < k_max:
                 keep[keep] = spectral_radius(F[keep]) < gamma
-        F, index, P, log_scale = F[keep], index[keep], Q[keep, -1], log_step[keep, -1]
+        # the next base, rescaled by a power of two to a norm in [1/2, 1)
+        shift = np.frexp(fro[keep, -1])[1]
+        F, index, P = F[keep], index[keep], np.ldexp(Q[keep, -1], -shift[:, None, None])
+        exponent = exponents[keep, -1] + shift
         running, pending_lo, pending_hi = running[keep], pending_lo[keep], pending_hi[keep]
-        pending_P, pending_base = pending_P[keep], pending_base[keep]
+        pending_P, pending_exponent = pending_P[keep], pending_exponent[keep]
+        pending_drift = pending_drift[keep]
     log_m, i, k0 = best
     if k0 is None:
         return None

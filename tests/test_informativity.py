@@ -278,8 +278,9 @@ class TestSampleCompatible:
         assert a.tobytes() == b.tobytes()
 
     def test_prefix_and_single_draws(self):
-        """Slice i depends only on (seed, i): a shorter stack is a prefix of a
-        longer one, and each slice equals the single draw from its stream."""
+        """Slice i does not depend on the count: a shorter stack is a prefix
+        of a longer one, and slice i equals the i-th of single draws made
+        one after another from the stream ``seed``."""
         rng = np.random.default_rng(8)
         batch = excited_batch(0.6 * rng.standard_normal((3, 3)), rng.standard_normal((3, 2)), N=4, seed=2)
         W = np.vstack([batch.Xi0, batch.Ups0])
@@ -290,8 +291,9 @@ class TestSampleCompatible:
             prefix = sample(batch, k, scale=2.5, seed=6)
             assert prefix.shape == (k, 3, 5)
             assert prefix.tobytes() == full[:k].tobytes()
+        stream = np.random.default_rng(6)
         for i in range(9):
-            T = 2.5 * np.random.default_rng([6, i]).standard_normal((3, 5))
+            T = 2.5 * stream.standard_normal((3, 5))
             assert full[i].tobytes() == (base + T @ projector).tobytes()
 
     def test_rank_deficient_family_spreads(self):

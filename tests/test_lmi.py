@@ -309,6 +309,7 @@ class TestSteinSolution:
             pytest.param(0.25 * np.eye(4), 1.0, id="half-at-step-1"),
             pytest.param(np.array([[0.9, 40.0], [0.0, 0.9]]), 0.95, id="transient"),
             pytest.param(np.zeros((3, 3)), 0.5, id="zero"),
+            pytest.param(np.array([[0.998]]), 1.0, id="one-by-one"),
         ],
     )
     def test_blocked_head_matches_one_step_loop(self, F, rate):

@@ -22,10 +22,8 @@ from ddstab.noise import (
     robust_decay_rate,
     robust_stabilization,
     verify_robust_gain,
-    _DRAW_STACK,
     _NoiseSampler,
     _check_closed_loops,
-    _scaled_noise_draw,
 )
 from ddstab import noise as noise_mod
 from ddstab.operators import frame_bounds, operator_norm, pseudo_inverse, spectral_radius
@@ -143,9 +141,12 @@ def power_check_case(name, batch):
     return np.empty((0, 4, 4)), 2.0, 0.9
 
 
-def one_draw_at_a_time(rng, batch, Omega, c1, c0, fill, max_tries):
-    """The noise draw written for one generator (c1, c0 > 0): every try is
-    built as a DataBatch and checked with noise_in_class."""
+def draws_one_at_a_time(rng, count, batch, Omega, c1, c0, fill, max_tries):
+    """The noise draw of ``count`` trials written one trial and one try at a
+    time (c1, c0 > 0): each round draws the blocks G1, G0, E1, E0 of one try
+    for each pending trial, in trial order, from the one generator, and
+    every try is built as a DataBatch and checked with noise_in_class.  A
+    list of DataBatch, or None for a trial whose tries were all rejected."""
     n, m, N = batch.n, batch.m, batch.N
     Om_pinv = pseudo_inverse(Omega)
     perp = np.eye(N) - Omega @ Om_pinv
@@ -153,17 +154,20 @@ def one_draw_at_a_time(rng, batch, Omega, c1, c0, fill, max_tries):
     B1, B0 = batch.Xi1 @ Omega, data0 @ Omega
     rms1 = np.linalg.norm(batch.Xi1) / max(1.0, np.sqrt(N * n))
     rms0 = np.linalg.norm(data0) / max(1.0, np.sqrt(N * (n + m)))
+    drawn, pending = [None] * count, list(range(count))
     for _ in range(max_tries):
-        G1, G0 = rng.standard_normal((n, n)), rng.standard_normal((n, n))
-        Phi1 = G1 * (fill * c1 / operator_norm(G1))
-        Phi0 = G0 * (fill * c0 / operator_norm(G0))
-        free1 = fill * c1 * rms1 * rng.standard_normal((n, N)) @ perp
-        free0 = fill * c0 * rms0 * rng.standard_normal((n + m, N)) @ perp
-        D0 = B0 @ Phi0 @ Om_pinv + free0
-        draw = DataBatch(x1=(B1 @ Phi1 @ Om_pinv + free1).T, x0=D0[:n].T, u0=D0[n:].T)
-        if noise_in_class(draw, batch, NoiseClassParams(c1, c0, Omega)):
-            return draw
-    return None
+        for t in pending:
+            G1, G0 = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+            Phi1 = G1 * (fill * c1 / operator_norm(G1))
+            Phi0 = G0 * (fill * c0 / operator_norm(G0))
+            free1 = fill * c1 * rms1 * rng.standard_normal((n, N)) @ perp
+            free0 = fill * c0 * rms0 * rng.standard_normal((n + m, N)) @ perp
+            D0 = B0 @ Phi0 @ Om_pinv + free0
+            draw = DataBatch(x1=(B1 @ Phi1 @ Om_pinv + free1).T, x0=D0[:n].T, u0=D0[n:].T)
+            if noise_in_class(draw, batch, NoiseClassParams(c1, c0, Omega)):
+                drawn[t] = draw
+        pending = [t for t in pending if drawn[t] is None]
+    return drawn
 
 
 def per_system_check(denoised, K, M, gamma_tilde, per_trial, seed):
@@ -414,11 +418,11 @@ class TestVerifyRobustGain:
             systems_per_trial=per_trial,
         )
         denoised = []
-        for t in range(trials):
-            noise, failed = _scaled_noise_draw(
-                np.random.default_rng([seed, t]), projected_cascade, res.Omega, c, c
-            )
-            assert not failed
+        drawn = draws_one_at_a_time(
+            np.random.default_rng(seed), trials, projected_cascade, res.Omega, c, c, 0.9, 50
+        )
+        for noise in drawn:
+            assert noise is not None
             W = np.vstack([projected_cascade.Xi0 - noise.Xi0, projected_cascade.Ups0 - noise.Ups0])
             denoised.append((projected_cascade.Xi1 - noise.Xi1, W, pseudo_inverse(W)))
         violations, worst_excess, worst_radius, _ = per_system_check(
@@ -559,37 +563,39 @@ class TestVerifyRobustGain:
 
     @pytest.mark.parametrize("c, fill", [(0.003, 0.9), (0.02, 0.9), (0.01, 1 + 3e-6)])
     def test_stacked_draws_match_one_at_a_time(self, projected_cascade, c, fill):
-        """Drawing for many generators in stacks gives bitwise what each
-        generator draws alone, here and through _scaled_noise_draw.  At
+        """Drawing each round of tries as one stack gives bitwise what the
+        trials draw one block at a time from the same generator, for many
+        trials and for one.  A trial's first try is its own row of the
+        first round, so fewer trials give a prefix of the first tries.  At
         fill 1 + 3e-6 some first tries leave the class and are drawn again."""
         res = robust_stabilization(projected_cascade, 0.9, 0.003, 0.003)
-        rngs = lambda: [np.random.default_rng([9, t]) for t in range(_DRAW_STACK + 10)]
-        sampler = _NoiseSampler(projected_cascade, res.Omega, c, c, fill=fill)
-        stacked = sampler.draw(rngs(), max_tries=5)
-        assert len(stacked) == _DRAW_STACK + 10
-        for rng, again, drawn in zip(rngs(), rngs(), stacked):
-            ref = one_draw_at_a_time(rng, projected_cascade, res.Omega, c, c, fill, 5)
-            draw, failed = _scaled_noise_draw(
-                again, projected_cascade, res.Omega, c, c, fill=fill, max_tries=5
-            )
-            assert ref is not None and drawn is not None and not failed
-            ref0 = np.vstack([ref.Xi0, ref.Ups0])
-            assert np.array_equal(drawn[0], ref.Xi1) and np.array_equal(drawn[1], ref0)
-            assert np.array_equal(draw.Xi1, ref.Xi1)
-            assert np.array_equal(np.vstack([draw.Xi0, draw.Ups0]), ref0)
+        args = (projected_cascade, res.Omega, c, c)
+        sampler = _NoiseSampler(*args, fill=fill)
+        for count in (74, 1):
+            stacked = sampler.draw(np.random.default_rng(9), count, max_tries=5)
+            refs = draws_one_at_a_time(np.random.default_rng(9), count, *args, fill, 5)
+            assert len(stacked) == len(refs) == count
+            for drawn, ref in zip(stacked, refs):
+                assert ref is not None and drawn is not None
+                ref0 = np.vstack([ref.Xi0, ref.Ups0])
+                assert np.array_equal(drawn[0], ref.Xi1) and np.array_equal(drawn[1], ref0)
+        first = sampler.draw(np.random.default_rng(9), 74, max_tries=1)
+        fewer = sampler.draw(np.random.default_rng(9), 30, max_tries=1)
+        for a, b in zip(first, fewer):
+            assert (a is None) == (b is None)
+            assert a is None or (np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1]))
         if fill > 1:
-            first = sampler.draw(rngs(), max_tries=1)
             assert 0 < sum(d is None for d in first) < len(first)
 
     def test_draws_outside_budget_all_rejected(self, projected_cascade):
-        """Factors at twice the budget leave the class: every path gives up."""
+        """Factors at twice the budget leave the class: every path gives up,
+        for one trial and for several."""
         res = robust_stabilization(projected_cascade, 0.9, 0.003, 0.003)
         args = (projected_cascade, res.Omega, 0.01, 0.01)
-        draw, failed = _scaled_noise_draw(np.random.default_rng(0), *args, fill=2.0, max_tries=3)
-        assert failed and not draw.x1.any()
-        assert one_draw_at_a_time(np.random.default_rng(0), *args, 2.0, 3) is None
         sampler = _NoiseSampler(*args, fill=2.0)
-        assert sampler.draw([np.random.default_rng(0)], max_tries=3) == [None]
+        for count in (1, 5):
+            assert draws_one_at_a_time(np.random.default_rng(0), count, *args, 2.0, 3) == [None] * count
+            assert sampler.draw(np.random.default_rng(0), count, max_tries=3) == [None] * count
 
 
 class TestDenoise:
@@ -608,7 +614,7 @@ class TestDenoise:
         in the c1 budget."""
         res = robust_stabilization(wide_batch, 0.9, 0.002, 0.002)
         sampler = _NoiseSampler(wide_batch, res.Omega, 0.002, 0.002)
-        drawn = sampler.draw([np.random.default_rng([4, t]) for t in range(30)])
+        drawn = sampler.draw(np.random.default_rng(4), 30)
         assert all(d is not None for d in drawn)
         Xi1, W, Wp, ok = sampler.denoise(drawn)
         assert ok.sum() >= 20
@@ -625,7 +631,7 @@ class TestDenoise:
         """With c1 = 0 no draw can move Xi1 into the row space of W."""
         res = robust_stabilization(wide_batch, 0.9, 0.0, 0.01)
         sampler = _NoiseSampler(wide_batch, res.Omega, 0.0, 0.01)
-        drawn = sampler.draw([np.random.default_rng([4, t]) for t in range(10)])
+        drawn = sampler.draw(np.random.default_rng(4), 10)
         assert not sampler.denoise(drawn)[3].any()
         report = verify_robust_gain(
             wide_batch, res.K, res.M, res.gamma_tilde, 0.0, 0.01, res.Omega, trials=10, seed=4

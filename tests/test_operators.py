@@ -1,3 +1,7 @@
+import math
+import warnings
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -43,6 +47,36 @@ def reference_certificate(F, gamma, k_max):
         if log_norm <= k * log_gamma:
             M = float(np.exp(max(log_norms[r] - r * log_gamma for r in range(k))))
             return max(M, 1.0), k
+    return None
+
+
+def exact_certificate(F, gamma, k_max):
+    """(M, k0) from exact powers, for loops whose M is too large for
+    reference_certificate, whose own rounding grows with M.  F must be a
+    multiple of 2^-52, so that F 2^52 is an integer matrix; gamma, like
+    every float, is a dyadic rational.  The powers of the integer matrix
+    are formed in integer arithmetic, and each ratio ||F^r|| / gamma^r
+    rounds only in the one SVD of the power, cut to the top 80 bits of its
+    largest entry, and in one division; None when no k0 <= k_max exists."""
+    Fi = [[int(v) for v in row] for row in F * 2.0**52]
+    assert np.array_equal(np.array(Fi, dtype=float) / 2.0**52, F)
+    num, den = Fraction(gamma).as_integer_ratio()
+    shift = den.bit_length() - 1  # den = 2^shift
+    n = len(Fi)
+    P = [[int(i == j) for j in range(n)] for i in range(n)]
+    rate, M = 1, 1.0  # num^r, and the ratio 1 at r = 0
+    for r in range(1, k_max + 1):
+        P = [[sum(P[i][l] * Fi[l][j] for l in range(n)) for j in range(n)] for i in range(n)]
+        rate *= num
+        cut = max(max(abs(v) for row in P for v in row).bit_length() - 80, 0)
+        top = np.array([[float(v >> cut) if v >= 0 else -float(-v >> cut) for v in row] for row in P])
+        rate_cut = max(rate.bit_length() - 80, 0)
+        ratio = math.ldexp(
+            operator_norm(top) / float(rate >> rate_cut), cut - rate_cut + (shift - 52) * r
+        )
+        if ratio <= 1.0:
+            return M, r
+        M = max(M, ratio)
     return None
 
 
@@ -486,6 +520,80 @@ class TestLeastCertificate:
         index, cert = least_certificate(np.stack([at_gamma, other]), 0.9, 100)
         assert index == 1 and cert == construct_certificate(other, 0.9, 100)
         assert least_certificate(at_gamma[None], 0.9, 100) is None
+
+    def test_large_M_against_exact_powers(self):
+        """A 6 x 6 Jordan block in a random orthonormal basis at gamma =
+        0.3125: its power ratios peak at M = 2.09e5 and first dip below 1 at
+        k0 = 743.  Here reference_certificate is itself off by about M eps,
+        so the exact oracle judges.  k0 is exact; M carries the rounding of
+        743 double-precision matrix products of a loop with this transient,
+        8.1e-12 relative on this loop (the chain that rescaled every power
+        to unit Frobenius norm was 3.5e-12 off), so it is held to 2e-11."""
+        gamma = 0.3125
+        Q = np.linalg.qr(np.random.default_rng(0).standard_normal((6, 6)))[0]
+        J = gamma * (1 - 0.03366) * np.eye(6) + 0.55 * gamma * np.eye(6, k=1)
+        F = np.round(Q.T @ J @ Q * 2.0**52) / 2.0**52
+        M, k0 = exact_certificate(F, gamma, 10000)
+        assert k0 == 743 and M == pytest.approx(2.087e5, rel=1e-3)
+        index, cert = least_certificate(F[None], gamma, 10000)
+        assert index == 0 and cert.horizon_checked == k0
+        assert cert.M == pytest.approx(M, rel=2e-11, abs=0.0)
+        assert construct_certificate(F, gamma) == cert
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_exact_oracle_agrees_on_small_M(self, n):
+        """Where reference_certificate is accurate, the exact oracle agrees
+        with it, and least_certificate with both."""
+        rng = np.random.default_rng(n)
+        for kind in ("near", "random", "jordan", "nilpotent"):
+            F = np.round(fuzz_loop(kind, n, 0.9, rng) * 2.0**52) / 2.0**52
+            M, k0 = exact_certificate(F, 0.9, 10000)
+            assert reference_certificate(F, 0.9, 10000)[1] == k0
+            assert reference_certificate(F, 0.9, 10000)[0] == pytest.approx(M, rel=1e-12)
+            cert = least_certificate(F[None], 0.9, 10000)[1]
+            assert cert.horizon_checked == k0
+            assert cert.M == pytest.approx(M, rel=1e-12, abs=0.0)
+
+    def test_huge_loops_stay_in_range(self):
+        """A loop of norm 2^100 overflows a block of raw powers, and one of
+        2^210 leaves the range of exact rescaling at its square: the range
+        guard forms those blocks again one step at a time.  The contraction
+        wins with M = 1 at k0 = 1, with no warning and nothing non-finite
+        in the result, and
+        the nilpotent loop 2^210 N of 3 x 3 gets M = 2^420 / gamma^2 at
+        k0 = 3, to the rounding of exp(log M) at log M = 291."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            F = np.stack([2.0**100 * np.eye(4), 0.5 * np.eye(4)])
+            index, cert = least_certificate(F, 0.9, 10000)
+            assert index == 1 and cert.M == 1.0 and cert.horizon_checked == 1
+            assert least_certificate(F[:1], 0.9, 10000) is None
+            cert = construct_certificate(2.0**210 * np.eye(3, k=1), 0.9)
+        assert cert.horizon_checked == 3
+        assert cert.M == pytest.approx(2.0**420 / 0.81, rel=1e-13, abs=0.0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=8),
+        st.lists(st.sampled_from(KINDS), min_size=1, max_size=6),
+        st.floats(min_value=0.3, max_value=0.99),
+        st.sampled_from([5, 40, 1000]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_bits_do_not_depend_on_block_breaks(self, n, kinds, gamma, k_max, seed):
+        """Blocks of one step, blocks broken at other steps, and a range so
+        narrow that most blocks are formed again one step at a time all give
+        the bits of the default blocks."""
+        rng = np.random.default_rng(seed)
+        F = np.stack([fuzz_loop(kind, n, gamma, rng) for kind in kinds])
+        expected = least_certificate(F, gamma, k_max)
+        for elements, narrow in [(1, None), (3 * len(F) * n * n, None), (None, 4.0)]:
+            with pytest.MonkeyPatch.context() as mp:
+                if elements is not None:
+                    mp.setattr(operators, "_BLOCK_ELEMENTS", elements)
+                if narrow is not None:
+                    mp.setattr(operators, "_RANGE", narrow)
+                assert least_certificate(F, gamma, k_max) == expected
 
     def test_unstable_loops_leave_at_first_checkpoint(self, monkeypatch):
         """An all-unstable stack returns None without powering past the first
