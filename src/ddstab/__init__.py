@@ -37,12 +37,8 @@ from .informativity import (
     IdentificationReport,
     NotInformative,
     NotUnique,
-    closed_range_inequality_holds,
-    gain_inequality_holds,
     identification_informative,
-    input_distinguishes_kernel,
     least_squares_gain_norm_growth,
-    range_inclusion_diagnostic,
     sample_compatible_systems,
     stabilization_informative,
     unique_system,
@@ -61,7 +57,6 @@ from .noise import (
     NotApplicable,
     RobustGainResult,
     RobustVerificationReport,
-    certificate_rate_sweep,
     minimal_noise_constants,
     noise_budget_ok,
     noise_in_class,

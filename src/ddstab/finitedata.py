@@ -18,10 +18,11 @@ from .errors import (
     DimensionMismatch,
     InvalidParams,
 )
-from .informativity import NotInformative, _distinct_compatible_systems, synthesize_gain
+from .informativity import NotInformative, _compatible_systems, synthesize_gain
 from .operators import (
     DEFAULT_TOL,
     construct_certificate,
+    pseudo_inverse,
     rank_at_tol,
     spectral_radius,
 )
@@ -243,11 +244,16 @@ def verify_on_compatible_plus(
     radius reported for every trial.  With trials = 0 the report is empty
     and vacuously passing.
     """
+    if not (0.0 < gamma < np.inf):
+        raise InvalidParams("gamma must be finite and positive")
     K_plus = np.atleast_2d(np.asarray(K_plus, dtype=float))
-    AB, point = _distinct_compatible_systems(pd.Xi0p, pd.Xi1p, pd.Ups0, int(trials), scale, seed)
+    W = np.vstack([pd.Xi0p, pd.Ups0])
+    AB, counts = _compatible_systems(
+        pd.Xi1p[None], W[None], pseudo_inverse(W)[None], int(trials), scale, seed
+    )
     npl = pd.n_plus
     distinct = spectral_radius(AB[:, :, :npl] + AB[:, :, npl:] @ K_plus)
-    radii = np.repeat(distinct, int(trials)) if point else distinct
+    radii = np.repeat(distinct, counts)
     bound = gamma + 1e-6
     worst_radius, worst_sample = 0.0, None
     if radii.size:

@@ -1,11 +1,14 @@
-"""Noise-free informativity tests and data-driven gain synthesis.
+"""Noise-free informativity tests, gain synthesis and the compatible family.
 
-All tests operate on the synthesis-operator matrices of a DataBatch.  Rank
-decisions stand in for the dense-range conditions of the underlying theory;
-they are exact when the batch dimensions are the true ones.  Gains are
-taken from the right inverse R of Xi0 that the lmi module returns, as
-K = Ups0 R, and certificates always refer to the data-reconstructed closed
-loop Xi1 R, which equals A + B K for every data-compatible (A, B).
+The tests work on the data matrices Xi0, Xi1 and Ups0 of a DataBatch: a rank
+test of [Xi0; Ups0] for identification, and the lmi module's rank, PBH and
+Riccati-scan decision for stabilization.  Rank decisions stand in for the
+dense-range conditions of the underlying theory; they are exact when the
+batch dimensions are the true ones.  A gain is K = Ups0 R for the right
+inverse R of Xi0 that the lmi module returns, and its certificate refers to
+the closed loop Xi1 R, which equals A + B K for every data-compatible
+(A, B).  ``_compatible_systems`` is the one sampler of the compatible family
+Xi1 W^+ + T (I - W W^+), W = [Xi0; Ups0], for ``verify`` and ``noise``.
 """
 
 from dataclasses import dataclass
@@ -18,7 +21,6 @@ from .operators import (
     DEFAULT_TOL,
     PowerStabilityCertificate,
     pseudo_inverse,
-    range_and_kernel,
     rank_at_tol,
 )
 from .systems import DataBatch, LinearSystem, counterexample_sequences
@@ -148,74 +150,9 @@ def stabilization_informative(batch: DataBatch, gamma, tol=DEFAULT_TOL):
     """
     if not (0.0 < gamma < 1.0):
         raise InvalidParams("gamma must lie in (0, 1)")
-    if tol <= 0:
-        raise InvalidParams("tol must be positive")
+    if not (0.0 < tol < np.inf):
+        raise InvalidParams("tol must be finite and positive")
     return synthesize_gain(batch.Xi0, batch.Xi1, batch.Ups0, gamma, tol)
-
-
-def _min_eig_sym(M):
-    return float(np.linalg.eigvalsh(0.5 * (M + M.T))[0])
-
-
-def gain_inequality_holds(batch: DataBatch, K, c, floor=1e-9):
-    """Check (Xi0 + K^T Ups0)^T (Xi0 + K^T Ups0) <= c^2 (Xi0^T Xi0 + Ups0^T Ups0)^2.
-
-    A positive-semidefinite test with eigenvalue floor ``-floor`` after
-    symmetrization.  Monotone in c: holding at c implies holding above.
-    """
-    if c < 0:
-        raise InvalidParams("c must be nonnegative")
-    K = np.atleast_2d(np.asarray(K, dtype=float))
-    lhs = batch.Xi0 + K.T @ batch.Ups0
-    gram = batch.Xi0.T @ batch.Xi0 + batch.Ups0.T @ batch.Ups0
-    M = c**2 * (gram @ gram) - lhs.T @ lhs
-    return _min_eig_sym(M) >= -floor
-
-
-def closed_range_inequality_holds(batch: DataBatch, c, tol=DEFAULT_TOL):
-    """Check Xi0^T Xi0 <= c^2 (Xi0^T Xi0)^2.
-
-    Holds iff every nonzero eigenvalue mu of the Gram matrix satisfies
-    mu >= 1/c^2, i.e. iff x0 is a frame for its closed span.  Eigenvalues
-    below ``tol`` times the largest count as zero.
-    """
-    if c < 0:
-        raise InvalidParams("c must be nonnegative")
-    eigs = np.linalg.eigvalsh(batch.Xi0.T @ batch.Xi0)
-    top = eigs[-1] if eigs.size else 0.0
-    nonzero = eigs[eigs > tol * max(top, 0.0)] if top > 0 else np.array([])
-    if nonzero.size == 0:
-        return True
-    return bool(float(nonzero.min()) * c**2 >= 1.0 - 1e-9)
-
-
-def range_inclusion_diagnostic(batch: DataBatch, K, tol=DEFAULT_TOL):
-    """Finite check of Ran(K Xi0 - Ups0) inside Ups0(Ker Xi0).
-
-    Projects each column of K Xi0 - Ups0 onto the span of Ups0 applied to an
-    orthonormal kernel basis of Xi0; true iff every residual is <= tol
-    (absolute).  This is the computable form of the range-inclusion
-    condition a stabilizing gain must satisfy.
-    """
-    K = np.atleast_2d(np.asarray(K, dtype=float))
-    target = K @ batch.Xi0 - batch.Ups0
-    _, Z = range_and_kernel(batch.Xi0, tol)
-    Q, _ = range_and_kernel(batch.Ups0 @ Z, tol)
-    residual = target - Q @ (Q.T @ target)
-    return bool(np.all(np.linalg.norm(residual, axis=0) <= tol))
-
-
-def input_distinguishes_kernel(batch: DataBatch, tol=DEFAULT_TOL):
-    """True iff some coefficient vector in Ker Xi0 excites a nonzero input.
-
-    Satisfied, for instance, by two samples with proportional states but
-    non-proportional inputs.  Reported as a diagnostic only; no necessity
-    claim is attached at finite truncation.
-    """
-    _, Z = range_and_kernel(batch.Xi0, tol)
-    if Z.shape[1] == 0:
-        return False
-    return bool(np.linalg.norm(batch.Ups0 @ Z) > tol * max(1.0, np.linalg.norm(batch.Ups0)))
 
 
 def sample_compatible_systems(Xi0, Xi1, Ups0, count, scale=1.0, seed=0):
@@ -230,44 +167,45 @@ def sample_compatible_systems(Xi0, Xi1, Ups0, count, scale=1.0, seed=0):
     Xi1 W^+: every slice is that system and no stream is drawn.  Requires
     consistent data (data generated by some system).
     """
-    AB, point = _distinct_compatible_systems(Xi0, Xi1, Ups0, count, scale, seed)
-    return np.repeat(AB, count, axis=0) if point else AB
+    W = np.vstack([Xi0, Ups0])
+    AB, counts = _compatible_systems(
+        Xi1[None], W[None], pseudo_inverse(W)[None], count, scale, seed
+    )
+    return np.repeat(AB, counts, axis=0)
 
 
-def _distinct_compatible_systems(Xi0, Xi1, Ups0, count, scale, seed):
-    """The distinct systems of ``sample_compatible_systems`` and whether the
-    family is one point: (Xi1 W^+ as a stack of one, True) when it is, else
-    (the ``count`` draws, False)."""
+def _compatible_systems(Xi1, W, Wp, count, scale, seed):
+    """The distinct systems drawn from the compatible families of a stack of
+    batches, Xi1 (batches, n, N), W = [Xi0; Ups0] (batches, n + m, N) and
+    its pseudoinverse Wp (batches, N, n + m), as (AB, counts): AB[j] stands
+    for counts[j] of the ``count`` draws of its batch.
+
+    A batch whose W has rank n + m, read as rint(trace(W W^+)) (the rank
+    that the cut of W^+ kept), has the one system Xi1 W^+, counted ``count``
+    times; these come first, in batch order.  Every other batch gives
+    ``count`` systems Xi1 W^+ + T (I - W W^+), each counted once, where the
+    T are ``scale`` times one standard Gaussian draw of shape (batches,
+    count, n, n + m) from the stream keyed ``seed``, so that each batch
+    keeps its place in the stream.  No generator is made when every batch
+    is a point; ``count`` = 0 gives no systems.
+    """
     if count < 0:
         raise InvalidParams("count must be >= 0")
-    if scale <= 0:
-        raise InvalidParams("scale must be positive")
-    W = np.vstack([Xi0, Ups0])
-    base, free, point = _compatible_family(Xi1, W, pseudo_inverse(W))
-    if point:
-        return base[None], True
-    T = np.random.default_rng(seed).standard_normal((count,) + base.shape)
-    return _family_draws(base, free, scale * T), False
-
-
-def _compatible_family(Xi1, W, Wp):
-    """The family Xi1 W^+ + T (I - W W^+) of the data W = [Xi0; Ups0] with
-    pseudoinverse ``Wp``, as (base Xi1 W^+, free part I - W W^+, point).
-    ``point`` says that the family is the one system ``base``: W has rank
-    n + m, read as the trace of the projector W W^+ (the rank that the cut
-    of W^+ kept), and then the free part is zero in exact arithmetic.
-    Stacks of data, Xi1 (..., n, N), W (..., n + m, N) and Wp
-    (..., N, n + m), give stacks of each part."""
+    if not (0.0 < scale < np.inf):
+        raise InvalidParams("scale must be finite and positive")
+    base = Xi1 @ Wp
+    if count == 0:
+        return base[:0], np.zeros(0, dtype=int)
     WWp = W @ Wp
     point = np.rint(np.trace(WWp, axis1=-2, axis2=-1)) == W.shape[-2]
-    return Xi1 @ Wp, np.eye(W.shape[-2]) - WWp, point
-
-
-def _family_draws(base, free, T):
-    """base + T_i free for each slice T_i of the stack T, from the parts of
-    ``_compatible_family``: T (..., count, n, n + m) pairs with base
-    (..., n, n + m) and free (..., n + m, n + m)."""
-    return base[..., None, :, :] + T @ free[..., None, :, :]
+    AB, counts = base[point], np.full(int(point.sum()), count)
+    if not point.all():
+        T = scale * np.random.default_rng(seed).standard_normal((len(W), count) + base.shape[1:])
+        free = np.eye(W.shape[-2]) - WWp[~point]
+        spread = (base[~point, None] + T[~point] @ free[:, None]).reshape((-1,) + base.shape[1:])
+        AB = np.concatenate([AB, spread])
+        counts = np.concatenate([counts, np.ones(len(spread), dtype=int)])
+    return AB, counts
 
 
 def least_squares_gain_norm_growth(n_list):

@@ -97,8 +97,8 @@ class LmiProblem:
             raise InvalidParams("problem data must be finite")
         if not (0.0 < self.gamma < 1.0):
             raise InvalidParams("gamma must lie in (0, 1)")
-        if self.feas_margin <= 0 or self.sym_tol <= 0 or self.tol <= 0:
-            raise InvalidParams("feas_margin, sym_tol and tol must be positive")
+        if not all(0.0 < v < np.inf for v in (self.feas_margin, self.sym_tol, self.tol)):
+            raise InvalidParams("feas_margin, sym_tol and tol must be finite and positive")
         object.__setattr__(self, "Xi0", Xi0)
         object.__setattr__(self, "Xi1", Xi1)
 

@@ -17,12 +17,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, IndexOutOfRange, InvalidParams
-from .informativity import NotInformative, _compatible_family, _family_draws, synthesize_gain
+from .informativity import NotInformative, _compatible_systems, synthesize_gain
 from .operators import (
     DEFAULT_TOL,
     DouglasFactor,
-    PowerStabilityCertificate,
-    construct_certificate,
     douglas_minimal_constant,
     frame_bounds,
     operator_norm,
@@ -41,11 +39,15 @@ class NoiseClassParams:
     Omega: np.ndarray
 
     def __post_init__(self):
-        if not (np.isfinite(self.c1) and np.isfinite(self.c0)):
-            raise InvalidParams("c1 and c0 must be finite")
-        if self.c1 < 0 or self.c0 < 0:
-            raise InvalidParams("c1 and c0 must be nonnegative")
+        _check_noise_constants(self.c1, self.c0)
         object.__setattr__(self, "Omega", np.asarray(self.Omega, dtype=float))
+
+
+def _check_noise_constants(c1, c0):
+    if not (np.isfinite(c1) and np.isfinite(c0)):
+        raise InvalidParams("c1 and c0 must be finite")
+    if c1 < 0 or c0 < 0:
+        raise InvalidParams("c1 and c0 must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -178,8 +180,7 @@ def robust_stabilization(noisy_batch: DataBatch, gamma, c1, c0, tol=DEFAULT_TOL)
     """
     if not (0.0 < gamma < 1.0):
         raise InvalidParams("gamma must lie in (0, 1)")
-    if c1 < 0 or c0 < 0:
-        raise InvalidParams("c1 and c0 must be nonnegative")
+    _check_noise_constants(c1, c0)
     fb = frame_bounds(noisy_batch.Xi0, tol)
     if fb.lower <= 0.0:
         return NotApplicable(
@@ -343,6 +344,11 @@ class _NoiseSampler:
         return Xi1, W, Wp, ok
 
 
+#: Power-check horizon and compatible-family scale of ``verify_robust_gain``.
+_POWER_HORIZON = 100
+_FAMILY_SCALE = 1.0
+
+
 def verify_robust_gain(
     noisy_batch: DataBatch,
     K,
@@ -354,8 +360,6 @@ def verify_robust_gain(
     trials=20,
     seed=0,
     systems_per_trial=3,
-    scale=1.0,
-    power_horizon=100,
 ):
     """Sample the noisy compatible set and check the robust decay bound.
 
@@ -367,16 +371,17 @@ def verify_robust_gain(
     [Xi0; Ups0] has rank below N, the part of the denoised Xi1 outside its
     row space is moved into the noise, and the draw is rejected if that
     leaves the c1 budget.  Then ``systems_per_trial`` systems compatible
-    with each denoised batch are sampled; the systems of all trials come,
-    trial after trial, from a second stream, keyed (seed, 0, 1), which the
-    noise stream does not share (numpy pads a short key with zeros, so
-    ``seed`` reads as (seed, 0, 0)).  A denoised
+    with each denoised batch are sampled by the one compatible-family
+    sampler of the informativity module, at scale ``_FAMILY_SCALE``; the
+    systems of all trials come, trial after trial, from a second stream,
+    keyed (seed, 0, 1), which the noise stream does not share (numpy pads a
+    short key with zeros, so ``seed`` reads as (seed, 0, 0)).  A denoised
     [Xi0; Ups0] of rank n + m leaves one compatible system, Xi1 W^+, which
     stands for all ``systems_per_trial`` systems of its trial: its loop is
     checked once and counted that many times.  It checks
     rho(A + B K) <= gamma_tilde + 1e-6 together with
     ||(A + B K)^k|| <= (M + 1e-6) gamma_tilde^k for k up to
-    ``power_horizon``.  All trials' closed loops are checked as one stack
+    ``_POWER_HORIZON``.  All trials' closed loops are checked as one stack
     (``_check_closed_loops``); a loop leaves the power check at its first
     excess, which counts as one violation per system it stands for, and
     singular values are computed only where a Frobenius bound cannot rule
@@ -388,31 +393,20 @@ def verify_robust_gain(
         raise InvalidParams("trials must be >= 0")
     if systems_per_trial < 0:
         raise InvalidParams("systems_per_trial must be >= 0")
-    if scale <= 0:
-        raise InvalidParams("scale must be positive")
     K = np.atleast_2d(np.asarray(K, dtype=float))
     n = noisy_batch.n
-    shape = (systems_per_trial, n, n + noisy_batch.m)
     sampler = _NoiseSampler(noisy_batch, Omega, c1, c0)
     drawn = sampler.draw(np.random.default_rng(seed), int(trials))
     drawn = [d for d in drawn if d is not None]
-    AB, counts, accepted = np.empty((0,) + shape[1:]), np.empty(0, dtype=int), 0
+    AB, counts, accepted = np.empty((0, n, n + noisy_batch.m)), np.empty(0, dtype=int), 0
     if drawn:
         Xi1, W, Wp, ok = sampler.denoise(drawn)
         accepted = int(ok.sum())
-    if drawn and systems_per_trial:
-        base, free, point = _compatible_family(Xi1[ok], W[ok], Wp[ok])
-        AB, counts = base[point], np.full(int(point.sum()), systems_per_trial)
-        if not point.all():
-            # drawn for every accepted trial, so that each keeps its place in
-            # the stream
-            T = scale * np.random.default_rng([seed, 0, 1]).standard_normal((accepted,) + shape)
-            spread = _family_draws(base[~point], free[~point], T[~point])
-            spread = spread.reshape((-1,) + shape[1:])
-            AB = np.concatenate([AB, spread])
-            counts = np.concatenate([counts, np.ones(len(spread), dtype=int)])
+        AB, counts = _compatible_systems(
+            Xi1[ok], W[ok], Wp[ok], systems_per_trial, _FAMILY_SCALE, [seed, 0, 1]
+        )
     worst_radius, violations, worst_power_excess = _check_closed_loops(
-        AB[:, :, :n] + AB[:, :, n:] @ K, M, gamma_tilde, power_horizon, counts
+        AB[:, :, :n] + AB[:, :, n:] @ K, M, gamma_tilde, _POWER_HORIZON, counts
     )
     return RobustVerificationReport(
         trials=int(trials),
@@ -516,18 +510,3 @@ def range_breaking_noise(x0_cols, k0):
     noise = np.zeros_like(X)
     noise[:, k0 - 1] = -X[:, k0 - 1]
     return noise
-
-
-def certificate_rate_sweep(F, gammas, k_max=10000):
-    """Certificates (gamma, M) along a sweep of candidate rates.
-
-    Smaller M enlarges the admissible noise budget in the robust margin, so
-    scanning rates above the spectral radius lets a caller trade decay
-    against noise tolerance.  Rates that cannot be certified are skipped.
-    """
-    out = []
-    for g in gammas:
-        cert = construct_certificate(F, g, k_max=k_max)
-        if isinstance(cert, PowerStabilityCertificate):
-            out.append((float(g), cert.M))
-    return out

@@ -93,8 +93,8 @@ class NoFactorization:
 def _rank_count(s, tol):
     """Rank from descending singular values ``s``: the count of those at or
     above ``tol * s[0]``, and 0 when there are none or the largest is 0."""
-    if tol <= 0:
-        raise InvalidParams("tol must be positive")
+    if not (0.0 < tol < np.inf):
+        raise InvalidParams("tol must be finite and positive")
     return 0 if s.size == 0 or s[0] == 0.0 else int(np.sum(s >= tol * s[0]))
 
 
@@ -126,14 +126,6 @@ def frame_bounds(S, tol=DEFAULT_TOL):
     return FrameBounds(upper=upper, lower=lower, rank=rank, tol=tol)
 
 
-def range_and_kernel(M, tol=DEFAULT_TOL):
-    """Orthonormal bases of Ran M and of Ker M, as columns, from one SVD of
-    the 2-D matrix M at the rank of rank_at_tol; either may have no columns."""
-    U, s, Vt = np.linalg.svd(np.asarray(M, dtype=float))
-    rank = _rank_count(s, tol)
-    return U[:, :rank], Vt[rank:].T
-
-
 def pseudo_inverse(M, tol=DEFAULT_TOL):
     """Moore-Penrose pseudoinverse with a relative singular-value cutoff.
 
@@ -141,8 +133,8 @@ def pseudo_inverse(M, tol=DEFAULT_TOL):
     of shape (..., p, q) gives a stack of shape (..., q, p), each slice the
     pseudoinverse of the matching slice.
     """
-    if tol <= 0:
-        raise InvalidParams("tol must be positive")
+    if not (0.0 < tol < np.inf):
+        raise InvalidParams("tol must be finite and positive")
     M = np.asarray(M, dtype=float)
     if 0 in M.shape[-2:]:
         return np.zeros(M.shape[:-2] + (M.shape[-1], M.shape[-2]))

@@ -184,6 +184,17 @@ class TestAnalyze:
         assert payload["informative"] is True
         assert payload["certificate"]["M"] == pytest.approx(2.7809, abs=5e-5)
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    @pytest.mark.parametrize("mode", ["identify", "stabilize", "finite-plus"])
+    def test_non_finite_tol_exit_2(self, cascade_file, tmp_path, mode, tol):
+        """A NaN or infinite --tol counts no singular value, so it would read
+        as rank 0: it is an input error, and no report is written."""
+        report = tmp_path / "report.json"
+        assert run(
+            "analyze", "--in", str(cascade_file), "--mode", mode, "--tol", tol, "--out", str(report)
+        ) == 2
+        assert not report.exists()
+
     def test_malformed_input_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -319,6 +330,19 @@ class TestVerify:
         assert code == 0
         assert "vacuous" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("option", ["--gamma", "--scale"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_gamma_or_scale_exit_2(self, cascade_file, tmp_path, option, value):
+        """``radii > nan`` is never true, so a NaN gamma would pass every
+        sample; a NaN scale would draw NaN systems."""
+        gain, report = tmp_path / "gain.json", tmp_path / "verify.json"
+        write_gain(gain, REFERENCE_CASCADE_GAIN_PLUS)
+        assert run(
+            "verify", "--in", str(cascade_file), "--gain", str(gain), "--mode", "plus",
+            "--trials", "5", option, value, "--out", str(report),
+        ) == 2
+        assert not report.exists()
+
     def test_csv_emission(self, cascade_file, tmp_path):
         gain = tmp_path / "gain.json"
         write_gain(gain, REFERENCE_CASCADE_GAIN_PLUS)
@@ -438,6 +462,19 @@ class TestNoise:
         code = run(
             "noise", "--in", str(cascade_file), "--gamma", "0.9", "--c1", "0.003",
             "--c0", "0.003", "--project", "--trials", "-5", "--out", str(report),
+        )
+        assert code == 2
+        assert not report.exists()
+
+    @pytest.mark.parametrize(
+        "option, value", [("--tol", "nan"), ("--tol", "inf"), ("--c1", "nan"), ("--c0", "inf")]
+    )
+    def test_non_finite_tol_or_constant_exit_2(self, cascade_file, tmp_path, option, value):
+        args = {"--tol": "1e-9", "--c1": "0.003", "--c0": "0.003", option: value}
+        report = tmp_path / "noise.json"
+        code = run(
+            "noise", "--in", str(cascade_file), "--gamma", "0.9", "--project",
+            "--trials", "5", "--out", str(report), *(x for kv in args.items() for x in kv),
         )
         assert code == 2
         assert not report.exists()

@@ -257,6 +257,13 @@ class TestVerifyOnCompatiblePlus:
         assert report.trials == 0 and report.failures == 0
         assert report.worst_radius == 0.0
 
+    @pytest.mark.parametrize("gamma", [float("nan"), float("inf"), 0.0, -0.5])
+    def test_gamma_must_be_finite_and_positive(self, reference_setup, gamma):
+        _, batch, _, dec = reference_setup
+        pd = project_data(batch, dec)
+        with pytest.raises(InvalidParams):
+            verify_on_compatible_plus(pd, REFERENCE_CASCADE_GAIN_PLUS, gamma, trials=5)
+
     def test_synthesized_gain_against_sampled_full_systems(self, reference_setup):
         # lift the synthesized gain and close the loop on full systems whose
         # tail blocks are arbitrary but contract at the declared rate

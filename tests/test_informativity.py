@@ -4,17 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddstab import cli
+from ddstab.errors import InvalidParams
 from ddstab.finitedata import cascade_decomposition, project_data
 from ddstab.informativity import (
     GainResult,
     NotInformative,
     NotUnique,
-    closed_range_inequality_holds,
-    gain_inequality_holds,
     identification_informative,
-    input_distinguishes_kernel,
     least_squares_gain_norm_growth,
-    range_inclusion_diagnostic,
     sample_compatible_systems,
     stabilization_informative,
     synthesize_gain,
@@ -171,96 +168,6 @@ class TestStabilization:
         assert result.certificate == construct_certificate(Xi1 @ result.right_inverse, 0.9)
 
 
-class TestOperatorInequalities:
-    def test_gain_inequality_reduces_to_scalar_bound(self):
-        batch = batch_from(np.eye(2), np.zeros((1, 2)), np.zeros((2, 2)))
-        K = np.zeros((1, 2))
-        assert gain_inequality_holds(batch, K, 1.0)
-        assert gain_inequality_holds(batch, K, 2.0)
-        assert not gain_inequality_holds(batch, K, 0.5)
-
-    def test_zero_c_fails_for_nonzero_data(self):
-        batch = batch_from(np.eye(2), np.zeros((1, 2)), np.zeros((2, 2)))
-        assert not gain_inequality_holds(batch, np.zeros((1, 2)), 0.0)
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(min_value=0, max_value=10_000))
-    def test_monotone_in_c(self, seed):
-        rng = np.random.default_rng(seed)
-        batch = DataBatch(
-            x1=rng.standard_normal((4, 2)),
-            x0=rng.standard_normal((4, 2)),
-            u0=rng.standard_normal((4, 1)),
-        )
-        K = rng.standard_normal((1, 2))
-        c = float(rng.uniform(0.1, 20.0))
-        if gain_inequality_holds(batch, K, c):
-            assert gain_inequality_holds(batch, K, 2 * c)
-
-    def test_synthesized_gain_admits_finite_c(self):
-        rng = np.random.default_rng(21)
-        A = 0.8 * rng.standard_normal((2, 2))
-        B = rng.standard_normal((2, 1))
-        batch = excited_batch(A, B, N=5, seed=8)
-        result = stabilization_informative(batch, 0.9)
-        assert isinstance(result, GainResult)
-        lo, hi = 0.0, 1.0
-        while not gain_inequality_holds(batch, result.K, hi):
-            hi *= 2.0
-            assert hi <= 1e6
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            lo, hi = (lo, mid) if gain_inequality_holds(batch, result.K, mid) else (mid, hi)
-        assert gain_inequality_holds(batch, result.K, hi + 1e-6)
-
-    def test_closed_range_identity(self):
-        batch = batch_from(np.eye(3), np.zeros((1, 3)), np.zeros((3, 3)))
-        assert closed_range_inequality_holds(batch, 1.0)
-        assert not closed_range_inequality_holds(batch, 0.99)
-
-    def test_closed_range_decaying_columns(self):
-        n = 5
-        batch = counterexample_sequences(n)
-        # smallest nonzero Gram eigenvalue is 1/n^2, so the minimal c is n
-        assert closed_range_inequality_holds(batch, float(n))
-        assert not closed_range_inequality_holds(batch, 0.999 * n)
-
-    def test_closed_range_zero_data(self):
-        batch = DataBatch(x1=np.zeros((2, 2)), x0=np.zeros((2, 2)), u0=np.zeros((2, 1)))
-        assert closed_range_inequality_holds(batch, 0.0)
-        assert closed_range_inequality_holds(batch, 5.0)
-
-
-class TestRangeInclusionDiagnostic:
-    def test_exact_match(self):
-        rng = np.random.default_rng(1)
-        x0 = rng.standard_normal((3, 4))
-        K = rng.standard_normal((1, 3))
-        batch = DataBatch(x1=np.zeros((4, 3)), x0=x0.T, u0=(K @ x0).T)
-        assert range_inclusion_diagnostic(batch, K, 1e-8)
-
-    def test_counterexample_trivial_kernel(self):
-        rng = np.random.default_rng(2)
-        for n in (2, 5, 9):
-            batch = counterexample_sequences(n)
-            assert not range_inclusion_diagnostic(batch, np.zeros((1, n)), 1e-8)
-            K = rng.standard_normal((1, n))
-            assert not range_inclusion_diagnostic(batch, K, 1e-8)
-
-    def test_duplicated_column_spanning_kernel(self):
-        e1 = np.array([1.0, 0.0])
-        batch = batch_from(
-            np.column_stack([e1, e1]), np.array([[0.0, 1.0]]), np.zeros((2, 2))
-        )
-        assert range_inclusion_diagnostic(batch, np.zeros((1, 2)), 1e-8)
-
-    def test_kernel_input_diagnostic(self):
-        e1 = np.array([1.0, 0.0])
-        with_kernel = batch_from(np.column_stack([e1, e1]), np.array([[0.0, 1.0]]), np.zeros((2, 2)))
-        assert input_distinguishes_kernel(with_kernel)
-        assert not input_distinguishes_kernel(counterexample_sequences(4))
-
-
 class TestSampleCompatible:
     def test_square_invertible_gives_singleton(self):
         rng = np.random.default_rng(3)
@@ -329,6 +236,11 @@ class TestSampleCompatible:
             systems = sample(batch, count, scale=3.0, seed=seed)
         assert systems.shape == (count, 2, 3)
         assert all(AB.tobytes() == base.tobytes() for AB in systems)
+
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_scale_must_be_finite_and_positive(self, scale):
+        with pytest.raises(InvalidParams):
+            sample(counterexample_sequences(4), 3, scale=scale)
 
     def test_identification_informative_implies_singleton(self):
         rng = np.random.default_rng(10)

@@ -133,6 +133,12 @@ class TestSolveFeasibility:
         with pytest.raises(InvalidParams):
             LmiProblem(Xi0=bad, Xi1=np.eye(2), gamma=0.9)
 
+    @pytest.mark.parametrize("field", ["tol", "feas_margin", "sym_tol"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0])
+    def test_thresholds_must_be_finite_and_positive(self, field, value):
+        with pytest.raises(InvalidParams):
+            LmiProblem(Xi0=np.eye(2), Xi1=np.eye(2), gamma=0.9, **{field: value})
+
     def test_zero_state_data_infeasible(self):
         out = solve_feasibility(
             LmiProblem(Xi0=np.zeros((2, 3)), Xi1=np.ones((2, 3)), gamma=0.9)

@@ -14,7 +14,6 @@ from ddstab.noise import (
     NoiseClassParams,
     NotApplicable,
     RobustGainResult,
-    certificate_rate_sweep,
     minimal_noise_constants,
     noise_budget_ok,
     noise_in_class,
@@ -334,6 +333,20 @@ class TestRobustStabilization:
             assert not res.margin_ok
         else:
             assert res.stage == "margin"
+
+    @pytest.mark.parametrize("c1, c0", [(float("nan"), 0.0), (0.0, float("inf")), (-float("inf"), 0.0)])
+    def test_non_finite_constants_rejected_before_synthesis(self, projected_cascade, c1, c0, monkeypatch):
+        """The rule and message of NoiseClassParams, checked before any
+        synthesis runs."""
+
+        def no_synthesis(*args, **kwargs):
+            raise AssertionError("synthesis ran on invalid constants")
+
+        monkeypatch.setattr(noise_mod, "synthesize_gain", no_synthesis)
+        with pytest.raises(InvalidParams, match="c1 and c0 must be finite"):
+            robust_stabilization(projected_cascade, 0.9, c1, c0)
+        with pytest.raises(InvalidParams, match="c1 and c0 must be finite"):
+            NoiseClassParams(c1=c1, c0=c0, Omega=np.zeros((5, 4)))
 
     def test_mc0_guard(self, projected_cascade):
         res = robust_stabilization(projected_cascade, 0.9, 0.0, 10.0)
@@ -669,13 +682,3 @@ class TestRangeBreakingNoise:
         batch = counterexample_sequences(3)
         with pytest.raises(IndexOutOfRange):
             range_breaking_noise(batch.Xi0, 4)
-
-
-class TestRateSweep:
-    def test_smaller_gamma_larger_m(self):
-        F = np.array([[0.5, 1.0], [0.0, 0.5]])
-        sweep = certificate_rate_sweep(F, [0.6, 0.7, 0.9])
-        assert len(sweep) == 3
-        ms = [m for _, m in sweep]
-        assert ms[0] >= ms[1] >= ms[2]
-        assert spectral_radius(F) < 0.6

@@ -20,7 +20,6 @@ from ddstab.operators import (
     least_certificate,
     operator_norm,
     pseudo_inverse,
-    range_and_kernel,
     rank_at_tol,
     singular_values,
     spectral_radius,
@@ -190,24 +189,12 @@ class TestPlainMatrices:
             fn(np.ones(3))
 
     def test_rank_tol_must_be_positive(self):
-        for fn in (rank_at_tol, frame_bounds, range_and_kernel):
-            with pytest.raises(InvalidParams):
-                fn(np.eye(2), tol=0.0)
-
-    def test_range_and_kernel_bases(self):
-        rng = np.random.default_rng(4)
-        M = rng.standard_normal((4, 2)) @ rng.standard_normal((2, 6))
-        Q, Z = range_and_kernel(M)
-        assert Q.shape == (4, 2) and Z.shape == (6, 4)
-        assert np.allclose(Q.T @ Q, np.eye(2)) and np.allclose(Z.T @ Z, np.eye(4))
-        assert np.linalg.norm(M @ Z) < 1e-12 * np.linalg.norm(M)
-        assert np.allclose(Q @ (Q.T @ M), M)
-
-    def test_range_and_kernel_of_zero_and_empty(self):
-        Q, Z = range_and_kernel(np.zeros((2, 3)))
-        assert Q.shape == (2, 0) and Z.shape == (3, 3)
-        Q, Z = range_and_kernel(np.zeros((2, 0)))
-        assert Q.shape == (2, 0) and Z.shape == (0, 0)
+        """And finite: s >= nan * s[0] holds for no singular value, so a NaN
+        tol would read as rank 0 rather than as an input error."""
+        for fn in (rank_at_tol, frame_bounds, pseudo_inverse):
+            for tol in (0.0, math.nan, math.inf, -math.inf):
+                with pytest.raises(InvalidParams):
+                    fn(np.eye(2), tol=tol)
 
 
 class TestPseudoInverse:
