@@ -21,7 +21,6 @@ from .errors import (
 from .finitedata import (
     CompatibleFamilyReport,
     Decomposition,
-    ProjectedData,
     cascade_decomposition,
     closed_loop_full,
     finite_informative,
@@ -29,7 +28,6 @@ from .finitedata import (
     modal_decomposition,
     mode_cutoff,
     project_data,
-    projected_batch,
     verify_on_compatible_plus,
 )
 from .informativity import (

@@ -125,9 +125,9 @@ def cmd_analyze(args):
         code = _fill_gain_report(report, result, args.gamma)
     elif args.mode == "finite-plus":
         dec, n0 = _build_decomposition(args, batch.n)
-        pd = finitedata.project_data(batch, dec)
+        batch = finitedata.project_data(batch, dec)
         report["decomposition"] = {"n0": n0, "n_plus": dec.n_plus, "gamma_minus": args.gamma_minus}
-        result = finitedata.finite_informative(pd, args.gamma, args.gamma_minus, args.tol)
+        result = finitedata.finite_informative(batch, args.gamma, args.gamma_minus, args.tol)
         code = _fill_gain_report(report, result, args.gamma, gain_key="K_plus")
         if code == 0:
             print(f"decomposition: n0={n0}, n_plus={dec.n_plus}")
@@ -178,7 +178,7 @@ def cmd_verify(args):
         print("warning: trials = 0, verification passes vacuously")
     if args.mode == "plus":
         dec, n0 = _build_decomposition(args, batch.n)
-        pd = finitedata.project_data(batch, dec)
+        batch = finitedata.project_data(batch, dec)
         if K.shape[1] != dec.n_plus:
             raise SystemExit(
                 f"error: gain has {K.shape[1]} columns, expected n_plus = {dec.n_plus}"
@@ -190,12 +190,11 @@ def cmd_verify(args):
             raise SystemExit(
                 f"error: gain must be m x n = {(batch.m, batch.n)}, got {K.shape}"
             )
-        pd = finitedata.ProjectedData(Xi1p=batch.Xi1, Xi0p=batch.Xi0, Ups0=batch.Ups0)
         keys, where = ("A", "B"), "compatible family"
     else:
         raise SystemExit(f"error: unknown mode {args.mode}")
     fam = finitedata.verify_on_compatible_plus(
-        pd, K, args.gamma, trials=args.trials, seed=args.seed, scale=args.scale
+        batch, K, args.gamma, trials=args.trials, seed=args.seed, scale=args.scale
     )
     report["worst_radius"] = fam.worst_radius
     report["failures"] = fam.failures
@@ -234,7 +233,7 @@ def cmd_noise(args):
         print("warning: trials = 0, verification passes vacuously")
     if args.project:
         dec, n0 = _build_decomposition(args, batch.n)
-        batch = finitedata.projected_batch(batch, dec)
+        batch = finitedata.project_data(batch, dec)
         report["decomposition"] = {"n0": n0, "n_plus": dec.n_plus}
     result = noise_mod.robust_stabilization(batch, args.gamma, args.c1, args.c0, args.tol)
     if isinstance(result, noise_mod.NotApplicable):

@@ -195,6 +195,18 @@ class TestAnalyze:
         ) == 2
         assert not report.exists()
 
+    @pytest.mark.parametrize("option", ["--a0", "--b0", "--tau"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_decomposition_bound_exit_2(self, cascade_file, tmp_path, option, value):
+        """A NaN or infinite parameter bound has no mode cutoff: an input
+        error, and no report is written."""
+        report = tmp_path / "report.json"
+        assert run(
+            "analyze", "--in", str(cascade_file), "--mode", "finite-plus", option, value,
+            "--out", str(report),
+        ) == 2
+        assert not report.exists()
+
     def test_malformed_input_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -330,11 +342,12 @@ class TestVerify:
         assert code == 0
         assert "vacuous" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("option", ["--gamma", "--scale"])
+    @pytest.mark.parametrize("option", ["--gamma", "--scale", "--a0", "--b0", "--tau"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_gamma_or_scale_exit_2(self, cascade_file, tmp_path, option, value):
         """``radii > nan`` is never true, so a NaN gamma would pass every
-        sample; a NaN scale would draw NaN systems."""
+        sample; a NaN scale would draw NaN systems; a non-finite parameter
+        bound has no mode cutoff."""
         gain, report = tmp_path / "gain.json", tmp_path / "verify.json"
         write_gain(gain, REFERENCE_CASCADE_GAIN_PLUS)
         assert run(
@@ -467,7 +480,9 @@ class TestNoise:
         assert not report.exists()
 
     @pytest.mark.parametrize(
-        "option, value", [("--tol", "nan"), ("--tol", "inf"), ("--c1", "nan"), ("--c0", "inf")]
+        "option, value",
+        [("--tol", "nan"), ("--tol", "inf"), ("--c1", "nan"), ("--c0", "inf"), ("--a0", "nan"),
+         ("--b0", "nan"), ("--b0", "inf"), ("--tau", "nan"), ("--tau", "inf")],
     )
     def test_non_finite_tol_or_constant_exit_2(self, cascade_file, tmp_path, option, value):
         args = {"--tol": "1e-9", "--c1": "0.003", "--c0": "0.003", option: value}
@@ -486,3 +501,26 @@ class TestNoise:
         )
         assert code == 0
         assert "warning: trials = 0, verification passes vacuously" in capsys.readouterr().out
+
+
+class TestOneGainPerDataset:
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_finite_plus_and_projected_noise_certify_the_same_gain(
+        self, cascade_file, tmp_path, seed
+    ):
+        """Both commands synthesize on the same projected DataBatch, so the
+        cascade chain reports one gain and one M, bit for bit."""
+        dec = ["--gamma-minus", "0.89", "--a0", "0.1", "--b0", "0"]
+        report, noisy = tmp_path / "report.json", tmp_path / "noise.json"
+        assert run(
+            "analyze", "--in", str(cascade_file), "--mode", "finite-plus", "--gamma", "0.9",
+            "--out", str(report), *dec,
+        ) == 0
+        assert run(
+            "noise", "--in", str(cascade_file), "--gamma", "0.9", "--c1", "0.003",
+            "--c0", "0.003", "--project", "--trials", "200", "--seed", str(seed),
+            "--out", str(noisy), *dec,
+        ) == 0
+        plus, robust = json.loads(report.read_text()), json.loads(noisy.read_text())
+        assert plus["K_plus"] == robust["K"]
+        assert plus["certificate"]["M"] == robust["M"]

@@ -6,7 +6,6 @@ import pytest
 from ddstab.errors import CutoffExceedsTruncation, DimensionMismatch, InvalidParams
 from ddstab.finitedata import (
     Decomposition,
-    ProjectedData,
     cascade_decomposition,
     closed_loop_full,
     finite_informative,
@@ -25,6 +24,7 @@ from ddstab.operators import (
 )
 from ddstab.systems import (
     REFERENCE_CASCADE_GAIN_PLUS,
+    DataBatch,
     LinearSystem,
     default_cascade_params,
     reference_cascade_scenario,
@@ -67,21 +67,42 @@ class TestModeCutoff:
         with pytest.raises(InvalidParams):
             mode_cutoff(0.1, 0.0, 0.05, 1.0)
 
+    @pytest.mark.parametrize(
+        "a0, b0, tau, gamma_minus",
+        [
+            (math.nan, 0.0, 0.05, 0.89),
+            (math.inf, 0.0, 0.05, 0.89),
+            (0.1, math.nan, 0.05, 0.89),
+            (0.1, math.inf, 0.05, 0.89),
+            (0.1, -math.inf, 0.05, 0.89),
+            (0.1, 0.0, math.nan, 0.89),
+            (0.1, 0.0, math.inf, 0.89),
+            (0.1, 1e308, 10.0, 0.89),  # b0 tau overflows
+            (1e-200, 0.0, 1e-200, 0.89),  # a0 tau underflows
+            (0.1, 0.0, 0.05, 5e-324),  # log(1 / gamma_minus) overflows
+        ],
+    )
+    def test_non_finite_bounds_rejected(self, a0, b0, tau, gamma_minus):
+        with pytest.raises(InvalidParams):
+            mode_cutoff(a0, b0, tau, gamma_minus)
+
 
 class TestCascadeDecomposition:
     def test_reference_dimensions(self, reference_setup):
         _, _, _, dec = reference_setup
         assert dec.n_plus == 4  # head block of 2 plus 2 retained modes
-        assert np.linalg.matrix_rank(dec.Pi) == 4
+        assert dec.n == 52
 
     def test_projection_idempotent_exact(self, reference_setup):
-        _, _, _, dec = reference_setup
-        assert np.array_equal(dec.Pi @ dec.Pi, dec.Pi)
+        _, batch, _, dec = reference_setup
+        plus = project_data(batch, dec)
+        again = project_data(plus, Decomposition(dec.n_plus, dec.n_plus, dec.gamma_minus))
+        for name in ("x1", "x0", "u0"):
+            assert np.array_equal(getattr(again, name), getattr(plus, name))
 
     def test_invariance_of_tail(self, reference_setup):
         sys_, _, _, dec = reference_setup
-        leak = dec.Pi @ sys_.A @ (np.eye(dec.n) - dec.Pi)
-        assert np.linalg.norm(leak) <= 1e-10
+        assert not sys_.A[: dec.n_plus, dec.n_plus :].any()
 
     def test_tail_radius_certified(self):
         params = default_cascade_params(n_modes=10)
@@ -104,6 +125,11 @@ class TestCascadeDecomposition:
         with pytest.raises(CutoffExceedsTruncation):
             cascade_decomposition(params, 0.89, 0.1, 0.0)
 
+    @pytest.mark.parametrize("n_plus", [-1, 4])
+    def test_n_plus_out_of_range(self, n_plus):
+        with pytest.raises(CutoffExceedsTruncation):
+            Decomposition(3, n_plus, 0.5)
+
     def test_bounds_not_covering_instance(self):
         params = default_cascade_params(n_modes=10)
         # claiming much faster diffusion than true makes the tail check fail
@@ -114,41 +140,33 @@ class TestCascadeDecomposition:
 class TestProjectData:
     def test_identity_passthrough(self):
         rng = np.random.default_rng(0)
-        from ddstab.systems import DataBatch
-
         batch = DataBatch(
             x1=rng.standard_normal((4, 3)),
             x0=rng.standard_normal((4, 3)),
             u0=rng.standard_normal((4, 1)),
         )
-        dec = Decomposition(Pi=np.eye(3), basis_plus=np.eye(3), n_plus=3, gamma_minus=0.5)
-        pd = project_data(batch, dec)
-        assert np.array_equal(pd.Xi1p, batch.Xi1)
+        pd = project_data(batch, Decomposition(3, 3, 0.5))
+        assert np.array_equal(pd.Xi1, batch.Xi1)
         assert np.array_equal(pd.Ups0, batch.Ups0)
-
-    def test_non_orthonormal_basis_rejected(self):
-        with pytest.raises(InvalidParams):
-            Decomposition(Pi=np.eye(3), basis_plus=2.0 * np.eye(3), n_plus=3, gamma_minus=0.5)
 
     def test_reference_shapes(self, reference_setup):
         _, batch, _, dec = reference_setup
         pd = project_data(batch, dec)
-        assert pd.Xi1p.shape == (4, 5)
-        assert pd.Xi0p.shape == (4, 5)
+        assert pd.Xi1.shape == (4, 5)
+        assert pd.Xi0.shape == (4, 5)
 
     def test_projected_consistency(self, reference_setup):
         sys_, batch, _, dec = reference_setup
         pd = project_data(batch, dec)
         A_plus = sys_.A[:4, :4]
         B_plus = sys_.B[:4]
-        res = np.linalg.norm(A_plus @ pd.Xi0p + B_plus @ pd.Ups0 - pd.Xi1p)
-        assert res <= 1e-10 * (1 + np.linalg.norm(pd.Xi1p))
+        res = np.linalg.norm(A_plus @ pd.Xi0 + B_plus @ pd.Ups0 - pd.Xi1)
+        assert res <= 1e-10 * (1 + np.linalg.norm(pd.Xi1))
 
     def test_dim_mismatch(self, reference_setup):
         _, batch, _, _ = reference_setup
-        dec = Decomposition(Pi=np.eye(3), basis_plus=np.eye(3), n_plus=3, gamma_minus=0.5)
         with pytest.raises(DimensionMismatch):
-            project_data(batch, dec)
+            project_data(batch, Decomposition(3, 3, 0.5))
 
 
 class TestFiniteInformative:
@@ -162,15 +180,15 @@ class TestFiniteInformative:
         assert spectral_radius(A_plus + B_plus @ result.K) <= 0.9 + 1e-9
 
     def test_rank_deficient_projected_data(self):
-        Xi0p = np.array([[1.0, 2.0], [2.0, 4.0]])  # proportional columns
-        pd = ProjectedData(Xi1p=np.zeros((2, 2)), Xi0p=Xi0p, Ups0=np.zeros((1, 2)))
+        x0 = np.array([[1.0, 2.0], [2.0, 4.0]])  # proportional samples
+        pd = DataBatch(x1=np.zeros((2, 2)), x0=x0, u0=np.zeros((2, 1)))
         result = finite_informative(pd, 0.9, 0.5)
         assert isinstance(result, NotInformative)
         assert result.stage == "rank"
 
     def test_uncontrollable_unstable_block(self):
         # identity data with an expanding map and no input authority
-        pd = ProjectedData(Xi1p=1.1 * np.eye(2), Xi0p=np.eye(2), Ups0=np.zeros((1, 2)))
+        pd = DataBatch(x1=1.1 * np.eye(2), x0=np.eye(2), u0=np.zeros((2, 1)))
         result = finite_informative(pd, 0.95, 0.5)
         assert isinstance(result, NotInformative)
         assert result.stage == "lmi"
@@ -216,18 +234,16 @@ class TestFiniteInformative:
 
 class TestLiftGain:
     def test_identity_decomposition(self):
-        dec = Decomposition(Pi=np.eye(3), basis_plus=np.eye(3), n_plus=3, gamma_minus=0.5)
         K_plus = np.array([[1.0, -2.0, 0.5]])
-        assert np.array_equal(lift_gain(K_plus, dec), K_plus)
+        assert np.array_equal(lift_gain(K_plus, Decomposition(3, 3, 0.5)), K_plus)
 
     def test_reference_gain_lifts_with_zero_tail(self, reference_setup):
         _, _, _, dec = reference_setup
         K = lift_gain(REFERENCE_CASCADE_GAIN_PLUS, dec)
         assert K.shape == (1, 52)
         assert np.array_equal(K[:, :4], REFERENCE_CASCADE_GAIN_PLUS)
-        assert not K[:, 4:].any()
-        # vanishes on the complement exactly
-        assert np.linalg.norm(K @ (np.eye(52) - dec.Pi)) == 0.0
+        # the padding is +0.0, not -0.0 from a product with zeros
+        assert not K[:, 4:].any() and not np.signbit(K[:, 4:]).any()
 
     def test_zero_gain(self, reference_setup):
         _, _, _, dec = reference_setup

@@ -155,7 +155,7 @@ class TestStabilization:
         if scenario == "cascade":
             _, batch, params = reference_cascade_scenario(n_modes=50, n_samples=5)
             pd = project_data(batch, cascade_decomposition(params, 0.89, 0.1, 0.0))
-            Xi0, Xi1, Ups0 = pd.Xi0p, pd.Xi1p, pd.Ups0
+            Xi0, Xi1, Ups0 = pd.Xi0, pd.Xi1, pd.Ups0
         else:
             path = tmp_path / "data.json"
             argv = ["generate", "--scenario", "random-lti", "--n", "8", "--seed", "0",

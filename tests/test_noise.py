@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddstab.errors import IndexOutOfRange, InvalidParams
-from ddstab.finitedata import cascade_decomposition, projected_batch
+from ddstab.finitedata import cascade_decomposition, project_data
 from ddstab.informativity import sample_compatible_systems, stabilization_informative
 from ddstab.noise import (
     Incompatible,
@@ -45,7 +45,7 @@ def zero_noise_like(batch):
 def projected_cascade():
     _, batch, params = reference_cascade_scenario(n_modes=20, n_samples=5)
     dec = cascade_decomposition(params, 0.89, 0.1, 0.0)
-    return projected_batch(batch, dec)
+    return project_data(batch, dec)
 
 
 def full_power_check(F, M, gamma_tilde, horizon=100):
