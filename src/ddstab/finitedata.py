@@ -32,16 +32,16 @@ from .systems import DataBatch, HeatCascadeParams, LinearSystem
 
 @dataclass(frozen=True)
 class Decomposition:
-    """X+ as the first n_plus of the n state coordinates, X- as the rest,
-    with the declared decay bound gamma_minus of the tail."""
+    """X+ as the first n_plus of the n state coordinates (at least one),
+    X- as the rest, with the declared decay bound gamma_minus of the tail."""
 
     n: int
     n_plus: int
     gamma_minus: float
 
     def __post_init__(self):
-        if not (0 <= self.n_plus <= self.n):
-            raise CutoffExceedsTruncation(f"n_plus = {self.n_plus} outside 0..{self.n}")
+        if not (1 <= self.n_plus <= self.n):
+            raise CutoffExceedsTruncation(f"n_plus = {self.n_plus} outside 1..{self.n}")
         if not (0.0 < self.gamma_minus < 1.0):
             raise InvalidParams("gamma_minus must lie in (0, 1)")
 
@@ -74,6 +74,8 @@ def mode_cutoff(a0, b0, tau, gamma_minus):
 
 def modal_decomposition(n, head_dim, n0, gamma_minus) -> Decomposition:
     """Coordinate split keeping [head block; first n0 modes] as X+."""
+    if head_dim < 0:
+        raise InvalidParams(f"head_dim = {head_dim} must be >= 0")
     return Decomposition(n, head_dim + n0, gamma_minus)
 
 
@@ -146,21 +148,6 @@ class CompatibleFamilyReport:
     failures: int
     radii: tuple
     worst_sample: tuple | None
-
-    def to_dict(self):
-        d = {
-            "trials": self.trials,
-            "worst_radius": self.worst_radius,
-            "radius_bound": self.radius_bound,
-            "failures": self.failures,
-            "radii": list(self.radii),
-        }
-        if self.worst_sample is not None:
-            d["worst_sample"] = {
-                "A_plus": self.worst_sample[0].tolist(),
-                "B_plus": self.worst_sample[1].tolist(),
-            }
-        return d
 
 
 def verify_on_compatible_plus(

@@ -25,13 +25,14 @@ stacked structure-preserving doubling iteration (Chu, Fan, Lin et al.,
 keeps the one with the smallest power-stability constant M, and its
 certificate (M, gamma, k0) is the one the solution carries; no second pass
 certifies it again.  The ranking itself takes spectral radii, of the loops
-that can win only; when it finds no loop, one more design rate, above the
-slowest unreachable mode, is tried.  Lambda = R P with
+that can win only.  Lambda = R P with
 gamma'^2 P - F P F^T = I at gamma' = (rho(F) + gamma) / 2 (Smith doubling)
 is the witness that evaluate_block re-checks.
 """
 
+import contextlib
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -43,12 +44,6 @@ from .operators import (
     least_certificate,
     spectral_radius,
 )
-
-#: Accept a solution when the block's smallest eigenvalue is >= -feas_margin.
-DEFAULT_FEAS_MARGIN = 1e-8
-#: Largest tolerated Frobenius asymmetry of Xi0 Lambda, relative to
-#: max(1, ||Xi0 Lambda||_F).
-DEFAULT_SYM_TOL = 1e-9
 
 #: Design rates of the scan are gamma plus these offsets (those above 0);
 #: each rate is paired with each input weight, rate-major.
@@ -84,9 +79,9 @@ class LmiProblem:
     Xi0: np.ndarray
     Xi1: np.ndarray
     gamma: float
-    feas_margin: float = DEFAULT_FEAS_MARGIN
-    sym_tol: float = DEFAULT_SYM_TOL
     tol: float = DEFAULT_TOL
+    feas_margin: ClassVar[float] = 1e-8
+    sym_tol: ClassVar[float] = 1e-9
 
     def __post_init__(self):
         Xi0 = np.asarray(self.Xi0, dtype=float)
@@ -97,8 +92,8 @@ class LmiProblem:
             raise InvalidParams("problem data must be finite")
         if not (0.0 < self.gamma < 1.0):
             raise InvalidParams("gamma must lie in (0, 1)")
-        if not all(0.0 < v < np.inf for v in (self.feas_margin, self.sym_tol, self.tol)):
-            raise InvalidParams("feas_margin, sym_tol and tol must be finite and positive")
+        if not (0.0 < self.tol < np.inf):
+            raise InvalidParams("tol must be finite and positive")
         object.__setattr__(self, "Xi0", Xi0)
         object.__setattr__(self, "Xi1", Xi1)
 
@@ -109,7 +104,7 @@ class LmiSolution:
 
     ``right_inverse`` is the R behind the point: Xi0 R = I, the gain is
     Ups0 R and the closed loop Xi1 R.  ``iterations`` counts the scan's
-    candidate gains, the fallback rate's included when it was tried.
+    candidate gains.
     ``certificate`` is the (M, gamma, k0) of Xi1 R from the ranking that
     chose it (operators.least_certificate, whose result for a loop does not
     depend on the stack it is ranked in), so it is bitwise what
@@ -192,7 +187,8 @@ def _riccati_gains(A, B, rates, weights):
     H_k+1 = H_k + A_k^T H_k W^-1 A_k with W = I + G_k H_k, from
     (A_0, G_0, H_0) = (A / rate, B B^T / (weight rate^2), I); H_k converges
     to the stabilizing solution X, and K = -(weight I + B'^T X B')^-1 B'^T X A'
-    with (A', B') the scaled pair.
+    with (A', B') the scaled pair.  A step whose W is exactly singular (a
+    rate below a mode out of reach of B) is a breakdown of its pair.
     """
     n, q = B.shape
     rate = np.repeat(rates, len(weights))[:, None, None]
@@ -209,7 +205,7 @@ def _riccati_gains(A, B, rates, weights):
             full = live.size == c
             a, g, h = (Ak, G, H) if full else (Ak[live], G[live], H[live])
             at = np.swapaxes(a, 1, 2)
-            solved = np.linalg.solve(np.eye(n) + g @ h, np.concatenate([a, g @ at], axis=2))
+            solved = _solve_or_nan(np.eye(n) + g @ h, np.concatenate([a, g @ at], axis=2))
             WA, WGAt = solved[..., :n], solved[..., n:]
             h_next = h + at @ h @ WA
             h_next = 0.5 * (h_next + np.swapaxes(h_next, 1, 2))
@@ -226,9 +222,22 @@ def _riccati_gains(A, B, rates, weights):
             if live.size == 0:
                 break
         Bt = np.swapaxes(Bs, 1, 2)
-        K = -np.linalg.solve(weight * np.eye(q) + Bt @ H @ Bs, Bt @ H @ As)
+        K = -_solve_or_nan(weight * np.eye(q) + Bt @ H @ Bs, Bt @ H @ As)
     K[~np.all(np.isfinite(K), axis=(1, 2))] = np.nan
     return K
+
+
+def _solve_or_nan(a, b):
+    """np.linalg.solve over the stacks a, b, with NaN for each exactly
+    singular system rather than an error for the whole stack."""
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        x = np.full(b.shape, np.nan)
+        for j in range(len(a)):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                x[j] = np.linalg.solve(a[j], b[j])
+        return x
 
 
 def _stein_solution(F, rate):
@@ -327,31 +336,16 @@ def solve_feasibility(problem: LmiProblem, max_iters=None, seed=None):
             best_margin=-1.0 / (1.0 + abs(mode) ** 2), iterations=0, reason="pbh", mode=mode
         )
 
-    def loops(K):
-        R = Xi0_pinv + Zc @ K
-        return R, Xi1 @ R
-
-    def rank(R, F):
-        ok = np.flatnonzero(_admissible(Xi0, R, F))
-        least = least_certificate(F[ok], gamma, _POWER_HORIZON)
-        return None if least is None else (R[ok[least[0]]], F[ok[least[0]]], least[1])
-
     R, F = Xi0_pinv[None], A[None]  # no kernel direction moves the loop
     if rb:
         rates = gamma + _RATE_OFFSETS
-        R, F = loops(_riccati_gains(A, B, rates[rates > 0], _INPUT_WEIGHTS))
+        R = Xi0_pinv + Zc @ _riccati_gains(A, B, rates[rates > 0], _INPUT_WEIGHTS)
+        F = Xi1 @ R
     candidates = len(R)
-    least = rank(R, F)
-    if least is None and rb:
-        # every unreachable mode lies below gamma, so the pair scaled by a
-        # rate between the slowest of them and gamma is stabilizable, and
-        # the DARE gain at that rate puts rho(F) below the rate
-        slow = np.abs(_unreachable_modes(A, B, modes, tol)).max(initial=0.0)
-        R, F = loops(_riccati_gains(A, B, np.array([0.5 * (slow + gamma)]), _INPUT_WEIGHTS))
-        candidates += len(R)
-        least = rank(R, F)
+    ok = np.flatnonzero(_admissible(Xi0, R, F))
+    least = least_certificate(F[ok], gamma, _POWER_HORIZON)
     if least is not None:
-        R, F, certificate = least
+        R, F, certificate = R[ok[least[0]]], F[ok[least[0]]], least[1]
         radius = spectral_radius(F)
         P = _stein_solution(F, 0.5 * (radius + gamma))
         Lambda = R @ P

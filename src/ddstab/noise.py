@@ -226,23 +226,28 @@ def _rescale_to_norm(M, target):
     return M * np.divide(target, top, out=np.ones_like(top), where=top > 0)[:, None, None]
 
 
+#: Share of the (c1, c0) budget that ``_NoiseSampler`` fills.
+_FILL = 0.9
+
+
 class _NoiseSampler:
-    """Gaussian noise inside the class, scaled to ``fill`` of the budget.
+    """Gaussian noise inside the class, scaled to ``_FILL`` of the budget.
 
     Class membership forces the noise, seen through Omega, to factor over
     the data: Delta1 Omega = (Xi1~ Omega) Phi1 and
     [Delta0; Theta0] Omega = ([Xi0~; Ups0~] Omega) Phi0 with ||Phi|| within
     budget.  A raw Gaussian matrix violates the stacked range inclusion
     almost surely, so the admissible component is drawn through Gaussian
-    factors Phi rescaled to ``fill`` of (c1, c0); a free Gaussian component
+    factors Phi rescaled to ``_FILL`` of (c1, c0); a free Gaussian component
     invisible to Omega (and hence unconstrained by the class) is added at a
-    matching magnitude.  Draws whose minimal constants still exceed the
-    budget are rejected.  ``denoise`` subtracts accepted draws from the
-    data.  Everything that does not depend on the random stream is computed
-    once, here.
+    matching magnitude.  As Omega^+ Omega = I, a draw seen through Omega is
+    (data Omega) Phi, so it meets the class test up to rounding; the test
+    stays as a guard.  ``denoise`` subtracts the draws from the data.
+    Everything that does not depend on the random stream is computed once,
+    here.
     """
 
-    def __init__(self, noisy_batch, Omega, c1, c0, fill=0.9):
+    def __init__(self, noisy_batch, Omega, c1, c0):
         params = NoiseClassParams(c1=c1, c0=c0, Omega=Omega)
         n, m, N = noisy_batch.n, noisy_batch.m, noisy_batch.N
         Om = params.Omega
@@ -250,7 +255,7 @@ class _NoiseSampler:
             raise DimensionMismatch(f"Omega must be N x n = {(N, n)}, got {Om.shape}")
         data0 = np.vstack([noisy_batch.Xi0, noisy_batch.Ups0])
         self.n, self.m, self.N = n, m, N
-        self.c1, self.c0, self.fill = c1, c0, fill
+        self.c1, self.c0 = c1, c0
         self.Om = Om
         self.Xi1, self.data0 = noisy_batch.Xi1, data0
         self.Om_pinv = pseudo_inverse(Om)
@@ -262,160 +267,121 @@ class _NoiseSampler:
         self.rms1 = np.linalg.norm(noisy_batch.Xi1) / max(1.0, np.sqrt(N * n))
         self.rms0 = np.linalg.norm(data0) / max(1.0, np.sqrt(N * (n + m)))
 
-    def draw(self, rng, count, max_tries=50):
-        """Noise inside the class for ``count`` trials from the generator
-        ``rng``: a list of (Delta1, [Delta0; Theta0]), or None for a trial
-        whose ``max_tries`` tries were all rejected.
+    def draw(self, rng, count):
+        """Noise for ``count`` trials from the generator ``rng``: the stacks
+        Delta1 and [Delta0; Theta0], and which trials pass the class test.
 
-        A try draws the Gaussian blocks G1, G0, E1, E0 in this order, those
-        of a zero constant left out and left zero, as one row.  The first
-        tries of all trials are the rows of one ``standard_normal((count,
-        size))`` call, row t for trial t, so a trial's first try does not
-        depend on the other trials.  Each later round is one call, one row
-        for each trial still pending, in trial order; each round runs as one
-        stack."""
+        Trial t draws the Gaussian blocks G1, G0, E1, E0 in this order,
+        those of a zero constant left out and left zero, as row t of one
+        ``standard_normal((count, size))`` call, so a trial's draw does not
+        depend on the other trials."""
         n, m, N = self.n, self.m, self.N
-        c1, c0, fill = self.c1, self.c0, self.fill
+        c1, c0 = self.c1, self.c0
         blocks = [((n, n), c1), ((n, n), c0), ((n, N), c1), ((n + m, N), c0)]
         sizes = [a * b if c > 0 else 0 for (a, b), c in blocks]
         starts = np.cumsum([0] + sizes[:-1])
-        drawn = [None] * count
-        pending = np.arange(count)
-        for _ in range(max_tries):
-            if pending.size == 0:
-                break
-            Z = rng.standard_normal((pending.size, sum(sizes)))
-            G1, G0, E1, E0 = (
-                Z[:, start : start + size].reshape((-1,) + shape)
-                if size
-                else np.zeros((pending.size,) + shape)
-                for (shape, _), start, size in zip(blocks, starts, sizes)
-            )
-            Phi1 = _rescale_to_norm(G1, fill * c1) if c1 > 0 else G1
-            Phi0 = _rescale_to_norm(G0, fill * c0) if c0 > 0 else G0
-            free1 = fill * c1 * self.rms1 * E1 @ self.perp if c1 > 0 else E1
-            free0 = fill * c0 * self.rms0 * E0 @ self.perp if c0 > 0 else E0
-            # each Delta1 in the column-major layout of DataBatch.Xi1, so that
-            # BLAS sums the products below as noise_in_class does on a batch
-            Delta1 = np.swapaxes(np.swapaxes(self.B1 @ Phi1 @ self.Om_pinv + free1, 1, 2).copy(), 1, 2)
-            D0 = self.B0 @ Phi0 @ self.Om_pinv + free0
-            D0m = D0 @ self.Om
-            ok = self.state_in_budget(Delta1) & (
-                _psd_margin(D0m @ np.swapaxes(D0m, 1, 2), self.budget0) >= -DEFAULT_TOL
-            )
-            for j in np.flatnonzero(ok):
-                drawn[pending[j]] = Delta1[j], D0[j]
-            pending = pending[~ok]
-        return drawn
-
-    def state_in_budget(self, Delta1):
-        """Whether each Delta1 of the stack meets the state-update
-        majorization of the class (the c1 budget)."""
+        Z = rng.standard_normal((count, sum(sizes)))
+        G1, G0, E1, E0 = (
+            Z[:, start : start + size].reshape((-1,) + shape) if size else np.zeros((count,) + shape)
+            for (shape, _), start, size in zip(blocks, starts, sizes)
+        )
+        Phi1 = _rescale_to_norm(G1, _FILL * c1) if c1 > 0 else G1
+        Phi0 = _rescale_to_norm(G0, _FILL * c0) if c0 > 0 else G0
+        free1 = _FILL * c1 * self.rms1 * E1 @ self.perp if c1 > 0 else E1
+        free0 = _FILL * c0 * self.rms0 * E0 @ self.perp if c0 > 0 else E0
+        # each Delta1 in the column-major layout of DataBatch.Xi1, so that
+        # BLAS sums the products below as noise_in_class does on a batch
+        Delta1 = np.swapaxes(np.swapaxes(self.B1 @ Phi1 @ self.Om_pinv + free1, 1, 2).copy(), 1, 2)
+        D0 = self.B0 @ Phi0 @ self.Om_pinv + free0
+        D0m = D0 @ self.Om
         D1m = Delta1 @ self.Om
-        return _psd_margin(D1m @ np.swapaxes(D1m, 1, 2), self.budget1) >= -DEFAULT_TOL
+        ok = (_psd_margin(D1m @ np.swapaxes(D1m, 1, 2), self.budget1) >= -DEFAULT_TOL) & (
+            _psd_margin(D0m @ np.swapaxes(D0m, 1, 2), self.budget0) >= -DEFAULT_TOL
+        )
+        return Delta1, D0, ok
 
-    def denoise(self, drawn):
-        """The batches denoised by the non-empty list ``drawn`` of ``draw``
-        results, as stacks (Xi1, W, W^+) with W = [Xi0; Ups0], and which of
-        them are kept.
+    def denoise(self, Delta1, D0):
+        """The batches denoised by the stacks Delta1 and D0 = [Delta0;
+        Theta0] of ``draw``, as stacks (Xi1, W, W^+) with W = [Xi0; Ups0],
+        and which of them are consistent.
 
         Where W has rank below N (its rank at ``DEFAULT_TOL`` is the trace
-        of the projector W^+ W, from the same SVD as W^+), the part of Xi1
-        outside the row space of W is moved into Delta1, which makes the
-        batch consistent; the draw is dropped if Delta1 then leaves the c1
-        budget.  A batch is also dropped if Xi1 W^+ W misses Xi1 by more
-        than 1e-8 relative.
+        of the projector W^+ W, from the same SVD as W^+), Xi1 = Xi1~ - Delta1
+        is replaced by X W with X = Xi1 W^+ + (Xi1 - Xi1 W^+ W) Omega
+        (W Omega)^+: it lies in the row space of W, and as W Omega =
+        B0 (I - Phi0) has full column rank, X W Omega = Xi1 Omega, so the
+        state noise keeps what the class test saw of it.  A batch is
+        inconsistent if Xi1 W^+ W misses Xi1 by more than 1e-8 relative.
         """
-        N = self.N
-        # each Delta1 keeps the column-major layout it was drawn in
-        Delta1 = np.swapaxes(np.stack([d[0].T for d in drawn]), 1, 2)
-        W = self.data0 - np.stack([d[1] for d in drawn])
+        W = self.data0 - D0
         Wp = pseudo_inverse(W)
         Xi1 = self.Xi1 - Delta1
-        ok = np.ones(len(drawn), dtype=bool)
         WpW = Wp @ W
-        short = np.flatnonzero(np.rint(np.trace(WpW, axis1=1, axis2=2)) < N)
+        short = np.flatnonzero(np.rint(np.trace(WpW, axis1=1, axis2=2)) < self.N)
         if short.size:
-            Delta1[short] += Xi1[short] @ (np.eye(N) - WpW[short])
-            ok[short] = self.state_in_budget(Delta1[short])
-            Xi1 = self.Xi1 - Delta1
+            X = Xi1[short] @ Wp[short]
+            WOm = W[short] @ self.Om
+            X += (Xi1[short] @ self.Om - X @ WOm) @ pseudo_inverse(WOm)
+            Xi1[short] = X @ W[short]
         residual = np.linalg.norm(Xi1 @ Wp @ W - Xi1, axis=(1, 2))
-        ok &= residual <= 1e-8 * (1.0 + np.linalg.norm(Xi1, axis=(1, 2)))
-        return Xi1, W, Wp, ok
+        return Xi1, W, Wp, residual <= 1e-8 * (1.0 + np.linalg.norm(Xi1, axis=(1, 2)))
 
 
-#: Power-check horizon and compatible-family scale of ``verify_robust_gain``.
+#: Power-check horizon, compatible-family scale and systems sampled per
+#: trial of ``verify_robust_gain``.
 _POWER_HORIZON = 100
 _FAMILY_SCALE = 1.0
+_SYSTEMS_PER_TRIAL = 3
 
 
-def verify_robust_gain(
-    noisy_batch: DataBatch,
-    K,
-    M,
-    gamma_tilde,
-    c1,
-    c0,
-    Omega,
-    trials=20,
-    seed=0,
-    systems_per_trial=3,
-):
+def verify_robust_gain(noisy_batch: DataBatch, K, M, gamma_tilde, c1, c0, Omega, trials=20, seed=0):
     """Sample the noisy compatible set and check the robust decay bound.
 
-    Each trial draws admissible noise (rejection-scaled Gaussian) and
-    denoises the batch; all trials are denoised as one stack.  The noise of
-    all trials comes from one stream, keyed ``seed``, in the layout of
-    ``_NoiseSampler.draw``: the first tries as one row per trial, then one
-    row per pending trial for each later round.  Where the denoised
-    [Xi0; Ups0] has rank below N, the part of the denoised Xi1 outside its
-    row space is moved into the noise, and the draw is rejected if that
-    leaves the c1 budget.  Then ``systems_per_trial`` systems compatible
-    with each denoised batch are sampled by the one compatible-family
-    sampler of the informativity module, at scale ``_FAMILY_SCALE``; the
-    systems of all trials come, trial after trial, from a second stream,
-    keyed (seed, 0, 1), which the noise stream does not share (numpy pads a
-    short key with zeros, so ``seed`` reads as (seed, 0, 0)).  A denoised
-    [Xi0; Ups0] of rank n + m leaves one compatible system, Xi1 W^+, which
-    stands for all ``systems_per_trial`` systems of its trial: its loop is
-    checked once and counted that many times.  It checks
-    rho(A + B K) <= gamma_tilde + 1e-6 together with
+    Each trial draws admissible noise (``_NoiseSampler``) and denoises the
+    batch; all trials are drawn and denoised as one stack.  The noise of
+    all trials comes from one stream, keyed ``seed``, one row per trial.
+    Where the denoised [Xi0; Ups0] has rank below N, the denoised Xi1 is
+    moved into its row space without changing what Omega sees of the state
+    noise.  Then ``_SYSTEMS_PER_TRIAL`` systems compatible with each
+    denoised batch are sampled by the one compatible-family sampler of the
+    informativity module, at scale ``_FAMILY_SCALE``; the systems of all
+    trials come, trial after trial, from a second stream, keyed (seed, 0,
+    1), which the noise stream does not share (numpy pads a short key with
+    zeros, so ``seed`` reads as (seed, 0, 0)).  A denoised [Xi0; Ups0] of
+    rank n + m leaves one compatible system, Xi1 W^+, which stands for all
+    the systems of its trial: its loop is checked once and counted that
+    many times.  It checks rho(A + B K) <= gamma_tilde + 1e-6 together with
     ||(A + B K)^k|| <= (M + 1e-6) gamma_tilde^k for k up to
     ``_POWER_HORIZON``.  All trials' closed loops are checked as one stack
     (``_check_closed_loops``); a loop leaves the power check at its first
     excess, which counts as one violation per system it stands for, and
     singular values are computed only where a Frobenius bound cannot rule
     out an excess or the worst excess, so the report is the one the full
-    computation gives.  Rejected and inconsistent draws are counted in
-    ``rejected_draws``.
+    computation gives.  Draws that fail the class test and inconsistent
+    denoised batches are counted in ``rejected_draws``.
     """
     if trials < 0:
         raise InvalidParams("trials must be >= 0")
-    if systems_per_trial < 0:
-        raise InvalidParams("systems_per_trial must be >= 0")
     K = np.atleast_2d(np.asarray(K, dtype=float))
     n = noisy_batch.n
     sampler = _NoiseSampler(noisy_batch, Omega, c1, c0)
-    drawn = sampler.draw(np.random.default_rng(seed), int(trials))
-    drawn = [d for d in drawn if d is not None]
-    AB, counts, accepted = np.empty((0, n, n + noisy_batch.m)), np.empty(0, dtype=int), 0
-    if drawn:
-        Xi1, W, Wp, ok = sampler.denoise(drawn)
-        accepted = int(ok.sum())
-        AB, counts = _compatible_systems(
-            Xi1[ok], W[ok], Wp[ok], systems_per_trial, _FAMILY_SCALE, [seed, 0, 1]
-        )
+    Delta1, D0, in_class = sampler.draw(np.random.default_rng(seed), int(trials))
+    Xi1, W, Wp, ok = sampler.denoise(Delta1, D0)
+    ok &= in_class
+    AB, counts = _compatible_systems(
+        Xi1[ok], W[ok], Wp[ok], _SYSTEMS_PER_TRIAL, _FAMILY_SCALE, [seed, 0, 1]
+    )
     worst_radius, violations, worst_power_excess = _check_closed_loops(
         AB[:, :, :n] + AB[:, :, n:] @ K, M, gamma_tilde, _POWER_HORIZON, counts
     )
     return RobustVerificationReport(
         trials=int(trials),
-        systems_per_trial=systems_per_trial,
+        systems_per_trial=_SYSTEMS_PER_TRIAL,
         worst_radius=worst_radius,
         radius_bound=gamma_tilde + 1e-6,
         worst_power_excess=worst_power_excess,
         violations=violations,
-        rejected_draws=int(trials) - accepted,
+        rejected_draws=int(trials) - int(ok.sum()),
     )
 
 

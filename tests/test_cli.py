@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ddstab import cli
+from ddstab import cli, noise as noise_mod
 from ddstab.cli import main
 from ddstab.lmi import LmiProblem, solve_feasibility
 from ddstab.systems import DataBatch, REFERENCE_CASCADE_GAIN_PLUS
@@ -11,6 +11,16 @@ from ddstab.systems import DataBatch, REFERENCE_CASCADE_GAIN_PLUS
 
 def run(*argv):
     return main(list(argv))
+
+
+#: Decomposition options that give no valid X+, with the n_plus they would
+#: give on the reference cascade: a negative head block, and an X+ of
+#: dimension 0 (no head block, and a reaction bound that leaves no slow mode).
+BAD_SPLITS = pytest.mark.parametrize(
+    "split, n_plus",
+    [(["--head-dim", "-1"], 1), (["--head-dim", "-2"], 0), (["--head-dim", "0", "--b0", "-3"], 0)],
+    ids=["head-dim-1", "head-dim-2", "empty"],
+)
 
 
 def write_gain(path, K):
@@ -207,6 +217,15 @@ class TestAnalyze:
         ) == 2
         assert not report.exists()
 
+    @BAD_SPLITS
+    def test_bad_split_exit_2(self, cascade_file, tmp_path, split, n_plus):
+        report = tmp_path / "report.json"
+        assert run(
+            "analyze", "--in", str(cascade_file), "--mode", "finite-plus", *split,
+            "--out", str(report),
+        ) == 2
+        assert not report.exists()
+
     def test_malformed_input_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -356,6 +375,18 @@ class TestVerify:
         ) == 2
         assert not report.exists()
 
+    @BAD_SPLITS
+    def test_bad_split_exit_2(self, cascade_file, tmp_path, split, n_plus):
+        """The gain has the n_plus columns the split asks for, so the
+        split itself is what gets rejected."""
+        gain, report = tmp_path / "gain.json", tmp_path / "verify.json"
+        write_gain(gain, np.atleast_2d(REFERENCE_CASCADE_GAIN_PLUS)[:, :n_plus])
+        assert run(
+            "verify", "--in", str(cascade_file), "--gain", str(gain), "--mode", "plus",
+            "--trials", "5", *split, "--out", str(report),
+        ) == 2
+        assert not report.exists()
+
     def test_csv_emission(self, cascade_file, tmp_path):
         gain = tmp_path / "gain.json"
         write_gain(gain, REFERENCE_CASCADE_GAIN_PLUS)
@@ -434,10 +465,10 @@ class TestNoise:
         )
         assert code == 1
 
-    def test_all_draws_rejected_is_inconclusive(self, tmp_path, capsys):
-        """Unprojected data with N > n + m and no state-noise budget: every
-        denoised batch needs state noise to be consistent, so every draw is
-        rejected, no system is checked and the exit code says so."""
+    def test_all_draws_rejected_is_inconclusive(self, tmp_path, capsys, monkeypatch):
+        """Noise drawn at twice the budget fails the class test: every draw
+        is rejected, no system is checked and the exit code says so."""
+        monkeypatch.setattr(noise_mod, "_FILL", 2.0)
         data, report = tmp_path / "rl.json", tmp_path / "noise.json"
         assert run("generate", "--scenario", "random-lti", "--n", "3", "--seed", "7",
                    "--out", str(data)) == 0
@@ -469,6 +500,31 @@ class TestNoise:
         assert verification["rejected_draws"] < 50
         assert verification["worst_radius"] > 0.0
         assert verification["violations"] == 0
+
+    def test_unprojected_draws_all_kept(self, tmp_path):
+        """Making a denoised batch consistent keeps the state noise that
+        Omega sees, so no draw leaves the class and every trial is checked."""
+        data, report = tmp_path / "rl.json", tmp_path / "noise.json"
+        assert run("generate", "--scenario", "random-lti", "--n", "8", "--seed", "0",
+                   "--out", str(data)) == 0
+        code = run(
+            "noise", "--in", str(data), "--gamma", "0.9", "--c1", "0.001", "--c0", "0.001",
+            "--trials", "60", "--out", str(report),
+        )
+        assert code == 0
+        verification = json.loads(report.read_text())["verification"]
+        assert verification["rejected_draws"] == 0
+        assert verification["worst_radius"] > 0.0
+        assert verification["violations"] == 0
+
+    @BAD_SPLITS
+    def test_bad_split_exit_2(self, cascade_file, tmp_path, split, n_plus):
+        report = tmp_path / "noise.json"
+        assert run(
+            "noise", "--in", str(cascade_file), "--gamma", "0.9", "--c1", "0.003",
+            "--c0", "0.003", "--project", "--trials", "5", *split, "--out", str(report),
+        ) == 2
+        assert not report.exists()
 
     def test_negative_trials_rejected(self, cascade_file, tmp_path):
         report = tmp_path / "noise.json"

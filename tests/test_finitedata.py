@@ -125,7 +125,7 @@ class TestCascadeDecomposition:
         with pytest.raises(CutoffExceedsTruncation):
             cascade_decomposition(params, 0.89, 0.1, 0.0)
 
-    @pytest.mark.parametrize("n_plus", [-1, 4])
+    @pytest.mark.parametrize("n_plus", [-1, 0, 4])
     def test_n_plus_out_of_range(self, n_plus):
         with pytest.raises(CutoffExceedsTruncation):
             Decomposition(3, n_plus, 0.5)

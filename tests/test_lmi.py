@@ -136,7 +136,11 @@ class TestSolveFeasibility:
     @pytest.mark.parametrize("field", ["tol", "feas_margin", "sym_tol"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0])
     def test_thresholds_must_be_finite_and_positive(self, field, value):
-        with pytest.raises(InvalidParams):
+        """``tol`` is checked; the acceptance thresholds are finite positive
+        class constants, which no caller can set."""
+        if field != "tol":
+            assert 0.0 < getattr(LmiProblem, field) < np.inf
+        with pytest.raises(InvalidParams if field == "tol" else TypeError):
             LmiProblem(Xi0=np.eye(2), Xi1=np.eye(2), gamma=0.9, **{field: value})
 
     def test_zero_state_data_infeasible(self):
@@ -255,18 +259,23 @@ class TestExactVerdict:
         radius = np.max(np.abs(np.linalg.eigvals(A + B @ result.K)))
         assert slow - 1e-6 <= radius < 0.9
 
-    def test_fallback_rate_when_no_grid_rate_works(self, monkeypatch):
-        """With every scan rate below the slowest unreachable mode, no grid
-        gain works; the rate halfway between that mode and gamma does."""
-        rng = np.random.default_rng(8)
-        A = np.diag([0.85, 1.3])
-        B = np.array([[0.0], [1.0]])
-        Xi0, Xi1, _ = data_from_system(A, B, rng, 4)
-        monkeypatch.setattr(lmi, "_RATE_OFFSETS", np.array([-0.3, -0.2]))
-        sol = solve_feasibility(LmiProblem(Xi0=Xi0, Xi1=Xi1, gamma=0.9))
-        assert isinstance(sol, LmiSolution)
-        assert sol.iterations == 2 * len(lmi._INPUT_WEIGHTS) + len(lmi._INPUT_WEIGHTS)
-        assert spectral_radius(Xi1 @ sol.right_inverse) < 0.9
+    @pytest.mark.parametrize("seed", [2, 5])
+    def test_singular_doubling_step_breaks_down_one_pair(self, seed):
+        """An unreachable mode at 0.895, just below gamma = 0.9: at the scan
+        rates below it the scaled pair cannot be stabilized, and a doubling
+        step meets an exactly singular I + G H.  Only that pair breaks down;
+        the verdict is positive and the gain stabilizes the true system."""
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((6, 6))
+        A *= 1.3 / spectral_radius(A)
+        A[0] = 0.0
+        A[0, 0] = 0.895
+        B = rng.standard_normal((6, 1))
+        B[0] = 0.0
+        Xi0, Xi1, Ups0 = data_from_system(A, B, rng, 7)
+        result = synthesize_gain(Xi0, Xi1, Ups0, 0.9)
+        assert not isinstance(result, NotInformative), result
+        assert spectral_radius(A + B @ result.K) < 0.9
 
 
 def stein_one_step(F, rate):

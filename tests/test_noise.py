@@ -140,12 +140,11 @@ def power_check_case(name, batch):
     return np.empty((0, 4, 4)), 2.0, 0.9
 
 
-def draws_one_at_a_time(rng, count, batch, Omega, c1, c0, fill, max_tries):
-    """The noise draw of ``count`` trials written one trial and one try at a
-    time (c1, c0 > 0): each round draws the blocks G1, G0, E1, E0 of one try
-    for each pending trial, in trial order, from the one generator, and
-    every try is built as a DataBatch and checked with noise_in_class.  A
-    list of DataBatch, or None for a trial whose tries were all rejected."""
+def draws_one_at_a_time(rng, count, batch, Omega, c1, c0, fill):
+    """The noise draw of ``count`` trials written one trial at a time (c1,
+    c0 > 0): each trial draws its blocks G1, G0, E1, E0 from the one
+    generator, in trial order, and its draw is built as a DataBatch and
+    checked with noise_in_class.  A list of (DataBatch, in class)."""
     n, m, N = batch.n, batch.m, batch.N
     Om_pinv = pseudo_inverse(Omega)
     perp = np.eye(N) - Omega @ Om_pinv
@@ -153,19 +152,16 @@ def draws_one_at_a_time(rng, count, batch, Omega, c1, c0, fill, max_tries):
     B1, B0 = batch.Xi1 @ Omega, data0 @ Omega
     rms1 = np.linalg.norm(batch.Xi1) / max(1.0, np.sqrt(N * n))
     rms0 = np.linalg.norm(data0) / max(1.0, np.sqrt(N * (n + m)))
-    drawn, pending = [None] * count, list(range(count))
-    for _ in range(max_tries):
-        for t in pending:
-            G1, G0 = rng.standard_normal((n, n)), rng.standard_normal((n, n))
-            Phi1 = G1 * (fill * c1 / operator_norm(G1))
-            Phi0 = G0 * (fill * c0 / operator_norm(G0))
-            free1 = fill * c1 * rms1 * rng.standard_normal((n, N)) @ perp
-            free0 = fill * c0 * rms0 * rng.standard_normal((n + m, N)) @ perp
-            D0 = B0 @ Phi0 @ Om_pinv + free0
-            draw = DataBatch(x1=(B1 @ Phi1 @ Om_pinv + free1).T, x0=D0[:n].T, u0=D0[n:].T)
-            if noise_in_class(draw, batch, NoiseClassParams(c1, c0, Omega)):
-                drawn[t] = draw
-        pending = [t for t in pending if drawn[t] is None]
+    drawn = []
+    for _ in range(count):
+        G1, G0 = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+        Phi1 = G1 * (fill * c1 / operator_norm(G1))
+        Phi0 = G0 * (fill * c0 / operator_norm(G0))
+        free1 = fill * c1 * rms1 * rng.standard_normal((n, N)) @ perp
+        free0 = fill * c0 * rms0 * rng.standard_normal((n + m, N)) @ perp
+        D0 = B0 @ Phi0 @ Om_pinv + free0
+        draw = DataBatch(x1=(B1 @ Phi1 @ Om_pinv + free1).T, x0=D0[:n].T, u0=D0[n:].T)
+        drawn.append((draw, bool(noise_in_class(draw, batch, NoiseClassParams(c1, c0, Omega)))))
     return drawn
 
 
@@ -411,7 +407,9 @@ class TestVerifyRobustGain:
             pytest.param(4.8 / REFERENCE_M, 0.86 - REFERENCE_RADIUS, id="4.8-0.86"),
         ],
     )
-    def test_violations_match_per_system_loop(self, projected_cascade, M_ratio, radius_gap):
+    def test_violations_match_per_system_loop(
+        self, projected_cascade, M_ratio, radius_gap, monkeypatch
+    ):
         """M set below the gain's transient: part of the sampled loops exceed
         M gamma~^k, and in the second case some radii exceed gamma~ too.  The
         stacked check must count what a loop over single systems counts,
@@ -426,16 +424,16 @@ class TestVerifyRobustGain:
         if radius_gap is not None:
             gamma_tilde = spectral_radius(projected_cascade.Xi1 @ res.Omega) + radius_gap
         c, trials, seed, per_trial = 0.02, 10, 3, 3
+        monkeypatch.setattr(noise_mod, "_SYSTEMS_PER_TRIAL", per_trial)
         report = verify_robust_gain(
-            projected_cascade, res.K, M, gamma_tilde, c, c, res.Omega, trials=trials, seed=seed,
-            systems_per_trial=per_trial,
+            projected_cascade, res.K, M, gamma_tilde, c, c, res.Omega, trials=trials, seed=seed
         )
         denoised = []
         drawn = draws_one_at_a_time(
-            np.random.default_rng(seed), trials, projected_cascade, res.Omega, c, c, 0.9, 50
+            np.random.default_rng(seed), trials, projected_cascade, res.Omega, c, c, 0.9
         )
-        for noise in drawn:
-            assert noise is not None
+        for noise, in_class in drawn:
+            assert in_class
             W = np.vstack([projected_cascade.Xi0 - noise.Xi0, projected_cascade.Ups0 - noise.Ups0])
             denoised.append((projected_cascade.Xi1 - noise.Xi1, W, pseudo_inverse(W)))
         violations, worst_excess, worst_radius, _ = per_system_check(
@@ -457,17 +455,17 @@ class TestVerifyRobustGain:
         M, gamma_tilde, c, trials, seed, per_trial = 5.0 / REFERENCE_M * res.M, 0.93, 0.02, 10, 3, 3
         denoised, denoise = [], _NoiseSampler.denoise
 
-        def drop_inputs(sampler, drawn):
-            Xi1, W, Wp, ok = denoise(sampler, drawn)
+        def drop_inputs(sampler, Delta1, D0):
+            Xi1, W, Wp, ok = denoise(sampler, Delta1, D0)
             W[::2, -1] = 0.0
             Wp[::2] = pseudo_inverse(W[::2])
             denoised.append((Xi1, W, Wp, ok))
             return Xi1, W, Wp, ok
 
         monkeypatch.setattr(_NoiseSampler, "denoise", drop_inputs)
+        monkeypatch.setattr(noise_mod, "_SYSTEMS_PER_TRIAL", per_trial)
         report = verify_robust_gain(
-            projected_cascade, res.K, M, gamma_tilde, c, c, res.Omega, trials=trials, seed=seed,
-            systems_per_trial=per_trial,
+            projected_cascade, res.K, M, gamma_tilde, c, c, res.Omega, trials=trials, seed=seed
         )
         (Xi1, W, Wp, ok), = denoised
         assert ok.all()
@@ -575,40 +573,45 @@ class TestVerifyRobustGain:
         assert sum(sizes) <= 10
 
     @pytest.mark.parametrize("c, fill", [(0.003, 0.9), (0.02, 0.9), (0.01, 1 + 3e-6)])
-    def test_stacked_draws_match_one_at_a_time(self, projected_cascade, c, fill):
-        """Drawing each round of tries as one stack gives bitwise what the
-        trials draw one block at a time from the same generator, for many
-        trials and for one.  A trial's first try is its own row of the
-        first round, so fewer trials give a prefix of the first tries.  At
-        fill 1 + 3e-6 some first tries leave the class and are drawn again."""
+    def test_stacked_draws_match_one_at_a_time(self, projected_cascade, c, fill, monkeypatch):
+        """Drawing all trials as one stack gives bitwise what the trials
+        draw one block at a time from the same generator, for many trials
+        and for one, and the class test of the stack is noise_in_class's.  A
+        trial's draw is its own row, so fewer trials give a prefix.  At fill
+        1 + 3e-6 some draws leave the class; they are flagged, not drawn
+        again."""
+        monkeypatch.setattr(noise_mod, "_FILL", fill)
         res = robust_stabilization(projected_cascade, 0.9, 0.003, 0.003)
         args = (projected_cascade, res.Omega, c, c)
-        sampler = _NoiseSampler(*args, fill=fill)
+        sampler = _NoiseSampler(*args)
         for count in (74, 1):
-            stacked = sampler.draw(np.random.default_rng(9), count, max_tries=5)
-            refs = draws_one_at_a_time(np.random.default_rng(9), count, *args, fill, 5)
-            assert len(stacked) == len(refs) == count
-            for drawn, ref in zip(stacked, refs):
-                assert ref is not None and drawn is not None
+            Delta1, D0, ok = sampler.draw(np.random.default_rng(9), count)
+            refs = draws_one_at_a_time(np.random.default_rng(9), count, *args, fill)
+            assert len(Delta1) == len(D0) == len(ok) == len(refs) == count
+            for delta1, d0, in_class, (ref, ref_in_class) in zip(Delta1, D0, ok, refs):
                 ref0 = np.vstack([ref.Xi0, ref.Ups0])
-                assert np.array_equal(drawn[0], ref.Xi1) and np.array_equal(drawn[1], ref0)
-        first = sampler.draw(np.random.default_rng(9), 74, max_tries=1)
-        fewer = sampler.draw(np.random.default_rng(9), 30, max_tries=1)
+                assert np.array_equal(delta1, ref.Xi1) and np.array_equal(d0, ref0)
+                assert in_class == ref_in_class
+        first = sampler.draw(np.random.default_rng(9), 74)
+        fewer = sampler.draw(np.random.default_rng(9), 30)
         for a, b in zip(first, fewer):
-            assert (a is None) == (b is None)
-            assert a is None or (np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1]))
+            assert np.array_equal(a[:30], b)
         if fill > 1:
-            assert 0 < sum(d is None for d in first) < len(first)
+            assert 0 < np.sum(~first[2]) < 74
+        else:
+            assert first[2].all()
 
-    def test_draws_outside_budget_all_rejected(self, projected_cascade):
-        """Factors at twice the budget leave the class: every path gives up,
-        for one trial and for several."""
+    def test_draws_outside_budget_all_rejected(self, projected_cascade, monkeypatch):
+        """Factors at twice the budget leave the class: every draw is
+        flagged, for one trial and for several."""
+        monkeypatch.setattr(noise_mod, "_FILL", 2.0)
         res = robust_stabilization(projected_cascade, 0.9, 0.003, 0.003)
         args = (projected_cascade, res.Omega, 0.01, 0.01)
-        sampler = _NoiseSampler(*args, fill=2.0)
+        sampler = _NoiseSampler(*args)
         for count in (1, 5):
-            assert draws_one_at_a_time(np.random.default_rng(0), count, *args, 2.0, 3) == [None] * count
-            assert sampler.draw(np.random.default_rng(0), count, max_tries=3) == [None] * count
+            refs = draws_one_at_a_time(np.random.default_rng(0), count, *args, 2.0)
+            assert not any(in_class for _, in_class in refs)
+            assert not sampler.draw(np.random.default_rng(0), count)[2].any()
 
 
 class TestDenoise:
@@ -623,33 +626,45 @@ class TestDenoise:
     def test_denoised_batches_consistent_beyond_square(self, wide_batch):
         """Each raw draw takes Xi1 out of the row space of the denoised
         W = [Xi0; Ups0]; after the correction every denoised batch is
-        consistent, and a batch is kept exactly when its state noise stays
-        in the c1 budget."""
+        consistent, and the state noise seen through Omega, which the class
+        test judges, is the one drawn."""
         res = robust_stabilization(wide_batch, 0.9, 0.002, 0.002)
+        params = NoiseClassParams(0.002, 0.002, res.Omega)
         sampler = _NoiseSampler(wide_batch, res.Omega, 0.002, 0.002)
-        drawn = sampler.draw(np.random.default_rng(4), 30)
-        assert all(d is not None for d in drawn)
-        Xi1, W, Wp, ok = sampler.denoise(drawn)
-        assert ok.sum() >= 20
+        Delta1, D0, in_class = sampler.draw(np.random.default_rng(4), 30)
+        assert in_class.all()
+        Xi1, W, Wp, ok = sampler.denoise(Delta1, D0)
+        assert ok.all()
         data0 = np.vstack([wide_batch.Xi0, wide_batch.Ups0])
-        for (Delta1, D0), xi1, w, wp in zip(drawn, Xi1, W, Wp):
-            assert np.array_equal(w, data0 - D0) and np.array_equal(wp, pseudo_inverse(w))
+        for delta1, d0, xi1, w, wp in zip(Delta1, D0, Xi1, W, Wp):
+            assert np.array_equal(w, data0 - d0) and np.array_equal(wp, pseudo_inverse(w))
             assert np.linalg.matrix_rank(w) == 4
-            raw = wide_batch.Xi1 - Delta1
+            raw = wide_batch.Xi1 - delta1
             assert np.linalg.norm(raw @ wp @ w - raw) > 1e-6
             assert np.linalg.norm(xi1 @ wp @ w - xi1) <= 1e-10 * (1.0 + np.linalg.norm(xi1))
-        assert np.array_equal(sampler.state_in_budget(wide_batch.Xi1 - Xi1), ok)
+            moved = wide_batch.Xi1 - xi1
+            seen = delta1 @ res.Omega
+            assert np.linalg.norm(moved @ res.Omega - seen) <= 1e-12 * np.linalg.norm(wide_batch.Xi1)
+            noise = DataBatch(x1=moved.T, x0=d0[:3].T, u0=d0[3:].T)
+            assert noise_in_class(noise, wide_batch, params)
 
-    def test_no_state_budget_rejects_every_draw(self, wide_batch):
-        """With c1 = 0 no draw can move Xi1 into the row space of W."""
+    def test_no_state_budget_keeps_every_draw(self, wide_batch):
+        """With c1 = 0 the state noise must vanish on Omega, which leaves
+        room off it: every denoised batch is consistent and in the class,
+        so every trial is checked."""
         res = robust_stabilization(wide_batch, 0.9, 0.0, 0.01)
         sampler = _NoiseSampler(wide_batch, res.Omega, 0.0, 0.01)
-        drawn = sampler.draw(np.random.default_rng(4), 10)
-        assert not sampler.denoise(drawn)[3].any()
+        Delta1, D0, in_class = sampler.draw(np.random.default_rng(4), 10)
+        Xi1, _, _, ok = sampler.denoise(Delta1, D0)
+        assert in_class.all() and ok.all()
+        for xi1, d0 in zip(Xi1, D0):
+            moved = wide_batch.Xi1 - xi1
+            noise = DataBatch(x1=moved.T, x0=d0[:3].T, u0=d0[3:].T)
+            assert noise_in_class(noise, wide_batch, NoiseClassParams(0.0, 0.01, res.Omega))
         report = verify_robust_gain(
             wide_batch, res.K, res.M, res.gamma_tilde, 0.0, 0.01, res.Omega, trials=10, seed=4
         )
-        assert report.rejected_draws == 10 and report.worst_radius == 0.0
+        assert report.rejected_draws == 0 and report.worst_radius > 0.0
 
     def test_negative_trials_rejected(self, wide_batch):
         res = robust_stabilization(wide_batch, 0.9, 0.002, 0.002)
