@@ -23,7 +23,6 @@ from .informativity import NotInformative, _compatible_systems, synthesize_gain
 from .operators import (
     DEFAULT_TOL,
     construct_certificate,
-    pseudo_inverse,
     rank_at_tol,
     spectral_radius,
 )
@@ -164,10 +163,7 @@ def verify_on_compatible_plus(
     if not (0.0 < gamma < np.inf):
         raise InvalidParams("gamma must be finite and positive")
     K_plus = np.atleast_2d(np.asarray(K_plus, dtype=float))
-    W = np.vstack([batch.Xi0, batch.Ups0])
-    AB, counts = _compatible_systems(
-        batch.Xi1[None], W[None], pseudo_inverse(W)[None], int(trials), scale, seed
-    )
+    AB, counts = _compatible_systems(batch.Xi0, batch.Xi1, batch.Ups0, int(trials), scale, seed)
     npl = batch.n
     distinct = spectral_radius(AB[:, :, :npl] + AB[:, :, npl:] @ K_plus)
     radii = np.repeat(distinct, counts)

@@ -8,7 +8,8 @@ batch dimensions are the true ones.  A gain is K = Ups0 R for the right
 inverse R of Xi0 that the lmi module returns, and its certificate refers to
 the closed loop Xi1 R, which equals A + B K for every data-compatible
 (A, B).  ``_compatible_systems`` is the one sampler of the compatible family
-Xi1 W^+ + T (I - W W^+), W = [Xi0; Ups0], for ``verify`` and ``noise``.
+Xi1 W^+ + T (I - W W^+), W = [Xi0; Ups0], for ``verify`` and
+``sample_compatible_systems``.
 """
 
 from dataclasses import dataclass
@@ -167,45 +168,36 @@ def sample_compatible_systems(Xi0, Xi1, Ups0, count, scale=1.0, seed=0):
     Xi1 W^+: every slice is that system and no stream is drawn.  Requires
     consistent data (data generated by some system).
     """
-    W = np.vstack([Xi0, Ups0])
-    AB, counts = _compatible_systems(
-        Xi1[None], W[None], pseudo_inverse(W)[None], count, scale, seed
-    )
-    return np.repeat(AB, counts, axis=0)
+    return np.repeat(*_compatible_systems(Xi0, Xi1, Ups0, count, scale, seed), axis=0)
 
 
-def _compatible_systems(Xi1, W, Wp, count, scale, seed):
-    """The distinct systems drawn from the compatible families of a stack of
-    batches, Xi1 (batches, n, N), W = [Xi0; Ups0] (batches, n + m, N) and
-    its pseudoinverse Wp (batches, N, n + m), as (AB, counts): AB[j] stands
-    for counts[j] of the ``count`` draws of its batch.
+def _compatible_systems(Xi0, Xi1, Ups0, count, scale, seed):
+    """The distinct systems drawn from the compatible family of the batch
+    (Xi0, Xi1, Ups0), as (AB, counts): AB[j] stands for counts[j] of the
+    ``count`` draws.
 
-    A batch whose W has rank n + m, read as rint(trace(W W^+)) (the rank
-    that the cut of W^+ kept), has the one system Xi1 W^+, counted ``count``
-    times; these come first, in batch order.  Every other batch gives
-    ``count`` systems Xi1 W^+ + T (I - W W^+), each counted once, where the
-    T are ``scale`` times one standard Gaussian draw of shape (batches,
-    count, n, n + m) from the stream keyed ``seed``, so that each batch
-    keeps its place in the stream.  No generator is made when every batch
-    is a point; ``count`` = 0 gives no systems.
+    When W = [Xi0; Ups0] has rank n + m, read as rint(trace(W W^+)) (the
+    rank that the cut of W^+ kept), the family is the one system Xi1 W^+,
+    counted ``count`` times, and no generator is made.  Otherwise the
+    ``count`` systems Xi1 W^+ + T (I - W W^+) are each counted once, where
+    the T are ``scale`` times one standard Gaussian draw of shape (count,
+    n, n + m) from the stream keyed ``seed``.  ``count`` = 0 gives no
+    systems.
     """
     if count < 0:
         raise InvalidParams("count must be >= 0")
     if not (0.0 < scale < np.inf):
         raise InvalidParams("scale must be finite and positive")
+    W = np.vstack([Xi0, Ups0])
+    Wp = pseudo_inverse(W)
     base = Xi1 @ Wp
     if count == 0:
-        return base[:0], np.zeros(0, dtype=int)
+        return base[None][:0], np.zeros(0, dtype=int)
     WWp = W @ Wp
-    point = np.rint(np.trace(WWp, axis1=-2, axis2=-1)) == W.shape[-2]
-    AB, counts = base[point], np.full(int(point.sum()), count)
-    if not point.all():
-        T = scale * np.random.default_rng(seed).standard_normal((len(W), count) + base.shape[1:])
-        free = np.eye(W.shape[-2]) - WWp[~point]
-        spread = (base[~point, None] + T[~point] @ free[:, None]).reshape((-1,) + base.shape[1:])
-        AB = np.concatenate([AB, spread])
-        counts = np.concatenate([counts, np.ones(len(spread), dtype=int)])
-    return AB, counts
+    if np.rint(np.trace(WWp)) == W.shape[0]:
+        return base[None], np.array([count])
+    T = scale * np.random.default_rng(seed).standard_normal((count,) + base.shape)
+    return base + T @ (np.eye(W.shape[0]) - WWp), np.ones(count, dtype=int)
 
 
 def least_squares_gain_norm_growth(n_list):

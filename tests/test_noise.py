@@ -3,7 +3,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ddstab.errors import IndexOutOfRange, InvalidParams
@@ -21,8 +21,8 @@ from ddstab.noise import (
     robust_decay_rate,
     robust_stabilization,
     verify_robust_gain,
-    _NoiseSampler,
     _check_closed_loops,
+    _draw_factors,
 )
 from ddstab import noise as noise_mod
 from ddstab.operators import frame_bounds, operator_norm, pseudo_inverse, spectral_radius
@@ -46,6 +46,20 @@ def projected_cascade():
     _, batch, params = reference_cascade_scenario(n_modes=20, n_samples=5)
     dec = cascade_decomposition(params, 0.89, 0.1, 0.0)
     return project_data(batch, dec)
+
+
+def gaussian_batch(n, m, N, seed):
+    """Noise-free data of a random system from Gaussian states and inputs."""
+    rng = np.random.default_rng(seed)
+    A, B = rng.standard_normal((n, n)), rng.standard_normal((n, m))
+    x0, u0 = rng.standard_normal((N, n)), rng.standard_normal((N, m))
+    return DataBatch(x1=x0 @ A.T + u0 @ B.T, x0=x0, u0=u0)
+
+
+@pytest.fixture(scope="module")
+def wide_batch():
+    """Noise-free data of a random system with N = 8 > n + m = 4."""
+    return gaussian_batch(3, 1, 8, 11)
 
 
 def full_power_check(F, M, gamma_tilde, horizon=100):
@@ -141,10 +155,13 @@ def power_check_case(name, batch):
 
 
 def draws_one_at_a_time(rng, count, batch, Omega, c1, c0, fill):
-    """The noise draw of ``count`` trials written one trial at a time (c1,
-    c0 > 0): each trial draws its blocks G1, G0, E1, E0 from the one
-    generator, in trial order, and its draw is built as a DataBatch and
-    checked with noise_in_class.  A list of (DataBatch, in class)."""
+    """The noise of ``count`` trials written one trial at a time (c1, c0 >
+    0): each trial draws its blocks G1, G0, E1, E0 from the one generator,
+    in trial order.  The factors Phi1 and Phi0 are G1 and G0 rescaled to
+    norm fill c1 and fill c0; the noise seen through Omega is the data seen
+    through Omega times Phi, and E1, E0 add a free component along
+    I - Omega Omega^+, which Omega does not see, at the data's rms entry
+    times fill c.  A list of (Phi1, Phi0, noise as a DataBatch)."""
     n, m, N = batch.n, batch.m, batch.N
     Om_pinv = pseudo_inverse(Omega)
     perp = np.eye(N) - Omega @ Om_pinv
@@ -160,41 +177,66 @@ def draws_one_at_a_time(rng, count, batch, Omega, c1, c0, fill):
         free1 = fill * c1 * rms1 * rng.standard_normal((n, N)) @ perp
         free0 = fill * c0 * rms0 * rng.standard_normal((n + m, N)) @ perp
         D0 = B0 @ Phi0 @ Om_pinv + free0
-        draw = DataBatch(x1=(B1 @ Phi1 @ Om_pinv + free1).T, x0=D0[:n].T, u0=D0[n:].T)
-        drawn.append((draw, bool(noise_in_class(draw, batch, NoiseClassParams(c1, c0, Omega)))))
+        noise = DataBatch(x1=(B1 @ Phi1 @ Om_pinv + free1).T, x0=D0[:n].T, u0=D0[n:].T)
+        drawn.append((Phi1, Phi0, noise))
     return drawn
 
 
-def per_system_check(denoised, K, M, gamma_tilde, per_trial, seed):
-    """The noise check written as a loop over single systems, from the
-    denoised (Xi1, W, W^+) of each accepted trial: (violations, worst power
-    excess, worst radius, rank of each W).  The systems of all trials come,
-    trial after trial, from one stream; a trial whose W has full row rank
-    identifies its system, which then stands for each of its samples."""
-    n = K.shape[1]
-    violations, worst_excess, worst_radius, ranks = 0, -np.inf, 0.0, []
-    family = np.random.default_rng([seed, 0, 1])
-    for Xi1, W, Wp in denoised:
-        T = family.standard_normal((per_trial, n, W.shape[0]))
-        systems = Xi1 @ Wp + T @ (np.eye(W.shape[0]) - W @ Wp)
-        ranks.append(np.linalg.matrix_rank(W))
-        if ranks[-1] == W.shape[0]:
-            systems = [Xi1 @ Wp] * per_trial
-        for AB in systems:
-            F = AB[:, :n] + AB[:, n:] @ K
-            rho = spectral_radius(F)
-            worst_radius = max(worst_radius, rho)
-            violations += rho > gamma_tilde + 1e-6
-            P, bound = np.eye(n), M + 1e-6
-            for _ in range(100):
-                P = F @ P
-                bound *= gamma_tilde
-                excess = operator_norm(P) - bound
-                worst_excess = max(worst_excess, excess)
-                if excess > 0:
-                    violations += 1
-                    break
-    return violations, worst_excess, worst_radius, ranks
+def factor_noise(batch, Omega, Phi1, Phi0):
+    """The noise seen through Omega as the data times (Phi1, Phi0), and zero
+    off Omega, as a DataBatch."""
+    Om_pinv = pseudo_inverse(Omega)
+    D1 = batch.Xi1 @ Omega @ Phi1 @ Om_pinv
+    D0 = np.vstack([batch.Xi0, batch.Ups0]) @ Omega @ Phi0 @ Om_pinv
+    return DataBatch(x1=D1.T, x0=D0[: batch.n].T, u0=D0[batch.n :].T)
+
+
+def sampled_loops(batch, K, Omega, noise, count, seed):
+    """Closed loops A + B K of ``count`` systems compatible with ``batch``
+    less ``noise``, by the sampled pipeline: the denoised data, with Xi1
+    moved into the row space of W = [Xi0; Ups0] where W has rank below N,
+    and then sample_compatible_systems on them (stream ``seed``).  The move
+    is Xi1 -> X W with X = Xi1 W^+ + (Xi1 - Xi1 W^+ W) Omega (W Omega)^+,
+    which keeps Xi1 Omega and makes the data consistent."""
+    Xi0, Ups0 = batch.Xi0 - noise.Xi0, batch.Ups0 - noise.Ups0
+    Xi1, W = batch.Xi1 - noise.Xi1, np.vstack([Xi0, Ups0])
+    if np.linalg.matrix_rank(W) < batch.N:
+        X = Xi1 @ pseudo_inverse(W)
+        X += (Xi1 @ Omega - X @ W @ Omega) @ pseudo_inverse(W @ Omega)
+        Xi1 = X @ W
+    AB = sample_compatible_systems(Xi0, Xi1, Ups0, count, seed=seed)
+    return AB[:, :, : batch.n] + AB[:, :, batch.n :] @ K
+
+
+def checked_loops(*args, **kwargs):
+    """verify_robust_gain(*args, **kwargs) and the stack of closed loops
+    that it handed to the power check."""
+    loops, check = [], noise_mod._check_closed_loops
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(noise_mod, "_check_closed_loops", lambda F, *a: loops.append(F) or check(F, *a))
+        report = verify_robust_gain(*args, **kwargs)
+    (F,) = loops
+    return report, F
+
+
+def per_loop_check(loops, M, gamma_tilde):
+    """The noise check written as a loop over single closed loops:
+    (violations, worst power excess, worst radius)."""
+    violations, worst_excess, worst_radius = 0, -np.inf, 0.0
+    for F in loops:
+        rho = spectral_radius(F)
+        worst_radius = max(worst_radius, rho)
+        violations += rho > gamma_tilde + 1e-6
+        P, bound = np.eye(F.shape[0]), M + 1e-6
+        for _ in range(100):
+            P = F @ P
+            bound *= gamma_tilde
+            excess = operator_norm(P) - bound
+            worst_excess = max(worst_excess, excess)
+            if excess > 0:
+                violations += 1
+                break
+    return violations, worst_excess, worst_radius
 
 
 class TestNoiseClass:
@@ -361,7 +403,7 @@ class TestRobustStabilization:
         assert res.gamma_tilde < 1.0
         assert res.margin_ok
         report = verify_robust_gain(
-            projected_cascade, res.K, res.M, res.gamma_tilde, 0.003, 0.003, res.Omega,
+            projected_cascade, res.M, res.gamma_tilde, 0.003, 0.003, res.Omega,
             trials=8, seed=0,
         )
         assert report.violations == 0
@@ -373,7 +415,7 @@ class TestVerifyRobustGain:
     def test_zero_noise_matches_noise_free_loop(self, projected_cascade):
         res = robust_stabilization(projected_cascade, 0.9, 0.0, 0.0)
         report = verify_robust_gain(
-            projected_cascade, res.K, res.M, res.gamma_tilde, 0.0, 0.0, res.Omega,
+            projected_cascade, res.M, res.gamma_tilde, 0.0, 0.0, res.Omega,
             trials=3, seed=0,
         )
         base = stabilization_informative(projected_cascade, 0.9)
@@ -382,7 +424,7 @@ class TestVerifyRobustGain:
     def test_tiny_budget_continuity(self, projected_cascade):
         res = robust_stabilization(projected_cascade, 0.9, 1e-8, 1e-8)
         report = verify_robust_gain(
-            projected_cascade, res.K, res.M, res.gamma_tilde, 1e-8, 1e-8, res.Omega,
+            projected_cascade, res.M, res.gamma_tilde, 1e-8, 1e-8, res.Omega,
             trials=5, seed=1,
         )
         base = stabilization_informative(projected_cascade, 0.9)
@@ -392,10 +434,10 @@ class TestVerifyRobustGain:
         res = robust_stabilization(projected_cascade, 0.9, 0.002, 0.002)
         kwargs = dict(trials=4, seed=7)
         a = verify_robust_gain(
-            projected_cascade, res.K, res.M, res.gamma_tilde, 0.002, 0.002, res.Omega, **kwargs
+            projected_cascade, res.M, res.gamma_tilde, 0.002, 0.002, res.Omega, **kwargs
         )
         b = verify_robust_gain(
-            projected_cascade, res.K, res.M, res.gamma_tilde, 0.002, 0.002, res.Omega, **kwargs
+            projected_cascade, res.M, res.gamma_tilde, 0.002, 0.002, res.Omega, **kwargs
         )
         assert json.dumps(asdict(a), sort_keys=True) == json.dumps(asdict(b), sort_keys=True)
 
@@ -407,77 +449,42 @@ class TestVerifyRobustGain:
             pytest.param(4.8 / REFERENCE_M, 0.86 - REFERENCE_RADIUS, id="4.8-0.86"),
         ],
     )
-    def test_violations_match_per_system_loop(
-        self, projected_cascade, M_ratio, radius_gap, monkeypatch
-    ):
+    def test_violations_match_per_system_loop(self, projected_cascade, M_ratio, radius_gap):
         """M set below the gain's transient: part of the sampled loops exceed
         M gamma~^k, and in the second case some radii exceed gamma~ too.  The
-        stacked check must count what a loop over single systems counts,
-        stopping each system at its first excess.  The ids are (M, gamma~)
-        for the gain with M = REFERENCE_M and noise-free closed-loop radius
-        REFERENCE_RADIUS; M keeps its ratio to the synthesized M, and the
-        second gamma~ its distance to the synthesized loop's radius (gamma~ =
-        0.93 in the first case)."""
+        stacked check must count what a loop over single loops counts,
+        stopping each loop at its first excess, and the sampled pipeline
+        must find each violation in all three systems of its trial.  The ids
+        are (M, gamma~) for the gain with M = REFERENCE_M and noise-free
+        closed-loop radius REFERENCE_RADIUS; M keeps its ratio to the
+        synthesized M, and the second gamma~ its distance to the synthesized
+        loop's radius (gamma~ = 0.93 in the first case)."""
         res = robust_stabilization(projected_cascade, 0.9, 0.003, 0.003)
         M = M_ratio * res.M
         gamma_tilde = 0.93
         if radius_gap is not None:
             gamma_tilde = spectral_radius(projected_cascade.Xi1 @ res.Omega) + radius_gap
-        c, trials, seed, per_trial = 0.02, 10, 3, 3
-        monkeypatch.setattr(noise_mod, "_SYSTEMS_PER_TRIAL", per_trial)
-        report = verify_robust_gain(
-            projected_cascade, res.K, M, gamma_tilde, c, c, res.Omega, trials=trials, seed=seed
+        c, trials, seed = 0.02, 10, 3
+        report, loops = checked_loops(
+            projected_cascade, M, gamma_tilde, c, c, res.Omega, trials=trials, seed=seed
         )
-        denoised = []
-        drawn = draws_one_at_a_time(
-            np.random.default_rng(seed), trials, projected_cascade, res.Omega, c, c, 0.9
-        )
-        for noise, in_class in drawn:
-            assert in_class
-            W = np.vstack([projected_cascade.Xi0 - noise.Xi0, projected_cascade.Ups0 - noise.Ups0])
-            denoised.append((projected_cascade.Xi1 - noise.Xi1, W, pseudo_inverse(W)))
-        violations, worst_excess, worst_radius, _ = per_system_check(
-            denoised, res.K, M, gamma_tilde, per_trial, seed
-        )
-        assert 0 < violations < 2 * trials * per_trial
+        violations, worst_excess, worst_radius = per_loop_check(loops, M, gamma_tilde)
+        assert 0 < violations < 2 * trials
         assert report.violations == violations
         assert report.worst_power_excess == worst_excess
         assert report.worst_radius == worst_radius
         assert report.rejected_draws == 0
-
-    def test_mixed_stack_matches_per_system_loop(self, projected_cascade, monkeypatch):
-        """Every other denoised batch loses its input row, so its family
-        spreads along B; the others identify their system.  On this mixed
-        stack the check counts what a loop over single systems counts, with
-        a one-point trial's system standing for each of its samples, and
-        finds the same worst excess and radius."""
-        res = robust_stabilization(projected_cascade, 0.9, 0.003, 0.003)
-        M, gamma_tilde, c, trials, seed, per_trial = 5.0 / REFERENCE_M * res.M, 0.93, 0.02, 10, 3, 3
-        denoised, denoise = [], _NoiseSampler.denoise
-
-        def drop_inputs(sampler, Delta1, D0):
-            Xi1, W, Wp, ok = denoise(sampler, Delta1, D0)
-            W[::2, -1] = 0.0
-            Wp[::2] = pseudo_inverse(W[::2])
-            denoised.append((Xi1, W, Wp, ok))
-            return Xi1, W, Wp, ok
-
-        monkeypatch.setattr(_NoiseSampler, "denoise", drop_inputs)
-        monkeypatch.setattr(noise_mod, "_SYSTEMS_PER_TRIAL", per_trial)
-        report = verify_robust_gain(
-            projected_cascade, res.K, M, gamma_tilde, c, c, res.Omega, trials=trials, seed=seed
+        drawn = draws_one_at_a_time(
+            np.random.default_rng(seed), trials, projected_cascade, res.Omega, c, c, 0.9
         )
-        (Xi1, W, Wp, ok), = denoised
-        assert ok.all()
-        violations, worst_excess, worst_radius, ranks = per_system_check(
-            zip(Xi1, W, Wp), res.K, M, gamma_tilde, per_trial, seed
-        )
-        n = projected_cascade.n
-        assert ranks == [n, n + 1] * (trials // 2)
-        assert 0 < violations < 2 * trials * per_trial
-        assert report.violations == violations
-        assert report.worst_power_excess == worst_excess
-        assert report.worst_radius == worst_radius
+        sampled = np.concatenate([
+            sampled_loops(projected_cascade, res.K, res.Omega, noise, 3, t)
+            for t, (*_, noise) in enumerate(drawn)
+        ])
+        sampled_violations, sampled_excess, sampled_radius = per_loop_check(sampled, M, gamma_tilde)
+        assert sampled_violations == 3 * violations
+        assert sampled_excess == pytest.approx(worst_excess, abs=1e-10 * M)
+        assert sampled_radius == pytest.approx(worst_radius, rel=1e-10)
 
     @pytest.mark.parametrize(
         "case",
@@ -552,126 +559,114 @@ class TestVerifyRobustGain:
         assert sum(sizes) < 0.01 * 100 * len(F)
 
     def test_reference_chain_takes_few_svds(self, projected_cascade, monkeypatch):
-        """On the reference chain at c = 0.003 (200 trials of 3 systems) the
-        power check takes at most 10 SVDs.  Each denoised batch identifies
-        its system, so the check sees 200 distinct loops, each for 3."""
+        """On the reference chain at c = 0.003 (200 trials) the power check
+        takes at most 10 SVDs."""
         res = robust_stabilization(projected_cascade, 0.9, 0.003, 0.003)
-        loops, check = [], noise_mod._check_closed_loops
-        monkeypatch.setattr(
-            noise_mod, "_check_closed_loops", lambda *a: loops.append(a) or check(*a)
-        )
-        verify_robust_gain(
-            projected_cascade, res.K, res.M, res.gamma_tilde, 0.003, 0.003, res.Omega,
+        _, F = checked_loops(
+            projected_cascade, res.M, res.gamma_tilde, 0.003, 0.003, res.Omega,
             trials=200, seed=0,
         )
         sizes = []
         monkeypatch.setattr(
             noise_mod, "operator_norm", lambda P: sizes.append(len(P)) or operator_norm(P)
         )
-        assert len(loops[0][0]) == 200 and list(loops[0][4]) == [3] * 200
-        assert check(*loops[0]) == full_power_check(*loops[0][:4])[:3]
+        assert len(F) == 200
+        expected = full_power_check(F, res.M, res.gamma_tilde)[:3]
+        assert _check_closed_loops(F, res.M, res.gamma_tilde, 100) == expected
         assert sum(sizes) <= 10
 
-    @pytest.mark.parametrize("c, fill", [(0.003, 0.9), (0.02, 0.9), (0.01, 1 + 3e-6)])
-    def test_stacked_draws_match_one_at_a_time(self, projected_cascade, c, fill, monkeypatch):
-        """Drawing all trials as one stack gives bitwise what the trials
-        draw one block at a time from the same generator, for many trials
-        and for one, and the class test of the stack is noise_in_class's.  A
-        trial's draw is its own row, so fewer trials give a prefix.  At fill
-        1 + 3e-6 some draws leave the class; they are flagged, not drawn
-        again."""
-        monkeypatch.setattr(noise_mod, "_FILL", fill)
+    @pytest.mark.parametrize("c, fill", [(0.003, 0.9), (0.02, 0.9)])
+    def test_stacked_draws_match_one_at_a_time(self, projected_cascade, c, fill):
+        """Drawing the factors of all trials as one stack gives bitwise what
+        the trials draw one block at a time from the same generator, at
+        share ``fill`` of the budget, for many trials and for one.  A
+        trial's draw is its own row, so fewer trials give a prefix."""
+        assert fill == noise_mod._FILL
         res = robust_stabilization(projected_cascade, 0.9, 0.003, 0.003)
-        args = (projected_cascade, res.Omega, c, c)
-        sampler = _NoiseSampler(*args)
+        b = projected_cascade
         for count in (74, 1):
-            Delta1, D0, ok = sampler.draw(np.random.default_rng(9), count)
-            refs = draws_one_at_a_time(np.random.default_rng(9), count, *args, fill)
-            assert len(Delta1) == len(D0) == len(ok) == len(refs) == count
-            for delta1, d0, in_class, (ref, ref_in_class) in zip(Delta1, D0, ok, refs):
-                ref0 = np.vstack([ref.Xi0, ref.Ups0])
-                assert np.array_equal(delta1, ref.Xi1) and np.array_equal(d0, ref0)
-                assert in_class == ref_in_class
-        first = sampler.draw(np.random.default_rng(9), 74)
-        fewer = sampler.draw(np.random.default_rng(9), 30)
-        for a, b in zip(first, fewer):
-            assert np.array_equal(a[:30], b)
-        if fill > 1:
-            assert 0 < np.sum(~first[2]) < 74
+            Phi1, Phi0 = _draw_factors(np.random.default_rng(9), count, b.n, b.m, b.N, c, c)
+            refs = draws_one_at_a_time(np.random.default_rng(9), count, b, res.Omega, c, c, fill)
+            assert len(Phi1) == len(Phi0) == len(refs) == count
+            for phi1, phi0, (ref1, ref0, _) in zip(Phi1, Phi0, refs):
+                assert np.array_equal(phi1, ref1) and np.array_equal(phi0, ref0)
+        first = _draw_factors(np.random.default_rng(9), 74, b.n, b.m, b.N, c, c)
+        fewer = _draw_factors(np.random.default_rng(9), 30, b.n, b.m, b.N, c, c)
+        for a, f in zip(first, fewer):
+            assert np.array_equal(a[:30], f)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        case=st.sampled_from(["cascade-0.003", "cascade-0.01", "cascade-0.02", "random"]),
+        n=st.integers(1, 5),
+        m=st.integers(1, 2),
+        extra=st.integers(1, 6),
+        c=st.sampled_from([1e-3, 1e-2]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_closed_form_matches_sampled_pipeline(
+        self, projected_cascade, case, n, m, extra, c, seed
+    ):
+        """On fixed draws, each trial's closed loop F (I - Phi1)(I - Phi0)^-1
+        is the loop of each of three systems that the sampled pipeline draws
+        from the data less the trial's noise, free component included, to
+        1e-10 relative to ||Xi1~|| ||Omega||: the size of the products that
+        make F = Xi1~ Omega, as a deadbeat loop is near zero.  That noise,
+        and the noise made from the drawn factors alone, lie in the class.
+        Cases: the projected cascade (N = n + m) at three budgets, and
+        Gaussian data with N > n + m."""
+        if case == "random":
+            batch = gaussian_batch(n, m, n + m + extra, seed)
         else:
-            assert first[2].all()
-
-    def test_draws_outside_budget_all_rejected(self, projected_cascade, monkeypatch):
-        """Factors at twice the budget leave the class: every draw is
-        flagged, for one trial and for several."""
-        monkeypatch.setattr(noise_mod, "_FILL", 2.0)
-        res = robust_stabilization(projected_cascade, 0.9, 0.003, 0.003)
-        args = (projected_cascade, res.Omega, 0.01, 0.01)
-        sampler = _NoiseSampler(*args)
-        for count in (1, 5):
-            refs = draws_one_at_a_time(np.random.default_rng(0), count, *args, 2.0)
-            assert not any(in_class for _, in_class in refs)
-            assert not sampler.draw(np.random.default_rng(0), count)[2].any()
-
-
-class TestDenoise:
-    @pytest.fixture(scope="class")
-    def wide_batch(self):
-        """Noise-free data of a random system with N = 8 > n + m = 4."""
-        rng = np.random.default_rng(11)
-        A, B = rng.standard_normal((3, 3)), rng.standard_normal((3, 1))
-        x0, u0 = rng.standard_normal((8, 3)), rng.standard_normal((8, 1))
-        return DataBatch(x1=x0 @ A.T + u0 @ B.T, x0=x0, u0=u0)
-
-    def test_denoised_batches_consistent_beyond_square(self, wide_batch):
-        """Each raw draw takes Xi1 out of the row space of the denoised
-        W = [Xi0; Ups0]; after the correction every denoised batch is
-        consistent, and the state noise seen through Omega, which the class
-        test judges, is the one drawn."""
-        res = robust_stabilization(wide_batch, 0.9, 0.002, 0.002)
-        params = NoiseClassParams(0.002, 0.002, res.Omega)
-        sampler = _NoiseSampler(wide_batch, res.Omega, 0.002, 0.002)
-        Delta1, D0, in_class = sampler.draw(np.random.default_rng(4), 30)
-        assert in_class.all()
-        Xi1, W, Wp, ok = sampler.denoise(Delta1, D0)
-        assert ok.all()
-        data0 = np.vstack([wide_batch.Xi0, wide_batch.Ups0])
-        for delta1, d0, xi1, w, wp in zip(Delta1, D0, Xi1, W, Wp):
-            assert np.array_equal(w, data0 - d0) and np.array_equal(wp, pseudo_inverse(w))
-            assert np.linalg.matrix_rank(w) == 4
-            raw = wide_batch.Xi1 - delta1
-            assert np.linalg.norm(raw @ wp @ w - raw) > 1e-6
-            assert np.linalg.norm(xi1 @ wp @ w - xi1) <= 1e-10 * (1.0 + np.linalg.norm(xi1))
-            moved = wide_batch.Xi1 - xi1
-            seen = delta1 @ res.Omega
-            assert np.linalg.norm(moved @ res.Omega - seen) <= 1e-12 * np.linalg.norm(wide_batch.Xi1)
-            noise = DataBatch(x1=moved.T, x0=d0[:3].T, u0=d0[3:].T)
-            assert noise_in_class(noise, wide_batch, params)
+            batch, c = projected_cascade, float(case.split("-")[1])
+        res = robust_stabilization(batch, 0.9, c, c)
+        assume(isinstance(res, RobustGainResult))
+        trials = 5
+        report, loops = checked_loops(
+            batch, res.M, res.gamma_tilde, c, c, res.Omega, trials=trials, seed=seed
+        )
+        assert report.trials == len(loops) == trials and report.rejected_draws == 0
+        params = NoiseClassParams(c, c, res.Omega)
+        drawn = draws_one_at_a_time(np.random.default_rng(seed), trials, batch, res.Omega, c, c, 0.9)
+        scale = np.linalg.norm(batch.Xi1) * np.linalg.norm(res.Omega)
+        for t, (loop, (Phi1, Phi0, noise)) in enumerate(zip(loops, drawn)):
+            assert noise_in_class(noise, batch, params)
+            assert noise_in_class(factor_noise(batch, res.Omega, Phi1, Phi0), batch, params)
+            for sampled in sampled_loops(batch, res.K, res.Omega, noise, 3, t):
+                assert np.linalg.norm(sampled - loop) <= 1e-10 * scale
 
     def test_no_state_budget_keeps_every_draw(self, wide_batch):
-        """With c1 = 0 the state noise must vanish on Omega, which leaves
-        room off it: every denoised batch is consistent and in the class,
-        so every trial is checked."""
+        """With c1 = 0 the state factor is zero and only Phi0 is drawn: each
+        factor pair is in the class, and every trial is checked."""
         res = robust_stabilization(wide_batch, 0.9, 0.0, 0.01)
-        sampler = _NoiseSampler(wide_batch, res.Omega, 0.0, 0.01)
-        Delta1, D0, in_class = sampler.draw(np.random.default_rng(4), 10)
-        Xi1, _, _, ok = sampler.denoise(Delta1, D0)
-        assert in_class.all() and ok.all()
-        for xi1, d0 in zip(Xi1, D0):
-            moved = wide_batch.Xi1 - xi1
-            noise = DataBatch(x1=moved.T, x0=d0[:3].T, u0=d0[3:].T)
-            assert noise_in_class(noise, wide_batch, NoiseClassParams(0.0, 0.01, res.Omega))
-        report = verify_robust_gain(
-            wide_batch, res.K, res.M, res.gamma_tilde, 0.0, 0.01, res.Omega, trials=10, seed=4
-        )
+        b, params = wide_batch, NoiseClassParams(0.0, 0.01, res.Omega)
+        Phi1, Phi0 = _draw_factors(np.random.default_rng(4), 10, b.n, b.m, b.N, 0.0, 0.01)
+        assert not Phi1.any() and Phi0.any()
+        for phi1, phi0 in zip(Phi1, Phi0):
+            assert noise_in_class(factor_noise(b, res.Omega, phi1, phi0), b, params)
+        report = verify_robust_gain(b, res.M, res.gamma_tilde, 0.0, 0.01, res.Omega, trials=10, seed=4)
         assert report.rejected_draws == 0 and report.worst_radius > 0.0
 
     def test_negative_trials_rejected(self, wide_batch):
         res = robust_stabilization(wide_batch, 0.9, 0.002, 0.002)
         with pytest.raises(InvalidParams):
             verify_robust_gain(
-                wide_batch, res.K, res.M, res.gamma_tilde, 0.002, 0.002, res.Omega, trials=-1
+                wide_batch, res.M, res.gamma_tilde, 0.002, 0.002, res.Omega, trials=-1
             )
+
+    @pytest.mark.parametrize(
+        "M_of, c0, message",
+        [(lambda M: M, 1.0, "M \\* c0 must be below 1"), (lambda M: 0.5, 0.002, "M must be >= 1")],
+        ids=["Mc0-at-least-1", "M-below-1"],
+    )
+    def test_rate_preconditions_rejected(self, wide_batch, M_of, c0, message):
+        """The closed form needs I - Phi0 invertible, which M >= 1 and
+        M c0 < 1 guarantee (||Phi0|| = 0.9 c0 < 1 / M): outside them the
+        check raises, as robust_decay_rate does, instead of reporting."""
+        res = robust_stabilization(wide_batch, 0.9, 0.002, 0.002)
+        assert 1.0 <= res.M < 1.1
+        with pytest.raises(InvalidParams, match=message):
+            verify_robust_gain(wide_batch, M_of(res.M), res.gamma_tilde, 0.002, c0, res.Omega)
 
 
 class TestRangeBreakingNoise:
