@@ -86,6 +86,10 @@ def cmd_generate(args):
 def _random_lti_batch(args):
     from .systems import assemble_single_trajectory, simulate
 
+    if args.n < 1 or args.m < 0:
+        raise SystemExit(f"error: need --n >= 1 and --m >= 0, got n={args.n}, m={args.m}")
+    if not (0.0 < args.radius < np.inf):
+        raise SystemExit(f"error: --radius must be finite and positive, got {args.radius}")
     rng = np.random.default_rng(args.seed)
     A = rng.standard_normal((args.n, args.n))
     rho = spectral_radius(A)

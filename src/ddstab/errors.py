@@ -10,7 +10,8 @@ class DimensionMismatch(DdstabError):
 
 
 class EmptyData(DdstabError):
-    """A data container that must hold at least one sample is empty."""
+    """A data container that must hold at least one sample, or one state
+    coordinate, is empty."""
 
 
 class LengthMismatch(DdstabError):

@@ -197,7 +197,9 @@ def _riccati_gains(A, B, rates, weights):
     As, Bs = A / rate, B / rate
     Ak = As.copy()
     G = Bs @ np.swapaxes(Bs, 1, 2) / weight
-    H = np.broadcast_to(np.eye(n), (c, n, n)).copy()
+    eye, tiny = np.eye(n), 4 * np.finfo(float).eps
+    H = np.broadcast_to(eye, (c, n, n)).copy()
+    rhs = np.empty((c, n, 2 * n))  # [A_k, G_k A_k^T] of the live pairs
     live = np.arange(c)
     with np.errstate(all="ignore"):
         for _ in range(_DOUBLING_STEPS):
@@ -205,7 +207,10 @@ def _riccati_gains(A, B, rates, weights):
             full = live.size == c
             a, g, h = (Ak, G, H) if full else (Ak[live], G[live], H[live])
             at = np.swapaxes(a, 1, 2)
-            solved = _solve_or_nan(np.eye(n) + g @ h, np.concatenate([a, g @ at], axis=2))
+            right = rhs[: live.size]
+            right[..., :n] = a
+            np.matmul(g, at, out=right[..., n:])
+            solved = _solve_or_nan(eye + g @ h, right)
             WA, WGAt = solved[..., :n], solved[..., n:]
             h_next = h + at @ h @ WA
             h_next = 0.5 * (h_next + np.swapaxes(h_next, 1, 2))
@@ -215,9 +220,11 @@ def _riccati_gains(A, B, rates, weights):
                 Ak, G, H = a_next, g_next, h_next
             else:
                 Ak[live], G[live], H[live] = a_next, g_next, h_next
-            change = np.linalg.norm(h_next - h, axis=(1, 2))
-            size = np.linalg.norm(h_next, axis=(1, 2))
-            settled = ~(change > 4 * np.finfo(float).eps * size)
+            # the bits of np.linalg.norm(x, axis=(1, 2)), without its dispatch
+            d = h_next - h
+            change = np.sqrt(np.add.reduce(d * d, axis=(1, 2)))
+            size = np.sqrt(np.add.reduce(h_next * h_next, axis=(1, 2)))
+            settled = ~(change > tiny * size)
             live = live[~settled & np.isfinite(size)]
             if live.size == 0:
                 break

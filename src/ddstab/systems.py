@@ -190,6 +190,8 @@ class DataBatch:
             )
         if x1.shape[1] != x0.shape[1]:
             raise DimensionMismatch("x1 and x0 must share the state dimension")
+        if x1.shape[1] < 1:
+            raise EmptyData("a data batch needs at least one state coordinate")
         for name, arr in (("x1", x1), ("x0", x0), ("u0", u0)):
             if not np.all(np.isfinite(arr)):
                 raise InvalidParams(f"{name} contains non-finite entries")

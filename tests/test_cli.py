@@ -48,6 +48,29 @@ class TestGenerate:
             "--out", str(tmp_path / "x.json"),
         ) == 2
 
+    @pytest.mark.parametrize(
+        "option",
+        [["--n", "-2"], ["--n", "0"], ["--m", "-1"], ["--radius", "-1"], ["--radius", "0"],
+         ["--radius", "nan"], ["--radius", "inf"]],
+        ids=["n-negative", "n-zero", "m-negative", "radius-negative", "radius-zero",
+             "radius-nan", "radius-inf"],
+    )
+    def test_random_lti_rejects_bad_size_or_radius(self, tmp_path, option, capsys):
+        """No state, a negative input count and a radius that is not finite
+        and positive are input errors: exit 2 with a message, and no file."""
+        path = tmp_path / "x.json"
+        assert run("generate", "--scenario", "random-lti", *option, "--out", str(path)) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not path.exists()
+
+    def test_batch_without_state_exits_2(self, tmp_path, capsys):
+        """A hand-written batch with samples but no state columns is rejected
+        on load, so analyze exits 2 rather than with a negative verdict."""
+        path = tmp_path / "empty-state.json"
+        path.write_text(json.dumps({"x1": [[], []], "x0": [[], []], "u0": [[1.0], [2.0]]}))
+        assert run("analyze", "--in", str(path), "--mode", "stabilize") == 2
+        assert "state coordinate" in capsys.readouterr().err
+
     def test_counterexample(self, tmp_path):
         path = tmp_path / "cex.json"
         assert run("generate", "--scenario", "counterexample", "--n", "100", "--out", str(path)) == 0

@@ -278,6 +278,90 @@ class TestExactVerdict:
         assert spectral_radius(A + B @ result.K) < 0.9
 
 
+def riccati_reference(A, B, rates, weights):
+    """_riccati_gains as first written: a fresh identity, a concatenated
+    right-hand side [A_k, G_k A_k^T] and np.linalg.norm at every doubling
+    step."""
+    n, q = B.shape
+    rate = np.repeat(rates, len(weights))[:, None, None]
+    weight = np.tile(weights, len(rates))[:, None, None]
+    c = rate.shape[0]
+    As, Bs = A / rate, B / rate
+    Ak = As.copy()
+    G = Bs @ np.swapaxes(Bs, 1, 2) / weight
+    H = np.broadcast_to(np.eye(n), (c, n, n)).copy()
+    live = np.arange(c)
+    with np.errstate(all="ignore"):
+        for _ in range(lmi._DOUBLING_STEPS):
+            full = live.size == c
+            a, g, h = (Ak, G, H) if full else (Ak[live], G[live], H[live])
+            at = np.swapaxes(a, 1, 2)
+            solved = lmi._solve_or_nan(np.eye(n) + g @ h, np.concatenate([a, g @ at], axis=2))
+            WA, WGAt = solved[..., :n], solved[..., n:]
+            h_next = h + at @ h @ WA
+            h_next = 0.5 * (h_next + np.swapaxes(h_next, 1, 2))
+            g_next = g + a @ WGAt
+            a_next, g_next = a @ WA, 0.5 * (g_next + np.swapaxes(g_next, 1, 2))
+            if full:
+                Ak, G, H = a_next, g_next, h_next
+            else:
+                Ak[live], G[live], H[live] = a_next, g_next, h_next
+            change = np.linalg.norm(h_next - h, axis=(1, 2))
+            size = np.linalg.norm(h_next, axis=(1, 2))
+            settled = ~(change > 4 * np.finfo(float).eps * size)
+            live = live[~settled & np.isfinite(size)]
+            if live.size == 0:
+                break
+        Bt = np.swapaxes(Bs, 1, 2)
+        K = -lmi._solve_or_nan(weight * np.eye(q) + Bt @ H @ Bs, Bt @ H @ As)
+    K[~np.all(np.isfinite(K), axis=(1, 2))] = np.nan
+    return K
+
+
+class TestRiccatiGains:
+    def test_same_bits_as_reference_on_random_pairs(self):
+        """200 random (A, B), n 1 to 20 with 1 to 3 inputs and radius 0.5
+        to 2, on the scan's rates and weights: the gains are bitwise those of
+        the reference doubling step, NaNs included."""
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            n, q = int(rng.integers(1, 21)), int(rng.integers(1, 4))
+            A = rng.standard_normal((n, n))
+            A *= rng.uniform(0.5, 2.0) / max(spectral_radius(A), 1e-12)
+            B = rng.standard_normal((n, q))
+            gamma = rng.uniform(0.5, 0.95)
+            rates = gamma + lmi._RATE_OFFSETS
+            rates, weights = rates[rates > 0], lmi._INPUT_WEIGHTS
+            K = lmi._riccati_gains(A, B, rates, weights)
+            assert K.tobytes() == riccati_reference(A, B, rates, weights).tobytes()
+
+    @pytest.mark.parametrize("seed", [2, 5])
+    def test_same_bits_as_reference_on_singular_step(self, seed, monkeypatch):
+        """The instances of the singular doubling step: the pairs that break
+        down give NaN gains, and every gain of the scan, NaN or not, has the
+        reference's bits."""
+        calls = []
+        gains = lmi._riccati_gains
+
+        def checked(A, B, rates, weights):
+            K = gains(A, B, rates, weights)
+            assert K.tobytes() == riccati_reference(A, B, rates, weights).tobytes()
+            calls.append(np.isnan(K).any(axis=(1, 2)))
+            return K
+
+        monkeypatch.setattr(lmi, "_riccati_gains", checked)
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((6, 6))
+        A *= 1.3 / spectral_radius(A)
+        A[0] = 0.0
+        A[0, 0] = 0.895
+        B = rng.standard_normal((6, 1))
+        B[0] = 0.0
+        Xi0, Xi1, Ups0 = data_from_system(A, B, rng, 7)
+        assert not isinstance(synthesize_gain(Xi0, Xi1, Ups0, 0.9), NotInformative)
+        assert len(calls) == 1 and calls[0].any() and not calls[0].all()
+
+
 def stein_one_step(F, rate):
     """_stein_solution with its head summed and tested one power at a time."""
     n = F.shape[0]

@@ -131,6 +131,32 @@ def fuzz_loop(kind, n, gamma, rng):
 KINDS = ["near", "random", "zero", "nilpotent", "unstable", "edge", "jordan", "paired"]
 
 
+def frobenius_two_pass(Q):
+    """The Frobenius norms of the stack Q summed as first written: the
+    squares along each row, then over the rows."""
+    return np.sqrt(np.add.reduce(np.add.reduce(Q * Q, axis=-1), axis=-1))
+
+
+def wide_range_stack(rng):
+    """A stack of 1 to 5 loops of size 1 to 8 with its rate and k_max: each
+    loop of a fuzz_loop kind, a "scaled" fuzz loop times 2^(+-380..620), or a
+    "steep" Jordan loop whose transient passes 2^380, so that many stacks
+    have norms outside [2^-400, 2^400]."""
+    n, gamma = int(rng.integers(1, 9)), float(rng.uniform(0.3, 0.99))
+    loops = []
+    for _ in range(int(rng.integers(1, 6))):
+        kind = rng.choice(KINDS + ["scaled", "steep"])
+        if kind == "steep":
+            a = gamma * rng.uniform(0.05, 0.9)
+            loops.append(jordan_loop(n, a, gamma * 2.0 ** rng.uniform(380, 600)))
+        elif kind == "scaled":
+            shift = int(rng.choice([-1, 1]) * rng.integers(380, 620))
+            loops.append(fuzz_loop(rng.choice(KINDS), n, gamma, rng) * 2.0**shift)
+        else:
+            loops.append(fuzz_loop(kind, n, gamma, rng))
+    return np.stack(loops), gamma, int(rng.choice([5, 40, 1000]))
+
+
 def count_block_steps(monkeypatch, limit):
     """Patch the block helper of least_certificate to count the power steps
     it advances, failing past ``limit``; returns the running count as a
@@ -581,6 +607,26 @@ class TestLeastCertificate:
                 if narrow is not None:
                     mp.setattr(operators, "_RANGE", narrow)
                 assert least_certificate(F, gamma, k_max) == expected
+
+    def test_bits_do_not_depend_on_the_frobenius_sum(self, monkeypatch):
+        """1,000 seeded wide_range_stack stacks, which hold zero, nilpotent,
+        Jordan and rotated Jordan loops and norms outside [2^-400, 2^400]:
+        least_certificate of the stack and construct_certificate of its
+        first loop give the same bits with the two-pass Frobenius sum as
+        with the one-contraction sum."""
+        rng = np.random.default_rng(1500)
+        one_pass, outside = operators._frobenius, 0
+        for _ in range(1000):
+            F, gamma, k_max = wide_range_stack(rng)
+            with np.errstate(over="ignore"):
+                fro = frobenius_two_pass(F)
+            outside += bool(((fro > 0.0) & (fro < 2.0**-400) | (fro > 2.0**400)).any())
+            expected = least_certificate(F, gamma, k_max), construct_certificate(F[0], gamma, k_max)
+            monkeypatch.setattr(operators, "_frobenius", frobenius_two_pass)
+            two_pass = least_certificate(F, gamma, k_max), construct_certificate(F[0], gamma, k_max)
+            monkeypatch.setattr(operators, "_frobenius", one_pass)
+            assert two_pass == expected
+        assert outside >= 300
 
     def test_unstable_loops_leave_at_first_checkpoint(self, monkeypatch):
         """An all-unstable stack returns None without powering past the first

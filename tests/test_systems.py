@@ -257,6 +257,12 @@ class TestDataBatch:
         with pytest.raises(InvalidParams):
             DataBatch.from_dict({"n": 9, "x1": [[0.0]], "x0": [[0.0]], "u0": [[0.0]]})
 
+    def test_zero_state_columns_rejected(self):
+        with pytest.raises(EmptyData):
+            DataBatch(x1=np.zeros((3, 0)), x0=np.zeros((3, 0)), u0=np.ones((3, 1)))
+        with pytest.raises(EmptyData):
+            DataBatch.from_dict({"x1": [[], []], "x0": [[], []], "u0": [[1.0], [2.0]]})
+
     def test_sample_count_mismatch(self):
         with pytest.raises(LengthMismatch):
             DataBatch(x1=np.zeros((2, 2)), x0=np.zeros((2, 2)), u0=np.zeros((3, 1)))
