@@ -63,10 +63,13 @@ def _decomposition_args(parser):
     )
 
 
-def _build_decomposition(args, n):
+def _project_plus(args, batch):
+    """The X+ step of every command on X+: mode cutoff, split, the rates'
+    contract, and the projected batch with the report's decomposition block."""
     n0 = finitedata.mode_cutoff(args.a0, args.b0, args.tau, args.gamma_minus)
-    dec = finitedata.modal_decomposition(n, args.head_dim, n0, args.gamma_minus)
-    return dec, n0
+    dec = finitedata.modal_decomposition(batch.n, args.head_dim, n0, args.gamma_minus)
+    finitedata._check_rates(args.gamma, args.gamma_minus)
+    return finitedata.project_data(batch, dec), {"n0": n0, "n_plus": dec.n_plus}
 
 
 def cmd_generate(args):
@@ -74,10 +77,8 @@ def cmd_generate(args):
         _, batch, _ = reference_cascade_scenario(n_modes=args.n_modes, n_samples=args.samples)
     elif args.scenario == "counterexample":
         batch = counterexample_sequences(args.n)
-    elif args.scenario == "random-lti":
+    else:
         batch = _random_lti_batch(args)
-    else:  # argparse choices make this unreachable
-        raise SystemExit(f"error: unknown scenario {args.scenario}")
     batch.save(args.out)
     print(f"wrote {args.scenario} batch: N={batch.N}, n={batch.n}, m={batch.m} -> {args.out}")
     return 0
@@ -90,6 +91,8 @@ def _random_lti_batch(args):
         raise SystemExit(f"error: need --n >= 1 and --m >= 0, got n={args.n}, m={args.m}")
     if not (0.0 < args.radius < np.inf):
         raise SystemExit(f"error: --radius must be finite and positive, got {args.radius}")
+    if args.seed < 0:
+        raise SystemExit(f"error: --seed must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     A = rng.standard_normal((args.n, args.n))
     rho = spectral_radius(A)
@@ -127,16 +130,13 @@ def cmd_analyze(args):
     elif args.mode == "stabilize":
         result = informativity.stabilization_informative(batch, args.gamma, args.tol)
         code = _fill_gain_report(report, result, args.gamma)
-    elif args.mode == "finite-plus":
-        dec, n0 = _build_decomposition(args, batch.n)
-        batch = finitedata.project_data(batch, dec)
-        report["decomposition"] = {"n0": n0, "n_plus": dec.n_plus, "gamma_minus": args.gamma_minus}
+    else:
+        batch, dec = _project_plus(args, batch)
+        report["decomposition"] = {**dec, "gamma_minus": args.gamma_minus}
         result = finitedata.finite_informative(batch, args.gamma, args.gamma_minus, args.tol)
         code = _fill_gain_report(report, result, args.gamma, gain_key="K_plus")
         if code == 0:
-            print(f"decomposition: n0={n0}, n_plus={dec.n_plus}")
-    else:
-        raise SystemExit(f"error: unknown mode {args.mode}")
+            print(f"decomposition: n0={dec['n0']}, n_plus={dec['n_plus']}")
     _write_report(report, args.out)
     return code
 
@@ -180,23 +180,12 @@ def cmd_verify(args):
     }
     if args.trials == 0:
         print("warning: trials = 0, verification passes vacuously")
+    keys, where = ("A", "B"), "compatible family"
     if args.mode == "plus":
-        dec, n0 = _build_decomposition(args, batch.n)
-        batch = finitedata.project_data(batch, dec)
-        if K.shape[1] != dec.n_plus:
-            raise SystemExit(
-                f"error: gain has {K.shape[1]} columns, expected n_plus = {dec.n_plus}"
-            )
-        report["decomposition"] = {"n0": n0, "n_plus": dec.n_plus}
+        batch, report["decomposition"] = _project_plus(args, batch)
         keys, where = ("A_plus", "B_plus"), "compatible family on X+"
-    elif args.mode == "full":
-        if K.shape != (batch.m, batch.n):
-            raise SystemExit(
-                f"error: gain must be m x n = {(batch.m, batch.n)}, got {K.shape}"
-            )
-        keys, where = ("A", "B"), "compatible family"
-    else:
-        raise SystemExit(f"error: unknown mode {args.mode}")
+    if K.shape != (batch.m, batch.n):
+        raise SystemExit(f"error: gain must be m x n = {(batch.m, batch.n)}, got {K.shape}")
     fam = finitedata.verify_on_compatible_plus(
         batch, K, args.gamma, trials=args.trials, seed=args.seed, scale=args.scale
     )
@@ -236,9 +225,7 @@ def cmd_noise(args):
     if args.trials == 0:
         print("warning: trials = 0, verification passes vacuously")
     if args.project:
-        dec, n0 = _build_decomposition(args, batch.n)
-        batch = finitedata.project_data(batch, dec)
-        report["decomposition"] = {"n0": n0, "n_plus": dec.n_plus}
+        batch, report["decomposition"] = _project_plus(args, batch)
     result = noise_mod.robust_stabilization(batch, args.gamma, args.c1, args.c0, args.tol)
     if isinstance(result, noise_mod.NotApplicable):
         report["applicable"] = False

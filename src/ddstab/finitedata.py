@@ -109,16 +109,21 @@ def project_data(batch: DataBatch, dec: Decomposition) -> DataBatch:
     return DataBatch(x1=batch.x1[:, :p], x0=batch.x0[:, :p], u0=batch.u0)
 
 
+def _check_rates(gamma, gamma_minus):
+    """The contract of every result on X+: 0 < gamma_minus < gamma < 1."""
+    if not (0.0 < gamma_minus < gamma < 1.0):
+        raise InvalidParams("need 0 < gamma_minus < gamma < 1")
+
+
 def finite_informative(batch: DataBatch, gamma, gamma_minus, tol=DEFAULT_TOL):
     """Informativity for stabilization on X+ at decay rate gamma.
 
     ``batch`` holds data on X+ (from project_data).  Requires
-    gamma_minus < gamma < 1.  Checks surjectivity of Xi0 (the finite
-    stand-in for Ran Xi0+ = X+), then decides and solves the LMI.  The
-    returned gain acts on X+ coordinates; lift it with lift_gain.
+    gamma_minus < gamma < 1 (``_check_rates``).  Checks surjectivity of Xi0
+    (the finite stand-in for Ran Xi0+ = X+), then decides and solves the
+    LMI.  The returned gain acts on X+ coordinates; lift it with lift_gain.
     """
-    if not (0.0 < gamma_minus < gamma < 1.0):
-        raise InvalidParams("need 0 < gamma_minus < gamma < 1")
+    _check_rates(gamma, gamma_minus)
     rank = rank_at_tol(batch.Xi0, tol)
     if rank < batch.n:
         return NotInformative(stage="rank", margin=float(rank - batch.n), reason="rank")

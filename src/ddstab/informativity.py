@@ -21,6 +21,7 @@ from .errors import InvalidParams
 from .operators import (
     DEFAULT_TOL,
     PowerStabilityCertificate,
+    _pinv_and_rank,
     pseudo_inverse,
     rank_at_tol,
 )
@@ -176,28 +177,26 @@ def _compatible_systems(Xi0, Xi1, Ups0, count, scale, seed):
     (Xi0, Xi1, Ups0), as (AB, counts): AB[j] stands for counts[j] of the
     ``count`` draws.
 
-    When W = [Xi0; Ups0] has rank n + m, read as rint(trace(W W^+)) (the
-    rank that the cut of W^+ kept), the family is the one system Xi1 W^+,
-    counted ``count`` times, and no generator is made.  Otherwise the
-    ``count`` systems Xi1 W^+ + T (I - W W^+) are each counted once, where
-    the T are ``scale`` times one standard Gaussian draw of shape (count,
-    n, n + m) from the stream keyed ``seed``.  ``count`` = 0 gives no
-    systems.
+    When W = [Xi0; Ups0] has rank n + m at the cut of W^+, the family is
+    the one system Xi1 W^+, counted ``count`` times, and no generator is
+    made.  Otherwise the ``count`` systems Xi1 W^+ + T (I - W W^+) are each
+    counted once, where the T are ``scale`` times one standard Gaussian
+    draw of shape (count, n, n + m) from the stream keyed ``seed`` (>= 0
+    even where no stream is drawn).  ``count`` = 0 gives no systems.
     """
-    if count < 0:
-        raise InvalidParams("count must be >= 0")
+    if count < 0 or seed < 0:
+        raise InvalidParams("count and seed must be >= 0")
     if not (0.0 < scale < np.inf):
         raise InvalidParams("scale must be finite and positive")
     W = np.vstack([Xi0, Ups0])
-    Wp = pseudo_inverse(W)
+    Wp, rank = _pinv_and_rank(W, DEFAULT_TOL)
     base = Xi1 @ Wp
     if count == 0:
         return base[None][:0], np.zeros(0, dtype=int)
-    WWp = W @ Wp
-    if np.rint(np.trace(WWp)) == W.shape[0]:
+    if rank == W.shape[0]:
         return base[None], np.array([count])
     T = scale * np.random.default_rng(seed).standard_normal((count,) + base.shape)
-    return base + T @ (np.eye(W.shape[0]) - WWp), np.ones(count, dtype=int)
+    return base + T @ (np.eye(W.shape[0]) - W @ Wp), np.ones(count, dtype=int)
 
 
 def least_squares_gain_norm_growth(n_list):

@@ -173,8 +173,7 @@ def _unreachable_modes(A, B, modes, tol):
     pencil = np.concatenate(
         [A - modes[:, None, None] * np.eye(n), np.broadcast_to(B, (modes.size,) + B.shape)], axis=2
     )
-    s = np.linalg.svd(pencil, compute_uv=False)
-    return modes[(s[:, n - 1] < tol * s[:, 0]) | (s[:, 0] == 0.0)]
+    return modes[_rank_count(np.linalg.svd(pencil, compute_uv=False), tol) < n]
 
 
 def _riccati_gains(A, B, rates, weights):

@@ -275,8 +275,8 @@ def verify_robust_gain(noisy_batch: DataBatch, M, gamma_tilde, c1, c0, Omega, tr
     up to ``_POWER_HORIZON``; ``violations`` counts trials.  Raises
     InvalidParams where ``robust_decay_rate`` does (M < 1 or M c0 >= 1).
     """
-    if trials < 0:
-        raise InvalidParams("trials must be >= 0")
+    if trials < 0 or seed < 0:
+        raise InvalidParams("trials and seed must be >= 0")
     _check_noise_constants(c1, c0)
     _check_rate_inputs(M, c0)
     n, N = noisy_batch.n, noisy_batch.N

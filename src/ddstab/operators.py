@@ -91,11 +91,14 @@ class NoFactorization:
 
 
 def _rank_count(s, tol):
-    """Rank from descending singular values ``s``: the count of those at or
-    above ``tol * s[0]``, and 0 when there are none or the largest is 0."""
+    """The one rank cut: per row of descending singular values ``s`` (..., k),
+    the count of those >= ``tol`` times the row's first (0 for an empty row
+    or a zero first); an int for one row, an int array (...) for a stack."""
     if not (0.0 < tol < np.inf):
         raise InvalidParams("tol must be finite and positive")
-    return 0 if s.size == 0 or s[0] == 0.0 else int(np.sum(s >= tol * s[0]))
+    top = s[..., :1]
+    count = np.sum((s >= tol * top) & (top > 0.0), axis=-1)
+    return int(count) if s.ndim == 1 else count
 
 
 def singular_values(S):
@@ -138,13 +141,19 @@ def pseudo_inverse(M, tol=DEFAULT_TOL):
     M = np.asarray(M, dtype=float)
     if 0 in M.shape[-2:]:
         return np.zeros(M.shape[:-2] + (M.shape[-1], M.shape[-2]))
+    return _pinv_and_rank(M, tol)[0]
+
+
+def _pinv_and_rank(M, tol):
+    """pseudo_inverse of M (at least one row) and, from the same SVD, the
+    rank of each slice: the count of singular values that it kept."""
     U, s, Vt = np.linalg.svd(M, full_matrices=False)
-    top = s[..., :1]
-    keep = (s >= tol * top) & (top > 0.0)
+    rank = _rank_count(s, tol)
+    keep = np.arange(s.shape[-1]) < np.asarray(rank)[..., None]
     s_inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
     pinv = (np.swapaxes(Vt, -1, -2) * s_inv[..., None, :]) @ np.swapaxes(U, -1, -2)
     # a zero slice is +0.0 throughout, not the signed zeros of the product
-    return np.where(top[..., None] > 0.0, pinv, 0.0)
+    return np.where(s[..., :1, None] > 0.0, pinv, 0.0), rank
 
 
 def douglas_minimal_constant(A, B, tol=1e-8):
@@ -160,7 +169,7 @@ def douglas_minimal_constant(A, B, tol=1e-8):
     B = np.asarray(B, dtype=float)
     if A.ndim != 2 or B.ndim != 2 or A.shape[0] != B.shape[0]:
         raise DimensionMismatch(f"row dimensions differ: A {A.shape}, B {B.shape}")
-    C = pseudo_inverse(B, tol=min(tol, DEFAULT_TOL)) @ A
+    C = pseudo_inverse(B) @ A
     residual = float(np.linalg.norm(B @ C - A))
     if residual > tol * max(1.0, float(np.linalg.norm(A))):
         return NoFactorization(residual=residual)

@@ -584,3 +584,87 @@ class TestOneGainPerDataset:
         plus, robust = json.loads(report.read_text()), json.loads(noisy.read_text())
         assert plus["K_plus"] == robust["K"]
         assert plus["certificate"]["M"] == robust["M"]
+
+
+class TestPlusContract:
+    """Every command on X+ runs one X+ step, which holds the finite-data
+    contract 0 < gamma_minus < gamma < 1."""
+
+    @pytest.mark.parametrize("gamma", ["0.88", "0.89", "1.0"], ids=["below", "equal", "one"])
+    @pytest.mark.parametrize("command", ["analyze", "verify", "noise"])
+    def test_gamma_outside_contract_exit_2(self, cascade_file, tmp_path, capsys, command, gamma):
+        """gamma at or below gamma_minus = 0.89, or at 1, is an input error
+        for all three commands: exit 2, a message, and no report.  Before,
+        ``verify`` passed and ``noise`` reported margin_ok at gamma = 0.88."""
+        gain, report = tmp_path / "gain.json", tmp_path / "report.json"
+        write_gain(gain, REFERENCE_CASCADE_GAIN_PLUS)
+        argv = {
+            "analyze": ["--mode", "finite-plus"],
+            "verify": ["--gain", str(gain), "--mode", "plus", "--trials", "5"],
+            "noise": ["--c1", "0.001", "--c0", "0.001", "--project", "--trials", "5"],
+        }[command]
+        assert run(
+            command, "--in", str(cascade_file), *argv, "--gamma", gamma, "--gamma-minus", "0.89",
+            "--out", str(report),
+        ) == 2
+        assert "need 0 < gamma_minus < gamma < 1" in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_plus_gain_with_wrong_row_count_exit_2(self, cascade_file, tmp_path, capsys):
+        """The cascade has one input, so a gain with two rows of n_plus = 4
+        entries is an input error, as in full mode, not a matmul failure."""
+        gain, report = tmp_path / "gain.json", tmp_path / "verify.json"
+        write_gain(gain, [[0.1, 0.2, 0.3, 0.4], [0.1, 0.2, 0.3, 0.4]])
+        assert run(
+            "verify", "--in", str(cascade_file), "--gain", str(gain), "--mode", "plus",
+            "--gamma", "0.9", "--out", str(report),
+        ) == 2
+        assert "gain must be m x n = (1, 4), got (2, 4)" in capsys.readouterr().err
+        assert not report.exists()
+
+
+class TestNegativeSeed:
+    """A negative seed is an input error (exit 2, no output file) wherever
+    a seed keys a stream, also where no stream ends up drawn."""
+
+    def test_generate_random_lti(self, tmp_path, capsys):
+        path = tmp_path / "x.json"
+        assert run(
+            "generate", "--scenario", "random-lti", "--seed", "-5", "--out", str(path)
+        ) == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "data_args, m",
+        [(["--n", "3", "--m", "2", "--samples", "4"], 2), (["--n", "3", "--seed", "7"], 1)],
+        ids=["drawn-family", "point-family"],
+    )
+    def test_verify_full(self, tmp_path, data_args, m):
+        data, gain, report = tmp_path / "d.json", tmp_path / "gain.json", tmp_path / "v.json"
+        assert run("generate", "--scenario", "random-lti", *data_args, "--out", str(data)) == 0
+        write_gain(gain, np.zeros((m, 3)))
+        assert run(
+            "verify", "--in", str(data), "--gain", str(gain), "--mode", "full", "--seed", "-2",
+            "--out", str(report),
+        ) == 2
+        assert not report.exists()
+
+    def test_noise_unprojected(self, tmp_path):
+        data, report = tmp_path / "rl.json", tmp_path / "noise.json"
+        assert run(
+            "generate", "--scenario", "random-lti", "--n", "3", "--seed", "7", "--out", str(data)
+        ) == 0
+        assert run(
+            "noise", "--in", str(data), "--gamma", "0.9", "--c1", "0.001", "--c0", "0.001",
+            "--seed", "-1", "--out", str(report),
+        ) == 2
+        assert not report.exists()
+
+    def test_noise_projected(self, cascade_file, tmp_path):
+        report = tmp_path / "noise.json"
+        assert run(
+            "noise", "--in", str(cascade_file), "--gamma", "0.9", "--c1", "0.003",
+            "--c0", "0.003", "--project", "--seed", "-1", "--out", str(report),
+        ) == 2
+        assert not report.exists()

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddstab import operators
+from ddstab import lmi, operators
 from ddstab.errors import DimensionMismatch, InvalidParams
+from ddstab.informativity import _compatible_systems
 from ddstab.operators import (
+    DEFAULT_TOL,
     DouglasFactor,
     NoFactorization,
     NotCertifiable,
@@ -638,3 +640,159 @@ class TestLeastCertificate:
         assert least_certificate(F, 0.9, 10**6) is None
         assert steps[0] > 0
 
+
+
+# The three ways the rank cut was written before _rank_count became the one
+# routine that applies it, kept here as the reference for that routine.
+
+
+def old_rank(s, tol):
+    """The count of a row of singular values."""
+    return 0 if s.size == 0 or s[0] == 0.0 else int(np.sum(s >= tol * s[0]))
+
+
+def old_pseudo_inverse(M, tol):
+    """pseudo_inverse with its own mask (s >= tol * top) & (top > 0)."""
+    U, s, Vt = np.linalg.svd(M, full_matrices=False)
+    top = s[..., :1]
+    keep = (s >= tol * top) & (top > 0.0)
+    s_inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
+    pinv = (np.swapaxes(Vt, -1, -2) * s_inv[..., None, :]) @ np.swapaxes(U, -1, -2)
+    return np.where(top[..., None] > 0.0, pinv, 0.0)
+
+
+def pbh_pencil_values(A, B, modes):
+    n = A.shape[0]
+    pencil = np.concatenate(
+        [A - modes[:, None, None] * np.eye(n), np.broadcast_to(B, (modes.size,) + B.shape)], axis=2
+    )
+    return np.linalg.svd(pencil, compute_uv=False)
+
+
+def old_unreachable_modes(A, B, modes, tol):
+    """The PBH cut s[n-1] < tol * s[0], or s[0] = 0, of each mode's pencil."""
+    n = A.shape[0]
+    if modes.size == 0:
+        return modes
+    s = pbh_pencil_values(A, B, modes)
+    return modes[(s[:, n - 1] < tol * s[:, 0]) | (s[:, 0] == 0.0)]
+
+
+def old_point_family(W):
+    """W = [Xi0; Ups0] identifies the system: rint(trace(W W^+)) = n + m."""
+    return np.rint(np.trace(W @ old_pseudo_inverse(W, DEFAULT_TOL))) == W.shape[0]
+
+
+def boundary_tol(s, row, col, side):
+    """A tol with tol * s[row, 0] within an ulp of s[row, col]: the ratio
+    itself, or one ulp below or above it (``side`` -1, 0 or 1)."""
+    ratio = s[row, col] / s[row, 0] if s[row, 0] > 0.0 else 0.0
+    ratio = ratio if ratio > 0.0 else DEFAULT_TOL
+    return {-1: np.nextafter(ratio, 0.0), 0: ratio, 1: np.nextafter(ratio, np.inf)}[side]
+
+
+def rank_fuzz_slice(kind, p, q, rng):
+    if kind == "zero":
+        return np.zeros((p, q))
+    if kind == "deficient":
+        r = int(rng.integers(0, min(p, q)))
+        return rng.standard_normal((p, r)) @ rng.standard_normal((r, q))
+    if kind == "graded":  # singular values over twelve decades
+        U, _ = np.linalg.qr(rng.standard_normal((p, p)))
+        V, _ = np.linalg.qr(rng.standard_normal((q, q)))
+        k = min(p, q)
+        return (U[:, :k] * 10.0 ** -np.sort(rng.uniform(0, 12, k))) @ V[:, :k].T
+    return rng.standard_normal((p, q))
+
+
+class TestOneRankCut:
+    """pseudo_inverse, the PBH test and the point-family decision take the
+    cut from _rank_count and decide as their own formulas did."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.sampled_from(["full", "deficient", "zero", "graded"]), min_size=1, max_size=4),
+        st.integers(1, 6),
+        st.integers(1, 6),
+        st.integers(0, 2**16),
+        st.sampled_from([-1, 0, 1]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_pseudo_inverse_and_counts(self, kinds, p, q, pick, side, seed):
+        rng = np.random.default_rng(seed)
+        M = np.stack([rank_fuzz_slice(kind, p, q, rng) for kind in kinds])
+        s = np.linalg.svd(M, full_matrices=False)[1]
+        tol = boundary_tol(s, pick % len(kinds), pick % s.shape[1], side)
+        assert pseudo_inverse(M, tol).tobytes() == old_pseudo_inverse(M, tol).tobytes()
+        for slice_ in M:
+            assert pseudo_inverse(slice_, tol).tobytes() == old_pseudo_inverse(slice_, tol).tobytes()
+        counts = operators._rank_count(s, tol)
+        assert counts.shape == (len(kinds),)
+        assert counts.tolist() == [old_rank(row, tol) for row in s]
+        assert [operators._rank_count(row, tol) for row in s] == counts.tolist()
+        assert rank_at_tol(M[0], tol) == old_rank(singular_values(M[0]), tol)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 5),
+        st.integers(0, 3),
+        st.integers(0, 5),
+        st.sampled_from(["random", "zero"]),
+        st.integers(0, 2**16),
+        st.sampled_from([-1, 0, 1]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_unreachable_modes(self, n, q, hidden, kind, pick, side, seed):
+        """The last ``hidden`` coordinates are out of reach of B before a
+        change of basis, so their modes fail the PBH test up to rounding;
+        tol sits at the cut of one mode's pencil."""
+        rng = np.random.default_rng(seed)
+        A, B = np.zeros((n, n)), np.zeros((n, q))
+        if kind == "random":
+            h = min(hidden, n)
+            A, B = rng.standard_normal((n, n)), rng.standard_normal((n, q))
+            A[n - h :, : n - h] = 0.0
+            B[n - h :] = 0.0
+            T = rng.standard_normal((n, n)) + n * np.eye(n)
+            A, B = T @ A @ np.linalg.inv(T), T @ B
+        modes = np.linalg.eigvals(A)
+        s = pbh_pencil_values(A, B, modes)
+        tol = boundary_tol(s, pick % n, n - 1, side)
+        np.testing.assert_array_equal(
+            lmi._unreachable_modes(A, B, modes, tol), old_unreachable_modes(A, B, modes, tol)
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 4),
+        st.integers(0, 2),
+        st.integers(0, 4),
+        st.sampled_from(["random", "deficient", "zero", "edge"]),
+        st.sampled_from([-1, 0, 1]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_point_family(self, n, m, extra, kind, side, seed):
+        """W = [Xi0; Ups0] with about n + m samples.  An "edge" W is diagonal,
+        so its singular values are its entries: the last one lies one ulp
+        below, at or one ulp above DEFAULT_TOL times the first."""
+        rng = np.random.default_rng(seed)
+        k = n + m
+        if kind == "edge":
+            d = np.sort(rng.uniform(0.5, 2.0, k))[::-1]
+            cut = DEFAULT_TOL * d[0]
+            if k > 1:
+                d[-1] = np.nextafter(cut, side * np.inf) if side else cut
+            W = np.zeros((k, k + extra))
+            W[np.arange(k), np.arange(k)] = d
+        else:
+            W = rank_fuzz_slice(kind, k, max(1, k + extra - 1), rng)
+        Xi0, Ups0, Xi1 = W[:n], W[n:], rng.standard_normal((n, W.shape[1]))
+        AB, counts = _compatible_systems(Xi0, Xi1, Ups0, 3, 1.0, seed)
+        point = counts.tolist() == [3]
+        assert point == old_point_family(W)
+        if point:
+            expected = Xi1 @ old_pseudo_inverse(W, DEFAULT_TOL)
+            assert AB.shape == (1,) + expected.shape
+            assert AB[0].tobytes() == expected.tobytes()
+        if kind == "edge" and k > 1:
+            assert point == (side >= 0)
