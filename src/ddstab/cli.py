@@ -184,6 +184,8 @@ def cmd_verify(args):
     if args.mode == "plus":
         batch, report["decomposition"] = _project_plus(args, batch)
         keys, where = ("A_plus", "B_plus"), "compatible family on X+"
+    if batch.m == 0 and K.size == 0:
+        K = K.reshape(0, batch.n)  # an m = 0 gain is written as [], read as (1, 0)
     if K.shape != (batch.m, batch.n):
         raise SystemExit(f"error: gain must be m x n = {(batch.m, batch.n)}, got {K.shape}")
     fam = finitedata.verify_on_compatible_plus(
@@ -215,6 +217,7 @@ def _write_radii_csv(path, radii):
 
 def cmd_noise(args):
     batch = _load_batch(args.input)
+    noise_mod._check_sampling(args.trials, args.seed)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "noise",

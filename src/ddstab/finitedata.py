@@ -10,7 +10,7 @@ modes the truncation keeps.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,12 +20,7 @@ from .errors import (
     InvalidParams,
 )
 from .informativity import NotInformative, _compatible_systems, synthesize_gain
-from .operators import (
-    DEFAULT_TOL,
-    construct_certificate,
-    rank_at_tol,
-    spectral_radius,
-)
+from .operators import DEFAULT_TOL, construct_certificate, spectral_radius
 from .systems import DataBatch, HeatCascadeParams, LinearSystem
 
 
@@ -119,15 +114,16 @@ def finite_informative(batch: DataBatch, gamma, gamma_minus, tol=DEFAULT_TOL):
     """Informativity for stabilization on X+ at decay rate gamma.
 
     ``batch`` holds data on X+ (from project_data).  Requires
-    gamma_minus < gamma < 1 (``_check_rates``).  Checks surjectivity of Xi0
-    (the finite stand-in for Ran Xi0+ = X+), then decides and solves the
-    LMI.  The returned gain acts on X+ coordinates; lift it with lift_gain.
+    gamma_minus < gamma < 1 (``_check_rates``).  Decides and solves the LMI;
+    when its SVD finds Xi0 short of full row rank (the finite stand-in for
+    Ran Xi0+ = X+), the verdict is stage "rank" with margin rank - n.  The
+    returned gain acts on X+ coordinates; lift it with lift_gain.
     """
     _check_rates(gamma, gamma_minus)
-    rank = rank_at_tol(batch.Xi0, tol)
-    if rank < batch.n:
-        return NotInformative(stage="rank", margin=float(rank - batch.n), reason="rank")
-    return synthesize_gain(batch.Xi0, batch.Xi1, batch.Ups0, gamma, tol)
+    result = synthesize_gain(batch.Xi0, batch.Xi1, batch.Ups0, gamma, tol)
+    if isinstance(result, NotInformative) and result.reason == "rank":
+        return replace(result, stage="rank", margin=float(result.rank - batch.n))
+    return result
 
 
 def lift_gain(K_plus, dec: Decomposition):

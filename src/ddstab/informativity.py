@@ -56,12 +56,15 @@ class NotInformative:
     ``reason`` says whether the verdict is a certificate: "rank" (the state
     data do not span), "pbh" (the eigenvalue ``mode`` of the data's open
     loop, at or above gamma, is out of the inputs' reach) or "numerical"
-    (inconclusive: no candidate gain was accepted).
+    (inconclusive: no candidate gain was accepted).  ``rank`` is the rank of
+    Xi0 at ``tol`` that the synthesis SVD decided: below n for "rank", n
+    otherwise.
     """
 
     stage: str
     margin: float
     reason: str
+    rank: int
     mode: complex | None = None
 
 
@@ -127,7 +130,8 @@ def synthesize_gain(Xi0, Xi1, Ups0, gamma, tol=DEFAULT_TOL):
     outcome = lmi.solve_feasibility(problem)
     if isinstance(outcome, lmi.Infeasible):
         return NotInformative(
-            stage="lmi", margin=outcome.best_margin, reason=outcome.reason, mode=outcome.mode
+            stage="lmi", margin=outcome.best_margin, reason=outcome.reason,
+            rank=outcome.rank, mode=outcome.mode,
         )
     right_inverse = outcome.right_inverse
     return GainResult(
@@ -148,12 +152,8 @@ def stabilization_informative(batch: DataBatch, gamma, tol=DEFAULT_TOL):
     rate gamma.  Failure returns NotInformative with its reason; rank
     deficiency of the state data surfaces there rather than as a separate
     stage.  ``tol`` is the rank and PBH tolerance; feasibility and symmetry
-    thresholds are the lmi defaults.
+    thresholds are the lmi defaults, and lmi.LmiProblem checks gamma and tol.
     """
-    if not (0.0 < gamma < 1.0):
-        raise InvalidParams("gamma must lie in (0, 1)")
-    if not (0.0 < tol < np.inf):
-        raise InvalidParams("tol must be finite and positive")
     return synthesize_gain(batch.Xi0, batch.Xi1, batch.Ups0, gamma, tol)
 
 

@@ -132,12 +132,15 @@ class Infeasible:
     "numerical" means the instance passed both tests but no candidate gain
     was accepted: not a certificate, and ``best_margin`` is the block's
     smallest eigenvalue at the least-squares point Lambda = Xi0^+ / gamma^2.
-    ``iterations`` counts the scan's candidate gains.
+    ``iterations`` counts the scan's candidate gains.  ``rank`` is the count
+    of singular values of Xi0 that the cut at ``tol`` keeps: below n for
+    "rank", n otherwise.
     """
 
     best_margin: float
     iterations: int
     reason: str
+    rank: int
     mode: complex | None = None
 
 
@@ -318,9 +321,10 @@ def solve_feasibility(problem: LmiProblem, max_iters=None, seed=None):
     Xi0, Xi1, gamma, tol = problem.Xi0, problem.Xi1, problem.gamma, problem.tol
     n, N = Xi0.shape
     U, s, Vt = np.linalg.svd(Xi0)
-    if _rank_count(s, tol) < n:
+    rank = _rank_count(s, tol)
+    if rank < n:
         # a unit x orthogonal to Ran Xi0 gives [x; 0]^T M [x; 0] = -1
-        return Infeasible(best_margin=-1.0, iterations=0, reason="rank")
+        return Infeasible(best_margin=-1.0, iterations=0, reason="rank", rank=rank)
     Xi0_pinv = (Vt[:n].T / s) @ U.T
     A = Xi1 @ Xi0_pinv
     # B^ cut to its range: B^ Zc = Ub sb with Zc = Z Vb, so that
@@ -338,9 +342,8 @@ def solve_feasibility(problem: LmiProblem, max_iters=None, seed=None):
         # with w^* A^ = mode w^*, w^* B^ = 0, the vector [w; -conj(mode) w]
         # bounds the margin of every admissible Lambda by -1 / (1 + |mode|^2)
         mode = complex(unreachable[0])
-        return Infeasible(
-            best_margin=-1.0 / (1.0 + abs(mode) ** 2), iterations=0, reason="pbh", mode=mode
-        )
+        margin = -1.0 / (1.0 + abs(mode) ** 2)
+        return Infeasible(best_margin=margin, iterations=0, reason="pbh", rank=n, mode=mode)
 
     R, F = Xi0_pinv[None], A[None]  # no kernel direction moves the loop
     if rb:
@@ -368,4 +371,4 @@ def solve_feasibility(problem: LmiProblem, max_iters=None, seed=None):
                 radius=radius,
             )
     min_eig, _ = evaluate_block(Xi0, Xi1, gamma, Xi0_pinv / gamma**2)
-    return Infeasible(best_margin=min_eig, iterations=candidates, reason="numerical")
+    return Infeasible(best_margin=min_eig, iterations=candidates, reason="numerical", rank=n)

@@ -22,7 +22,6 @@ from .operators import (
     DEFAULT_TOL,
     DouglasFactor,
     douglas_minimal_constant,
-    frame_bounds,
     operator_norm,
     spectral_radius,
 )
@@ -92,6 +91,12 @@ class RobustGainResult:
     gamma_tilde: float
     margin_ok: bool
     Omega: np.ndarray
+
+
+def _check_sampling(trials, seed):
+    """The sampled check's contract, which the CLI holds before synthesis."""
+    if trials < 0 or seed < 0:
+        raise InvalidParams("trials and seed must be >= 0")
 
 
 def _check_rate_inputs(M, c0):
@@ -175,21 +180,19 @@ def minimal_noise_constants(noise_batch: DataBatch, noisy_batch: DataBatch, Omeg
 def robust_stabilization(noisy_batch: DataBatch, gamma, c1, c0, tol=DEFAULT_TOL):
     """Synthesize a gain from noisy data and certify the degraded rate.
 
-    Pipeline: frame test on Xi0~, LMI synthesis of a right inverse Omega of
-    Xi0~, certificate (M, gamma) for
-    F = Xi1~ Omega, then gamma~ and the budget margin.  Returns
-    NotApplicable naming the failing stage when any step is unavailable.
+    Pipeline: LMI synthesis of a right inverse Omega of Xi0~, certificate
+    (M, gamma) for F = Xi1~ Omega, then gamma~ and the budget margin.
+    Returns NotApplicable naming the failing stage when any step is
+    unavailable; stage "frame" when the synthesis SVD finds Xi0~ short of
+    full row rank, so that the state sequence is not a frame.
     """
     if not (0.0 < gamma < 1.0):
         raise InvalidParams("gamma must lie in (0, 1)")
     _check_noise_constants(c1, c0)
-    fb = frame_bounds(noisy_batch.Xi0, tol)
-    if fb.lower <= 0.0:
-        return NotApplicable(
-            stage="frame",
-            detail=f"state sequence is not a frame: rank {fb.rank} < dim {noisy_batch.n}",
-        )
     synth = synthesize_gain(noisy_batch.Xi0, noisy_batch.Xi1, noisy_batch.Ups0, gamma, tol)
+    if isinstance(synth, NotInformative) and synth.reason == "rank":
+        detail = f"state sequence is not a frame: rank {synth.rank} < dim {noisy_batch.n}"
+        return NotApplicable(stage="frame", detail=detail)
     if isinstance(synth, NotInformative):
         return NotApplicable(stage=synth.stage, detail=f"{synth.reason}, margin {synth.margin:.3e}")
     M = synth.certificate.M
@@ -275,8 +278,7 @@ def verify_robust_gain(noisy_batch: DataBatch, M, gamma_tilde, c1, c0, Omega, tr
     up to ``_POWER_HORIZON``; ``violations`` counts trials.  Raises
     InvalidParams where ``robust_decay_rate`` does (M < 1 or M c0 >= 1).
     """
-    if trials < 0 or seed < 0:
-        raise InvalidParams("trials and seed must be >= 0")
+    _check_sampling(trials, seed)
     _check_noise_constants(c1, c0)
     _check_rate_inputs(M, c0)
     n, N = noisy_batch.n, noisy_batch.N

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidParams
+from .errors import DimensionMismatch, EmptyData, InvalidParams
 
 #: Default relative singular-value threshold for rank decisions.
 DEFAULT_TOL = 1e-9
@@ -119,11 +119,14 @@ def frame_bounds(S, tol=DEFAULT_TOL):
 
     The upper bound is the largest eigenvalue of S S^T.  The lower bound is
     the smallest eigenvalue of S S^T when the columns span the ambient space
-    (full row rank at ``tol``), and 0 otherwise.
+    (full row rank at ``tol``), and 0 otherwise.  A matrix with no rows
+    raises EmptyData, as a DataBatch with no state coordinate does.
     """
     s = singular_values(S)
-    rank = _rank_count(s, tol)
     dim = np.shape(S)[0]
+    if dim == 0:
+        raise EmptyData("frame bounds need at least one row")
+    rank = _rank_count(s, tol)
     upper = float(s[0] ** 2) if s.size else 0.0
     lower = float(s[dim - 1] ** 2) if (rank == dim and s.size >= dim) else 0.0
     return FrameBounds(upper=upper, lower=lower, rank=rank, tol=tol)

@@ -668,3 +668,67 @@ class TestNegativeSeed:
             "--c0", "0.003", "--project", "--seed", "-1", "--out", str(report),
         ) == 2
         assert not report.exists()
+
+
+class TestSamplingCheckedBeforeSynthesis:
+    """noise rejects a negative --trials or --seed before it synthesizes, so
+    the error (exit 2, no report) does not depend on the verdict: the
+    unprojected cascade is not a frame, the projected one certifies."""
+
+    @pytest.mark.parametrize("option", [["--seed", "-1"], ["--trials", "-1"]], ids=["seed", "trials"])
+    @pytest.mark.parametrize("project", [[], ["--project"]], ids=["unprojected", "projected"])
+    def test_exit_2_without_report(self, cascade_file, tmp_path, capsys, option, project):
+        report = tmp_path / "noise.json"
+        assert run(
+            "noise", "--in", str(cascade_file), "--gamma", "0.9", "--c1", "0.003",
+            "--c0", "0.003", *project, *option, "--out", str(report),
+        ) == 2
+        assert "error: trials and seed must be >= 0" in capsys.readouterr().err
+        assert not report.exists()
+
+
+class TestNoInputRoundTrip:
+    """With m = 0 analyze writes the (0, n) gain as "K": [], and verify reads
+    it back as that gain."""
+
+    def test_full_mode(self, tmp_path):
+        data, report = tmp_path / "d.json", tmp_path / "a.json"
+        gain, checked = tmp_path / "gain.json", tmp_path / "v.json"
+        assert run(
+            "generate", "--scenario", "random-lti", "--n", "3", "--m", "0", "--radius", "0.5",
+            "--out", str(data),
+        ) == 0
+        assert run("analyze", "--in", str(data), "--mode", "stabilize", "--out", str(report)) == 0
+        analysis = json.loads(report.read_text())
+        assert analysis["K"] == []
+        gain.write_text(json.dumps({"K": analysis["K"]}))
+        assert run(
+            "verify", "--in", str(data), "--gain", str(gain), "--mode", "full",
+            "--out", str(checked),
+        ) == 0
+        worst = json.loads(checked.read_text())["worst_radius"]
+        assert worst == pytest.approx(analysis["achieved_radius"], rel=1e-12)
+
+    def test_plus_mode(self, tmp_path):
+        """A 4-state system with X- = the last two coordinates invariant:
+        X+ (n0 = 2, no head block) is the leading 2 x 2 block."""
+        rng = np.random.default_rng(3)
+        A = np.array([[0.5, 0.2, 0.0, 0.0], [-0.1, 0.4, 0.0, 0.0],
+                      [0.3, 0.1, 0.2, 0.0], [0.0, 0.2, 0.1, 0.3]])
+        x0 = rng.standard_normal((6, 4))
+        data = tmp_path / "d.json"
+        DataBatch(x1=x0 @ A.T, x0=x0, u0=np.zeros((6, 0))).save(data)
+        split = ["--head-dim", "0"]
+        report, gain, checked = tmp_path / "a.json", tmp_path / "gain.json", tmp_path / "v.json"
+        assert run(
+            "analyze", "--in", str(data), "--mode", "finite-plus", *split, "--out", str(report)
+        ) == 0
+        analysis = json.loads(report.read_text())
+        assert analysis["K_plus"] == [] and analysis["decomposition"]["n_plus"] == 2
+        gain.write_text(json.dumps({"K": analysis["K_plus"]}))
+        assert run(
+            "verify", "--in", str(data), "--gain", str(gain), "--mode", "plus", *split,
+            "--out", str(checked),
+        ) == 0
+        worst = json.loads(checked.read_text())["worst_radius"]
+        assert worst == pytest.approx(analysis["achieved_radius"], rel=1e-12)

@@ -14,11 +14,13 @@ from ddstab.finitedata import (
     project_data,
     verify_on_compatible_plus,
 )
-from ddstab.informativity import GainResult, NotInformative
+from ddstab.informativity import GainResult, NotInformative, stabilization_informative
 from ddstab.lmi import LmiProblem, LmiSolution, solve_feasibility
+from ddstab.noise import NotApplicable, robust_stabilization
 from ddstab.operators import (
     NotCertifiable,
     PowerStabilityCertificate,
+    _rank_count,
     pseudo_inverse,
     spectral_radius,
 )
@@ -338,3 +340,72 @@ class TestClosedLoopFull:
             np.concatenate([np.linalg.eigvals(loop[:4, :4]), np.linalg.eigvals(loop[4:, 4:])])
         )
         assert np.max(np.abs(eigs_full - eigs_blocks)) < 1e-8
+
+
+def knife_edge_batch():
+    """A 4 x 7 batch and a tol at which the two double-precision SVDs of its
+    Xi0, with and without singular vectors, disagree on its rank.
+
+    Xi0 = Q1 diag(1, 0.7, 0.4, 1e-9) Q2^T with Q1, Q2 orthonormal, so
+    sigma_4 / sigma_1 sits on 1e-9 to the last bits; Xi1 = D Xi0 + 1 Ups0 for
+    a diagonal D, a column of ones and a Gaussian input row.  The tol is the
+    first float past the smaller of the two ratios sigma_4 / sigma_1, or the
+    larger ratio, whichever makes the two cuts of operators._rank_count
+    disagree; seeds from 7 on are tried until one does."""
+    for seed in range(7, 100):
+        rng = np.random.default_rng(seed)
+        Q1 = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+        Q2 = np.linalg.qr(rng.standard_normal((7, 7)))[0][:, :4]
+        Xi0 = Q1 @ np.diag([1.0, 0.7, 0.4, 1e-9]) @ Q2.T
+        Ups0 = rng.standard_normal((1, 7))
+        Xi1 = np.diag([1.2, 0.5, 0.3, 0.2]) @ Xi0 + np.ones((4, 1)) @ Ups0
+        plain = np.linalg.svd(Xi0, compute_uv=False)
+        with_vectors = np.linalg.svd(Xi0)[1]
+        lo, hi = sorted((plain[3] / plain[0], with_vectors[3] / with_vectors[0]))
+        for tol in (np.nextafter(lo, hi), hi):
+            if _rank_count(plain, tol) != _rank_count(with_vectors, tol):
+                return DataBatch(x1=Xi1.T, x0=Xi0.T, u0=Ups0.T), tol
+    raise AssertionError("no seed puts the two SVDs on opposite sides of a tol")
+
+
+class TestOneRankDecision:
+    """stabilize, finite-plus and noise read the rank of Xi0 off the one SVD
+    that the LMI synthesis takes, so they cannot disagree on it."""
+
+    def test_knife_edge_verdicts_agree(self):
+        batch, tol = knife_edge_batch()
+        stabilize = stabilization_informative(batch, 0.9, tol)
+        plus = finite_informative(batch, 0.9, 0.5, tol)
+        robust = robust_stabilization(batch, 0.9, 0.0, 0.0, tol)
+        deficient = isinstance(stabilize, NotInformative) and stabilize.reason == "rank"
+        assert (isinstance(plus, NotInformative) and plus.stage == "rank") == deficient
+        assert (isinstance(robust, NotApplicable) and robust.stage == "frame") == deficient
+
+    @pytest.mark.parametrize("samples", [5, 3], ids=["full-rank", "rank-deficient"])
+    def test_one_svd_of_xi0_per_call(self, monkeypatch, samples):
+        _, batch, params = reference_cascade_scenario(n_modes=50, n_samples=samples)
+        pd = project_data(batch, cascade_decomposition(params, 0.89, 0.1, 0.0))
+        shapes = []
+        svd = np.linalg.svd
+
+        def spy(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        for call in (
+            lambda: finite_informative(pd, 0.9, 0.89),
+            lambda: robust_stabilization(pd, 0.9, 0.003, 0.003),
+        ):
+            shapes.clear()
+            call()
+            assert shapes.count((pd.n, pd.N)) == 1
+
+    def test_rank_verdict_carries_the_count(self):
+        x0 = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 0.0]])
+        pd = DataBatch(x1=np.zeros((3, 3)), x0=x0, u0=np.zeros((3, 1)))
+        result = finite_informative(pd, 0.9, 0.5)
+        assert (result.stage, result.reason, result.rank, result.margin) == ("rank", "rank", 1, -2.0)
+        assert robust_stabilization(pd, 0.9, 0.0, 0.0).detail == (
+            "state sequence is not a frame: rank 1 < dim 3"
+        )

@@ -427,3 +427,50 @@ class TestSteinSolution:
         assert sol.radius == spectral_radius(Xi1 @ sol.right_inverse)
         result = synthesize_gain(Xi0, Xi1, np.ones((1, N)), gamma)
         assert result.achieved_radius == sol.radius
+
+
+def near_gamma_unreachable_instance():
+    """(Xi0, Xi1, Ups0) of a 7-state system whose verdict at gamma = 0.9 is
+    "numerical": its mode at 0.8999911 is out of the input's reach, so every
+    loop of the scan with rho < gamma has rho / gamma = 1 - 1e-5, and none
+    reaches its k0 within the power horizon."""
+    rng = np.random.default_rng(1113)
+    n = int(rng.integers(3, 9))
+    N = int(rng.integers(n + 1, n + 5))
+    A = rng.standard_normal((n, n))
+    A *= rng.uniform(1.0, 1.5) / spectral_radius(A)
+    A[0] = 0.0
+    A[0, 0] = 0.9 - rng.uniform(0, 0.02)
+    B = rng.standard_normal((n, 1))
+    B[0] = 0.0
+    Xi0, Ups0 = rng.standard_normal((n, N)), rng.standard_normal((1, N))
+    return Xi0, A @ Xi0 + B @ Ups0, Ups0
+
+
+class TestRankField:
+    """Infeasible.rank and NotInformative.rank are the count of the rank cut
+    of Xi0 at tol: below n on rank-deficient data, n on every other verdict."""
+
+    @pytest.mark.parametrize("tol, rank", [(1e-9, 3), (1e-4, 2), (1e-2, 1)])
+    def test_rank_deficient_data(self, tol, rank):
+        rng = np.random.default_rng(11)
+        Xi0 = np.hstack([np.diag([1.0, 1e-3, 1e-6, 1e-12]), np.zeros((4, 3))])
+        Xi1, Ups0 = rng.standard_normal((4, 7)), rng.standard_normal((1, 7))
+        out = solve_feasibility(LmiProblem(Xi0=Xi0, Xi1=Xi1, gamma=0.9, tol=tol))
+        assert (out.reason, out.rank) == ("rank", rank)
+        verdict = synthesize_gain(Xi0, Xi1, Ups0, 0.9, tol)
+        assert (verdict.reason, verdict.rank) == ("rank", rank)
+
+    def test_full_rank_verdicts(self):
+        rng = np.random.default_rng(5)
+        A = np.diag([1.2, 1.5, 0.3])
+        A[1, 2] = 1.0
+        B = np.array([[0.0], [1.0], [1.0]])
+        reasons = []
+        for Xi0, Xi1, Ups0 in (data_from_system(A, B, rng, 6), near_gamma_unreachable_instance()):
+            out = solve_feasibility(LmiProblem(Xi0=Xi0, Xi1=Xi1, gamma=0.9))
+            verdict = synthesize_gain(Xi0, Xi1, Ups0, 0.9)
+            assert out.reason == verdict.reason
+            assert out.rank == verdict.rank == Xi0.shape[0]
+            reasons.append(out.reason)
+        assert reasons == ["pbh", "numerical"]

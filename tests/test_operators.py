@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddstab import lmi, operators
-from ddstab.errors import DimensionMismatch, InvalidParams
+from ddstab.errors import DimensionMismatch, EmptyData, InvalidParams
 from ddstab.informativity import _compatible_systems
 from ddstab.operators import (
     DEFAULT_TOL,
@@ -208,6 +208,11 @@ class TestFrameBounds:
         fb = frame_bounds(S)
         assert fb.upper == pytest.approx(4.0)
         assert fb.lower == pytest.approx(0.25)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (0, 0)])
+    def test_no_rows_is_empty_data(self, shape):
+        with pytest.raises(EmptyData):
+            frame_bounds(np.zeros(shape))
 
 
 class TestPlainMatrices:
