@@ -299,14 +299,19 @@ def build_parser():
     ana.add_argument("--out", default=None, help="write a JSON report here")
     _decomposition_args(ana)
 
-    ver = sub.add_parser("verify", help="check a gain against the compatible family")
+    ver = sub.add_parser("verify", help="decide a gain on the whole compatible family")
     ver.add_argument("--in", dest="input", required=True)
     ver.add_argument("--gain", required=True, help='JSON file {"K": [[...]]}')
     ver.add_argument("--mode", required=True, choices=["plus", "full"])
     ver.add_argument("--gamma", type=float, default=0.9)
-    ver.add_argument("--trials", type=int, default=200)
-    ver.add_argument("--scale", type=float, default=1.0)
-    ver.add_argument("--seed", type=int, default=0)
+    ver.add_argument(
+        "--trials", type=int, default=200,
+        help="times the decided radius is reported (and written to --csv); 0 passes vacuously",
+    )
+    ver.add_argument(
+        "--scale", type=float, default=1.0, help="checked finite and positive; nothing is drawn"
+    )
+    ver.add_argument("--seed", type=int, default=0, help="checked >= 0; nothing is drawn")
     ver.add_argument("--csv", default=None, help="write per-sample spectral radii as CSV")
     ver.add_argument("--out", default=None)
     _decomposition_args(ver)

@@ -19,8 +19,8 @@ from .errors import (
     DimensionMismatch,
     InvalidParams,
 )
-from .informativity import NotInformative, _compatible_systems, synthesize_gain
-from .operators import DEFAULT_TOL, construct_certificate, spectral_radius
+from .informativity import NotInformative, _check_family_draw, synthesize_gain
+from .operators import DEFAULT_TOL, _pinv_and_rank, construct_certificate, spectral_radius
 from .systems import DataBatch, HeatCascadeParams, LinearSystem
 
 
@@ -136,10 +136,11 @@ def lift_gain(K_plus, dec: Decomposition):
 
 @dataclass(frozen=True)
 class CompatibleFamilyReport:
-    """Worst closed-loop radius over sampled compatible projected systems.
-
-    ``worst_sample`` holds the (A+, B+) pair attaining the worst radius so a
-    violation can be reported concretely; None when no trials ran.
+    """The one system that stands for the compatible family in
+    verify_on_compatible_plus: ``worst_sample`` is its (A+, B+) pair (None
+    when no trials ran) and ``worst_radius`` its loop radius, reported in
+    ``radii`` once per trial; ``failures`` is ``trials`` when that radius
+    exceeds ``radius_bound``, else 0.
     """
 
     trials: int
@@ -153,33 +154,43 @@ class CompatibleFamilyReport:
 def verify_on_compatible_plus(
     batch: DataBatch, K_plus, gamma, trials, seed=0, scale=1.0
 ) -> CompatibleFamilyReport:
-    """Sample the compatible family of ``batch`` and check the decay of each loop.
+    """Decide exactly, drawing nothing, whether K_plus keeps every system
+    compatible with ``batch`` at radius gamma or below.
 
-    The family is [A+ B+] = Xi1 W^+ + T (I - W W^+) with W = [Xi0; Ups0],
-    drawn as sample_compatible_systems draws it; on data from project_data
-    these are the systems on X+.  When W has rank n+ + m the family is the
-    one system Xi1 W^+: its loop is checked once and its radius reported for
-    every trial.  With trials = 0 the report is empty and vacuously passing.
+    The family is Xi1 W^+ + T (I - W W^+) over free T, W = [Xi0; Ups0] (on
+    project_data's data, the systems on X+); its loops are Xi1 W^+ L +
+    T (I - W W^+) L, L = [I; K_plus].  From one SVD of W, W^+ and a basis
+    U_r of Ran W: if D = L - U_r U_r^T L has ||D|| <= DEFAULT_TOL ||L||, all
+    loops are Xi1 W^+ L and Xi1 W^+ is reported.  Else, with (y, sigma, x)
+    D's top singular triple, y^T W = 0 and Xi1 W^+ + t x y^T is reported,
+    t = (n (gamma + 1) - tr(Xi1 W^+ L)) / sigma: its loop has trace
+    n (gamma + 1), so radius >= gamma + 1.  ``trials``, ``seed`` and
+    ``scale`` are checked as in sample_compatible_systems; trials = 0 gives
+    an empty, vacuously passing report.
     """
     if not (0.0 < gamma < np.inf):
         raise InvalidParams("gamma must be finite and positive")
+    _check_family_draw(trials, scale, seed)
     K_plus = np.atleast_2d(np.asarray(K_plus, dtype=float))
-    AB, counts = _compatible_systems(batch.Xi0, batch.Xi1, batch.Ups0, int(trials), scale, seed)
-    npl = batch.n
-    distinct = spectral_radius(AB[:, :, :npl] + AB[:, :, npl:] @ K_plus)
-    radii = np.repeat(distinct, counts)
-    bound = gamma + 1e-6
-    worst_radius, worst_sample = 0.0, None
-    if radii.size:
-        i = int(np.argmax(distinct))
-        worst_radius, worst_sample = float(distinct[i]), (AB[i, :, :npl], AB[i, :, npl:])
+    npl, W = batch.n, np.vstack([batch.Xi0, batch.Ups0])
+    Wp, rank, U = _pinv_and_rank(W, DEFAULT_TOL)
+    AB = batch.Xi1 @ Wp
+    L, Ur = np.vstack([np.eye(npl), K_plus]), U[:, :rank]
+    Y, s, Xt = np.linalg.svd(L - Ur @ (Ur.T @ L), full_matrices=False)
+    if s[0] > DEFAULT_TOL * np.linalg.norm(L, 2):
+        # the rounding of D tilts y into Ran W by up to eps ||L|| / sigma
+        y = Y[:, 0] - Ur @ (Ur.T @ Y[:, 0])
+        t = (npl * (gamma + 1.0) - np.trace(AB @ L)) / s[0]
+        AB = AB + t * np.outer(Xt[0], y)
+    radius = spectral_radius(AB[:, :npl] + AB[:, npl:] @ K_plus)
+    bound, trials = gamma + 1e-6, int(trials)
     return CompatibleFamilyReport(
-        trials=int(trials),
-        worst_radius=worst_radius,
+        trials=trials,
+        worst_radius=radius if trials else 0.0,
         radius_bound=bound,
-        failures=int(np.sum(radii > bound)),
-        radii=tuple(radii.tolist()),
-        worst_sample=worst_sample,
+        failures=trials if radius > bound else 0,
+        radii=(radius,) * trials,
+        worst_sample=(AB[:, :npl], AB[:, npl:]) if trials else None,
     )
 
 

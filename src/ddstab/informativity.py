@@ -7,9 +7,9 @@ dense-range conditions of the underlying theory; they are exact when the
 batch dimensions are the true ones.  A gain is K = Ups0 R for the right
 inverse R of Xi0 that the lmi module returns, and its certificate refers to
 the closed loop Xi1 R, which equals A + B K for every data-compatible
-(A, B).  ``_compatible_systems`` is the one sampler of the compatible family
-Xi1 W^+ + T (I - W W^+), W = [Xi0; Ups0], for ``verify`` and
-``sample_compatible_systems``.
+(A, B).  ``sample_compatible_systems`` draws from the compatible family
+Xi1 W^+ + T (I - W W^+), W = [Xi0; Ups0], on which ``verify`` decides a gain
+in closed form (finitedata.verify_on_compatible_plus).
 """
 
 from dataclasses import dataclass
@@ -157,6 +157,14 @@ def stabilization_informative(batch: DataBatch, gamma, tol=DEFAULT_TOL):
     return synthesize_gain(batch.Xi0, batch.Xi1, batch.Ups0, gamma, tol)
 
 
+def _check_family_draw(count, scale, seed):
+    """A compatible-family draw's contract, held also where none is drawn."""
+    if count < 0 or seed < 0:
+        raise InvalidParams("count and seed must be >= 0")
+    if not (0.0 < scale < np.inf):
+        raise InvalidParams("scale must be finite and positive")
+
+
 def sample_compatible_systems(Xi0, Xi1, Ups0, count, scale=1.0, seed=0):
     """Draw [A B] from the affine family compatible with the data.
 
@@ -165,38 +173,18 @@ def sample_compatible_systems(Xi0, Xi1, Ups0, count, scale=1.0, seed=0):
     array of shape (count, n, n + m); the T of all slices are ``scale``
     times one standard Gaussian draw of shape (count, n, n + m) from the
     stream ``seed``, filled slice after slice, so slice i does not depend on
-    ``count``.  When W has rank n + m the family is the one system
-    Xi1 W^+: every slice is that system and no stream is drawn.  Requires
-    consistent data (data generated by some system).
+    ``count``.  When W has rank n + m at the cut of W^+ the family is the
+    one system Xi1 W^+: every slice is that system and no stream is drawn.
+    Requires consistent data (data generated by some system).
     """
-    return np.repeat(*_compatible_systems(Xi0, Xi1, Ups0, count, scale, seed), axis=0)
-
-
-def _compatible_systems(Xi0, Xi1, Ups0, count, scale, seed):
-    """The distinct systems drawn from the compatible family of the batch
-    (Xi0, Xi1, Ups0), as (AB, counts): AB[j] stands for counts[j] of the
-    ``count`` draws.
-
-    When W = [Xi0; Ups0] has rank n + m at the cut of W^+, the family is
-    the one system Xi1 W^+, counted ``count`` times, and no generator is
-    made.  Otherwise the ``count`` systems Xi1 W^+ + T (I - W W^+) are each
-    counted once, where the T are ``scale`` times one standard Gaussian
-    draw of shape (count, n, n + m) from the stream keyed ``seed`` (>= 0
-    even where no stream is drawn).  ``count`` = 0 gives no systems.
-    """
-    if count < 0 or seed < 0:
-        raise InvalidParams("count and seed must be >= 0")
-    if not (0.0 < scale < np.inf):
-        raise InvalidParams("scale must be finite and positive")
+    _check_family_draw(count, scale, seed)
     W = np.vstack([Xi0, Ups0])
-    Wp, rank = _pinv_and_rank(W, DEFAULT_TOL)
+    Wp, rank, _ = _pinv_and_rank(W, DEFAULT_TOL)
     base = Xi1 @ Wp
-    if count == 0:
-        return base[None][:0], np.zeros(0, dtype=int)
     if rank == W.shape[0]:
-        return base[None], np.array([count])
+        return np.repeat(base[None], count, axis=0)
     T = scale * np.random.default_rng(seed).standard_normal((count,) + base.shape)
-    return base + T @ (np.eye(W.shape[0]) - W @ Wp), np.ones(count, dtype=int)
+    return base + T @ (np.eye(W.shape[0]) - W @ Wp)
 
 
 def least_squares_gain_norm_growth(n_list):

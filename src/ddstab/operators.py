@@ -148,15 +148,15 @@ def pseudo_inverse(M, tol=DEFAULT_TOL):
 
 
 def _pinv_and_rank(M, tol):
-    """pseudo_inverse of M (at least one row) and, from the same SVD, the
-    rank of each slice: the count of singular values that it kept."""
+    """pseudo_inverse of M (at least one row), and from the same SVD the rank
+    of each slice (the count of singular values kept) and the left vectors U."""
     U, s, Vt = np.linalg.svd(M, full_matrices=False)
     rank = _rank_count(s, tol)
     keep = np.arange(s.shape[-1]) < np.asarray(rank)[..., None]
     s_inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
     pinv = (np.swapaxes(Vt, -1, -2) * s_inv[..., None, :]) @ np.swapaxes(U, -1, -2)
     # a zero slice is +0.0 throughout, not the signed zeros of the product
-    return np.where(s[..., :1, None] > 0.0, pinv, 0.0), rank
+    return np.where(s[..., :1, None] > 0.0, pinv, 0.0), rank, U
 
 
 def douglas_minimal_constant(A, B, tol=1e-8):
@@ -216,7 +216,8 @@ def least_certificate(F, gamma, k_max):
     """The loop of the stack F (L, n, n) with spectral radius below gamma and
     the smallest power-stability constant M at rate gamma, as (index,
     PowerStabilityCertificate); ties go to the lowest index, and None when
-    no such loop reaches its k0 within ``k_max`` powers.
+    no such loop reaches its k0 within ``k_max`` powers.  Raises
+    InvalidParams unless gamma is finite and positive.
 
     k0 of a loop is the first power k >= 1 with ||F^k|| <= gamma^k, and M
     the largest ratio ||F^r|| / gamma^r over 0 <= r < k0 (so M >= 1, from
@@ -243,6 +244,8 @@ def least_certificate(F, gamma, k_max):
     64, 256, 1024, ..., where loops with rho >= gamma leave rather than run
     to ``k_max``.
     """
+    if not (0.0 < gamma < np.inf):
+        raise InvalidParams("gamma must be finite and positive")
     F = np.asarray(F, dtype=float)
     return _least_certificate(F, gamma, k_max, check_radius=True)
 
@@ -485,14 +488,15 @@ def construct_certificate(F, gamma, k_max=10000):
     ratio ||F^r|| / gamma^r over 0 <= r < k0: least_certificate on the
     one-loop stack.
 
-    Returns NotCertifiable when the spectral radius exceeds gamma or when no
+    Raises InvalidParams unless gamma is finite and positive.  Returns
+    NotCertifiable when the spectral radius exceeds gamma or when no
     such k0 exists within ``k_max`` (the gap to gamma is reported through
     the spectral radius field).  At rho exactly gamma the bounded search
     decides: normal-like matrices certify with M = 1, defective ones whose
     power ratios never dip below 1 exhaust k_max.
     """
-    if gamma <= 0:
-        raise InvalidParams("gamma must be positive")
+    if not (0.0 < gamma < np.inf):
+        raise InvalidParams("gamma must be finite and positive")
     F = np.asarray(F, dtype=float)
     rho = spectral_radius(F)
     if rho > gamma:

@@ -28,6 +28,13 @@ def write_gain(path, K):
         json.dump({"schema_version": 1, "K": np.atleast_2d(K).tolist()}, fh)
 
 
+def assert_fits_data(batch, A, B):
+    """[A B] W = Xi1, W = [Xi0; Ups0], to 1e-12 ||[A B]|| ||W||."""
+    AB, W = np.hstack([A, B]), np.vstack([batch.Xi0, batch.Ups0])
+    residual = np.linalg.norm(AB @ W - batch.Xi1, 2)
+    assert residual <= 1e-12 * np.linalg.norm(AB, 2) * np.linalg.norm(W, 2)
+
+
 @pytest.fixture()
 def cascade_file(tmp_path):
     path = tmp_path / "cascade.json"
@@ -310,13 +317,46 @@ class TestVerify:
             "--gamma", "0.9", "--trials", "20", "--out", str(report), "--csv", str(csv),
         ) == 1
         radii = [float(line.split(",")[1]) for line in csv.read_text().splitlines()[1:]]
-        assert min(radii) > 0.9 and np.argmax(radii) != 0  # the first failure is not the worst
         payload = json.loads(report.read_text())
         assert payload["failures"] == 20
         sample = payload["offending_sample"]
+        assert min(radii) > 0.9 and set(radii) == {sample["radius"]}
         assert sample["radius"] == payload["worst_radius"] == max(radii)
         loop = np.array(sample["A"])  # zero gain: the loop is A
         assert np.max(np.abs(np.linalg.eigvals(loop))) == pytest.approx(sample["radius"], rel=1e-12)
+        assert_fits_data(DataBatch.load(cascade_file), sample["A"], sample["B"])
+
+    def test_full_mode_decides_the_whole_family(self, tmp_path):
+        """With N = 4 < n + m = 5 the family is not one system.  The
+        synthesized gain has [I; K] in Ran [Xi0; Ups0], so every compatible
+        system shares its loop.  Perturbed off that range, it is defeated by
+        a compatible system, which is reported: 200 sampled systems at scale
+        1 all stayed below gamma (worst radius 0.689808)."""
+        data, report = tmp_path / "lti.json", tmp_path / "analysis.json"
+        assert run(
+            "generate", "--scenario", "random-lti", "--n", "3", "--m", "2", "--samples", "4",
+            "--seed", "1", "--out", str(data),
+        ) == 0
+        assert run(
+            "analyze", "--in", str(data), "--mode", "stabilize", "--out", str(report),
+        ) == 0
+        K = np.array(json.loads(report.read_text())["K"])
+        gain, out = tmp_path / "gain.json", tmp_path / "verify.json"
+        write_gain(gain, K)
+        argv = ["verify", "--in", str(data), "--gain", str(gain), "--mode", "full",
+                "--out", str(out)]
+        assert run(*argv) == 0
+        K = K + 0.02 * np.random.default_rng(5).standard_normal((2, 3))
+        write_gain(gain, K)
+        assert run(*argv) == 1
+        payload = json.loads(out.read_text())
+        assert payload["failures"] == 200
+        sample = payload["offending_sample"]
+        A, B = np.array(sample["A"]), np.array(sample["B"])
+        radius = np.max(np.abs(np.linalg.eigvals(A + B @ K)))
+        assert radius == pytest.approx(payload["worst_radius"], rel=1e-9)
+        assert radius > 0.9 and sample["radius"] == payload["worst_radius"]
+        assert_fits_data(DataBatch.load(data), A, B)
 
     def test_full_mode_accepts_synthesized_gain(self, tmp_path):
         data = tmp_path / "lti.json"

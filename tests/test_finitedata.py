@@ -18,6 +18,7 @@ from ddstab.informativity import GainResult, NotInformative, stabilization_infor
 from ddstab.lmi import LmiProblem, LmiSolution, solve_feasibility
 from ddstab.noise import NotApplicable, robust_stabilization
 from ddstab.operators import (
+    DEFAULT_TOL,
     NotCertifiable,
     PowerStabilityCertificate,
     _rank_count,
@@ -28,8 +29,10 @@ from ddstab.systems import (
     REFERENCE_CASCADE_GAIN_PLUS,
     DataBatch,
     LinearSystem,
+    assemble_single_trajectory,
     default_cascade_params,
     reference_cascade_scenario,
+    simulate,
 )
 
 
@@ -252,7 +255,91 @@ class TestLiftGain:
         assert not lift_gain(np.zeros((1, 4)), dec).any()
 
 
+@pytest.fixture(scope="module")
+def underdetermined_cases():
+    """Random-LTI single trajectories with N from n to n + m - 1 samples, so
+    [Xi0; Ups0] has more rows than columns and the compatible family is not
+    one system: m 2-4, n 2-16, open-loop radius 0.8-2.0.  The informative
+    ones, with their synthesized results at gamma = 0.9."""
+    rng = np.random.default_rng(20)
+    cases = []
+    for _ in range(600):
+        n, m = int(rng.integers(2, 17)), int(rng.integers(2, 5))
+        N = int(rng.integers(n, n + m))
+        A = rng.standard_normal((n, n))
+        A *= rng.uniform(0.8, 2.0) / spectral_radius(A)
+        B = rng.standard_normal((n, m))
+        inputs = [rng.standard_normal(m) for _ in range(N)]
+        traj = simulate(LinearSystem(A=A, B=B), rng.standard_normal(n), inputs)
+        batch = assemble_single_trajectory(traj, inputs)
+        result = stabilization_informative(batch, 0.9)
+        if isinstance(result, GainResult):
+            cases.append((batch, result))
+    return cases
+
+
+def range_defect(batch, K):
+    """||(I - P) [I; K]|| / ||[I; K]||, P the projector onto Ran [Xi0; Ups0]
+    at the DEFAULT_TOL cut, from the complement of a full SVD."""
+    W = np.vstack([batch.Xi0, batch.Ups0])
+    U, s, _ = np.linalg.svd(W)
+    rank = _rank_count(s, DEFAULT_TOL)
+    L = np.vstack([np.eye(batch.n), K])
+    return np.linalg.norm(U[:, rank:].T @ L, 2) / np.linalg.norm(L, 2)
+
+
+def assert_offending(batch, K, report):
+    """The reported system fits the data to 1e-12 ||[A B]|| ||W|| and has
+    the reported loop radius, above gamma = 0.9."""
+    A, B = report.worst_sample
+    AB, W = np.hstack([A, B]), np.vstack([batch.Xi0, batch.Ups0])
+    residual = np.linalg.norm(AB @ W - batch.Xi1, 2)
+    assert residual <= 1e-12 * np.linalg.norm(AB, 2) * np.linalg.norm(W, 2)
+    radius = spectral_radius(A + B @ K)
+    assert radius == pytest.approx(report.worst_radius, rel=1e-9)
+    assert radius > 0.9 and report.failures == report.trials
+
+
 class TestVerifyOnCompatiblePlus:
+    def test_gains_on_the_range_pass_with_the_synthesis_radius(self, underdetermined_cases):
+        """A synthesized K = Ups0 R has [I; K] = W R in Ran W, so every
+        compatible system has the synthesized loop Xi1 R."""
+        assert len(underdetermined_cases) >= 300
+        for batch, result in underdetermined_cases:
+            report = verify_on_compatible_plus(batch, result.K, 0.9, trials=3)
+            assert report.failures == 0
+            assert report.worst_radius == pytest.approx(result.achieved_radius, rel=1e-5)
+
+    def test_gains_off_the_range_fail_with_a_compatible_system(self, underdetermined_cases):
+        """Synthesized gains moved by 1e-8 to 1e-1 of ||[I; K]||: each one
+        clearly off Ran W (defect above twice the cut; the band around the
+        cut is left to rounding) is defeated by the system reported."""
+        rng = np.random.default_rng(21)
+        off = 0
+        for batch, result in underdetermined_cases:
+            for rel in 10.0 ** rng.uniform(-8, -1, 2):
+                G = rng.standard_normal(result.K.shape)
+                scale = rel * np.linalg.norm(np.vstack([np.eye(batch.n), result.K]), 2)
+                K = result.K + scale * G / np.linalg.norm(G, 2)
+                if range_defect(batch, K) > 2 * DEFAULT_TOL:
+                    off += 1
+                    assert_offending(batch, K, verify_on_compatible_plus(batch, K, 0.9, trials=2))
+        assert off >= len(underdetermined_cases)
+
+    def test_draws_nothing(self, underdetermined_cases, reference_setup, monkeypatch):
+        """No stream is made, where the family is one system or not."""
+        def no_stream(*args, **kwargs):
+            raise AssertionError("verify drew from a random stream")
+
+        monkeypatch.setattr(np.random, "default_rng", no_stream)
+        batch, result = underdetermined_cases[0]
+        assert verify_on_compatible_plus(batch, result.K, 0.9, trials=5, seed=3).failures == 0
+        K = result.K + 0.1 * np.ones_like(result.K)
+        assert verify_on_compatible_plus(batch, K, 0.9, trials=5, seed=3).failures == 5
+        _, cascade, _, dec = reference_setup
+        pd = project_data(cascade, dec)
+        assert verify_on_compatible_plus(pd, REFERENCE_CASCADE_GAIN_PLUS, 0.9, 5).failures == 0
+
     def test_square_family_is_singleton(self, reference_setup):
         _, batch, _, dec = reference_setup
         pd = project_data(batch, dec)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from ddstab import lmi, operators
 from ddstab.errors import DimensionMismatch, EmptyData, InvalidParams
-from ddstab.informativity import _compatible_systems
+from ddstab.informativity import sample_compatible_systems
 from ddstab.operators import (
     DEFAULT_TOL,
     DouglasFactor,
@@ -381,6 +381,15 @@ class TestCertificate:
     def test_gamma_must_be_positive(self):
         with pytest.raises(InvalidParams):
             construct_certificate(np.zeros((2, 2)), 0.0)
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, 0.0, -1.0])
+    def test_gamma_must_be_finite_and_positive(self, gamma):
+        """A NaN gamma fails every comparison, so unchecked it runs all k_max
+        powers; an infinite one certifies any loop."""
+        with pytest.raises(InvalidParams, match="gamma must be finite and positive"):
+            construct_certificate(np.diag([0.5, 0.3]), gamma)
+        with pytest.raises(InvalidParams, match="gamma must be finite and positive"):
+            least_certificate(np.diag([0.5, 0.3])[None], gamma, 100)
 
     def test_defective_at_gamma_exhausts_horizon(self):
         # Jordan block at radius exactly gamma: ||F^k||/gamma^k grows like k
@@ -792,12 +801,10 @@ class TestOneRankCut:
         else:
             W = rank_fuzz_slice(kind, k, max(1, k + extra - 1), rng)
         Xi0, Ups0, Xi1 = W[:n], W[n:], rng.standard_normal((n, W.shape[1]))
-        AB, counts = _compatible_systems(Xi0, Xi1, Ups0, 3, 1.0, seed)
-        point = counts.tolist() == [3]
+        AB = sample_compatible_systems(Xi0, Xi1, Ups0, 3, 1.0, seed)
+        expected = Xi1 @ old_pseudo_inverse(W, DEFAULT_TOL)
+        assert AB.shape == (3,) + expected.shape
+        point = all(slice_.tobytes() == expected.tobytes() for slice_ in AB)
         assert point == old_point_family(W)
-        if point:
-            expected = Xi1 @ old_pseudo_inverse(W, DEFAULT_TOL)
-            assert AB.shape == (1,) + expected.shape
-            assert AB[0].tobytes() == expected.tobytes()
         if kind == "edge" and k > 1:
             assert point == (side >= 0)
