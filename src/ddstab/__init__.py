@@ -22,7 +22,6 @@ from .finitedata import (
     CompatibleFamilyReport,
     Decomposition,
     cascade_decomposition,
-    closed_loop_full,
     finite_informative,
     lift_gain,
     modal_decomposition,
@@ -34,12 +33,10 @@ from .informativity import (
     GainResult,
     IdentificationReport,
     NotInformative,
-    NotUnique,
     identification_informative,
     least_squares_gain_norm_growth,
     sample_compatible_systems,
     stabilization_informative,
-    unique_system,
 )
 from .lmi import (
     Infeasible,
@@ -49,13 +46,11 @@ from .lmi import (
     solve_feasibility,
 )
 from .noise import (
-    Incompatible,
     NoiseClassCheck,
     NoiseClassParams,
     NotApplicable,
     RobustGainResult,
     RobustVerificationReport,
-    minimal_noise_constants,
     noise_budget_ok,
     noise_in_class,
     range_breaking_noise,

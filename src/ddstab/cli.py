@@ -198,21 +198,12 @@ def cmd_verify(args):
         report["offending_sample"] = {
             keys[0]: A.tolist(), keys[1]: B.tolist(), "radius": fam.worst_radius
         }
-    if args.csv:
-        _write_radii_csv(args.csv, fam.radii)
     print(
         f"{where}: worst radius {fam.worst_radius:.6f} "
         f"over {fam.trials} samples, {fam.failures} failures"
     )
     _write_report(report, args.out)
     return 0 if fam.failures == 0 else 1
-
-
-def _write_radii_csv(path, radii):
-    with open(path, "w") as fh:
-        fh.write("sample,spectral_radius\n")
-        for i, r in enumerate(radii):
-            fh.write(f"{i},{r!r}\n")
 
 
 def cmd_noise(args):
@@ -306,13 +297,12 @@ def build_parser():
     ver.add_argument("--gamma", type=float, default=0.9)
     ver.add_argument(
         "--trials", type=int, default=200,
-        help="times the decided radius is reported (and written to --csv); 0 passes vacuously",
+        help="failures reported when the decided radius exceeds gamma; 0 passes vacuously",
     )
     ver.add_argument(
         "--scale", type=float, default=1.0, help="checked finite and positive; nothing is drawn"
     )
     ver.add_argument("--seed", type=int, default=0, help="checked >= 0; nothing is drawn")
-    ver.add_argument("--csv", default=None, help="write per-sample spectral radii as CSV")
     ver.add_argument("--out", default=None)
     _decomposition_args(ver)
 

@@ -20,8 +20,8 @@ from .errors import (
     InvalidParams,
 )
 from .informativity import NotInformative, _check_family_draw, synthesize_gain
-from .operators import DEFAULT_TOL, _pinv_and_rank, construct_certificate, spectral_radius
-from .systems import DataBatch, HeatCascadeParams, LinearSystem
+from .operators import DEFAULT_TOL, _pinv_and_rank, spectral_radius
+from .systems import DataBatch, HeatCascadeParams
 
 
 @dataclass(frozen=True)
@@ -138,16 +138,15 @@ def lift_gain(K_plus, dec: Decomposition):
 class CompatibleFamilyReport:
     """The one system that stands for the compatible family in
     verify_on_compatible_plus: ``worst_sample`` is its (A+, B+) pair (None
-    when no trials ran) and ``worst_radius`` its loop radius, reported in
-    ``radii`` once per trial; ``failures`` is ``trials`` when that radius
-    exceeds ``radius_bound``, else 0.
+    when no trials ran) and ``worst_radius`` its loop radius (0.0 then);
+    ``failures`` is ``trials`` when that radius exceeds ``radius_bound``,
+    else 0.
     """
 
     trials: int
     worst_radius: float
     radius_bound: float
     failures: int
-    radii: tuple
     worst_sample: tuple | None
 
 
@@ -164,14 +163,17 @@ def verify_on_compatible_plus(
     loops are Xi1 W^+ L and Xi1 W^+ is reported.  Else, with (y, sigma, x)
     D's top singular triple, y^T W = 0 and Xi1 W^+ + t x y^T is reported,
     t = (n (gamma + 1) - tr(Xi1 W^+ L)) / sigma: its loop has trace
-    n (gamma + 1), so radius >= gamma + 1.  ``trials``, ``seed`` and
-    ``scale`` are checked as in sample_compatible_systems; trials = 0 gives
-    an empty, vacuously passing report.
+    n (gamma + 1), so radius >= gamma + 1.  K_plus must be finite;
+    ``trials``, ``seed`` and ``scale`` are checked as in
+    sample_compatible_systems.  trials = 0 gives an empty, vacuously passing
+    report.
     """
     if not (0.0 < gamma < np.inf):
         raise InvalidParams("gamma must be finite and positive")
     _check_family_draw(trials, scale, seed)
     K_plus = np.atleast_2d(np.asarray(K_plus, dtype=float))
+    if not np.isfinite(K_plus).all():
+        raise InvalidParams("gain entries must be finite")
     npl, W = batch.n, np.vstack([batch.Xi0, batch.Ups0])
     Wp, rank, U = _pinv_and_rank(W, DEFAULT_TOL)
     AB = batch.Xi1 @ Wp
@@ -189,19 +191,6 @@ def verify_on_compatible_plus(
         worst_radius=radius if trials else 0.0,
         radius_bound=bound,
         failures=trials if radius > bound else 0,
-        radii=(radius,) * trials,
         worst_sample=(AB[:, :npl], AB[:, npl:]) if trials else None,
     )
 
-
-def closed_loop_full(sys: LinearSystem, K, gamma):
-    """Certificate for the full truncated closed loop A + B K.
-
-    With a lifted gain the loop is block lower triangular, so its spectral
-    radius is the maximum of the X+ loop radius and the tail radius; the
-    certificate is built directly on the assembled matrix.
-    """
-    K = np.atleast_2d(np.asarray(K, dtype=float))
-    if K.shape != (sys.m, sys.n):
-        raise DimensionMismatch(f"K must be m x n = {(sys.m, sys.n)}, got {K.shape}")
-    return construct_certificate(sys.A + sys.B @ K, gamma)

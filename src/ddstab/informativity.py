@@ -22,10 +22,9 @@ from .operators import (
     DEFAULT_TOL,
     PowerStabilityCertificate,
     _pinv_and_rank,
-    pseudo_inverse,
     rank_at_tol,
 )
-from .systems import DataBatch, LinearSystem, counterexample_sequences
+from .systems import DataBatch, counterexample_sequences
 
 
 @dataclass(frozen=True)
@@ -39,14 +38,6 @@ class IdentificationReport:
 
     def __bool__(self):
         return self.informative
-
-
-@dataclass(frozen=True)
-class NotUnique:
-    """The data admit more than one compatible system."""
-
-    rank: int
-    required_rank: int
 
 
 @dataclass(frozen=True)
@@ -94,25 +85,6 @@ def identification_informative(batch: DataBatch, tol=DEFAULT_TOL) -> Identificat
     return IdentificationReport(
         informative=(rank == required), rank=rank, required_rank=required, tol=tol
     )
-
-
-def unique_system(batch: DataBatch, tol=DEFAULT_TOL):
-    """Recover the unique compatible system, or NotUnique.
-
-    When informative, [A B] = Xi1 H^+ is the single bounded solution of
-    Xi1 = A Xi0 + B Ups0; the reconstruction residual is checked against
-    ``tol`` relative to Xi1.
-    """
-    report = identification_informative(batch, tol)
-    if not report:
-        return NotUnique(rank=report.rank, required_rank=report.required_rank)
-    H = np.vstack([batch.Xi0, batch.Ups0])
-    AB = batch.Xi1 @ pseudo_inverse(H, tol)
-    A, B = AB[:, : batch.n], AB[:, batch.n :]
-    residual = np.linalg.norm(A @ batch.Xi0 + B @ batch.Ups0 - batch.Xi1)
-    if residual > tol * (1.0 + np.linalg.norm(batch.Xi1)):
-        return NotUnique(rank=report.rank, required_rank=report.required_rank)
-    return LinearSystem(A=A, B=B)
 
 
 def synthesize_gain(Xi0, Xi1, Ups0, gamma, tol=DEFAULT_TOL):

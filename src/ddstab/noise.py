@@ -20,8 +20,6 @@ from .errors import DimensionMismatch, IndexOutOfRange, InvalidParams
 from .informativity import NotInformative, synthesize_gain
 from .operators import (
     DEFAULT_TOL,
-    DouglasFactor,
-    douglas_minimal_constant,
     operator_norm,
     spectral_radius,
 )
@@ -58,14 +56,6 @@ class NoiseClassCheck:
 
     def __bool__(self):
         return self.in_class
-
-
-@dataclass(frozen=True)
-class Incompatible:
-    """A factorization failed: the noise leaves the data's range."""
-
-    stage: str
-    residual: float
 
 
 @dataclass(frozen=True)
@@ -153,28 +143,6 @@ def noise_in_class(noise_batch: DataBatch, noisy_batch: DataBatch, params: Noise
         margin_state=margin_state,
         margin_stacked=margin_stacked,
     )
-
-
-def minimal_noise_constants(noise_batch: DataBatch, noisy_batch: DataBatch, Omega, tol=1e-8):
-    """Smallest (c1, c0) admitting the noise, or Incompatible.
-
-    Computed through the minimal-constant factorization applied to
-    (Delta1 Omega, Xi1~ Omega) and to the stacked blocks; a failed
-    factorization means no finite constant exists (range violation).
-    """
-    _check_noise_shapes(noise_batch, noisy_batch)
-    Om = np.asarray(Omega, dtype=float)
-    state = douglas_minimal_constant(noise_batch.Xi1 @ Om, noisy_batch.Xi1 @ Om, tol=tol)
-    if not isinstance(state, DouglasFactor):
-        return Incompatible(stage="state", residual=state.residual)
-    stacked = douglas_minimal_constant(
-        np.vstack([noise_batch.Xi0, noise_batch.Ups0]) @ Om,
-        np.vstack([noisy_batch.Xi0, noisy_batch.Ups0]) @ Om,
-        tol=tol,
-    )
-    if not isinstance(stacked, DouglasFactor):
-        return Incompatible(stage="stacked", residual=stacked.residual)
-    return state.norm_c, stacked.norm_c
 
 
 def robust_stabilization(noisy_batch: DataBatch, gamma, c1, c0, tol=DEFAULT_TOL):

@@ -311,17 +311,15 @@ class TestVerify:
     def test_full_mode_reports_worst_sample(self, cascade_file, tmp_path):
         gain = tmp_path / "zero.json"
         write_gain(gain, np.zeros((1, 52)))
-        report, csv = tmp_path / "full.json", tmp_path / "radii.csv"
+        report = tmp_path / "full.json"
         assert run(
             "verify", "--in", str(cascade_file), "--gain", str(gain), "--mode", "full",
-            "--gamma", "0.9", "--trials", "20", "--out", str(report), "--csv", str(csv),
+            "--gamma", "0.9", "--trials", "20", "--out", str(report),
         ) == 1
-        radii = [float(line.split(",")[1]) for line in csv.read_text().splitlines()[1:]]
         payload = json.loads(report.read_text())
         assert payload["failures"] == 20
         sample = payload["offending_sample"]
-        assert min(radii) > 0.9 and set(radii) == {sample["radius"]}
-        assert sample["radius"] == payload["worst_radius"] == max(radii)
+        assert sample["radius"] == payload["worst_radius"] > 0.9
         loop = np.array(sample["A"])  # zero gain: the loop is A
         assert np.max(np.abs(np.linalg.eigvals(loop))) == pytest.approx(sample["radius"], rel=1e-12)
         assert_fits_data(DataBatch.load(cascade_file), sample["A"], sample["B"])
@@ -377,7 +375,7 @@ class TestVerify:
 
     def test_full_mode_on_identifying_data_checks_one_loop(self, tmp_path):
         """Random-LTI data with N = 2(n + m) identify their system, so the
-        compatible family is one system: every trial reports its radius."""
+        compatible family is one system, whose loop radius is reported."""
         data = tmp_path / "lti.json"
         assert run(
             "generate", "--scenario", "random-lti", "--n", "3", "--seed", "7", "--out", str(data),
@@ -388,19 +386,19 @@ class TestVerify:
             "--out", str(report),
         ) == 0
         K = np.array(json.loads(report.read_text())["K"])
-        gain, csv, out = tmp_path / "gain.json", tmp_path / "radii.csv", tmp_path / "verify.json"
+        gain, out = tmp_path / "gain.json", tmp_path / "verify.json"
         write_gain(gain, K)
         assert run(
             "verify", "--in", str(data), "--gain", str(gain), "--mode", "full",
-            "--gamma", "0.9", "--trials", "37", "--seed", "4", "--csv", str(csv), "--out", str(out),
+            "--gamma", "0.9", "--trials", "37", "--seed", "4", "--out", str(out),
         ) == 0
-        radii = [float(line.split(",")[1]) for line in csv.read_text().splitlines()[1:]]
         payload = json.loads(out.read_text())
-        assert len(radii) == 37 and set(radii) == {payload["worst_radius"]}
+        assert payload["trials"] == 37 and payload["failures"] == 0
         batch = DataBatch.load(data)
         AB = batch.Xi1 @ np.linalg.pinv(np.vstack([batch.Xi0, batch.Ups0]))
         loop = AB[:, :3] + AB[:, 3:] @ K
-        assert np.max(np.abs(np.linalg.eigvals(loop))) == pytest.approx(radii[0], rel=1e-9)
+        radius = np.max(np.abs(np.linalg.eigvals(loop)))
+        assert radius == pytest.approx(payload["worst_radius"], rel=1e-9)
 
     def test_gain_shape_mismatch_exit_2(self, cascade_file, tmp_path):
         gain = tmp_path / "bad_gain.json"
@@ -427,9 +425,9 @@ class TestVerify:
     @pytest.mark.parametrize("option", ["--gamma", "--scale", "--a0", "--b0", "--tau"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_gamma_or_scale_exit_2(self, cascade_file, tmp_path, option, value):
-        """``radii > nan`` is never true, so a NaN gamma would pass every
-        sample; a NaN scale would draw NaN systems; a non-finite parameter
-        bound has no mode cutoff."""
+        """``radius > nan`` is never true, so a NaN gamma would pass every
+        gain; scale, checked though nothing is drawn, must be finite; a
+        non-finite parameter bound has no mode cutoff."""
         gain, report = tmp_path / "gain.json", tmp_path / "verify.json"
         write_gain(gain, REFERENCE_CASCADE_GAIN_PLUS)
         assert run(
@@ -450,17 +448,20 @@ class TestVerify:
         ) == 2
         assert not report.exists()
 
-    def test_csv_emission(self, cascade_file, tmp_path):
-        gain = tmp_path / "gain.json"
-        write_gain(gain, REFERENCE_CASCADE_GAIN_PLUS)
-        csv = tmp_path / "radii.csv"
+    @pytest.mark.parametrize("mode, columns", [("plus", 4), ("full", 52)])
+    @pytest.mark.parametrize("entry", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_gain_exit_2(self, cascade_file, tmp_path, mode, columns, entry):
+        """A NaN or infinite gain entry is an input error (exit 2, no
+        report), not a gain that fails (exit 1)."""
+        K = np.zeros((1, columns))
+        K[0, 0] = entry
+        gain, report = tmp_path / "gain.json", tmp_path / "verify.json"
+        write_gain(gain, K)
         assert run(
-            "verify", "--in", str(cascade_file), "--gain", str(gain), "--mode", "plus",
-            "--gamma", "0.9", "--trials", "7", "--csv", str(csv),
-        ) == 0
-        lines = csv.read_text().strip().splitlines()
-        assert lines[0] == "sample,spectral_radius"
-        assert len(lines) == 8
+            "verify", "--in", str(cascade_file), "--gain", str(gain), "--mode", mode,
+            "--gamma", "0.9", "--out", str(report),
+        ) == 2
+        assert not report.exists()
 
 
 class TestVerdictChain:

@@ -7,7 +7,6 @@ from ddstab.errors import CutoffExceedsTruncation, DimensionMismatch, InvalidPar
 from ddstab.finitedata import (
     Decomposition,
     cascade_decomposition,
-    closed_loop_full,
     finite_informative,
     lift_gain,
     mode_cutoff,
@@ -22,6 +21,7 @@ from ddstab.operators import (
     NotCertifiable,
     PowerStabilityCertificate,
     _rank_count,
+    construct_certificate,
     pseudo_inverse,
     spectral_radius,
 )
@@ -345,8 +345,12 @@ class TestVerifyOnCompatiblePlus:
         pd = project_data(batch, dec)
         report = verify_on_compatible_plus(pd, REFERENCE_CASCADE_GAIN_PLUS, 0.9, trials=20, seed=0)
         assert report.failures == 0
-        spread = max(report.radii) - min(report.radii)
-        assert spread < 1e-9
+        # W = [Xi0; Ups0] is 5 x 5 and invertible: its one system is reported
+        W = np.vstack([pd.Xi0, pd.Ups0])
+        A, B = report.worst_sample
+        assert np.allclose(np.hstack([A, B]), np.linalg.solve(W.T, pd.Xi1.T).T, atol=1e-9)
+        loop = A + B @ np.atleast_2d(REFERENCE_CASCADE_GAIN_PLUS)
+        assert report.worst_radius == spectral_radius(loop) <= 0.9
 
     def test_reference_gain_family(self, reference_setup):
         _, batch, _, dec = reference_setup
@@ -368,6 +372,16 @@ class TestVerifyOnCompatiblePlus:
         pd = project_data(batch, dec)
         with pytest.raises(InvalidParams):
             verify_on_compatible_plus(pd, REFERENCE_CASCADE_GAIN_PLUS, gamma, trials=5)
+
+    @pytest.mark.parametrize("entry", [float("nan"), float("inf"), -float("inf")])
+    def test_gain_must_be_finite(self, reference_setup, entry):
+        """A non-finite gain is an input error, not a failing gain: its SVD
+        would not converge."""
+        _, batch, _, dec = reference_setup
+        K = np.atleast_2d(REFERENCE_CASCADE_GAIN_PLUS).copy()
+        K[0, 1] = entry
+        with pytest.raises(InvalidParams, match="finite"):
+            verify_on_compatible_plus(project_data(batch, dec), K, 0.9, trials=5)
 
     def test_synthesized_gain_against_sampled_full_systems(self, reference_setup):
         # lift the synthesized gain and close the loop on full systems whose
@@ -393,13 +407,13 @@ class TestVerifyOnCompatiblePlus:
 class TestClosedLoopFull:
     def test_zero_gain_stable_system(self):
         sys_ = LinearSystem(A=np.diag([0.5, 0.2]), B=np.ones((2, 1)))
-        cert = closed_loop_full(sys_, np.zeros((1, 2)), 0.6)
+        cert = construct_certificate(sys_.A + sys_.B @ np.zeros((1, 2)), 0.6)
         assert isinstance(cert, PowerStabilityCertificate)
 
     def test_reference_lifted_gain(self, reference_setup):
         sys_, _, _, dec = reference_setup
         K = lift_gain(REFERENCE_CASCADE_GAIN_PLUS, dec)
-        cert = closed_loop_full(sys_, K, 0.9)
+        cert = construct_certificate(sys_.A + sys_.B @ K, 0.9)
         assert isinstance(cert, PowerStabilityCertificate)
         assert spectral_radius(sys_.A + sys_.B @ K) <= 0.9
 
@@ -415,7 +429,7 @@ class TestClosedLoopFull:
 
     def test_unstable_without_authority(self):
         sys_ = LinearSystem(A=np.diag([1.2, 0.1]), B=np.zeros((2, 1)))
-        out = closed_loop_full(sys_, np.zeros((1, 2)), 0.9)
+        out = construct_certificate(sys_.A + sys_.B @ np.zeros((1, 2)), 0.9)
         assert isinstance(out, NotCertifiable)
 
     def test_block_triangular_eigenvalue_union(self, reference_setup):

@@ -9,13 +9,11 @@ from ddstab.finitedata import cascade_decomposition, project_data
 from ddstab.informativity import (
     GainResult,
     NotInformative,
-    NotUnique,
     identification_informative,
     least_squares_gain_norm_growth,
     sample_compatible_systems,
     stabilization_informative,
     synthesize_gain,
-    unique_system,
 )
 from ddstab.operators import construct_certificate, pseudo_inverse, spectral_radius
 from ddstab.systems import (
@@ -78,30 +76,36 @@ class TestIdentification:
             assert not report
 
     def test_recovery_from_excited_data(self):
+        """On identifying data the compatible family is the generating system."""
         rng = np.random.default_rng(6)
         A = 0.5 * rng.standard_normal((3, 3))
         B = rng.standard_normal((3, 2))
         batch = excited_batch(A, B, N=2 * (3 + 2), seed=1)
-        sys_ = unique_system(batch)
-        assert isinstance(sys_, LinearSystem)
-        assert np.linalg.norm(sys_.A - A) < 1e-8
-        assert np.linalg.norm(sys_.B - B) < 1e-8
+        assert identification_informative(batch)
+        AB = sample(batch, 1)[0]
+        assert np.linalg.norm(AB[:, :3] - A) < 1e-8
+        assert np.linalg.norm(AB[:, 3:] - B) < 1e-8
 
     def test_square_exact_recovery(self):
         rng = np.random.default_rng(7)
         A = 0.4 * rng.standard_normal((2, 2))
         B = rng.standard_normal((2, 1))
         batch = excited_batch(A, B, N=3, seed=2)
-        sys_ = unique_system(batch)
-        assert isinstance(sys_, LinearSystem)
         # cross-check by solving the square system directly
         W = np.vstack([batch.Xi0, batch.Ups0])
         AB = np.linalg.solve(W.T, batch.Xi1.T).T
-        assert np.allclose(np.hstack([sys_.A, sys_.B]), AB, atol=1e-9)
+        assert np.allclose(sample(batch, 1)[0], AB, atol=1e-9)
 
     def test_zero_input_not_unique(self):
+        """Without excitation B is free: two draws of the family differ, and
+        each still fits the data."""
         batch = batch_from(np.eye(2), np.zeros((1, 2)), np.zeros((2, 2)))
-        assert isinstance(unique_system(batch), NotUnique)
+        assert not identification_informative(batch)
+        first, second = sample(batch, 2)
+        assert np.linalg.norm(first - second) > 1e-6
+        W = np.vstack([batch.Xi0, batch.Ups0])
+        for AB in (first, second):
+            assert np.linalg.norm(AB @ W - batch.Xi1) < 1e-12
 
 
 class TestStabilization:

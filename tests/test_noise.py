@@ -10,11 +10,9 @@ from ddstab.errors import IndexOutOfRange, InvalidParams
 from ddstab.finitedata import cascade_decomposition, project_data
 from ddstab.informativity import sample_compatible_systems, stabilization_informative
 from ddstab.noise import (
-    Incompatible,
     NoiseClassParams,
     NotApplicable,
     RobustGainResult,
-    minimal_noise_constants,
     noise_budget_ok,
     noise_in_class,
     range_breaking_noise,
@@ -25,7 +23,14 @@ from ddstab.noise import (
     _draw_factors,
 )
 from ddstab import noise as noise_mod
-from ddstab.operators import frame_bounds, operator_norm, pseudo_inverse, spectral_radius
+from ddstab.operators import (
+    NoFactorization,
+    douglas_minimal_constant,
+    frame_bounds,
+    operator_norm,
+    pseudo_inverse,
+    spectral_radius,
+)
 from ddstab.systems import DataBatch, counterexample_sequences, reference_cascade_scenario
 
 
@@ -39,6 +44,16 @@ def zero_noise_like(batch):
     return DataBatch(
         x1=np.zeros_like(batch.x1), x0=np.zeros_like(batch.x0), u0=np.zeros_like(batch.u0)
     )
+
+
+def minimal_constants(noise, batch, Omega):
+    """Smallest (c1, c0) admitting the noise: the Douglas constants of the
+    state blocks and of the stacked state/input blocks, times Omega."""
+    state = douglas_minimal_constant(noise.Xi1 @ Omega, batch.Xi1 @ Omega)
+    stacked = douglas_minimal_constant(
+        np.vstack([noise.Xi0, noise.Ups0]) @ Omega, np.vstack([batch.Xi0, batch.Ups0]) @ Omega
+    )
+    return state.norm_c, stacked.norm_c
 
 
 @pytest.fixture(scope="module")
@@ -260,7 +275,7 @@ class TestNoiseClass:
         assert not noise_in_class(noise, batch, NoiseClassParams(c1=0.999, c0=0.0, Omega=Om))
 
     def test_minimal_constants_zero(self, projected_cascade):
-        out = minimal_noise_constants(
+        out = minimal_constants(
             zero_noise_like(projected_cascade),
             projected_cascade,
             np.linalg.pinv(projected_cascade.Xi0),
@@ -275,7 +290,7 @@ class TestNoiseClass:
             u0=rng.standard_normal((4, 1)),
         )
         noise = DataBatch(x1=0.1 * batch.x1, x0=np.zeros((4, 4)), u0=np.zeros((4, 1)))
-        c1_min, c0_min = minimal_noise_constants(noise, batch, np.eye(4))
+        c1_min, c0_min = minimal_constants(noise, batch, np.eye(4))
         assert c1_min == pytest.approx(0.1, rel=1e-9)
         assert c0_min == 0.0
 
@@ -291,7 +306,7 @@ class TestNoiseClass:
         cs = []
         for eps in (1e-3, 2e-3):
             noise = DataBatch(x1=eps * raw, x0=np.zeros((5, 3)), u0=np.zeros((5, 1)))
-            c1_min, _ = minimal_noise_constants(noise, batch, Om)
+            c1_min, _ = minimal_constants(noise, batch, Om)
             cs.append(c1_min)
         assert cs[1] == pytest.approx(2 * cs[0], rel=1e-9)
 
@@ -307,9 +322,7 @@ class TestNoiseClass:
             x0=np.zeros((3, 3)),
             u0=np.zeros((3, 1)),
         )
-        out = minimal_noise_constants(noise, batch, np.eye(3))
-        assert isinstance(out, Incompatible)
-        assert out.stage == "state"
+        assert isinstance(douglas_minimal_constant(noise.Xi1, batch.Xi1), NoFactorization)
 
     def test_membership_boundary_consistency(self, projected_cascade):
         rng = np.random.default_rng(3)
@@ -321,9 +334,7 @@ class TestNoiseClass:
             x0=np.zeros_like(projected_cascade.x0),
             u0=np.zeros_like(projected_cascade.u0),
         )
-        constants = minimal_noise_constants(noise, projected_cascade, Om)
-        assert not isinstance(constants, Incompatible)
-        c1_min, c0_min = constants
+        c1_min, c0_min = minimal_constants(noise, projected_cascade, Om)
         assert noise_in_class(
             noise, projected_cascade, NoiseClassParams(c1=c1_min + 1e-8, c0=c0_min + 1e-8, Omega=Om)
         )
