@@ -41,10 +41,16 @@ def _load_batch(path):
 
 
 def _load_gain(path):
+    """The gain of a JSON file with exactly one of the keys "K" (a gain file,
+    or an analyze --mode stabilize report) and "K_plus" (an analyze --mode
+    finite-plus report)."""
     try:
         with open(path) as fh:
             payload = json.load(fh)
-        return np.atleast_2d(np.asarray(payload["K"], dtype=float))
+        keys = [key for key in ("K", "K_plus") if key in payload]
+        if len(keys) != 1:
+            raise KeyError("exactly one of 'K' and 'K_plus' is needed")
+        return np.atleast_2d(np.asarray(payload[keys[0]], dtype=float))
     except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
         raise SystemExit(f"error: cannot read gain from {path}: {exc}") from exc
 
@@ -292,7 +298,10 @@ def build_parser():
 
     ver = sub.add_parser("verify", help="decide a gain on the whole compatible family")
     ver.add_argument("--in", dest="input", required=True)
-    ver.add_argument("--gain", required=True, help='JSON file {"K": [[...]]}')
+    ver.add_argument(
+        "--gain", required=True,
+        help='JSON file {"K": [[...]]}, or an analyze report with "K" or "K_plus"',
+    )
     ver.add_argument("--mode", required=True, choices=["plus", "full"])
     ver.add_argument("--gamma", type=float, default=0.9)
     ver.add_argument(

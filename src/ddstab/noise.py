@@ -275,6 +275,9 @@ def verify_robust_gain(noisy_batch: DataBatch, M, gamma_tilde, c1, c0, Omega, tr
 #: Relative widening of the Frobenius bound on ||F^k|| in
 #: ``_check_closed_loops``, far above the rounding of the bound or of the SVD.
 _NORM_BOUND_SLACK = 1e-9
+#: Most numbers (loops x steps x n x n) in one chunk of powers of
+#: ``_check_closed_loops``.
+_POWER_CHUNK = 2**16
 
 
 def _check_closed_loops(F, M, gamma_tilde, power_horizon):
@@ -284,14 +287,16 @@ def _check_closed_loops(F, M, gamma_tilde, power_horizon):
     loop leaves the power check at its first excess.
 
     The power check is exact in two passes.  Pass 1 powers the live loops
-    and bounds ||P|| by u = ||P||_F (1 + slack); only where u exceeds the
-    step's bound b_k can the loop exceed it, so only there the SVD runs and
-    a violator is dropped.  It keeps u - b_k of every other counted (step,
-    loop) pair.  Pass 2 sets T to the largest excess known exactly: those
-    of pass 1 and that of the pair with the largest u - b_k.  A pair with
-    u - b_k < T has ||P|| - b_k < T, so only the pairs with u - b_k >= T
-    can hold the worst excess, and only their powers are recomputed and
-    their SVDs taken.
+    in chunks of steps, each power the product of F with the one before
+    and each chunk at most _POWER_CHUNK numbers, and bounds ||P|| by
+    u = ||P||_F (1 + slack), from one contraction per chunk; only where u
+    exceeds the step's bound b_k can the loop exceed it, so only there the
+    SVD runs, and a violator leaves after its first excess.  It keeps
+    u - b_k of every other counted (step, loop) pair.  Pass 2 sets T to the
+    largest excess known exactly: those of pass 1 and that of the pair with
+    the largest u - b_k.  A pair with u - b_k < T has ||P|| - b_k < T, so
+    only the pairs with u - b_k >= T can hold the worst excess, and only
+    their powers are recomputed and their SVDs taken.
     """
     L, n = F.shape[0], F.shape[-1]
     radii = spectral_radius(F)
@@ -301,25 +306,35 @@ def _check_closed_loops(F, M, gamma_tilde, power_horizon):
     for _ in range(power_horizon):
         bound *= gamma_tilde
         bounds.append(bound)
+    bounds = np.array(bounds)
     # u - b_k of the pairs not yet known exactly, -inf elsewhere
     gap = np.full((power_horizon, L), -np.inf)
     worst = -np.inf
-    live, P, F_live = np.arange(L), np.eye(n), F
-    for k, bound in enumerate(bounds):
-        if live.size == 0:
-            break
-        P = F_live @ P
-        u = np.sqrt(np.einsum("lij,lij->l", P, P)) * (1.0 + _NORM_BOUND_SLACK)
-        gap[k, live] = u - bound
-        exact = np.flatnonzero(~(u <= bound))
-        if exact.size:
-            gap[k, live[exact]] = -np.inf
-            excess = operator_norm(P[exact]) - bound
-            worst = max(worst, float(excess.max()))
-            over = exact[~(excess <= 0)]
-            if over.size:
-                violations += over.size
-                live, F_live, P = (np.delete(a, over, axis=0) for a in (live, F_live, P))
+    live, P, F_live, k = np.arange(L), np.eye(n), F, 0
+    while k < power_horizon and live.size:
+        steps = min(power_horizon - k, max(_POWER_CHUNK // (live.size * max(n * n, 1)), 1))
+        Q = np.empty((steps, live.size, n, n))
+        for j in range(steps):
+            np.matmul(F_live, Q[j - 1] if j else P, out=Q[j])
+        Q = Q.swapaxes(0, 1)
+        u = np.sqrt(np.einsum("...ij,...ij->...", Q, Q)) * (1.0 + _NORM_BOUND_SLACK)
+        b = bounds[k : k + steps]
+        exact = ~(u <= b)
+        # each loop counts the steps of the chunk up to its first excess
+        first_excess = np.full(live.size, steps)
+        rows, cols = np.nonzero(exact)
+        if rows.size:
+            excess = operator_norm(Q[rows, cols]) - b[cols]
+            over = ~(excess <= 0)
+            np.minimum.at(first_excess, rows[over], cols[over])
+            worst = max(worst, float(excess[cols <= first_excess[rows]].max()))
+        stay = first_excess == steps
+        violations += int(np.count_nonzero(~stay))
+        keep = (np.arange(steps) <= first_excess[:, None]) & ~exact
+        gap[k : k + steps, live] = np.where(keep, u - b, -np.inf).T
+        live, F_live, P = live[stay], F_live[stay], Q[stay, -1]
+        del Q  # freed before the next chunk, which then reuses its memory
+        k += steps
     if gap.size and gap.max() > worst:
         top = np.unravel_index(np.argmax(gap), gap.shape)
         worst = max(worst, _largest_power_excess(F, bounds, *top))

@@ -6,6 +6,7 @@ the range-inclusion kind, and power-stability certificates.  Everything here is
 real double precision; complex data must be embedded by the caller.
 """
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,9 +19,12 @@ DEFAULT_TOL = 1e-9
 #: the rounding of any bound.
 _LOG_SLACK = 1e-9
 #: Most numbers (loops x steps x n x n) in one block of powers of
-#: least_certificate, and most steps in a block.
+#: least_certificate, and most steps in a block; a loop alone doubles its
+#: blocks from _BLOCK_STEPS up to _LONE_STEPS, since a block's bookkeeping
+#: costs a lone loop more than its products.
 _BLOCK_ELEMENTS = 2**16
 _BLOCK_STEPS = 64
+_LONE_STEPS = 256
 #: A block of powers whose Frobenius norms all lie in [2^-400, 2^400] (or
 #: are zero) keeps the mantissas of a chain rescaled at every step: the
 #: squares in the norm stay normal, and LAPACK's SVD rescales a matrix only
@@ -32,6 +36,8 @@ _LN2 = np.log(2.0)
 #: First step at which least_certificate drops live loops with rho >= gamma;
 #: the next checks follow at four times the last.
 _FIRST_CHECKPOINT = 64
+#: Blocks the probe of least_certificate powers for each block of the rest.
+_PROBE_BLOCKS = 4
 
 
 @dataclass(frozen=True)
@@ -222,27 +228,33 @@ def least_certificate(F, gamma, k_max):
     k0 of a loop is the first power k >= 1 with ||F^k|| <= gamma^k, and M
     the largest ratio ||F^r|| / gamma^r over 0 <= r < k0 (so M >= 1, from
     r = 0).  Every comparison, of a ratio with 1 for k0 and of two steps'
-    ratios for the running maximum, is settled lazily by the cheapest of
-    three brackets on the 2-norm of a power, each widened by _LOG_SLACK
-    against rounding: the Frobenius norm above and a step of power
-    iteration below (_power_block), then the Gram-power bracket
-    (_gram_bracket), then the SVD (operator_norm).  The SVD runs only where
-    two steps' Gram brackets overlap, or where one straddles the k0 test.
-    Each loop keeps one pending contender, the only unsettled step whose
-    bracket can still top its settled ratios, and settles it when the loop
-    finishes and can still win.  A loop leaves as soon as the lower end of
-    its running maximum exceeds the smallest M finished so far, since its
-    own M can only be larger, so the argmin is exact.  Each power is the
-    plain product of F with the one before, carried with an exact
-    power-of-two exponent, and each log norm is log(mantissa) + exponent
-    ln 2; M is the ratio computed at the loop's largest step, so a loop
-    gets the same bits in any stack and from any block breaks.
+    ratios for the running maximum, is settled lazily by the cheapest
+    bracket on the 2-norm of a power that decides it, each widened by
+    _LOG_SLACK against rounding: the Frobenius norm above, with one step of
+    power iteration below (_power_lower) only where the k0 test is open,
+    then the Gram-power bracket (_gram_bracket) on the open k0 tests and on
+    the steps that may hold the maximum, then the SVD (operator_norm), which
+    runs only where two steps' Gram brackets overlap or one straddles the
+    k0 test.  Each loop keeps one pending contender, the only unsettled
+    step whose bracket can still top its settled ratios, and settles it
+    when the loop finishes and can still win.
+
+    The loops advance in blocks (_Ranking.advance), and a loop leaves as
+    soon as the lower end of its running maximum exceeds the least M
+    admitted so far, since its own M can only be larger, so the argmin is
+    exact.  So that a small M is admitted early, a probe powers the most
+    promising loop alone, ahead of the rest (_least_certificate).  Each
+    power is the plain product of F with the one before, carried with an
+    exact power-of-two exponent, and each log norm is log(mantissa) +
+    exponent ln 2; M is the ratio computed at the loop's largest step, so a
+    loop gets the same bits in any stack, from any block breaks and
+    whichever loops run ahead.
 
     A finisher has rho <= gamma, since rho^k0 <= ||F^k0|| <= gamma^k0, so
     spectral radii are taken only of the finishers that can still win, in
-    the order of the lower ends of their M, and of the live loops at steps
-    64, 256, 1024, ..., where loops with rho >= gamma leave rather than run
-    to ``k_max``.
+    the order of the lower ends of their M, of the loops a probe meets, and
+    of the live loops at steps 64, 256, 1024, ..., where loops with
+    rho >= gamma leave rather than run to ``k_max``.
     """
     if not (0.0 < gamma < np.inf):
         raise InvalidParams("gamma must be finite and positive")
@@ -272,12 +284,13 @@ def _log_norm(norm, exponent):
 def _power_block(F, P, steps):
     """The next ``steps`` powers F^j P of each loop of the stack F (L, n, n)
     from its base P (L, n, n), or from I when P is None, each the product
-    of F with the power before: one matmul per step for the whole stack.
+    of F with the power before: one matmul per step for the whole stack, or
+    for a lone loop one np.dot, which calls the same gemm without the
+    overhead of a stack.
 
     Returns the block Q (L, steps, n, n), the exponents e (L, steps) with
-    F^j P = Q_j 2^e_j (zero unless rescaled, see below), the Frobenius norms
-    of Q (L, steps), and a lower bound on log(||Q|| / ||Q||_F) from one step
-    of power iteration: ||Q^T w|| / ||w|| for w = Q 1 (-inf where w = 0).
+    F^j P = Q_j 2^e_j (zero unless rescaled, see below), and the Frobenius
+    norms of Q (L, steps).
 
     A loop whose block has a norm outside the range of _RANGE, an overflow
     among them, is formed again one step at a time, each power rescaled by
@@ -285,15 +298,20 @@ def _power_block(F, P, steps):
     two are exact, so either way Q_j 2^e_j has the mantissas of the plain
     product F...F."""
     Q = np.empty((len(F), steps) + F.shape[1:])
-    for j in range(steps):
-        if j == 0 and P is None:
-            Q[:, 0] = F
+    if len(F) == 1:
+        product, F1, Q1, before = np.dot, F[0], Q[0], None if P is None else P[0]
+    else:
+        product, F1, Q1, before = np.matmul, F, Q.swapaxes(0, 1), P
+    for power in Q1:
+        if before is None:
+            power[...] = F1
         else:
-            np.matmul(F, Q[:, j - 1] if j else P, out=Q[:, j])
+            product(F1, before, out=power)
+        before = power
     fro = _frobenius(Q)
     exponents = np.zeros(fro.shape, dtype=np.int64)
-    wild = ~((fro == 0.0) | ((fro >= 1.0 / _RANGE) & (fro <= _RANGE))).all(axis=1)
-    if wild.any():
+    if not (fro.max() <= _RANGE and np.where(fro > 0.0, fro, 1.0).min() >= 1.0 / _RANGE):
+        wild = ~((fro == 0.0) | ((fro >= 1.0 / _RANGE) & (fro <= _RANGE))).all(axis=1)
         rows = np.flatnonzero(wild)
         e, before = 0, None if P is None else P[rows]
         for j in range(steps):
@@ -303,12 +321,19 @@ def _power_block(F, P, steps):
             e = e + shift
             exponents[rows, j] = e
         fro[rows] = _frobenius(Q[rows])
-    scale = np.where(fro > 0, fro, 1.0)[..., None]
+    return Q, exponents, fro
+
+
+def _power_lower(Q, fro):
+    """A lower bound on log(||Q|| / ||Q||_F) for each matrix of the stack
+    Q (m, n, n) with Frobenius norms ``fro``, from one step of power
+    iteration: ||Q^T w|| / ||w|| for w = Q 1 (-inf where w = 0).  Both
+    vectors are scaled by 1 / ||Q||_F, so that no square overflows."""
+    scale = np.where(fro > 0, fro, 1.0)[:, None]
     w = np.einsum("...ij->...i", Q) / scale
-    z = np.einsum("...ij,...i->...j", Q, w) / scale
+    z = np.matmul(w[:, None, :], Q)[:, 0, :] / scale
     ww, zz = np.einsum("...i,...i->...", w, w), np.einsum("...i,...i->...", z, z)
-    lower = 0.5 * np.log(np.where(ww > 0, zz, 0.0) / np.where(ww > 0, ww, 1.0))
-    return Q, exponents, fro, lower
+    return 0.5 * np.log(np.where(ww > 0, zz, 0.0) / np.where(ww > 0, ww, 1.0))
 
 
 def _gram_bracket(P):
@@ -327,105 +352,158 @@ def _gram_bracket(P):
     return 0.5 * np.log(t9 / t8), np.log(t8) / 16
 
 
-def _first(mask):
-    """Index of the first True along the last axis, or its length for none."""
-    return np.where(mask.any(axis=-1), mask.argmax(axis=-1), mask.shape[-1])
-
-
 def _top(values, mask):
     """Row-wise maximum of ``values`` over ``mask``, -inf where none."""
     return np.where(mask, values, -np.inf).max(axis=-1)
 
 
-@np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _least_certificate(F, gamma, k_max, check_radius):
-    """least_certificate; without ``check_radius`` the caller vouches for
-    rho <= gamma on every loop, and no spectral radius is taken.
+class _Ranking:
+    """Live loops of least_certificate that advance together, block by
+    block, with the state each carries between blocks: F^k = P 2^exponent
+    (P is None for I), the largest settled log ratio, and the pending
+    contender (its bracket, its power with its exponent, and log gamma^r at
+    its step).  Without ``check_radius`` the caller vouches for
+    rho <= gamma on every loop, and no spectral radius is taken."""
 
-    Powers advance in blocks of up to _BLOCK_STEPS steps, fewer when the
-    live loops would fill a block with more than _BLOCK_ELEMENTS numbers.
-    Each power is the product of F with the one before, carried with a
-    power-of-two exponent (_power_block), and every log norm is taken as
-    log(mantissa) + exponent ln 2 (_log_norm), so the ratios of a loop do
-    not depend on the blocks or on the stack."""
-    log_gamma = np.log(gamma)
-    n = max(F.shape[-1], 1)
-    spread = 0.5 * np.log(n)  # ||P||_F <= sqrt(n) ||P||
-    index = np.arange(len(F))
-    best = (np.inf, len(F), None)  # (log M, index, k0) of the least loop finished
-    P, exponent = None, np.zeros(len(F), dtype=np.int64)  # F^k = P 2^exponent; None is I
-    running = np.zeros(len(F))  # largest settled log ratio; r = 0 gives 0
-    # the pending contender: its bracket, its power with its exponent, and
-    # log gamma^r at its step
-    pending_lo, pending_hi = np.full(len(F), -np.inf), np.full(len(F), -np.inf)
-    pending_P, pending_exponent = np.zeros(F.shape), np.zeros(len(F), dtype=np.int64)
-    pending_drift = np.zeros(len(F))
-    k, checkpoint = 0, _FIRST_CHECKPOINT
+    _ROWS = ("F", "index", "exponent", "running", "pending_lo", "pending_hi",
+             "pending_P", "pending_exponent", "pending_drift", "last_hi")
 
-    def pending_ratio(i):
+    def __init__(self, F, gamma, check_radius):
+        self.F, self.index = F, np.arange(len(F))
+        self.gamma, self.log_gamma, self.check_radius = gamma, np.log(gamma), check_radius
+        self.k, self.checkpoint, self.most_steps = 0, _FIRST_CHECKPOINT, _BLOCK_STEPS
+        self.P, self.exponent = None, np.zeros(len(F), dtype=np.int64)
+        self.running = np.zeros(len(F))  # r = 0 gives 0
+        self.pending_lo, self.pending_hi = np.full(len(F), -np.inf), np.full(len(F), -np.inf)
+        self.pending_P = np.zeros(F.shape)
+        self.pending_exponent = np.zeros(len(F), dtype=np.int64)
+        self.pending_drift = np.zeros(len(F))
+        self.last_hi = np.full(len(F), np.inf)  # upper end at the last step so far
+
+    def take(self, rows):
+        """Keep the loops ``rows`` (a mask or an index array) and drop the rest."""
+        for name in self._ROWS:
+            setattr(self, name, getattr(self, name)[rows])
+        if self.P is not None:
+            self.P = self.P[rows]
+
+    def lower(self):
+        """The lower end of each loop's M, in log scale."""
+        return np.maximum(self.running, self.pending_lo)
+
+    def probe(self, best):
+        """Split off, as a ranking of its own that needs no radius, the live
+        loop with the least lower end of its M that is past its peak (its
+        last step below that lower end, so that its M is likely final) and
+        has rho < gamma; the loops with rho >= gamma met on the way leave.
+        None when no live loop past its peak could beat ``best``."""
+        lower = self.lower()
+        leave, alone = np.zeros(len(lower), dtype=bool), None
+        for i in np.lexsort((self.index, lower)):
+            if lower[i] > best[0]:
+                break
+            if not self.last_hi[i] < lower[i]:
+                continue
+            leave[i] = True
+            if spectral_radius(self.F[i]) < self.gamma:
+                alone = copy.copy(self)
+                alone.take([i])
+                alone.check_radius = False
+                break
+        self.take(~leave)
+        return alone
+
+    def pending_ratio(self, i):
         """The exact log ratio of the pending step of loop(s) i."""
-        return _log_norm(operator_norm(pending_P[i]), pending_exponent[i]) - pending_drift[i]
+        return (
+            _log_norm(operator_norm(self.pending_P[i]), self.pending_exponent[i])
+            - self.pending_drift[i]
+        )
 
-    while index.size and k < k_max:
-        steps = min(_BLOCK_STEPS, max(_BLOCK_ELEMENTS // (len(F) * n * n), 1), k_max - k)
-        if check_radius:
-            steps = min(steps, checkpoint - k)
-        after = np.arange(1, steps + 1)  # steps of the block past k
-        Q, exponents, fro, log_lower = _power_block(F, P, steps)
-        exponents += exponent[:, None]
-        drift = np.broadcast_to((k + after) * log_gamma, fro.shape)  # log gamma^r
-        # log ||F^r||_F / gamma^r; log ||F^r|| / gamma^r lies in [lo, hi]
+    def advance(self, best, k_max):
+        """Power every loop through one block, admit its finishers against
+        ``best``, the (log M, index, k0) of the least loop finished so far,
+        and drop the loops that can no longer beat it; returns the new best."""
+        if best[2] is not None:
+            keep = self.lower() <= best[0]
+            if not keep.all():
+                self.take(keep)
+                if not self.index.size:
+                    return best
+        F, k, n = self.F, self.k, max(self.F.shape[-1], 1)
+        steps = min(self.most_steps, max(_BLOCK_ELEMENTS // (len(F) * n * n), 1), k_max - k)
+        if len(F) == 1:
+            self.most_steps = min(2 * self.most_steps, _LONE_STEPS)
+        if self.check_radius:
+            steps = min(steps, self.checkpoint - k)
+        Q, exponents, fro = _power_block(F, self.P, steps)
+        exponents += self.exponent[:, None]
+        drift = np.arange(k + 1, k + steps + 1) * self.log_gamma  # log gamma^r
+        # log ||F^r||_F / gamma^r; log ||F^r|| / gamma^r lies in [lo, hi],
+        # and lo == hi once settled by the SVD
         base = _log_norm(fro, exponents) - drift
         hi = base + _LOG_SLACK
-        lo = base + np.maximum(log_lower, -spread) - _LOG_SLACK
-        exact = np.zeros(base.shape, dtype=bool)
+        lo = base - (0.5 * np.log(n) + _LOG_SLACK)  # ||P||_F <= sqrt(n) ||P||
+        running, pending_lo, pending_hi = self.running, self.pending_lo, self.pending_hi
 
-        def refine(mask):
-            g_lo, g_hi = _gram_bracket(Q[mask])
-            lo[mask] = np.maximum(lo[mask], base[mask] + g_lo - _LOG_SLACK)
-            hi[mask] = np.minimum(hi[mask], base[mask] + g_hi + _LOG_SLACK)
+        def before():
+            """The steps before the first sure finish (hi <= 0)."""
+            return np.logical_and.accumulate(~(hi <= 0.0), axis=1)
+
+        def refine(mask, b_lo, b_hi=None):
+            lo[mask] = np.maximum(lo[mask], base[mask] + b_lo - _LOG_SLACK)
+            if b_hi is not None:
+                hi[mask] = np.minimum(hi[mask], base[mask] + b_hi + _LOG_SLACK)
 
         def settle(mask):
-            lo[mask] = hi[mask] = _log_norm(operator_norm(Q[mask]), exponents[mask]) - drift[mask]
-            exact[mask] = True
+            rows, cols = np.nonzero(mask)
+            lo[rows, cols] = hi[rows, cols] = (
+                _log_norm(operator_norm(Q[rows, cols]), exponents[rows, cols]) - drift[cols]
+            )
 
-        def undecided():
-            """The steps before the first sure finish, and among them those
-            whose k0 test the bracket leaves open."""
-            before = after <= _first(hi <= 0.0)[:, None]
-            return before, before & (hi > 0.0) & (lo <= 0.0)
-
-        # Gram brackets: the open k0 tests and each loop's highest step,
-        # then the steps whose upper ends still reach above the highest lower
-        # end, which may hold the maximum (two rounds take far fewer Gram
-        # brackets, and less memory, than one on every step that may)
-        before, open_ = undecided()
-        highest = before & (hi == _top(hi, before)[:, None])
-        highest &= hi > np.maximum(running, pending_lo)[:, None]
-        gram = open_ | highest
+        # power iteration where the k0 test is open; then Gram brackets on
+        # the k0 tests still open and each loop's highest step, then on the
+        # steps whose upper ends still reach above the highest lower end,
+        # which may hold the maximum (two rounds take far fewer Gram
+        # brackets than one on every step that may); last, SVDs of the k0
+        # tests still open
+        first = before()
+        near = first & (lo <= 0.0)
+        if near.any():
+            if 2 * np.count_nonzero(near) > near.size:  # cheaper on the whole block
+                bound = _power_lower(Q.reshape((-1,) + Q.shape[2:]), fro.ravel())
+                refine(near, bound.reshape(fro.shape)[near])
+            else:
+                refine(near, _power_lower(Q[near], fro[near]))
+        top = np.where(first, hi, -np.inf)
+        gram = (first & (lo <= 0.0)) | (
+            (top == top.max(axis=1)[:, None]) & (top > np.maximum(running, pending_lo)[:, None])
+        )
         if gram.any():
-            refine(gram)
-        before = undecided()[0]
-        floor = np.maximum(np.maximum(running, pending_lo), _top(lo, before))
-        rest = before & ~gram & (hi > floor[:, None])
+            refine(gram, *_gram_bracket(Q[gram]))
+            first = before()
+        floor = np.maximum(np.maximum(running, pending_lo), _top(lo, first))
+        rest = first & ~gram & (hi > floor[:, None])
         if rest.any():
-            refine(rest)
-        # SVDs where the Gram brackets do not decide: the open k0 tests...
-        open_ = undecided()[1]
+            refine(rest, *_gram_bracket(Q[rest]))
+            first = before()
+        open_ = first & (lo <= 0.0)
         if open_.any():
             settle(open_)
-        done = _first(hi <= 0.0)  # k0 = k + done + 1 where done < steps
-        counted = after <= done[:, None]  # the steps r < k0
+            first = before()
+        counted = first  # the steps r < k0
+        done = counted.sum(axis=1)  # k0 = k + done + 1 where done < steps
 
         def contenders():
             """The settled running maximum, the steps whose brackets reach
             above every lower end, and whether the pending one does."""
+            exact = lo == hi
             known = np.maximum(running, _top(hi, counted & exact))
             floor = np.maximum(np.maximum(known, pending_lo), _top(lo, counted))
             return known, counted & ~exact & (hi > floor[:, None]), pending_hi > floor
 
-        # ...and, of two or more contenders for the running maximum, all but
-        # the one with the highest upper end, which becomes the pending step
+        # of two or more contenders for the running maximum, all but the one
+        # with the highest upper end are settled; it becomes the pending step
         known, contend, held = contenders()
         crowded = contend.sum(axis=1) + held > 1
         if crowded.any():
@@ -434,45 +512,79 @@ def _least_certificate(F, gamma, k_max, check_radius):
             contend[rows, np.where(contend, hi, -np.inf)[rows].argmax(axis=1)] = False
             settle(contend)
             drop = rows[held[rows]]
-            running[drop] = np.maximum(running[drop], pending_ratio(drop))
+            running[drop] = np.maximum(running[drop], self.pending_ratio(drop))
             pending_lo[drop] = pending_hi[drop] = -np.inf
             known, contend, held = contenders()
-        running = known
-        new = np.flatnonzero(contend.any(axis=1))
+        self.running = running = known
+        chosen = contend.any(axis=1)
+        new = np.flatnonzero(chosen)
         at = contend[new].argmax(axis=1)
-        pending_P[new], pending_exponent[new] = Q[new, at], exponents[new, at]
-        pending_drift[new] = drift[new, at]
+        self.pending_P[new], self.pending_exponent[new] = Q[new, at], exponents[new, at]
+        self.pending_drift[new] = drift[at]
         pending_lo[new], pending_hi[new] = lo[new, at], hi[new, at]
-        gone = ~held & ~contend.any(axis=1)
+        gone = ~(held | chosen)
         pending_lo[gone] = pending_hi[gone] = -np.inf
 
         # finishers, by the lower end of their M: settle the pending step
         # and check rho until the lower end exceeds the least M admitted
         lower = np.maximum(running, pending_lo)
         fin = done < steps
-        for i in np.flatnonzero(fin)[np.lexsort((index[fin], lower[fin]))]:
-            if lower[i] > best[0]:
-                break
-            if pending_hi[i] > running[i]:
-                running[i] = max(running[i], pending_ratio(i))
-            if (running[i], index[i]) < best[:2] and (
-                not check_radius or spectral_radius(F[i]) < gamma
-            ):
-                best = (running[i], index[i], k + int(done[i]) + 1)
+        if fin.any():
+            index = self.index
+            for i in np.flatnonzero(fin)[np.lexsort((index[fin], lower[fin]))]:
+                if lower[i] > best[0]:
+                    break
+                if pending_hi[i] > running[i]:
+                    running[i] = max(running[i], self.pending_ratio(i))
+                if (running[i], index[i]) < best[:2] and (
+                    not self.check_radius or spectral_radius(F[i]) < self.gamma
+                ):
+                    best = (running[i], index[i], k + int(done[i]) + 1)
 
-        k += steps
-        keep = ~fin & (np.maximum(running, pending_lo) <= best[0])
-        if check_radius and k == checkpoint:
-            checkpoint *= 4
+        self.k = k = k + steps
+        keep = ~fin & (lower <= best[0])
+        if self.check_radius and k == self.checkpoint:
+            self.checkpoint *= 4
             if keep.any() and k < k_max:
-                keep[keep] = spectral_radius(F[keep]) < gamma
+                keep[keep] = spectral_radius(F[keep]) < self.gamma
         # the next base, rescaled by a power of two to a norm in [1/2, 1)
         shift = np.frexp(fro[keep, -1])[1]
-        F, index, P = F[keep], index[keep], np.ldexp(Q[keep, -1], -shift[:, None, None])
-        exponent = exponents[keep, -1] + shift
-        running, pending_lo, pending_hi = running[keep], pending_lo[keep], pending_hi[keep]
-        pending_P, pending_exponent = pending_P[keep], pending_exponent[keep]
-        pending_drift = pending_drift[keep]
+        self.P, self.exponent, self.last_hi = None, exponents[:, -1], hi[:, -1]
+        self.take(keep)
+        self.P, self.exponent = np.ldexp(Q[keep, -1], -shift[:, None, None]), self.exponent + shift
+        return best
+
+    def live(self, k_max):
+        """Whether any loop is left to power."""
+        return self.index.size > 0 and self.k < k_max
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _least_certificate(F, gamma, k_max, check_radius):
+    """least_certificate; without ``check_radius`` the caller vouches for
+    rho <= gamma on every loop, and no spectral radius is taken.
+
+    All loops go through the first block together.  Then, up to step 64,
+    a probe splits off the live loop past its peak with the least lower end
+    of its M (_Ranking.probe) and powers it alone, _PROBE_BLOCKS blocks for
+    each block of the rest.  A lone loop has long blocks (_LONE_STEPS), so
+    its M, likely the least, is admitted long before the rest would finish
+    it, and prunes them.  A new probe follows when one ends.  The result
+    does not depend on this order: best is the least (log M, index) over
+    the finished loops with rho < gamma, and a loop leaves only when the
+    lower end of its M exceeds an M already admitted."""
+    best = (np.inf, len(F), None)  # (log M, index, k0) of the least loop finished
+    main, alone = _Ranking(F, gamma, check_radius), None
+    while main.live(k_max) or alone is not None:
+        if main.live(k_max):
+            best = main.advance(best, k_max)
+        if alone is None and check_radius and len(main.index) > 1 and main.k < _FIRST_CHECKPOINT:
+            alone = main.probe(best)
+        for _ in range(_PROBE_BLOCKS):
+            if alone is not None and alone.live(k_max):
+                best = alone.advance(best, k_max)
+        if alone is not None and not alone.live(k_max):
+            alone = None
     log_m, i, k0 = best
     if k0 is None:
         return None

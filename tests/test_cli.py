@@ -291,6 +291,62 @@ class TestVerify:
         assert payload["failures"] == 0
         assert payload["worst_radius"] <= 0.9 + 1e-6
 
+    @pytest.mark.parametrize("seed", ["0", "3"])
+    def test_gain_read_from_finite_plus_report(self, cascade_file, tmp_path, seed):
+        """verify --gain takes an analyze --mode finite-plus report as it is:
+        the report is that of the same gain written as {"K": K_plus}."""
+        analysis = tmp_path / "report.json"
+        assert run(
+            "analyze", "--in", str(cascade_file), "--mode", "finite-plus", "--gamma", "0.9",
+            "--out", str(analysis),
+        ) == 0
+        gain = tmp_path / "gain.json"
+        write_gain(gain, json.loads(analysis.read_text())["K_plus"])
+        reports = []
+        for source in (analysis, gain):
+            out = tmp_path / f"verify-{source.stem}.json"
+            assert run(
+                "verify", "--in", str(cascade_file), "--gain", str(source), "--mode", "plus",
+                "--gamma", "0.9", "--seed", seed, "--out", str(out),
+            ) == 0
+            reports.append(out.read_text())
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["failures"] == 0
+
+    def test_gain_read_from_stabilize_report(self, tmp_path):
+        """verify --gain takes the K of an analyze --mode stabilize report."""
+        data, analysis = tmp_path / "lti.json", tmp_path / "report.json"
+        assert run(
+            "generate", "--scenario", "random-lti", "--n", "3", "--seed", "7", "--out", str(data)
+        ) == 0
+        assert run(
+            "analyze", "--in", str(data), "--mode", "stabilize", "--gamma", "0.9",
+            "--out", str(analysis),
+        ) == 0
+        out = tmp_path / "verify.json"
+        assert run(
+            "verify", "--in", str(data), "--gain", str(analysis), "--mode", "full",
+            "--gamma", "0.9", "--out", str(out),
+        ) == 0
+        assert json.loads(out.read_text())["failures"] == 0
+
+    @pytest.mark.parametrize(
+        "payload",
+        [{"K": [[0.0] * 4], "K_plus": [[0.0] * 4]}, {"informative": False}, [[0.0] * 4]],
+        ids=["both", "neither", "bare-matrix"],
+    )
+    def test_gain_file_needs_exactly_one_key(self, cascade_file, tmp_path, capsys, payload):
+        """A file with both "K" and "K_plus", or with neither (as a negative
+        analyze report), is an input error: exit 2, and no report."""
+        gain, out = tmp_path / "gain.json", tmp_path / "verify.json"
+        gain.write_text(json.dumps(payload))
+        assert run(
+            "verify", "--in", str(cascade_file), "--gain", str(gain), "--mode", "plus",
+            "--gamma", "0.9", "--out", str(out),
+        ) == 2
+        assert "cannot read gain" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_gain_fails_on_unstable_family(self, tmp_path):
         data = tmp_path / "lti.json"
         assert run(

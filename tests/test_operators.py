@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 import warnings
 from fractions import Fraction
@@ -8,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddstab import lmi, operators
+from ddstab.cli import main
 from ddstab.errors import DimensionMismatch, EmptyData, InvalidParams
 from ddstab.informativity import sample_compatible_systems
+from ddstab.lmi import LmiProblem, solve_feasibility
 from ddstab.operators import (
     DEFAULT_TOL,
     DouglasFactor,
@@ -26,6 +30,7 @@ from ddstab.operators import (
     singular_values,
     spectral_radius,
 )
+from ddstab.systems import DataBatch
 
 
 def reference_certificate(F, gamma, k_max):
@@ -808,3 +813,52 @@ class TestOneRankCut:
         assert point == old_point_family(W)
         if kind == "edge" and k > 1:
             assert point == (side >= 0)
+
+
+def scan_stack(tmp_path, n, seed, minimal):
+    """The stack of loops Xi1 R that solve_feasibility ranks on
+    ``generate --scenario random-lti`` data at N = 2(n + 1), or at minimal
+    N = n + 1 with radius 2.0, with its rate and k_max."""
+    path = tmp_path / f"lti-{n}-{seed}-{minimal}.json"
+    argv = ["generate", "--scenario", "random-lti", "--n", str(n), "--seed", str(seed)]
+    if minimal:
+        argv += ["--samples", str(n + 1), "--radius", "2.0"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv + ["--out", str(path)]) == 0
+    batch, stacks = DataBatch.load(path), []
+
+    def ranked(*args):
+        stacks.append(args)
+        return least_certificate(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lmi, "least_certificate", ranked)
+        solve_feasibility(LmiProblem(Xi0=batch.Xi0, Xi1=batch.Xi1, gamma=0.9))
+    (stack,) = stacks
+    return stack
+
+
+class TestLeastCertificateOnScanStacks:
+    """least_certificate at the size of the benchmark: the 40 loops of the
+    Riccati scan on random-LTI data, 12 x 12 to 20 x 20, whose candidates
+    have nearly equal M and k0 up to a few hundred."""
+
+    @pytest.mark.parametrize(
+        "n, seed, minimal",
+        [(12, 0, False), (16, 1, False), (20, 0, False)]
+        + [(12, 1, True), (16, 0, True), (20, 1, True)],
+    )
+    def test_bits_do_not_depend_on_block_breaks(self, tmp_path, n, seed, minimal):
+        """The same (index, M bits, k0) with blocks of one step, with a
+        budget of a few steps for a lone loop, and with the default blocks;
+        the winner's certificate is construct_certificate of its loop."""
+        F, gamma, k_max = scan_stack(tmp_path, n, seed, minimal)
+        assert len(F) == 40
+        expected = least_certificate(F, gamma, k_max)
+        assert expected is not None
+        index, cert = expected
+        assert construct_certificate(F[index], gamma, k_max) == cert
+        for elements in (1, 7 * n * n):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(operators, "_BLOCK_ELEMENTS", elements)
+                assert least_certificate(F, gamma, k_max) == expected
