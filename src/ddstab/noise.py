@@ -19,6 +19,7 @@ import numpy as np
 from .errors import DimensionMismatch, IndexOutOfRange, InvalidParams
 from .informativity import NotInformative, synthesize_gain
 from .operators import (
+    _BLOCK_ELEMENTS,
     DEFAULT_TOL,
     operator_norm,
     spectral_radius,
@@ -275,9 +276,6 @@ def verify_robust_gain(noisy_batch: DataBatch, M, gamma_tilde, c1, c0, Omega, tr
 #: Relative widening of the Frobenius bound on ||F^k|| in
 #: ``_check_closed_loops``, far above the rounding of the bound or of the SVD.
 _NORM_BOUND_SLACK = 1e-9
-#: Most numbers (loops x steps x n x n) in one chunk of powers of
-#: ``_check_closed_loops``.
-_POWER_CHUNK = 2**16
 
 
 def _check_closed_loops(F, M, gamma_tilde, power_horizon):
@@ -288,10 +286,11 @@ def _check_closed_loops(F, M, gamma_tilde, power_horizon):
 
     The power check is exact in two passes.  Pass 1 powers the live loops
     in chunks of steps, each power the product of F with the one before
-    and each chunk at most _POWER_CHUNK numbers, and bounds ||P|| by
-    u = ||P||_F (1 + slack), from one contraction per chunk; only where u
-    exceeds the step's bound b_k can the loop exceed it, so only there the
-    SVD runs, and a violator leaves after its first excess.  It keeps
+    and each chunk at most _BLOCK_ELEMENTS numbers, as least_certificate's
+    blocks, and bounds ||P|| by u = ||P||_F (1 + slack), from one
+    contraction per chunk; only where u exceeds the step's bound b_k can
+    the loop exceed it, so only there the SVD runs, step by step, and a
+    violator takes no SVD after its first excess.  It keeps
     u - b_k of every other counted (step, loop) pair.  Pass 2 sets T to the
     largest excess known exactly: those of pass 1 and that of the pair with
     the largest u - b_k.  A pair with u - b_k < T has ||P|| - b_k < T, so
@@ -312,27 +311,26 @@ def _check_closed_loops(F, M, gamma_tilde, power_horizon):
     worst = -np.inf
     live, P, F_live, k = np.arange(L), np.eye(n), F, 0
     while k < power_horizon and live.size:
-        steps = min(power_horizon - k, max(_POWER_CHUNK // (live.size * max(n * n, 1)), 1))
+        steps = min(power_horizon - k, max(_BLOCK_ELEMENTS // (live.size * max(n * n, 1)), 1))
         Q = np.empty((steps, live.size, n, n))
         for j in range(steps):
             np.matmul(F_live, Q[j - 1] if j else P, out=Q[j])
-        Q = Q.swapaxes(0, 1)
         u = np.sqrt(np.einsum("...ij,...ij->...", Q, Q)) * (1.0 + _NORM_BOUND_SLACK)
-        b = bounds[k : k + steps]
+        b = bounds[k : k + steps, None]
         exact = ~(u <= b)
-        # each loop counts the steps of the chunk up to its first excess
-        first_excess = np.full(live.size, steps)
-        rows, cols = np.nonzero(exact)
-        if rows.size:
-            excess = operator_norm(Q[rows, cols]) - b[cols]
-            over = ~(excess <= 0)
-            np.minimum.at(first_excess, rows[over], cols[over])
-            worst = max(worst, float(excess[cols <= first_excess[rows]].max()))
-        stay = first_excess == steps
+        gap[k : k + steps, live] = np.where(exact, -np.inf, u - b)
+        # the SVDs step by step, of the loops that have not yet exceeded
+        stay = np.ones(live.size, dtype=bool)
+        for j in np.flatnonzero(exact.any(axis=1)):
+            rows = np.flatnonzero(exact[j] & stay)
+            if rows.size:
+                excess = operator_norm(Q[j, rows]) - b[j]
+                worst = max(worst, float(excess.max()))
+                over = rows[~(excess <= 0)]
+                stay[over] = False
+                gap[k + j + 1 : k + steps, live[over]] = -np.inf
         violations += int(np.count_nonzero(~stay))
-        keep = (np.arange(steps) <= first_excess[:, None]) & ~exact
-        gap[k : k + steps, live] = np.where(keep, u - b, -np.inf).T
-        live, F_live, P = live[stay], F_live[stay], Q[stay, -1]
+        live, F_live, P = live[stay], F_live[stay], Q[-1, stay]
         del Q  # freed before the next chunk, which then reuses its memory
         k += steps
     if gap.size and gap.max() > worst:

@@ -19,12 +19,9 @@ DEFAULT_TOL = 1e-9
 #: the rounding of any bound.
 _LOG_SLACK = 1e-9
 #: Most numbers (loops x steps x n x n) in one block of powers of
-#: least_certificate, and most steps in a block; a loop alone doubles its
-#: blocks from _BLOCK_STEPS up to _LONE_STEPS, since a block's bookkeeping
-#: costs a lone loop more than its products.
+#: least_certificate, and most steps in a block.
 _BLOCK_ELEMENTS = 2**16
 _BLOCK_STEPS = 64
-_LONE_STEPS = 256
 #: A block of powers whose Frobenius norms all lie in [2^-400, 2^400] (or
 #: are zero) keeps the mantissas of a chain rescaled at every step: the
 #: squares in the norm stay normal, and LAPACK's SVD rescales a matrix only
@@ -284,9 +281,7 @@ def _log_norm(norm, exponent):
 def _power_block(F, P, steps):
     """The next ``steps`` powers F^j P of each loop of the stack F (L, n, n)
     from its base P (L, n, n), or from I when P is None, each the product
-    of F with the power before: one matmul per step for the whole stack, or
-    for a lone loop one np.dot, which calls the same gemm without the
-    overhead of a stack.
+    of F with the power before: one matmul per step for the whole stack.
 
     Returns the block Q (L, steps, n, n), the exponents e (L, steps) with
     F^j P = Q_j 2^e_j (zero unless rescaled, see below), and the Frobenius
@@ -298,20 +293,15 @@ def _power_block(F, P, steps):
     two are exact, so either way Q_j 2^e_j has the mantissas of the plain
     product F...F."""
     Q = np.empty((len(F), steps) + F.shape[1:])
-    if len(F) == 1:
-        product, F1, Q1, before = np.dot, F[0], Q[0], None if P is None else P[0]
-    else:
-        product, F1, Q1, before = np.matmul, F, Q.swapaxes(0, 1), P
-    for power in Q1:
-        if before is None:
-            power[...] = F1
+    for j in range(steps):
+        if j == 0 and P is None:
+            Q[:, 0] = F
         else:
-            product(F1, before, out=power)
-        before = power
+            np.matmul(F, Q[:, j - 1] if j else P, out=Q[:, j])
     fro = _frobenius(Q)
     exponents = np.zeros(fro.shape, dtype=np.int64)
-    if not (fro.max() <= _RANGE and np.where(fro > 0.0, fro, 1.0).min() >= 1.0 / _RANGE):
-        wild = ~((fro == 0.0) | ((fro >= 1.0 / _RANGE) & (fro <= _RANGE))).all(axis=1)
+    wild = ~((fro == 0.0) | ((fro >= 1.0 / _RANGE) & (fro <= _RANGE))).all(axis=1)
+    if wild.any():
         rows = np.flatnonzero(wild)
         e, before = 0, None if P is None else P[rows]
         for j in range(steps):
@@ -371,7 +361,7 @@ class _Ranking:
     def __init__(self, F, gamma, check_radius):
         self.F, self.index = F, np.arange(len(F))
         self.gamma, self.log_gamma, self.check_radius = gamma, np.log(gamma), check_radius
-        self.k, self.checkpoint, self.most_steps = 0, _FIRST_CHECKPOINT, _BLOCK_STEPS
+        self.k, self.checkpoint = 0, _FIRST_CHECKPOINT
         self.P, self.exponent = None, np.zeros(len(F), dtype=np.int64)
         self.running = np.zeros(len(F))  # r = 0 gives 0
         self.pending_lo, self.pending_hi = np.full(len(F), -np.inf), np.full(len(F), -np.inf)
@@ -431,9 +421,7 @@ class _Ranking:
                 if not self.index.size:
                     return best
         F, k, n = self.F, self.k, max(self.F.shape[-1], 1)
-        steps = min(self.most_steps, max(_BLOCK_ELEMENTS // (len(F) * n * n), 1), k_max - k)
-        if len(F) == 1:
-            self.most_steps = min(2 * self.most_steps, _LONE_STEPS)
+        steps = min(_BLOCK_STEPS, max(_BLOCK_ELEMENTS // (len(F) * n * n), 1), k_max - k)
         if self.check_radius:
             steps = min(steps, self.checkpoint - k)
         Q, exponents, fro = _power_block(F, self.P, steps)
@@ -470,11 +458,7 @@ class _Ranking:
         first = before()
         near = first & (lo <= 0.0)
         if near.any():
-            if 2 * np.count_nonzero(near) > near.size:  # cheaper on the whole block
-                bound = _power_lower(Q.reshape((-1,) + Q.shape[2:]), fro.ravel())
-                refine(near, bound.reshape(fro.shape)[near])
-            else:
-                refine(near, _power_lower(Q[near], fro[near]))
+            refine(near, _power_lower(Q[near], fro[near]))
         top = np.where(first, hi, -np.inf)
         gram = (first & (lo <= 0.0)) | (
             (top == top.max(axis=1)[:, None]) & (top > np.maximum(running, pending_lo)[:, None])
@@ -567,9 +551,9 @@ def _least_certificate(F, gamma, k_max, check_radius):
     All loops go through the first block together.  Then, up to step 64,
     a probe splits off the live loop past its peak with the least lower end
     of its M (_Ranking.probe) and powers it alone, _PROBE_BLOCKS blocks for
-    each block of the rest.  A lone loop has long blocks (_LONE_STEPS), so
-    its M, likely the least, is admitted long before the rest would finish
-    it, and prunes them.  A new probe follows when one ends.  The result
+    each block of the rest, each as long as a block may be, so its M,
+    likely the least, is admitted long before the rest would finish it, and
+    prunes them.  A new probe follows when one ends.  The result
     does not depend on this order: best is the least (log M, index) over
     the finished loops with rho < gamma, and a loop leaves only when the
     lower end of its M exceeds an M already admitted."""

@@ -569,6 +569,32 @@ class TestVerifyRobustGain:
         assert _check_closed_loops(F, 20.0, 0.95, 100)[1] == 0
         assert sum(sizes) < 0.01 * 100 * len(F)
 
+    def test_violators_take_no_svd_after_their_first_excess(self, monkeypatch):
+        """With most loops violating, pass 1 takes an SVD only where the
+        Frobenius bound is not met, and of each loop only up to its first
+        excess, however the steps are chunked."""
+        F = random_loops(200, np.linspace(0.5, 1.1, 200), seed=7)
+        M, gamma_tilde = 1.5, 0.9
+        expected = 0
+        for loop in F:
+            P, bound = np.eye(4), M + 1e-6
+            for _ in range(100):
+                P, bound = loop @ P, bound * gamma_tilde
+                if np.sqrt(np.sum(P * P)) * (1.0 + noise_mod._NORM_BOUND_SLACK) > bound:
+                    expected += 1
+                    if operator_norm(P) > bound:
+                        break
+        sizes, pass_two = [], noise_mod._largest_power_excess
+        monkeypatch.setattr(
+            noise_mod, "operator_norm", lambda P: sizes.append(len(P)) or operator_norm(P)
+        )
+        monkeypatch.setattr(
+            noise_mod, "_largest_power_excess", lambda *a: sizes.append(None) or pass_two(*a)
+        )
+        violations = _check_closed_loops(F, M, gamma_tilde, 100)[1]
+        assert violations > 150
+        assert sum(sizes[: sizes.index(None)] if None in sizes else sizes) == expected
+
     def test_reference_chain_takes_few_svds(self, projected_cascade, monkeypatch):
         """On the reference chain at c = 0.003 (200 trials) the power check
         takes at most 10 SVDs."""
