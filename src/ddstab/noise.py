@@ -286,16 +286,16 @@ def _check_closed_loops(F, M, gamma_tilde, power_horizon):
 
     The power check is exact in two passes.  Pass 1 powers the live loops
     in chunks of steps, each power the product of F with the one before
-    and each chunk at most _BLOCK_ELEMENTS numbers, as least_certificate's
-    blocks, and bounds ||P|| by u = ||P||_F (1 + slack), from one
-    contraction per chunk; only where u exceeds the step's bound b_k can
-    the loop exceed it, so only there the SVD runs, step by step, and a
-    violator takes no SVD after its first excess.  It keeps
-    u - b_k of every other counted (step, loop) pair.  Pass 2 sets T to the
-    largest excess known exactly: those of pass 1 and that of the pair with
-    the largest u - b_k.  A pair with u - b_k < T has ||P|| - b_k < T, so
-    only the pairs with u - b_k >= T can hold the worst excess, and only
-    their powers are recomputed and their SVDs taken.
+    and each chunk at most half the numbers of a block of
+    least_certificate, all in one buffer, and bounds ||P|| by
+    u = ||P||_F (1 + slack), from one contraction per chunk; only where u
+    exceeds the step's bound b_k can the loop exceed it, so only there the
+    SVD runs, step by step, and a violator takes no SVD after its first
+    excess.  It keeps u - b_k of every other counted (step, loop) pair.
+    Pass 2 sets T to the largest excess known exactly: those of pass 1 and
+    that of the pair with the largest u - b_k.  A pair with u - b_k < T has
+    ||P|| - b_k < T, so only the pairs with u - b_k >= T can hold the worst
+    excess, and only their powers are recomputed and their SVDs taken.
     """
     L, n = F.shape[0], F.shape[-1]
     radii = spectral_radius(F)
@@ -309,30 +309,42 @@ def _check_closed_loops(F, M, gamma_tilde, power_horizon):
     # u - b_k of the pairs not yet known exactly, -inf elsewhere
     gap = np.full((power_horizon, L), -np.inf)
     worst = -np.inf
-    live, P, F_live, k = np.arange(L), np.eye(n), F, 0
+    # one buffer for the powers of every chunk: a chunk fills rows
+    # [o, o + steps) of the live loops, and starts at row 1 only when its
+    # base, the last power of the chunk before, is row 0, so that no product
+    # overwrites its own factor.  A chunk is at most half a block of
+    # least_certificate: chunks of a whole block were no faster and raised
+    # the peak RSS of the cascade chain by 0.5 MB.
+    most = min(power_horizon, max(_BLOCK_ELEMENTS // 2 // max(L * n * n, 1), 1))
+    Q = np.empty((most + 1, L, n, n))
+    live, P, F_live, k, o = np.arange(L), np.eye(n), F, 0, 0
     while k < power_horizon and live.size:
-        steps = min(power_horizon - k, max(_BLOCK_ELEMENTS // (live.size * max(n * n, 1)), 1))
-        Q = np.empty((steps, live.size, n, n))
+        steps = min(power_horizon - k, most)
+        chunk = Q[o : o + steps, : live.size]
         for j in range(steps):
-            np.matmul(F_live, Q[j - 1] if j else P, out=Q[j])
-        u = np.sqrt(np.einsum("...ij,...ij->...", Q, Q)) * (1.0 + _NORM_BOUND_SLACK)
+            np.matmul(F_live, chunk[j - 1] if j else P, out=chunk[j])
+        u = np.sqrt(np.einsum("...ij,...ij->...", chunk, chunk)) * (1.0 + _NORM_BOUND_SLACK)
         b = bounds[k : k + steps, None]
-        exact = ~(u <= b)
-        gap[k : k + steps, live] = np.where(exact, -np.inf, u - b)
-        # the SVDs step by step, of the loops that have not yet exceeded
-        stay = np.ones(live.size, dtype=bool)
-        for j in np.flatnonzero(exact.any(axis=1)):
-            rows = np.flatnonzero(exact[j] & stay)
-            if rows.size:
-                excess = operator_norm(Q[j, rows]) - b[j]
-                worst = max(worst, float(excess.max()))
-                over = rows[~(excess <= 0)]
-                stay[over] = False
-                gap[k + j + 1 : k + steps, live[over]] = -np.inf
-        violations += int(np.count_nonzero(~stay))
-        live, F_live, P = live[stay], F_live[stay], Q[-1, stay]
-        del Q  # freed before the next chunk, which then reuses its memory
-        k += steps
+        d = u - b  # its sign is exact: d <= 0 where u <= b and nowhere else
+        exact = ~(d <= 0.0)
+        P, counted = chunk[-1], live
+        if exact.any():
+            # the SVDs step by step, of the loops that have not yet exceeded
+            stay = np.ones(live.size, dtype=bool)
+            for j in np.flatnonzero(exact.any(axis=1)):
+                rows = np.flatnonzero(exact[j] & stay)
+                if rows.size:
+                    excess = operator_norm(chunk[j, rows]) - b[j]
+                    worst = max(worst, float(excess.max()))
+                    over = rows[~(excess <= 0)]
+                    stay[over] = False
+                    d[j + 1 :, over] = -np.inf
+            d[exact] = -np.inf
+            if not stay.all():
+                violations += int(np.count_nonzero(~stay))
+                live, F_live, P = live[stay], F_live[stay], P[stay]
+        gap[k : k + steps, counted] = d
+        k, o = k + steps, 1 if o + steps == 1 else 0
     if gap.size and gap.max() > worst:
         top = np.unravel_index(np.argmax(gap), gap.shape)
         worst = max(worst, _largest_power_excess(F, bounds, *top))

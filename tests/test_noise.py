@@ -595,6 +595,19 @@ class TestVerifyRobustGain:
         assert violations > 150
         assert sum(sizes[: sizes.index(None)] if None in sizes else sizes) == expected
 
+    @pytest.mark.parametrize("n, steps", [(20, 1), (12, 2), (6, 9)])
+    def test_chunks_of_one_two_and_more_steps(self, n, steps):
+        """100 loops of n x n, some violating, whose chunks hold ``steps``
+        powers: the two-pass check gives the full check's triple, bit for
+        bit, whichever rows of its buffer the chunks take."""
+        assert max(noise_mod._BLOCK_ELEMENTS // 2 // (100 * n * n), 1) == steps
+        rng = np.random.default_rng(n)
+        G = rng.standard_normal((100, n, n))
+        F = G * (rng.uniform(0.5, 1.05, 100) / spectral_radius(G))[:, None, None]
+        expected = full_power_check(F, 3.0, 0.95, 30)[:3]
+        assert expected[1] > 0
+        assert _check_closed_loops(F, 3.0, 0.95, 30) == expected
+
     def test_reference_chain_takes_few_svds(self, projected_cascade, monkeypatch):
         """On the reference chain at c = 0.003 (200 trials) the power check
         takes at most 10 SVDs."""
