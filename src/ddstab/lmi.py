@@ -38,8 +38,12 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidParams
 from .operators import (
+    _BLOCK_ELEMENTS,
+    _BLOCK_STEPS,
+    _CERTIFICATE_HORIZON,
     DEFAULT_TOL,
     PowerStabilityCertificate,
+    _frobenius,
     _rank_count,
     least_certificate,
     spectral_radius,
@@ -53,12 +57,6 @@ _INPUT_WEIGHTS = (1e-6, 1.0)
 #: 2^k terms of a convergent series, so the cap is never the binding stop on
 #: a closed loop that is stable at its design rate.
 _DOUBLING_STEPS = 64
-#: Largest power examined when ranking the candidates by M (the k_max of
-#: least_certificate, as construct_certificate's default) and when summing
-#: the Stein series term by term.
-_POWER_HORIZON = 10000
-#: Powers the Stein head forms, and tests for ||A||_F <= 1/2, per block.
-_STEIN_BLOCK = 16
 #: A block norm this close to 1/2 is tested again by np.linalg.norm, whose
 #: rounding the one-step test had.
 _STEIN_NORM_MARGIN = 1e-12
@@ -259,9 +257,9 @@ def _stein_solution(F, rate):
     1968): step j adds the next 2^j terms through A^(2^j).  Squaring A only
     after its powers contract keeps the squares accurate; doubling from Fs
     itself loses the solution when the powers have a large transient.  The
-    head forms its powers ``_STEIN_BLOCK`` at a time and takes their norms
-    in one call; a norm within ``_STEIN_NORM_MARGIN`` of 1/2 is taken again
-    as np.linalg.norm of the one power, so L is the L of a one-by-one loop.
+    head forms its powers in the blocks of least_certificate for one loop and
+    takes their norms by _frobenius; one within ``_STEIN_NORM_MARGIN`` of 1/2
+    is taken again by np.linalg.norm, so L is the L of a one-by-one loop.
     Each block's terms come from one stacked product and are added to P in
     one call, term after term, so P has the bits of that loop too.
     """
@@ -269,16 +267,17 @@ def _stein_solution(F, rate):
     Fs = F / rate
     A = np.eye(n)
     P = np.eye(n)
-    powers = np.empty((_STEIN_BLOCK, n, n))
+    size = min(_BLOCK_STEPS, max(_BLOCK_ELEMENTS // max(n * n, 1), 1))
+    powers = np.empty((size, n, n))
     # slot 0 holds P and the next slots the block's terms; a running sum
     # adds them in the order of a one-by-one loop (np.add.reduce may sum a
     # 1 x 1 stack pairwise)
-    terms = np.empty((_STEIN_BLOCK + 1, n, n))
-    for start in range(0, _POWER_HORIZON, _STEIN_BLOCK):
-        block = powers[: min(_STEIN_BLOCK, _POWER_HORIZON - start)]
+    terms = np.empty((size + 1, n, n))
+    for start in range(0, _CERTIFICATE_HORIZON, size):
+        block = powers[: min(size, _CERTIFICATE_HORIZON - start)]
         for j in range(len(block)):
             np.matmul(Fs, block[j - 1] if j else A, out=block[j])
-        norms = np.linalg.norm(block, axis=(1, 2))
+        norms = _frobenius(block)
         near = np.flatnonzero(np.abs(norms - 0.5) <= _STEIN_NORM_MARGIN)
         norms[near] = [np.linalg.norm(block[j]) for j in near]
         stop = np.flatnonzero(norms <= 0.5)
@@ -352,7 +351,7 @@ def solve_feasibility(problem: LmiProblem, max_iters=None, seed=None):
         F = Xi1 @ R
     candidates = len(R)
     ok = np.flatnonzero(_admissible(Xi0, R, F))
-    least = least_certificate(F[ok], gamma, _POWER_HORIZON)
+    least = least_certificate(F[ok], gamma, _CERTIFICATE_HORIZON)
     if least is not None:
         R, F, certificate = R[ok[least[0]]], F[ok[least[0]]], least[1]
         radius = spectral_radius(F)

@@ -20,7 +20,9 @@ from .errors import DimensionMismatch, IndexOutOfRange, InvalidParams
 from .informativity import NotInformative, synthesize_gain
 from .operators import (
     _BLOCK_ELEMENTS,
+    _LOG_SLACK,
     DEFAULT_TOL,
+    _frobenius,
     operator_norm,
     spectral_radius,
 )
@@ -244,8 +246,9 @@ def verify_robust_gain(noisy_batch: DataBatch, M, gamma_tilde, c1, c0, Omega, tr
     Phi0 is invertible, and one batched solve forms all loops.  They are
     checked as one stack (``_check_closed_loops``) against rho(A + B K) <=
     gamma_tilde + 1e-6 and ||(A + B K)^k|| <= (M + 1e-6) gamma_tilde^k for k
-    up to ``_POWER_HORIZON``; ``violations`` counts trials.  Raises
-    InvalidParams where ``robust_decay_rate`` does (M < 1 or M c0 >= 1).
+    up to ``_POWER_HORIZON``; ``violations`` counts the trials over each
+    bound, so a trial over both counts twice.  Raises InvalidParams where
+    ``robust_decay_rate`` does (M < 1 or M c0 >= 1).
     """
     _check_sampling(trials, seed)
     _check_noise_constants(c1, c0)
@@ -273,25 +276,22 @@ def verify_robust_gain(noisy_batch: DataBatch, M, gamma_tilde, c1, c0, Omega, tr
     )
 
 
-#: Relative widening of the Frobenius bound on ||F^k|| in
-#: ``_check_closed_loops``, far above the rounding of the bound or of the SVD.
-_NORM_BOUND_SLACK = 1e-9
-
-
 def _check_closed_loops(F, M, gamma_tilde, power_horizon):
     """(worst radius, violations, worst power excess) of the stack F of
     closed loops against rho <= gamma_tilde + 1e-6 and
     ||F^k|| <= (M + 1e-6) gamma_tilde^k for k up to ``power_horizon``; a
-    loop leaves the power check at its first excess.
+    loop leaves the power check at its first excess, and ``violations``
+    counts the loops over each bound.
 
     The power check is exact in two passes.  Pass 1 powers the live loops
     in chunks of steps, each power the product of F with the one before
     and each chunk at most half the numbers of a block of
-    least_certificate, all in one buffer, and bounds ||P|| by
-    u = ||P||_F (1 + slack), from one contraction per chunk; only where u
-    exceeds the step's bound b_k can the loop exceed it, so only there the
-    SVD runs, step by step, and a violator takes no SVD after its first
-    excess.  It keeps u - b_k of every other counted (step, loop) pair.
+    least_certificate but two steps or more (bar the last), all in one
+    buffer, and bounds ||P|| by u = ||P||_F (1 + _LOG_SLACK), from one
+    contraction per chunk; only where u exceeds the step's bound b_k can the
+    loop exceed it, so only there the SVD runs, step by step, and a violator
+    takes no SVD after its first excess.  It keeps u - b_k of every other
+    counted (step, loop) pair.
     Pass 2 sets T to the largest excess known exactly: those of pass 1 and
     that of the pair with the largest u - b_k.  A pair with u - b_k < T has
     ||P|| - b_k < T, so only the pairs with u - b_k >= T can hold the worst
@@ -301,29 +301,26 @@ def _check_closed_loops(F, M, gamma_tilde, power_horizon):
     radii = spectral_radius(F)
     worst_radius = float(radii.max(initial=0.0))
     violations = int(np.sum(radii > gamma_tilde + 1e-6))
-    bounds, bound = [], M + 1e-6
-    for _ in range(power_horizon):
-        bound *= gamma_tilde
-        bounds.append(bound)
-    bounds = np.array(bounds)
+    # (M + 1e-6) gamma_tilde^k, one rounded product per step
+    bounds = np.multiply.accumulate(np.r_[M + 1e-6, np.full(power_horizon, gamma_tilde)])[1:]
     # u - b_k of the pairs not yet known exactly, -inf elsewhere
     gap = np.full((power_horizon, L), -np.inf)
     worst = -np.inf
-    # one buffer for the powers of every chunk: a chunk fills rows
-    # [o, o + steps) of the live loops, and starts at row 1 only when its
-    # base, the last power of the chunk before, is row 0, so that no product
-    # overwrites its own factor.  A chunk is at most half a block of
-    # least_certificate: chunks of a whole block were no faster and raised
-    # the peak RSS of the cascade chain by 0.5 MB.
-    most = min(power_horizon, max(_BLOCK_ELEMENTS // 2 // max(L * n * n, 1), 1))
-    Q = np.empty((most + 1, L, n, n))
-    live, P, F_live, k, o = np.arange(L), np.eye(n), F, 0, 0
+    # one buffer for the powers of every chunk, which fills its first rows
+    # for the live loops.  A chunk's base is the last row of the chunk
+    # before, never row 0, since every chunk but the last has two steps or
+    # more, so no product overwrites its own factor.  A chunk is at most
+    # half a block of least_certificate: chunks of a whole block were no
+    # faster and raised the peak RSS of the cascade chain by 0.5 MB.
+    most = min(power_horizon, max(_BLOCK_ELEMENTS // 2 // max(L * n * n, 1), 2))
+    Q = np.empty((most, L, n, n))
+    live, P, F_live, k = np.arange(L), np.eye(n), F, 0
     while k < power_horizon and live.size:
         steps = min(power_horizon - k, most)
-        chunk = Q[o : o + steps, : live.size]
+        chunk = Q[:steps, : live.size]
         for j in range(steps):
             np.matmul(F_live, chunk[j - 1] if j else P, out=chunk[j])
-        u = np.sqrt(np.einsum("...ij,...ij->...", chunk, chunk)) * (1.0 + _NORM_BOUND_SLACK)
+        u = _frobenius(chunk) * (1.0 + _LOG_SLACK)
         b = bounds[k : k + steps, None]
         d = u - b  # its sign is exact: d <= 0 where u <= b and nowhere else
         exact = ~(d <= 0.0)
@@ -344,7 +341,7 @@ def _check_closed_loops(F, M, gamma_tilde, power_horizon):
                 violations += int(np.count_nonzero(~stay))
                 live, F_live, P = live[stay], F_live[stay], P[stay]
         gap[k : k + steps, counted] = d
-        k, o = k + steps, 1 if o + steps == 1 else 0
+        k += steps
     if gap.size and gap.max() > worst:
         top = np.unravel_index(np.argmax(gap), gap.shape)
         worst = max(worst, _largest_power_excess(F, bounds, *top))

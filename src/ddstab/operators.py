@@ -35,6 +35,8 @@ _LN2 = np.log(2.0)
 _FIRST_CHECKPOINT = 64
 #: Blocks the probe of least_certificate powers for each block of the rest.
 _PROBE_BLOCKS = 4
+#: Largest power examined by construct_certificate by default and by the LMI.
+_CERTIFICATE_HORIZON = 10000
 
 
 @dataclass(frozen=True)
@@ -577,7 +579,7 @@ def _least_certificate(F, gamma, k_max, check_radius):
     )
 
 
-def construct_certificate(F, gamma, k_max=10000):
+def construct_certificate(F, gamma, k_max=_CERTIFICATE_HORIZON):
     """Power-stability certificate ||F^k|| <= M gamma^k for all k >= 0.
 
     The smallest k0 in 1..k_max with ||F^k0|| <= gamma^k0, and M the largest

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ddstab import lmi
+from ddstab import lmi, operators
 from ddstab.errors import DimensionMismatch, InvalidParams
 from ddstab.informativity import NotInformative, synthesize_gain
 from ddstab.lmi import (
@@ -368,7 +368,7 @@ def stein_one_step(F, rate):
     Fs = F / rate
     A = np.eye(n)
     P = np.eye(n)
-    for _ in range(lmi._POWER_HORIZON):
+    for _ in range(operators._CERTIFICATE_HORIZON):
         A = Fs @ A
         if np.linalg.norm(A) <= 0.5:
             break
@@ -396,6 +396,14 @@ def slow_loop(rho, n=6, seed=0):
     return G * (rho / spectral_radius(G))
 
 
+def head_of_length(steps, n=3):
+    """An n x n loop c Q, Q orthogonal, whose Stein head at rate 1 stops at
+    power ``steps``: ||(c Q)^k||_F = c^k sqrt(n) is 1/2 at k = steps - 1/2,
+    a factor c^(1/2) away from the powers on either side."""
+    Q = np.linalg.qr(np.random.default_rng(steps).standard_normal((n, n)))[0]
+    return Q * (0.5 / np.sqrt(n)) ** (1 / (steps - 0.5))
+
+
 class TestSteinSolution:
     @pytest.mark.parametrize(
         "F, rate",
@@ -409,10 +417,18 @@ class TestSteinSolution:
             pytest.param(np.array([[0.9, 40.0], [0.0, 0.9]]), 0.95, id="transient"),
             pytest.param(np.zeros((3, 3)), 0.5, id="zero"),
             pytest.param(np.array([[0.998]]), 1.0, id="one-by-one"),
+            *[
+                pytest.param(head_of_length(steps), 1.0, id=f"stop-at-{steps}")
+                for steps in (1, 63, 64, 65, 129)
+            ],
+            pytest.param(head_of_length(81, n=40), 1.0, id="n40-stop-at-81"),
+            pytest.param(slow_loop(0.99, n=40), 1.0, id="n40-slow"),
         ],
     )
     def test_blocked_head_matches_one_step_loop(self, F, rate):
-        """Forming the head's powers in blocks keeps every bit of P."""
+        """Forming the head's powers in blocks keeps every bit of P, with
+        heads that stop on either side of a block's edge, and at n = 40,
+        where the element budget cuts a block to 40 powers."""
         assert lmi._stein_solution(F, rate).tobytes() == stein_one_step(F, rate).tobytes()
 
     @pytest.mark.parametrize("n, N", [(4, 5), (8, 9), (12, 30)])

@@ -23,6 +23,7 @@ from ddstab.noise import (
     _draw_factors,
 )
 from ddstab import noise as noise_mod
+from ddstab import operators
 from ddstab.operators import (
     NoFactorization,
     douglas_minimal_constant,
@@ -99,6 +100,13 @@ def full_power_check(F, M, gamma_tilde, horizon=100):
         F, P = F[keep], P[keep]
     worst = worst if np.isfinite(worst) else 0.0
     return worst_radius, violations + len(steps), worst, steps, worst_step
+
+
+def violating_loops(n):
+    """100 Gaussian n x n loops with spectral radii drawn from [0.5, 1.05]."""
+    rng = np.random.default_rng(n)
+    G = rng.standard_normal((100, n, n))
+    return G * (rng.uniform(0.5, 1.05, 100) / spectral_radius(G))[:, None, None]
 
 
 def random_loops(count, radii, seed):
@@ -580,7 +588,7 @@ class TestVerifyRobustGain:
             P, bound = np.eye(4), M + 1e-6
             for _ in range(100):
                 P, bound = loop @ P, bound * gamma_tilde
-                if np.sqrt(np.sum(P * P)) * (1.0 + noise_mod._NORM_BOUND_SLACK) > bound:
+                if np.sqrt(np.sum(P * P)) * (1.0 + operators._LOG_SLACK) > bound:
                     expected += 1
                     if operator_norm(P) > bound:
                         break
@@ -595,18 +603,26 @@ class TestVerifyRobustGain:
         assert violations > 150
         assert sum(sizes[: sizes.index(None)] if None in sizes else sizes) == expected
 
-    @pytest.mark.parametrize("n, steps", [(20, 1), (12, 2), (6, 9)])
+    @pytest.mark.parametrize("n, steps", [(20, 2), (12, 2), (6, 9)])
     def test_chunks_of_one_two_and_more_steps(self, n, steps):
         """100 loops of n x n, some violating, whose chunks hold ``steps``
-        powers: the two-pass check gives the full check's triple, bit for
-        bit, whichever rows of its buffer the chunks take."""
-        assert max(noise_mod._BLOCK_ELEMENTS // 2 // (100 * n * n), 1) == steps
-        rng = np.random.default_rng(n)
-        G = rng.standard_normal((100, n, n))
-        F = G * (rng.uniform(0.5, 1.05, 100) / spectral_radius(G))[:, None, None]
+        powers, two where the element budget alone would allow one: the
+        two-pass check gives the full check's triple, bit for bit."""
+        assert max(noise_mod._BLOCK_ELEMENTS // 2 // (100 * n * n), 2) == steps
+        F = violating_loops(n)
         expected = full_power_check(F, 3.0, 0.95, 30)[:3]
         assert expected[1] > 0
         assert _check_closed_loops(F, 3.0, 0.95, 30) == expected
+
+    @pytest.mark.parametrize("horizon", [31, 1])
+    def test_last_chunk_of_one_step(self, horizon):
+        """An odd horizon over chunks of two steps ends in a chunk of one,
+        whose base is the last row of the chunk before; horizon 1 is that
+        one chunk alone.  Both give the full check's triple, bit for bit."""
+        F = violating_loops(20)
+        expected = full_power_check(F, 3.0, 0.95, horizon)[:3]
+        assert expected[1] > 0
+        assert _check_closed_loops(F, 3.0, 0.95, horizon) == expected
 
     def test_reference_chain_takes_few_svds(self, projected_cascade, monkeypatch):
         """On the reference chain at c = 0.003 (200 trials) the power check
