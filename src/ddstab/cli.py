@@ -15,7 +15,7 @@ import numpy as np
 
 from . import finitedata, informativity, noise as noise_mod
 from .errors import DdstabError
-from .operators import PowerStabilityCertificate, spectral_radius
+from .operators import DEFAULT_TOL, PowerStabilityCertificate, spectral_radius
 from .systems import (
     DataBatch,
     LinearSystem,
@@ -205,8 +205,8 @@ def cmd_verify(args):
             keys[0]: A.tolist(), keys[1]: B.tolist(), "radius": fam.worst_radius
         }
     print(
-        f"{where}: worst radius {fam.worst_radius:.6f} "
-        f"over {fam.trials} samples, {fam.failures} failures"
+        f"{where}: decided radius {fam.worst_radius:.6f} (one system, nothing drawn), "
+        f"counted for {fam.trials} trials, {fam.failures} failures"
     )
     _write_report(report, args.out)
     return 0 if fam.failures == 0 else 1
@@ -291,7 +291,7 @@ def build_parser():
     ana.add_argument("--in", dest="input", required=True)
     ana.add_argument("--mode", required=True, choices=["identify", "stabilize", "finite-plus"])
     ana.add_argument("--gamma", type=float, default=0.9)
-    ana.add_argument("--tol", type=float, default=1e-9)
+    ana.add_argument("--tol", type=float, default=DEFAULT_TOL)
     ana.add_argument("--seed", type=int, default=0, help="unused: the synthesis is deterministic")
     ana.add_argument("--out", default=None, help="write a JSON report here")
     _decomposition_args(ana)
@@ -321,7 +321,7 @@ def build_parser():
     noi.add_argument("--c1", type=float, required=True)
     noi.add_argument("--c0", type=float, required=True)
     noi.add_argument("--trials", type=int, default=20)
-    noi.add_argument("--tol", type=float, default=1e-9)
+    noi.add_argument("--tol", type=float, default=DEFAULT_TOL)
     noi.add_argument("--seed", type=int, default=0)
     noi.add_argument("--project", action="store_true", help="analyze on X+ via the modal split")
     noi.add_argument("--out", default=None)

@@ -58,12 +58,9 @@ def mode_cutoff(a0, b0, tau, gamma_minus):
         raise InvalidParams(f"no finite cutoff for a0={a0}, b0={b0}, tau={tau}")
     if rhs <= 0.0:
         return 0
-    n0 = max(0, math.isqrt(math.ceil(rhs)))
-    while n0**2 < rhs:
-        n0 += 1
-    while n0 >= 1 and (n0 - 1) ** 2 >= rhs:
-        n0 -= 1
-    return n0
+    # (n0 - 1)^2 < n0^2 <= ceil(rhs) < (n0 + 1)^2, so n0 is at most one short
+    n0 = math.isqrt(math.ceil(rhs))
+    return n0 + 1 if n0 * n0 < rhs else n0
 
 
 def modal_decomposition(n, head_dim, n0, gamma_minus) -> Decomposition:

@@ -133,7 +133,7 @@ def frame_bounds(S, tol=DEFAULT_TOL):
         raise EmptyData("frame bounds need at least one row")
     rank = _rank_count(s, tol)
     upper = float(s[0] ** 2) if s.size else 0.0
-    lower = float(s[dim - 1] ** 2) if (rank == dim and s.size >= dim) else 0.0
+    lower = float(s[dim - 1] ** 2) if rank == dim else 0.0
     return FrameBounds(upper=upper, lower=lower, rank=rank, tol=tol)
 
 
@@ -282,8 +282,8 @@ def _log_norm(norm, exponent):
 
 def _power_block(F, P, steps):
     """The next ``steps`` powers F^j P of each loop of the stack F (L, n, n)
-    from its base P (L, n, n), or from I when P is None, each the product
-    of F with the power before: one matmul per step for the whole stack.
+    from its base P (L, n, n), each the product of F with the power before:
+    one matmul per step for the whole stack.
 
     Returns the block Q (L, steps, n, n), the exponents e (L, steps) with
     F^j P = Q_j 2^e_j (zero unless rescaled, see below), and the Frobenius
@@ -296,18 +296,15 @@ def _power_block(F, P, steps):
     product F...F."""
     Q = np.empty((len(F), steps) + F.shape[1:])
     for j in range(steps):
-        if j == 0 and P is None:
-            Q[:, 0] = F
-        else:
-            np.matmul(F, Q[:, j - 1] if j else P, out=Q[:, j])
+        np.matmul(F, Q[:, j - 1] if j else P, out=Q[:, j])
     fro = _frobenius(Q)
     exponents = np.zeros(fro.shape, dtype=np.int64)
     wild = ~((fro == 0.0) | ((fro >= 1.0 / _RANGE) & (fro <= _RANGE))).all(axis=1)
     if wild.any():
         rows = np.flatnonzero(wild)
-        e, before = 0, None if P is None else P[rows]
+        e, before = 0, P[rows]
         for j in range(steps):
-            Qj = F[rows] if before is None else F[rows] @ before
+            Qj = F[rows] @ before
             shift = np.frexp(_frobenius(Qj))[1]
             Q[rows, j] = before = np.ldexp(Qj, -shift[:, None, None])
             e = e + shift
@@ -351,20 +348,21 @@ def _top(values, mask):
 
 class _Ranking:
     """Live loops of least_certificate that advance together, block by
-    block, with the state each carries between blocks: F^k = P 2^exponent
-    (P is None for I), the largest settled log ratio, and the pending
-    contender (its bracket, its power with its exponent, and log gamma^r at
-    its step).  Without ``check_radius`` the caller vouches for
+    block, up to the horizon ``k_max``, with the state each carries between
+    blocks: F^k = P 2^exponent, the largest settled log ratio, and the
+    pending contender (its bracket, its power with its exponent, and log
+    gamma^r at its step).  Without ``check_radius`` the caller vouches for
     rho <= gamma on every loop, and no spectral radius is taken."""
 
-    _ROWS = ("F", "index", "exponent", "running", "pending_lo", "pending_hi",
+    _ROWS = ("F", "index", "P", "exponent", "running", "pending_lo", "pending_hi",
              "pending_P", "pending_exponent", "pending_drift", "last_hi")
 
-    def __init__(self, F, gamma, check_radius):
+    def __init__(self, F, gamma, k_max, check_radius):
         self.F, self.index = F, np.arange(len(F))
         self.gamma, self.log_gamma, self.check_radius = gamma, np.log(gamma), check_radius
-        self.k, self.checkpoint = 0, _FIRST_CHECKPOINT
-        self.P, self.exponent = None, np.zeros(len(F), dtype=np.int64)
+        self.k, self.k_max, self.checkpoint = 0, k_max, _FIRST_CHECKPOINT
+        self.P = np.tile(np.eye(F.shape[-1]), (len(F), 1, 1))  # F^0; tiled, so BLAS multiplies
+        self.exponent = np.zeros(len(F), dtype=np.int64)
         self.running = np.zeros(len(F))  # r = 0 gives 0
         self.pending_lo, self.pending_hi = np.full(len(F), -np.inf), np.full(len(F), -np.inf)
         self.pending_P = np.zeros(F.shape)
@@ -376,8 +374,6 @@ class _Ranking:
         """Keep the loops ``rows`` (a mask or an index array) and drop the rest."""
         for name in self._ROWS:
             setattr(self, name, getattr(self, name)[rows])
-        if self.P is not None:
-            self.P = self.P[rows]
 
     def lower(self):
         """The lower end of each loop's M, in log scale."""
@@ -412,7 +408,7 @@ class _Ranking:
             - self.pending_drift[i]
         )
 
-    def advance(self, best, k_max):
+    def advance(self, best):
         """Power every loop through one block, admit its finishers against
         ``best``, the (log M, index, k0) of the least loop finished so far,
         and drop the loops that can no longer beat it; returns the new best."""
@@ -423,7 +419,7 @@ class _Ranking:
                 if not self.index.size:
                     return best
         F, k, n = self.F, self.k, max(self.F.shape[-1], 1)
-        steps = min(_BLOCK_STEPS, max(_BLOCK_ELEMENTS // (len(F) * n * n), 1), k_max - k)
+        steps = min(_BLOCK_STEPS, max(_BLOCK_ELEMENTS // (len(F) * n * n), 1), self.k_max - k)
         if self.check_radius:
             steps = min(steps, self.checkpoint - k)
         Q, exponents, fro = _power_block(F, self.P, steps)
@@ -531,18 +527,18 @@ class _Ranking:
         keep = ~fin & (lower <= best[0])
         if self.check_radius and k == self.checkpoint:
             self.checkpoint *= 4
-            if keep.any() and k < k_max:
+            if keep.any() and k < self.k_max:
                 keep[keep] = spectral_radius(F[keep]) < self.gamma
         # the next base, rescaled by a power of two to a norm in [1/2, 1)
         shift = np.frexp(fro[keep, -1])[1]
-        self.P, self.exponent, self.last_hi = None, exponents[:, -1], hi[:, -1]
+        self.P, self.exponent, self.last_hi = Q[:, -1], exponents[:, -1], hi[:, -1]
         self.take(keep)
-        self.P, self.exponent = np.ldexp(Q[keep, -1], -shift[:, None, None]), self.exponent + shift
+        self.P, self.exponent = np.ldexp(self.P, -shift[:, None, None]), self.exponent + shift
         return best
 
-    def live(self, k_max):
+    def live(self):
         """Whether any loop is left to power."""
-        return self.index.size > 0 and self.k < k_max
+        return self.index.size > 0 and self.k < self.k_max
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
@@ -560,16 +556,16 @@ def _least_certificate(F, gamma, k_max, check_radius):
     the finished loops with rho < gamma, and a loop leaves only when the
     lower end of its M exceeds an M already admitted."""
     best = (np.inf, len(F), None)  # (log M, index, k0) of the least loop finished
-    main, alone = _Ranking(F, gamma, check_radius), None
-    while main.live(k_max) or alone is not None:
-        if main.live(k_max):
-            best = main.advance(best, k_max)
+    main, alone = _Ranking(F, gamma, k_max, check_radius), None
+    while main.live() or alone is not None:
+        if main.live():
+            best = main.advance(best)
         if alone is None and check_radius and len(main.index) > 1 and main.k < _FIRST_CHECKPOINT:
             alone = main.probe(best)
         for _ in range(_PROBE_BLOCKS):
-            if alone is not None and alone.live(k_max):
-                best = alone.advance(best, k_max)
-        if alone is not None and not alone.live(k_max):
+            if alone is not None and alone.live():
+                best = alone.advance(best)
+        if alone is not None and not alone.live():
             alone = None
     log_m, i, k0 = best
     if k0 is None:

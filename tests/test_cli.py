@@ -585,6 +585,24 @@ class TestNoise:
         )
         assert code == 1
 
+    def test_unstabilizable_without_input_not_applicable_at_lmi(self, tmp_path, capsys):
+        """With m = 0 and an unstable A no gain exists: the synthesis PBH
+        verdict is reported as stage "lmi", with no verification."""
+        data, report = tmp_path / "m0.json", tmp_path / "noise.json"
+        assert run("generate", "--scenario", "random-lti", "--n", "3", "--m", "0",
+                   "--radius", "1.5", "--out", str(data)) == 0
+        code = run(
+            "noise", "--in", str(data), "--gamma", "0.9", "--c1", "0.001", "--c0", "0.001",
+            "--out", str(report),
+        )
+        assert code == 1
+        payload = json.loads(report.read_text())
+        assert payload["applicable"] is False
+        assert payload["stage"] == "lmi"
+        assert payload["detail"] == "pbh, margin -3.077e-01"
+        assert "verification" not in payload
+        assert "not applicable: stage lmi" in capsys.readouterr().out
+
     def test_unprojected_draws_checked(self, tmp_path, capsys):
         """Unprojected data with N > n + m: every trial's loop is checked and
         the check passes."""

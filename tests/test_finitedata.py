@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ddstab.errors import CutoffExceedsTruncation, DimensionMismatch, InvalidParams
 from ddstab.finitedata import (
@@ -65,6 +67,38 @@ class TestModeCutoff:
             assert n0**2 >= rhs
             if n0 > 0:
                 assert (n0 - 1) ** 2 < rhs
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        k=st.integers(0, 3000),
+        ulps=st.sampled_from([-1, 0, 1]),
+        b0=st.floats(-2.0, 2.0),
+        tau=st.floats(0.01, 1.0),
+        gamma_minus=st.floats(0.05, 0.99),
+    )
+    def test_matches_brute_force_near_squares(self, k, ulps, b0, tau, gamma_minus):
+        """mode_cutoff is min{n >= 0 : n^2 >= rhs}, also where rhs is an exact
+        square or 1 ulp from one: a0 is solved for rhs = k^2 (moved by
+        ``ulps``) and nudged by ulps of its own until the rhs the function
+        forms hits that target, where it can."""
+        log_rate = math.log(1.0 / gamma_minus) + b0 * tau
+        target = math.nextafter(float(k * k), ulps * math.inf) if ulps else float(k * k)
+        assume(log_rate > 0.0 and math.pi**2 * tau * target > 0.0)
+
+        def rhs_of(a0):
+            return log_rate / (a0 * math.pi**2 * tau)
+
+        a0 = log_rate / (math.pi**2 * tau * target)
+        assume(a0 < math.inf)
+        for _ in range(8):
+            rhs = rhs_of(a0)
+            if rhs == target:
+                break
+            a0 = math.nextafter(a0, math.inf if rhs > target else 0.0)
+        rhs, n = rhs_of(a0), 0
+        while n * n < rhs:
+            n += 1
+        assert mode_cutoff(a0, b0, tau, gamma_minus) == n
 
     def test_param_guards(self):
         with pytest.raises(InvalidParams):

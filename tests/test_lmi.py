@@ -133,6 +133,10 @@ class TestSolveFeasibility:
         with pytest.raises(InvalidParams):
             LmiProblem(Xi0=bad, Xi1=np.eye(2), gamma=0.9)
 
+    def test_unequal_shapes_rejected(self):
+        with pytest.raises(DimensionMismatch, match="must be equal-shape"):
+            LmiProblem(Xi0=np.eye(2), Xi1=np.ones((2, 3)), gamma=0.9)
+
     @pytest.mark.parametrize("field", ["tol", "feas_margin", "sym_tol"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0])
     def test_thresholds_must_be_finite_and_positive(self, field, value):

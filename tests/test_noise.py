@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ddstab.errors import IndexOutOfRange, InvalidParams
+from ddstab.errors import DimensionMismatch, IndexOutOfRange, InvalidParams
 from ddstab.finitedata import cascade_decomposition, project_data
 from ddstab.informativity import sample_compatible_systems, stabilization_informative
 from ddstab.noise import (
@@ -719,6 +719,12 @@ class TestVerifyRobustGain:
             verify_robust_gain(
                 wide_batch, res.M, res.gamma_tilde, 0.002, 0.002, res.Omega, trials=-1
             )
+
+    def test_omega_shape_rejected(self, wide_batch):
+        """Omega is N x n; its transpose is not accepted."""
+        res = robust_stabilization(wide_batch, 0.9, 0.002, 0.002)
+        with pytest.raises(DimensionMismatch, match="Omega must be N x n"):
+            verify_robust_gain(wide_batch, res.M, res.gamma_tilde, 0.002, 0.002, res.Omega.T)
 
     @pytest.mark.parametrize(
         "M_of, c0, message",
