@@ -3,7 +3,7 @@
 All artifacts are JSON (schema_version 1, matrices as row-major arrays of
 arrays) so runs diff cleanly and reports round-trip.  Exit codes: 0 for
 success / informative, 1 for a completed analysis with a negative verdict,
-2 for input errors.
+2 for input errors, an --out that cannot be written among them.
 """
 
 import argparse
@@ -73,7 +73,7 @@ def _project_plus(args, batch):
     """The X+ step of every command on X+: mode cutoff, split, the rates'
     contract, and the projected batch with the report's decomposition block."""
     n0 = finitedata.mode_cutoff(args.a0, args.b0, args.tau, args.gamma_minus)
-    dec = finitedata.modal_decomposition(batch.n, args.head_dim, n0, args.gamma_minus)
+    dec = finitedata.modal_decomposition(batch.n, args.head_dim, n0)
     finitedata._check_rates(args.gamma, args.gamma_minus)
     return finitedata.project_data(batch, dec), {"n0": n0, "n_plus": dec.n_plus}
 
@@ -340,7 +340,7 @@ def main(argv=None):
             print(exc.code, file=sys.stderr)
             return 2
         raise
-    except DdstabError as exc:
+    except (DdstabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -27,17 +27,14 @@ from .systems import DataBatch, HeatCascadeParams
 @dataclass(frozen=True)
 class Decomposition:
     """X+ as the first n_plus of the n state coordinates (at least one),
-    X- as the rest, with the declared decay bound gamma_minus of the tail."""
+    X- as the rest; the tail's decay bound is an input of finite_informative."""
 
     n: int
     n_plus: int
-    gamma_minus: float
 
     def __post_init__(self):
         if not (1 <= self.n_plus <= self.n):
             raise CutoffExceedsTruncation(f"n_plus = {self.n_plus} outside 1..{self.n}")
-        if not (0.0 < self.gamma_minus < 1.0):
-            raise InvalidParams("gamma_minus must lie in (0, 1)")
 
 
 def mode_cutoff(a0, b0, tau, gamma_minus):
@@ -63,11 +60,11 @@ def mode_cutoff(a0, b0, tau, gamma_minus):
     return n0 + 1 if n0 * n0 < rhs else n0
 
 
-def modal_decomposition(n, head_dim, n0, gamma_minus) -> Decomposition:
-    """Coordinate split keeping [head block; first n0 modes] as X+."""
+def modal_decomposition(n, head_dim, n0) -> Decomposition:
+    """Split of n coordinates keeping [head block; first n0 modes] as X+."""
     if head_dim < 0:
         raise InvalidParams(f"head_dim = {head_dim} must be >= 0")
-    return Decomposition(n, head_dim + n0, gamma_minus)
+    return Decomposition(n, head_dim + n0)
 
 
 def cascade_decomposition(p: HeatCascadeParams, gamma_minus, a0, b0) -> Decomposition:
@@ -89,7 +86,7 @@ def cascade_decomposition(p: HeatCascadeParams, gamma_minus, a0, b0) -> Decompos
             "the declared bounds do not cover the instance"
         )
     n = p.m_v + p.n_modes
-    return modal_decomposition(n, p.m_v, n0, gamma_minus)
+    return modal_decomposition(n, p.m_v, n0)
 
 
 def project_data(batch: DataBatch, dec: Decomposition) -> DataBatch:
@@ -136,13 +133,11 @@ class CompatibleFamilyReport:
     """The one system that stands for the compatible family in
     verify_on_compatible_plus: ``worst_sample`` is its (A+, B+) pair (None
     when no trials ran) and ``worst_radius`` its loop radius (0.0 then);
-    ``failures`` is ``trials`` when that radius exceeds ``radius_bound``,
-    else 0.
+    ``failures`` is ``trials`` when that radius exceeds gamma + 1e-6, else 0.
     """
 
     trials: int
     worst_radius: float
-    radius_bound: float
     failures: int
     worst_sample: tuple | None
 
@@ -182,12 +177,11 @@ def verify_on_compatible_plus(
         t = (npl * (gamma + 1.0) - np.trace(AB @ L)) / s[0]
         AB = AB + t * np.outer(Xt[0], y)
     radius = spectral_radius(AB[:, :npl] + AB[:, npl:] @ K_plus)
-    bound, trials = gamma + 1e-6, int(trials)
+    trials = int(trials)
     return CompatibleFamilyReport(
         trials=trials,
         worst_radius=radius if trials else 0.0,
-        radius_bound=bound,
-        failures=trials if radius > bound else 0,
+        failures=trials if radius > gamma + 1e-6 else 0,
         worst_sample=(AB[:, :npl], AB[:, npl:]) if trials else None,
     )
 

@@ -167,10 +167,8 @@ def evaluate_block(Xi0, Xi1, gamma, Lambda):
 
 def _unreachable_modes(A, B, modes, tol):
     """The eigenvalues among ``modes`` at which [A - lambda I, B] loses row
-    rank at ``tol`` (the PBH test)."""
+    rank at ``tol`` (the PBH test); no modes give an empty result."""
     n = A.shape[0]
-    if modes.size == 0:
-        return modes
     pencil = np.concatenate(
         [A - modes[:, None, None] * np.eye(n), np.broadcast_to(B, (modes.size,) + B.shape)], axis=2
     )

@@ -412,12 +412,11 @@ class _Ranking:
         """Power every loop through one block, admit its finishers against
         ``best``, the (log M, index, k0) of the least loop finished so far,
         and drop the loops that can no longer beat it; returns the new best."""
-        if best[2] is not None:
-            keep = self.lower() <= best[0]
-            if not keep.all():
-                self.take(keep)
-                if not self.index.size:
-                    return best
+        keep = self.lower() <= best[0]
+        if not keep.all():
+            self.take(keep)
+            if not self.index.size:
+                return best
         F, k, n = self.F, self.k, max(self.F.shape[-1], 1)
         steps = min(_BLOCK_STEPS, max(_BLOCK_ELEMENTS // (len(F) * n * n), 1), self.k_max - k)
         if self.check_radius:
@@ -560,7 +559,7 @@ def _least_certificate(F, gamma, k_max, check_radius):
     while main.live() or alone is not None:
         if main.live():
             best = main.advance(best)
-        if alone is None and check_radius and len(main.index) > 1 and main.k < _FIRST_CHECKPOINT:
+        if alone is None and len(main.index) > 1 and main.k < _FIRST_CHECKPOINT:
             alone = main.probe(best)
         for _ in range(_PROBE_BLOCKS):
             if alone is not None and alone.live():

@@ -478,12 +478,14 @@ class TestVerify:
         assert code == 0
         assert "vacuous" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("option", ["--gamma", "--scale", "--a0", "--b0", "--tau"])
+    @pytest.mark.parametrize(
+        "option", ["--gamma", "--scale", "--a0", "--b0", "--tau", "--gamma-minus"]
+    )
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_gamma_or_scale_exit_2(self, cascade_file, tmp_path, option, value):
         """``radius > nan`` is never true, so a NaN gamma would pass every
         gain; scale, checked though nothing is drawn, must be finite; a
-        non-finite parameter bound has no mode cutoff."""
+        non-finite parameter bound or tail rate has no mode cutoff."""
         gain, report = tmp_path / "gain.json", tmp_path / "verify.json"
         write_gain(gain, REFERENCE_CASCADE_GAIN_PLUS)
         assert run(
@@ -736,6 +738,27 @@ class TestPlusContract:
         ) == 2
         assert "gain must be m x n = (1, 4), got (2, 4)" in capsys.readouterr().err
         assert not report.exists()
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("command", ["generate", "analyze", "verify", "noise"])
+    def test_missing_directory_exit_2(self, cascade_file, tmp_path, capsys, command):
+        """An output that cannot be written is an input error (exit 2 with a
+        message), not a traceback with the exit code of a negative verdict."""
+        gain, out = tmp_path / "gain.json", tmp_path / "missing" / "out.json"
+        write_gain(gain, REFERENCE_CASCADE_GAIN_PLUS)
+        argv = {
+            "generate": ["--scenario", "heat-cascade"],
+            "analyze": ["--in", str(cascade_file), "--mode", "finite-plus"],
+            "verify": ["--in", str(cascade_file), "--gain", str(gain), "--mode", "plus"],
+            "noise": [
+                "--in", str(cascade_file), "--gamma", "0.9", "--c1", "0.001", "--c0", "0.001",
+                "--project", "--trials", "5",
+            ],
+        }[command]
+        assert run(command, *argv, "--out", str(out)) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.parent.exists()
 
 
 class TestNegativeSeed:

@@ -135,7 +135,7 @@ class TestCascadeDecomposition:
     def test_projection_idempotent_exact(self, reference_setup):
         _, batch, _, dec = reference_setup
         plus = project_data(batch, dec)
-        again = project_data(plus, Decomposition(dec.n_plus, dec.n_plus, dec.gamma_minus))
+        again = project_data(plus, Decomposition(dec.n_plus, dec.n_plus))
         for name in ("x1", "x0", "u0"):
             assert np.array_equal(getattr(again, name), getattr(plus, name))
 
@@ -167,7 +167,7 @@ class TestCascadeDecomposition:
     @pytest.mark.parametrize("n_plus", [-1, 0, 4])
     def test_n_plus_out_of_range(self, n_plus):
         with pytest.raises(CutoffExceedsTruncation):
-            Decomposition(3, n_plus, 0.5)
+            Decomposition(3, n_plus)
 
     def test_bounds_not_covering_instance(self):
         params = default_cascade_params(n_modes=10)
@@ -184,7 +184,7 @@ class TestProjectData:
             x0=rng.standard_normal((4, 3)),
             u0=rng.standard_normal((4, 1)),
         )
-        pd = project_data(batch, Decomposition(3, 3, 0.5))
+        pd = project_data(batch, Decomposition(3, 3))
         assert np.array_equal(pd.Xi1, batch.Xi1)
         assert np.array_equal(pd.Ups0, batch.Ups0)
 
@@ -205,7 +205,7 @@ class TestProjectData:
     def test_dim_mismatch(self, reference_setup):
         _, batch, _, _ = reference_setup
         with pytest.raises(DimensionMismatch):
-            project_data(batch, Decomposition(3, 3, 0.5))
+            project_data(batch, Decomposition(3, 3))
 
 
 class TestFiniteInformative:
@@ -274,7 +274,7 @@ class TestFiniteInformative:
 class TestLiftGain:
     def test_identity_decomposition(self):
         K_plus = np.array([[1.0, -2.0, 0.5]])
-        assert np.array_equal(lift_gain(K_plus, Decomposition(3, 3, 0.5)), K_plus)
+        assert np.array_equal(lift_gain(K_plus, Decomposition(3, 3)), K_plus)
 
     def test_reference_gain_lifts_with_zero_tail(self, reference_setup):
         _, _, _, dec = reference_setup

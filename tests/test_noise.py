@@ -391,19 +391,33 @@ class TestRobustStabilization:
         else:
             assert res.stage == "margin"
 
+    @pytest.fixture()
+    def no_synthesis(self, monkeypatch):
+        """synthesize_gain replaced by a spy that fails the test if it runs."""
+
+        def spy(*args, **kwargs):
+            raise AssertionError("synthesis ran on invalid inputs")
+
+        monkeypatch.setattr(noise_mod, "synthesize_gain", spy)
+
     @pytest.mark.parametrize("c1, c0", [(float("nan"), 0.0), (0.0, float("inf")), (-float("inf"), 0.0)])
-    def test_non_finite_constants_rejected_before_synthesis(self, projected_cascade, c1, c0, monkeypatch):
+    def test_non_finite_constants_rejected_before_synthesis(self, projected_cascade, c1, c0, no_synthesis):
         """The rule and message of NoiseClassParams, checked before any
         synthesis runs."""
-
-        def no_synthesis(*args, **kwargs):
-            raise AssertionError("synthesis ran on invalid constants")
-
-        monkeypatch.setattr(noise_mod, "synthesize_gain", no_synthesis)
         with pytest.raises(InvalidParams, match="c1 and c0 must be finite"):
             robust_stabilization(projected_cascade, 0.9, c1, c0)
         with pytest.raises(InvalidParams, match="c1 and c0 must be finite"):
             NoiseClassParams(c1=c1, c0=c0, Omega=np.zeros((5, 4)))
+
+    @pytest.mark.parametrize("gamma", [0.0, 1.0, 1.5, float("nan")])
+    def test_gamma_outside_unit_interval_rejected_before_synthesis(
+        self, projected_cascade, gamma, no_synthesis
+    ):
+        """gamma is checked first, so with gamma and the constants both
+        invalid the message names gamma."""
+        for c1 in (0.0, float("nan")):
+            with pytest.raises(InvalidParams, match=r"gamma must lie in \(0, 1\)"):
+                robust_stabilization(projected_cascade, gamma, c1, 0.0)
 
     def test_mc0_guard(self, projected_cascade):
         res = robust_stabilization(projected_cascade, 0.9, 0.0, 10.0)
