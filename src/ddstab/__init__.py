@@ -24,7 +24,6 @@ from .finitedata import (
     cascade_decomposition,
     finite_informative,
     lift_gain,
-    modal_decomposition,
     mode_cutoff,
     project_data,
     verify_on_compatible_plus,

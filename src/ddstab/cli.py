@@ -3,24 +3,27 @@
 All artifacts are JSON (schema_version 1, matrices as row-major arrays of
 arrays) so runs diff cleanly and reports round-trip.  Exit codes: 0 for
 success / informative, 1 for a completed analysis with a negative verdict,
-2 for input errors, an --out that cannot be written among them.
+2 for input errors, each a DdstabError (an unwritable --out is found first).
 """
 
 import argparse
 import functools
 import json
+import os
 import sys
 
 import numpy as np
 
 from . import finitedata, informativity, noise as noise_mod
-from .errors import DdstabError
-from .operators import DEFAULT_TOL, PowerStabilityCertificate, spectral_radius
+from .errors import DdstabError, InvalidParams
+from .operators import DEFAULT_TOL, spectral_radius
 from .systems import (
     DataBatch,
     LinearSystem,
+    assemble_single_trajectory,
     counterexample_sequences,
     reference_cascade_scenario,
+    simulate,
 )
 
 SCHEMA_VERSION = 1
@@ -36,8 +39,8 @@ def _write_report(report, path):
 def _load_batch(path):
     try:
         return DataBatch.load(path)
-    except (OSError, json.JSONDecodeError, DdstabError, ValueError, TypeError) as exc:
-        raise SystemExit(f"error: cannot read data batch from {path}: {exc}") from exc
+    except (OSError, DdstabError, ValueError, TypeError) as exc:
+        raise InvalidParams(f"cannot read data batch from {path}: {exc}") from exc
 
 
 def _load_gain(path):
@@ -51,12 +54,8 @@ def _load_gain(path):
         if len(keys) != 1:
             raise KeyError("exactly one of 'K' and 'K_plus' is needed")
         return np.atleast_2d(np.asarray(payload[keys[0]], dtype=float))
-    except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
-        raise SystemExit(f"error: cannot read gain from {path}: {exc}") from exc
-
-
-def _certificate_dict(cert: PowerStabilityCertificate):
-    return {"M": cert.M, "gamma": cert.gamma, "horizon_checked": cert.horizon_checked}
+    except (OSError, KeyError, ValueError, TypeError) as exc:
+        raise InvalidParams(f"cannot read gain from {path}: {exc}") from exc
 
 
 def _decomposition_args(parser):
@@ -73,14 +72,17 @@ def _project_plus(args, batch):
     """The X+ step of every command on X+: mode cutoff, split, the rates'
     contract, and the projected batch with the report's decomposition block."""
     n0 = finitedata.mode_cutoff(args.a0, args.b0, args.tau, args.gamma_minus)
-    dec = finitedata.modal_decomposition(batch.n, args.head_dim, n0)
+    if args.head_dim < 0:
+        raise InvalidParams(f"head_dim = {args.head_dim} must be >= 0")
+    dec = finitedata.Decomposition(batch.n, args.head_dim + n0)
     finitedata._check_rates(args.gamma, args.gamma_minus)
     return finitedata.project_data(batch, dec), {"n0": n0, "n_plus": dec.n_plus}
 
 
 def cmd_generate(args):
     if args.scenario == "heat-cascade":
-        _, batch, _ = reference_cascade_scenario(n_modes=args.n_modes, n_samples=args.samples)
+        samples = 5 if args.samples is None else args.samples
+        _, batch, _ = reference_cascade_scenario(n_modes=args.n_modes, n_samples=samples)
     elif args.scenario == "counterexample":
         batch = counterexample_sequences(args.n)
     else:
@@ -91,14 +93,12 @@ def cmd_generate(args):
 
 
 def _random_lti_batch(args):
-    from .systems import assemble_single_trajectory, simulate
-
     if args.n < 1 or args.m < 0:
-        raise SystemExit(f"error: need --n >= 1 and --m >= 0, got n={args.n}, m={args.m}")
+        raise InvalidParams(f"need --n >= 1 and --m >= 0, got n={args.n}, m={args.m}")
     if not (0.0 < args.radius < np.inf):
-        raise SystemExit(f"error: --radius must be finite and positive, got {args.radius}")
+        raise InvalidParams(f"--radius must be finite and positive, got {args.radius}")
     if args.seed < 0:
-        raise SystemExit(f"error: --seed must be >= 0, got {args.seed}")
+        raise InvalidParams(f"--seed must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     A = rng.standard_normal((args.n, args.n))
     rho = spectral_radius(A)
@@ -164,10 +164,11 @@ def _fill_gain_report(report, result, gamma, gain_key="K"):
     report[gain_key] = result.K.tolist()
     report["lmi_margin"] = result.lmi_margin
     report["achieved_radius"] = result.achieved_radius
-    report["certificate"] = _certificate_dict(result.certificate)
+    cert = result.certificate
+    report["certificate"] = {"M": cert.M, "gamma": cert.gamma, "horizon_checked": cert.horizon_checked}
     print(
         f"informative at gamma={gamma}: closed-loop radius {result.achieved_radius:.6f}, "
-        f"certificate M={result.certificate.M:.4f}"
+        f"certificate M={cert.M:.4f}"
     )
     return 0
 
@@ -182,7 +183,6 @@ def cmd_verify(args):
         "gamma": args.gamma,
         "trials": args.trials,
         "seed": args.seed,
-        "scale": args.scale,
     }
     if args.trials == 0:
         print("warning: trials = 0, verification passes vacuously")
@@ -193,9 +193,9 @@ def cmd_verify(args):
     if batch.m == 0 and K.size == 0:
         K = K.reshape(0, batch.n)  # an m = 0 gain is written as [], read as (1, 0)
     if K.shape != (batch.m, batch.n):
-        raise SystemExit(f"error: gain must be m x n = {(batch.m, batch.n)}, got {K.shape}")
+        raise InvalidParams(f"gain must be m x n = {(batch.m, batch.n)}, got {K.shape}")
     fam = finitedata.verify_on_compatible_plus(
-        batch, K, args.gamma, trials=args.trials, seed=args.seed, scale=args.scale
+        batch, K, args.gamma, trials=args.trials, seed=args.seed
     )
     report["worst_radius"] = fam.worst_radius
     report["failures"] = fam.failures
@@ -308,9 +308,6 @@ def build_parser():
         "--trials", type=int, default=200,
         help="failures reported when the decided radius exceeds gamma; 0 passes vacuously",
     )
-    ver.add_argument(
-        "--scale", type=float, default=1.0, help="checked finite and positive; nothing is drawn"
-    )
     ver.add_argument("--seed", type=int, default=0, help="checked >= 0; nothing is drawn")
     ver.add_argument("--out", default=None)
     _decomposition_args(ver)
@@ -331,15 +328,11 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if args.command == "generate" and args.scenario == "heat-cascade" and args.samples is None:
-        args.samples = 5
     try:
+        out = args.out and os.path.abspath(args.out)
+        if out and (os.path.isdir(out) or not os.access(os.path.dirname(out) + "/", os.W_OK)):
+            raise InvalidParams(f"cannot write {args.out}")
         return globals()[f"cmd_{args.command}"](args)
-    except SystemExit as exc:
-        if isinstance(exc.code, str):
-            print(exc.code, file=sys.stderr)
-            return 2
-        raise
     except (DdstabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

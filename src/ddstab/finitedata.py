@@ -26,8 +26,8 @@ from .systems import DataBatch, HeatCascadeParams
 
 @dataclass(frozen=True)
 class Decomposition:
-    """X+ as the first n_plus of the n state coordinates (at least one),
-    X- as the rest; the tail's decay bound is an input of finite_informative."""
+    """X+ as the first n_plus >= 1 of the n state coordinates, X- as the rest;
+    a modal split keeps [head; first n0 modes].  finite_informative takes the tail bound."""
 
     n: int
     n_plus: int
@@ -60,15 +60,8 @@ def mode_cutoff(a0, b0, tau, gamma_minus):
     return n0 + 1 if n0 * n0 < rhs else n0
 
 
-def modal_decomposition(n, head_dim, n0) -> Decomposition:
-    """Split of n coordinates keeping [head block; first n0 modes] as X+."""
-    if head_dim < 0:
-        raise InvalidParams(f"head_dim = {head_dim} must be >= 0")
-    return Decomposition(n, head_dim + n0)
-
-
 def cascade_decomposition(p: HeatCascadeParams, gamma_minus, a0, b0) -> Decomposition:
-    """Decomposition of the cascade state from parameter bounds.
+    """X+ of the cascade from parameter bounds: m_v ODE states, n0 heat modes.
 
     Validates the cutoff against the truncation and checks that the true
     tail satisfies the declared decay, exp(lambda_{n0} tau) <= gamma_minus,
@@ -85,8 +78,7 @@ def cascade_decomposition(p: HeatCascadeParams, gamma_minus, a0, b0) -> Decompos
             f"true tail decay {tail_radius:.6g} exceeds gamma_minus = {gamma_minus}; "
             "the declared bounds do not cover the instance"
         )
-    n = p.m_v + p.n_modes
-    return modal_decomposition(n, p.m_v, n0)
+    return Decomposition(p.m_v + p.n_modes, p.m_v + n0)
 
 
 def project_data(batch: DataBatch, dec: Decomposition) -> DataBatch:

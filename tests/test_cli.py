@@ -264,6 +264,23 @@ class TestAnalyze:
     def test_missing_file_exit_2(self, tmp_path):
         assert run("analyze", "--in", str(tmp_path / "nope.json"), "--mode", "identify") == 2
 
+    @pytest.mark.parametrize(
+        "fields",
+        [{"x0": [[float("nan"), 0.0]]}, {"u0": None}, {"x0": [[0.0, 0.0, 0.0]]}],
+        ids=["nan-entry", "no-u0", "widths-differ"],
+    )
+    def test_bad_batch_file_exit_2(self, tmp_path, capsys, fields):
+        """A batch file whose arrays are not a valid batch is an input
+        error: exit 2, one error line, nothing on stdout and no report."""
+        payload = {"x1": [[1.0, 0.0]], "x0": [[0.0, 1.0]], "u0": [[1.0]], **fields}
+        data, report = tmp_path / "bad.json", tmp_path / "report.json"
+        data.write_text(json.dumps({k: v for k, v in payload.items() if v is not None}))
+        assert run("analyze", "--in", str(data), "--mode", "identify", "--out", str(report)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot read data batch from {data}")
+        assert not report.exists()
+
     def test_report_round_trip_and_determinism(self, cascade_file, tmp_path):
         r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
         args = (
@@ -478,14 +495,11 @@ class TestVerify:
         assert code == 0
         assert "vacuous" in capsys.readouterr().out
 
-    @pytest.mark.parametrize(
-        "option", ["--gamma", "--scale", "--a0", "--b0", "--tau", "--gamma-minus"]
-    )
+    @pytest.mark.parametrize("option", ["--gamma", "--a0", "--b0", "--tau", "--gamma-minus"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_gamma_or_scale_exit_2(self, cascade_file, tmp_path, option, value):
         """``radius > nan`` is never true, so a NaN gamma would pass every
-        gain; scale, checked though nothing is drawn, must be finite; a
-        non-finite parameter bound or tail rate has no mode cutoff."""
+        gain; a non-finite parameter bound or tail rate has no mode cutoff."""
         gain, report = tmp_path / "gain.json", tmp_path / "verify.json"
         write_gain(gain, REFERENCE_CASCADE_GAIN_PLUS)
         assert run(
@@ -493,6 +507,17 @@ class TestVerify:
             "--trials", "5", option, value, "--out", str(report),
         ) == 2
         assert not report.exists()
+
+    def test_scale_is_not_an_option(self, cascade_file, tmp_path):
+        """verify draws nothing, so it takes no --scale: argparse rejects it."""
+        gain = tmp_path / "gain.json"
+        write_gain(gain, REFERENCE_CASCADE_GAIN_PLUS)
+        with pytest.raises(SystemExit) as exc:
+            run(
+                "verify", "--in", str(cascade_file), "--gain", str(gain), "--mode", "plus",
+                "--scale", "1",
+            )
+        assert exc.value.code == 2
 
     @BAD_SPLITS
     def test_bad_split_exit_2(self, cascade_file, tmp_path, split, n_plus):
@@ -659,9 +684,11 @@ class TestNoise:
     @pytest.mark.parametrize(
         "option, value",
         [("--tol", "nan"), ("--tol", "inf"), ("--c1", "nan"), ("--c0", "inf"), ("--a0", "nan"),
-         ("--b0", "nan"), ("--b0", "inf"), ("--tau", "nan"), ("--tau", "inf")],
+         ("--b0", "nan"), ("--b0", "inf"), ("--tau", "nan"), ("--tau", "inf"), ("--c1", "-0.001")],
     )
-    def test_non_finite_tol_or_constant_exit_2(self, cascade_file, tmp_path, option, value):
+    def test_non_finite_tol_or_constant_exit_2(self, cascade_file, tmp_path, capsys, option, value):
+        """A non-finite tol, bound or noise constant, or a negative constant,
+        is an input error: exit 2, an error line and no report."""
         args = {"--tol": "1e-9", "--c1": "0.003", "--c0": "0.003", option: value}
         report = tmp_path / "noise.json"
         code = run(
@@ -669,6 +696,7 @@ class TestNoise:
             "--trials", "5", "--out", str(report), *(x for kv in args.items() for x in kv),
         )
         assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
         assert not report.exists()
 
     def test_zero_trials_vacuous_pass(self, cascade_file, capsys):
@@ -744,7 +772,7 @@ class TestUnwritableOutput:
     @pytest.mark.parametrize("command", ["generate", "analyze", "verify", "noise"])
     def test_missing_directory_exit_2(self, cascade_file, tmp_path, capsys, command):
         """An output that cannot be written is an input error (exit 2 with a
-        message), not a traceback with the exit code of a negative verdict."""
+        message), found before any work: nothing is printed on stdout."""
         gain, out = tmp_path / "gain.json", tmp_path / "missing" / "out.json"
         write_gain(gain, REFERENCE_CASCADE_GAIN_PLUS)
         argv = {
@@ -757,8 +785,23 @@ class TestUnwritableOutput:
             ],
         }[command]
         assert run(command, *argv, "--out", str(out)) == 2
-        assert "error:" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
         assert not out.parent.exists()
+
+    @pytest.mark.parametrize("where", ["directory", "under-a-file"])
+    def test_directory_or_under_a_file_exit_2(self, cascade_file, tmp_path, capsys, where):
+        """An --out that is a directory, or whose parent is a file, is
+        found before any work too (the parent "exists", but not as a
+        directory)."""
+        out = tmp_path if where == "directory" else cascade_file / "out.json"
+        assert run(
+            "analyze", "--in", str(cascade_file), "--mode", "finite-plus", "--out", str(out)
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write {out}\n"
 
 
 class TestNegativeSeed:

@@ -288,6 +288,10 @@ class TestLiftGain:
         _, _, _, dec = reference_setup
         assert not lift_gain(np.zeros((1, 4)), dec).any()
 
+    def test_wrong_column_count_rejected(self):
+        with pytest.raises(DimensionMismatch, match="K_plus has 2 columns, expected 3"):
+            lift_gain(np.ones((1, 2)), Decomposition(5, 3))
+
 
 @pytest.fixture(scope="module")
 def underdetermined_cases():

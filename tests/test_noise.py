@@ -282,6 +282,14 @@ class TestNoiseClass:
         assert noise_in_class(noise, batch, NoiseClassParams(c1=1.0, c0=0.0, Omega=Om))
         assert not noise_in_class(noise, batch, NoiseClassParams(c1=0.999, c0=0.0, Omega=Om))
 
+    def test_shape_mismatch_rejected(self, wide_batch):
+        params = NoiseClassParams(c1=1.0, c0=1.0, Omega=np.zeros((wide_batch.N, wide_batch.n)))
+        short = DataBatch(x1=wide_batch.x1[:-1], x0=wide_batch.x0[:-1], u0=wide_batch.u0[:-1])
+        with pytest.raises(DimensionMismatch, match="share dimensions"):
+            noise_in_class(zero_noise_like(short), wide_batch, params)
+        with pytest.raises(DimensionMismatch, match="Omega must be N x n"):
+            noise_in_class(zero_noise_like(short), short, params)
+
     def test_minimal_constants_zero(self, projected_cascade):
         out = minimal_constants(
             zero_noise_like(projected_cascade),
@@ -778,3 +786,5 @@ class TestRangeBreakingNoise:
         batch = counterexample_sequences(3)
         with pytest.raises(IndexOutOfRange):
             range_breaking_noise(batch.Xi0, 4)
+        with pytest.raises(DimensionMismatch):
+            range_breaking_noise(batch.Xi0[0], 1)

@@ -316,6 +316,10 @@ class TestDouglas:
             M = c**2 * (B @ B.T) - A @ A.T
             assert np.linalg.eigvalsh(0.5 * (M + M.T))[0] >= -1e-8 * max(1.0, c**2)
 
+    def test_row_mismatch_rejected(self):
+        with pytest.raises(DimensionMismatch, match="row dimensions differ"):
+            douglas_minimal_constant(np.ones((3, 2)), np.ones((2, 2)))
+
 
 class TestSpectralRadius:
     def test_diagonal(self):
@@ -329,6 +333,19 @@ class TestSpectralRadius:
         # companion matrix of z^2 - z - 1
         C = np.array([[1.0, 1.0], [1.0, 0.0]])
         assert spectral_radius(C) == pytest.approx((1.0 + np.sqrt(5.0)) / 2.0, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "F, error",
+        [(np.ones((2, 3)), DimensionMismatch), (np.diag([1.0, np.inf]), InvalidParams)],
+        ids=["not-square", "non-finite"],
+    )
+    def test_invalid_matrix(self, F, error):
+        with pytest.raises(error):
+            spectral_radius(F)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (2, 0, 0)])
+    def test_norm_of_empty_matrix_is_zero(self, shape):
+        assert not np.any(operator_norm(np.zeros(shape)))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=10_000))

@@ -64,6 +64,14 @@ class TestHeatCascadeDiscretize:
                 a=-1.0, b=0.0, tau=0.05,
             )
 
+    @pytest.mark.parametrize(
+        "A_v, C_v", [(np.ones((2, 3)), np.ones((1, 2))), (np.eye(2), np.ones((1, 3)))],
+        ids=["A_v-not-square", "C_v-wrong-width"],
+    )
+    def test_inconsistent_head_shapes(self, A_v, C_v):
+        with pytest.raises(InvalidParams):
+            HeatCascadeParams(A_v=A_v, B_v=np.ones((2, 1)), C_v=C_v, a=0.1, b=0.0, tau=0.05)
+
     @pytest.mark.parametrize("a,b,tau", [(0.2, -0.1, 0.05), (0.07, 0.4, 0.3), (1.5, 0.0, 0.02)])
     def test_coupling_integral_against_rk4(self, a, b, tau):
         # hold the boundary drive constant and integrate z' = lambda_n z + 1
@@ -90,6 +98,21 @@ class TestHeatCascadeDiscretize:
             assert coupling == pytest.approx(phi0[mode] * z, rel=1e-10)
 
 
+class TestLinearSystem:
+    @pytest.mark.parametrize(
+        "A, B, error",
+        [
+            (np.ones((2, 3)), np.ones((2, 1)), DimensionMismatch),
+            (np.eye(2), np.ones((3, 1)), DimensionMismatch),
+            (np.array([[np.nan, 0.0], [0.0, 1.0]]), np.ones((2, 1)), InvalidParams),
+        ],
+        ids=["A-not-square", "B-rows", "non-finite"],
+    )
+    def test_invalid_matrices(self, A, B, error):
+        with pytest.raises(error):
+            LinearSystem(A=A, B=B)
+
+
 class TestSimulate:
     def test_single_step(self):
         sys_ = LinearSystem(A=np.zeros((2, 2)), B=np.eye(2))
@@ -113,6 +136,8 @@ class TestSimulate:
         sys_ = LinearSystem(A=np.eye(2), B=np.zeros((2, 1)))
         with pytest.raises(DimensionMismatch):
             simulate(sys_, np.zeros(3), [])
+        with pytest.raises(DimensionMismatch, match="input 1 has dim 2"):
+            simulate(sys_, np.zeros(2), [np.zeros(1), np.zeros(2)])
 
     def test_modes_follow_scalar_recursions(self):
         # each modal coordinate is an independent scalar recursion driven by C_v v(k)
@@ -172,6 +197,10 @@ class TestAssembly:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             assemble_single_trajectory([np.zeros(2)] * 3, [np.zeros(1)] * 3)
+
+    def test_multi_needs_a_segment(self):
+        with pytest.raises(EmptyData):
+            assemble_multi_trajectory([])
 
     def test_multi_single_segment_identical(self):
         rng = np.random.default_rng(1)
@@ -262,6 +291,10 @@ class TestDataBatch:
             DataBatch(x1=np.zeros((3, 0)), x0=np.zeros((3, 0)), u0=np.ones((3, 1)))
         with pytest.raises(EmptyData):
             DataBatch.from_dict({"x1": [[], []], "x0": [[], []], "u0": [[1.0], [2.0]]})
+
+    def test_no_samples_rejected(self):
+        with pytest.raises(EmptyData):
+            DataBatch(x1=np.zeros((0, 2)), x0=np.zeros((0, 2)), u0=np.zeros((0, 1)))
 
     def test_sample_count_mismatch(self):
         with pytest.raises(LengthMismatch):
