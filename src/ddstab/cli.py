@@ -181,11 +181,7 @@ def cmd_verify(args):
         "command": "verify",
         "mode": args.mode,
         "gamma": args.gamma,
-        "trials": args.trials,
-        "seed": args.seed,
     }
-    if args.trials == 0:
-        print("warning: trials = 0, verification passes vacuously")
     keys, where = ("A", "B"), "compatible family"
     if args.mode == "plus":
         batch, report["decomposition"] = _project_plus(args, batch)
@@ -194,9 +190,7 @@ def cmd_verify(args):
         K = K.reshape(0, batch.n)  # an m = 0 gain is written as [], read as (1, 0)
     if K.shape != (batch.m, batch.n):
         raise InvalidParams(f"gain must be m x n = {(batch.m, batch.n)}, got {K.shape}")
-    fam = finitedata.verify_on_compatible_plus(
-        batch, K, args.gamma, trials=args.trials, seed=args.seed
-    )
+    fam = finitedata.verify_on_compatible_plus(batch, K, args.gamma, args.trials, args.seed)
     report["worst_radius"] = fam.worst_radius
     report["failures"] = fam.failures
     if fam.failures > 0:
@@ -206,7 +200,7 @@ def cmd_verify(args):
         }
     print(
         f"{where}: decided radius {fam.worst_radius:.6f} (one system, nothing drawn), "
-        f"counted for {fam.trials} trials, {fam.failures} failures"
+        f"{fam.failures} failures"
     )
     _write_report(report, args.out)
     return 0 if fam.failures == 0 else 1
@@ -214,7 +208,7 @@ def cmd_verify(args):
 
 def cmd_noise(args):
     batch = _load_batch(args.input)
-    noise_mod._check_sampling(args.trials, args.seed)
+    informativity._check_sampling(args.trials, args.seed)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "noise",
@@ -222,11 +216,11 @@ def cmd_noise(args):
         "c1": args.c1,
         "c0": args.c0,
     }
-    if args.trials == 0:
-        print("warning: trials = 0, verification passes vacuously")
     if args.project:
         batch, report["decomposition"] = _project_plus(args, batch)
     result = noise_mod.robust_stabilization(batch, args.gamma, args.c1, args.c0, args.tol)
+    if args.trials == 0:
+        print("warning: trials = 0, verification passes vacuously")
     if isinstance(result, noise_mod.NotApplicable):
         report["applicable"] = False
         report["stage"] = result.stage
@@ -304,10 +298,7 @@ def build_parser():
     )
     ver.add_argument("--mode", required=True, choices=["plus", "full"])
     ver.add_argument("--gamma", type=float, default=0.9)
-    ver.add_argument(
-        "--trials", type=int, default=200,
-        help="failures reported when the decided radius exceeds gamma; 0 passes vacuously",
-    )
+    ver.add_argument("--trials", type=int, default=200, help="checked >= 0; nothing is counted")
     ver.add_argument("--seed", type=int, default=0, help="checked >= 0; nothing is drawn")
     ver.add_argument("--out", default=None)
     _decomposition_args(ver)

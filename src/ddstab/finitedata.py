@@ -19,8 +19,8 @@ from .errors import (
     DimensionMismatch,
     InvalidParams,
 )
-from .informativity import NotInformative, _check_family_draw, synthesize_gain
-from .operators import DEFAULT_TOL, _pinv_and_rank, spectral_radius
+from .informativity import NotInformative, _check_sampling, synthesize_gain
+from .operators import _ACCEPT_SLACK, DEFAULT_TOL, _pinv_and_rank, spectral_radius
 from .systems import DataBatch, HeatCascadeParams
 
 
@@ -123,15 +123,14 @@ def lift_gain(K_plus, dec: Decomposition):
 @dataclass(frozen=True)
 class CompatibleFamilyReport:
     """The one system that stands for the compatible family in
-    verify_on_compatible_plus: ``worst_sample`` is its (A+, B+) pair (None
-    when no trials ran) and ``worst_radius`` its loop radius (0.0 then);
-    ``failures`` is ``trials`` when that radius exceeds gamma + 1e-6, else 0.
+    verify_on_compatible_plus: ``worst_sample`` is its (A+, B+) pair and
+    ``worst_radius`` its loop radius; ``failures`` is 1 when that radius
+    exceeds gamma + ``_ACCEPT_SLACK``, else 0.
     """
 
-    trials: int
     worst_radius: float
     failures: int
-    worst_sample: tuple | None
+    worst_sample: tuple
 
 
 def verify_on_compatible_plus(
@@ -148,13 +147,12 @@ def verify_on_compatible_plus(
     D's top singular triple, y^T W = 0 and Xi1 W^+ + t x y^T is reported,
     t = (n (gamma + 1) - tr(Xi1 W^+ L)) / sigma: its loop has trace
     n (gamma + 1), so radius >= gamma + 1.  K_plus must be finite;
-    ``trials``, ``seed`` and ``scale`` are checked as in
-    sample_compatible_systems.  trials = 0 gives an empty, vacuously passing
-    report.
+    ``trials``, ``seed`` and ``scale`` play no part in the verdict and are
+    only checked, as in sample_compatible_systems.
     """
     if not (0.0 < gamma < np.inf):
         raise InvalidParams("gamma must be finite and positive")
-    _check_family_draw(trials, scale, seed)
+    _check_sampling(trials, seed, scale)
     K_plus = np.atleast_2d(np.asarray(K_plus, dtype=float))
     if not np.isfinite(K_plus).all():
         raise InvalidParams("gain entries must be finite")
@@ -169,11 +167,9 @@ def verify_on_compatible_plus(
         t = (npl * (gamma + 1.0) - np.trace(AB @ L)) / s[0]
         AB = AB + t * np.outer(Xt[0], y)
     radius = spectral_radius(AB[:, :npl] + AB[:, npl:] @ K_plus)
-    trials = int(trials)
     return CompatibleFamilyReport(
-        trials=trials,
-        worst_radius=radius if trials else 0.0,
-        failures=trials if radius > gamma + 1e-6 else 0,
-        worst_sample=(AB[:, :npl], AB[:, npl:]) if trials else None,
+        worst_radius=radius,
+        failures=int(radius > gamma + _ACCEPT_SLACK),
+        worst_sample=(AB[:, :npl], AB[:, npl:]),
     )
 

@@ -129,10 +129,11 @@ def stabilization_informative(batch: DataBatch, gamma, tol=DEFAULT_TOL):
     return synthesize_gain(batch.Xi0, batch.Xi1, batch.Ups0, gamma, tol)
 
 
-def _check_family_draw(count, scale, seed):
-    """A compatible-family draw's contract, held also where none is drawn."""
-    if count < 0 or seed < 0:
-        raise InvalidParams("count and seed must be >= 0")
+def _check_sampling(trials, seed, scale=1.0):
+    """The contract of a sampled check's trial count, seed and scale, held
+    also where nothing is drawn."""
+    if trials < 0 or seed < 0:
+        raise InvalidParams("trials and seed must be >= 0")
     if not (0.0 < scale < np.inf):
         raise InvalidParams("scale must be finite and positive")
 
@@ -149,7 +150,7 @@ def sample_compatible_systems(Xi0, Xi1, Ups0, count, scale=1.0, seed=0):
     one system Xi1 W^+: every slice is that system and no stream is drawn.
     Requires consistent data (data generated by some system).
     """
-    _check_family_draw(count, scale, seed)
+    _check_sampling(count, seed, scale)
     W = np.vstack([Xi0, Ups0])
     Wp, rank, _ = _pinv_and_rank(W, DEFAULT_TOL)
     base = Xi1 @ Wp

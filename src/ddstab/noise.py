@@ -17,8 +17,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, IndexOutOfRange, InvalidParams
-from .informativity import NotInformative, synthesize_gain
+from .informativity import NotInformative, _check_sampling, synthesize_gain
 from .operators import (
+    _ACCEPT_SLACK,
     _BLOCK_ELEMENTS,
     _LOG_SLACK,
     DEFAULT_TOL,
@@ -84,12 +85,6 @@ class RobustGainResult:
     gamma_tilde: float
     margin_ok: bool
     Omega: np.ndarray
-
-
-def _check_sampling(trials, seed):
-    """The sampled check's contract, which the CLI holds before synthesis."""
-    if trials < 0 or seed < 0:
-        raise InvalidParams("trials and seed must be >= 0")
 
 
 def _check_rate_inputs(M, c0):
@@ -245,10 +240,10 @@ def verify_robust_gain(noisy_batch: DataBatch, M, gamma_tilde, c1, c0, Omega, tr
     trials from one stream keyed ``seed``; as ||Phi0|| < 1 / M <= 1, I -
     Phi0 is invertible, and one batched solve forms all loops.  They are
     checked as one stack (``_check_closed_loops``) against rho(A + B K) <=
-    gamma_tilde + 1e-6 and ||(A + B K)^k|| <= (M + 1e-6) gamma_tilde^k for k
-    up to ``_POWER_HORIZON``; ``violations`` counts the trials over each
-    bound, so a trial over both counts twice.  Raises InvalidParams where
-    ``robust_decay_rate`` does (M < 1 or M c0 >= 1).
+    gamma_tilde + s and ||(A + B K)^k|| <= (M + s) gamma_tilde^k for k up
+    to ``_POWER_HORIZON``, s = ``_ACCEPT_SLACK``; ``violations`` counts the
+    trials over each bound, so a trial over both counts twice.  Raises
+    InvalidParams where ``robust_decay_rate`` does (M < 1 or M c0 >= 1).
     """
     _check_sampling(trials, seed)
     _check_noise_constants(c1, c0)
@@ -269,7 +264,7 @@ def verify_robust_gain(noisy_batch: DataBatch, M, gamma_tilde, c1, c0, Omega, tr
     return RobustVerificationReport(
         trials=int(trials),
         worst_radius=worst_radius,
-        radius_bound=gamma_tilde + 1e-6,
+        radius_bound=gamma_tilde + _ACCEPT_SLACK,
         worst_power_excess=worst_power_excess,
         violations=violations,
         rejected_draws=0,
@@ -278,8 +273,8 @@ def verify_robust_gain(noisy_batch: DataBatch, M, gamma_tilde, c1, c0, Omega, tr
 
 def _check_closed_loops(F, M, gamma_tilde, power_horizon):
     """(worst radius, violations, worst power excess) of the stack F of
-    closed loops against rho <= gamma_tilde + 1e-6 and
-    ||F^k|| <= (M + 1e-6) gamma_tilde^k for k up to ``power_horizon``; a
+    closed loops against rho <= gamma_tilde + s and ||F^k|| <= (M + s)
+    gamma_tilde^k for k up to ``power_horizon``, s = ``_ACCEPT_SLACK``; a
     loop leaves the power check at its first excess, and ``violations``
     counts the loops over each bound.
 
@@ -300,9 +295,9 @@ def _check_closed_loops(F, M, gamma_tilde, power_horizon):
     L, n = F.shape[0], F.shape[-1]
     radii = spectral_radius(F)
     worst_radius = float(radii.max(initial=0.0))
-    violations = int(np.sum(radii > gamma_tilde + 1e-6))
-    # (M + 1e-6) gamma_tilde^k, one rounded product per step
-    bounds = np.multiply.accumulate(np.r_[M + 1e-6, np.full(power_horizon, gamma_tilde)])[1:]
+    violations = int(np.sum(radii > gamma_tilde + _ACCEPT_SLACK))
+    # (M + _ACCEPT_SLACK) gamma_tilde^k, one rounded product per step
+    bounds = np.multiply.accumulate(np.r_[M + _ACCEPT_SLACK, np.full(power_horizon, gamma_tilde)])[1:]
     # u - b_k of the pairs not yet known exactly, -inf elsewhere
     gap = np.full((power_horizon, L), -np.inf)
     worst = -np.inf

@@ -18,6 +18,8 @@ DEFAULT_TOL = 1e-9
 #: Widening of the log-scale norm bounds in least_certificate, far above
 #: the rounding of any bound.
 _LOG_SLACK = 1e-9
+#: Slack of the radius and power bounds that verify and noise accept a loop by.
+_ACCEPT_SLACK = 1e-6
 #: Most numbers (loops x steps x n x n) in one block of powers of
 #: least_certificate, and most steps in a block.
 _BLOCK_ELEMENTS = 2**16

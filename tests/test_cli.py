@@ -390,7 +390,7 @@ class TestVerify:
             "--gamma", "0.9", "--trials", "20", "--out", str(report),
         ) == 1
         payload = json.loads(report.read_text())
-        assert payload["failures"] == 20
+        assert payload["failures"] == 1
         sample = payload["offending_sample"]
         assert sample["radius"] == payload["worst_radius"] > 0.9
         loop = np.array(sample["A"])  # zero gain: the loop is A
@@ -421,7 +421,7 @@ class TestVerify:
         write_gain(gain, K)
         assert run(*argv) == 1
         payload = json.loads(out.read_text())
-        assert payload["failures"] == 200
+        assert payload["failures"] == 1
         sample = payload["offending_sample"]
         A, B = np.array(sample["A"]), np.array(sample["B"])
         radius = np.max(np.abs(np.linalg.eigvals(A + B @ K)))
@@ -466,7 +466,8 @@ class TestVerify:
             "--gamma", "0.9", "--trials", "37", "--seed", "4", "--out", str(out),
         ) == 0
         payload = json.loads(out.read_text())
-        assert payload["trials"] == 37 and payload["failures"] == 0
+        assert payload["failures"] == 0
+        assert "trials" not in payload and "seed" not in payload
         batch = DataBatch.load(data)
         AB = batch.Xi1 @ np.linalg.pinv(np.vstack([batch.Xi0, batch.Ups0]))
         loop = AB[:, :3] + AB[:, 3:] @ K
@@ -485,15 +486,39 @@ class TestVerify:
             "--gamma", "0.9",
         ) == 2
 
-    def test_zero_trials_vacuous_pass(self, cascade_file, tmp_path, capsys):
+    def test_trial_count_leaves_the_verdict(self, cascade_file, tmp_path, capsys):
+        """verify decides the family once, so --trials 0 and --trials 200
+        write the same report and the same line, with no warning."""
         gain = tmp_path / "gain.json"
         write_gain(gain, REFERENCE_CASCADE_GAIN_PLUS)
-        code = run(
+        reports, lines = [], []
+        for trials in ("0", "200"):
+            out = tmp_path / f"verify-{trials}.json"
+            assert run(
+                "verify", "--in", str(cascade_file), "--gain", str(gain), "--mode", "plus",
+                "--gamma", "0.9", "--trials", trials, "--out", str(out),
+            ) == 0
+            reports.append(out.read_text())
+            lines.append(capsys.readouterr().out)
+        assert reports[0] == reports[1] and lines[0] == lines[1]
+        assert "vacuous" not in lines[0] and json.loads(reports[0])["failures"] == 0
+
+    @pytest.mark.parametrize("trials", ["0", "1", "200"])
+    def test_zero_gain_fails_at_every_trial_count(self, cascade_file, tmp_path, trials):
+        """K+ = 0 leaves the loop A+, of radius 1.118034 on the reference
+        cascade: one failure and its system, whatever the count."""
+        gain, out = tmp_path / "zero.json", tmp_path / "verify.json"
+        write_gain(gain, np.zeros((1, 4)))
+        assert run(
             "verify", "--in", str(cascade_file), "--gain", str(gain), "--mode", "plus",
-            "--gamma", "0.9", "--trials", "0",
-        )
-        assert code == 0
-        assert "vacuous" in capsys.readouterr().out
+            "--gamma", "0.9", "--trials", trials, "--out", str(out),
+        ) == 1
+        payload = json.loads(out.read_text())
+        assert payload["failures"] == 1
+        assert payload["worst_radius"] == pytest.approx(1.118034, abs=1e-6)
+        sample = payload["offending_sample"]
+        A_plus = np.array(sample["A_plus"])
+        assert np.max(np.abs(np.linalg.eigvals(A_plus))) == pytest.approx(sample["radius"], rel=1e-12)
 
     @pytest.mark.parametrize("option", ["--gamma", "--a0", "--b0", "--tau", "--gamma-minus"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -707,6 +732,24 @@ class TestNoise:
         assert code == 0
         assert "warning: trials = 0, verification passes vacuously" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "bad",
+        [["--project", "--gamma", "1.5"], ["--gamma", "1.5"], ["--c1", "-0.001"]],
+        ids=["projected-gamma", "gamma", "negative-c1"],
+    )
+    def test_zero_trials_bad_input_prints_nothing(self, cascade_file, tmp_path, capsys, bad):
+        """The zero-trials warning waits for the inputs to pass: a bad input
+        exits 2 with an error line and nothing on stdout."""
+        args = {"--gamma": "0.9", "--c1": "0.003", "--c0": "0.003"}
+        argv = [x for kv in args.items() for x in kv if kv[0] not in bad] + bad
+        report = tmp_path / "noise.json"
+        assert run(
+            "noise", "--in", str(cascade_file), *argv, "--trials", "0", "--out", str(report)
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+        assert not report.exists()
+
 
 class TestOneGainPerDataset:
     @pytest.mark.parametrize("seed", [0, 1, 7])
@@ -854,7 +897,8 @@ class TestNegativeSeed:
 class TestSamplingCheckedBeforeSynthesis:
     """noise rejects a negative --trials or --seed before it synthesizes, so
     the error (exit 2, no report) does not depend on the verdict: the
-    unprojected cascade is not a frame, the projected one certifies."""
+    unprojected cascade is not a frame, the projected one certifies.
+    verify rejects them in the same words."""
 
     @pytest.mark.parametrize("option", [["--seed", "-1"], ["--trials", "-1"]], ids=["seed", "trials"])
     @pytest.mark.parametrize("project", [[], ["--project"]], ids=["unprojected", "projected"])
@@ -865,6 +909,18 @@ class TestSamplingCheckedBeforeSynthesis:
             "--c0", "0.003", *project, *option, "--out", str(report),
         ) == 2
         assert "error: trials and seed must be >= 0" in capsys.readouterr().err
+        assert not report.exists()
+
+    @pytest.mark.parametrize("option", [["--seed", "-1"], ["--trials", "-1"]], ids=["seed", "trials"])
+    def test_verify_names_trials(self, cascade_file, tmp_path, capsys, option):
+        gain, report = tmp_path / "gain.json", tmp_path / "verify.json"
+        write_gain(gain, REFERENCE_CASCADE_GAIN_PLUS)
+        assert run(
+            "verify", "--in", str(cascade_file), "--gain", str(gain), "--mode", "plus",
+            *option, "--out", str(report),
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: trials and seed must be >= 0\n"
         assert not report.exists()
 
 

@@ -335,7 +335,7 @@ def assert_offending(batch, K, report):
     assert residual <= 1e-12 * np.linalg.norm(AB, 2) * np.linalg.norm(W, 2)
     radius = spectral_radius(A + B @ K)
     assert radius == pytest.approx(report.worst_radius, rel=1e-9)
-    assert radius > 0.9 and report.failures == report.trials
+    assert radius > 0.9 and report.failures == 1
 
 
 class TestVerifyOnCompatiblePlus:
@@ -373,7 +373,7 @@ class TestVerifyOnCompatiblePlus:
         batch, result = underdetermined_cases[0]
         assert verify_on_compatible_plus(batch, result.K, 0.9, trials=5, seed=3).failures == 0
         K = result.K + 0.1 * np.ones_like(result.K)
-        assert verify_on_compatible_plus(batch, K, 0.9, trials=5, seed=3).failures == 5
+        assert verify_on_compatible_plus(batch, K, 0.9, trials=5, seed=3).failures == 1
         _, cascade, _, dec = reference_setup
         pd = project_data(cascade, dec)
         assert verify_on_compatible_plus(pd, REFERENCE_CASCADE_GAIN_PLUS, 0.9, 5).failures == 0
@@ -397,12 +397,29 @@ class TestVerifyOnCompatiblePlus:
         assert report.failures == 0
         assert report.worst_radius <= 0.9 + 1e-6
 
-    def test_zero_trials_vacuous(self, reference_setup):
+    @pytest.mark.parametrize("trials", [0, 1, 200])
+    def test_trial_count_leaves_the_verdict(self, reference_setup, trials):
+        """The family is decided once: every count reports the decided system,
+        and K+ = 0 fails with the radius of A+ even at trials = 0."""
         _, batch, _, dec = reference_setup
         pd = project_data(batch, dec)
-        report = verify_on_compatible_plus(pd, REFERENCE_CASCADE_GAIN_PLUS, 0.9, trials=0)
-        assert report.trials == 0 and report.failures == 0
-        assert report.worst_radius == 0.0
+        gain = verify_on_compatible_plus(pd, REFERENCE_CASCADE_GAIN_PLUS, 0.9, trials=trials)
+        A, B = gain.worst_sample
+        loop = A + B @ np.atleast_2d(REFERENCE_CASCADE_GAIN_PLUS)
+        assert gain.failures == 0 and gain.worst_radius == spectral_radius(loop) < 0.9
+        zero = verify_on_compatible_plus(pd, np.zeros((1, 4)), 0.9, trials=trials)
+        A, _ = zero.worst_sample
+        assert zero.failures == 1 and zero.worst_radius == spectral_radius(A)
+        assert zero.worst_radius == pytest.approx(1.118034, abs=1e-6)
+
+    @pytest.mark.parametrize(
+        "kwargs", [dict(trials=-1), dict(seed=-1), dict(scale=0.0)], ids=["trials", "seed", "scale"]
+    )
+    def test_unused_arguments_are_checked(self, reference_setup, kwargs):
+        _, batch, _, dec = reference_setup
+        args = {"trials": 5, **kwargs}
+        with pytest.raises(InvalidParams):
+            verify_on_compatible_plus(project_data(batch, dec), REFERENCE_CASCADE_GAIN_PLUS, 0.9, **args)
 
     @pytest.mark.parametrize("gamma", [float("nan"), float("inf"), 0.0, -0.5])
     def test_gamma_must_be_finite_and_positive(self, reference_setup, gamma):
