@@ -97,6 +97,8 @@ def _random_lti_batch(args):
         raise InvalidParams(f"need --n >= 1 and --m >= 0, got n={args.n}, m={args.m}")
     if not (0.0 < args.radius < np.inf):
         raise InvalidParams(f"--radius must be finite and positive, got {args.radius}")
+    if not np.isfinite(args.scale):
+        raise InvalidParams(f"--scale must be finite, got {args.scale}")
     if args.seed < 0:
         raise InvalidParams(f"--seed must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
@@ -219,8 +221,6 @@ def cmd_noise(args):
     if args.project:
         batch, report["decomposition"] = _project_plus(args, batch)
     result = noise_mod.robust_stabilization(batch, args.gamma, args.c1, args.c0, args.tol)
-    if args.trials == 0:
-        print("warning: trials = 0, verification passes vacuously")
     if isinstance(result, noise_mod.NotApplicable):
         report["applicable"] = False
         report["stage"] = result.stage
@@ -233,6 +233,8 @@ def cmd_noise(args):
     report["gamma_tilde"] = result.gamma_tilde
     report["margin_ok"] = result.margin_ok
     report["K"] = result.K.tolist()
+    if args.trials == 0:
+        print("warning: trials = 0, verification passes vacuously")
     verification = noise_mod.verify_robust_gain(
         batch,
         result.M,

@@ -186,7 +186,6 @@ class RobustVerificationReport:
     trials: int
     worst_radius: float
     radius_bound: float
-    worst_power_excess: float
     violations: int
     rejected_draws: int
 
@@ -258,39 +257,29 @@ def verify_robust_gain(noisy_batch: DataBatch, M, gamma_tilde, c1, c0, Omega, tr
     loops = np.swapaxes(
         np.linalg.solve(np.swapaxes(I - Phi0, 1, 2), np.swapaxes(F @ (I - Phi1), 1, 2)), 1, 2
     )
-    worst_radius, violations, worst_power_excess = _check_closed_loops(
-        loops, M, gamma_tilde, _POWER_HORIZON
-    )
+    worst_radius, violations = _check_closed_loops(loops, M, gamma_tilde, _POWER_HORIZON)
     return RobustVerificationReport(
         trials=int(trials),
         worst_radius=worst_radius,
         radius_bound=gamma_tilde + _ACCEPT_SLACK,
-        worst_power_excess=worst_power_excess,
         violations=violations,
         rejected_draws=0,
     )
 
 
 def _check_closed_loops(F, M, gamma_tilde, power_horizon):
-    """(worst radius, violations, worst power excess) of the stack F of
-    closed loops against rho <= gamma_tilde + s and ||F^k|| <= (M + s)
-    gamma_tilde^k for k up to ``power_horizon``, s = ``_ACCEPT_SLACK``; a
-    loop leaves the power check at its first excess, and ``violations``
-    counts the loops over each bound.
+    """(worst radius, violations) of the stack F of closed loops against
+    rho <= gamma_tilde + s and ||F^k|| <= (M + s) gamma_tilde^k for k up to
+    ``power_horizon``, s = ``_ACCEPT_SLACK``; a loop leaves the power check
+    at its first excess, and ``violations`` counts the loops over each bound.
 
-    The power check is exact in two passes.  Pass 1 powers the live loops
-    in chunks of steps, each power the product of F with the one before
-    and each chunk at most half the numbers of a block of
-    least_certificate but two steps or more (bar the last), all in one
-    buffer, and bounds ||P|| by u = ||P||_F (1 + _LOG_SLACK), from one
-    contraction per chunk; only where u exceeds the step's bound b_k can the
-    loop exceed it, so only there the SVD runs, step by step, and a violator
-    takes no SVD after its first excess.  It keeps u - b_k of every other
-    counted (step, loop) pair.
-    Pass 2 sets T to the largest excess known exactly: those of pass 1 and
-    that of the pair with the largest u - b_k.  A pair with u - b_k < T has
-    ||P|| - b_k < T, so only the pairs with u - b_k >= T can hold the worst
-    excess, and only their powers are recomputed and their SVDs taken.
+    The live loops are powered in chunks of steps, each power the product
+    of F with the one before and each chunk at most half the numbers of a
+    block of least_certificate but two steps or more (bar the last), all in
+    one buffer, and ||P|| is bounded by u = ||P||_F (1 + _LOG_SLACK), from
+    one contraction per chunk; only where u exceeds the step's bound b_k
+    can the loop exceed it, so only there the SVD runs, step by step, and a
+    violator takes no SVD after its first excess.
     """
     L, n = F.shape[0], F.shape[-1]
     radii = spectral_radius(F)
@@ -298,9 +287,6 @@ def _check_closed_loops(F, M, gamma_tilde, power_horizon):
     violations = int(np.sum(radii > gamma_tilde + _ACCEPT_SLACK))
     # (M + _ACCEPT_SLACK) gamma_tilde^k, one rounded product per step
     bounds = np.multiply.accumulate(np.r_[M + _ACCEPT_SLACK, np.full(power_horizon, gamma_tilde)])[1:]
-    # u - b_k of the pairs not yet known exactly, -inf elsewhere
-    gap = np.full((power_horizon, L), -np.inf)
-    worst = -np.inf
     # one buffer for the powers of every chunk, which fills its first rows
     # for the live loops.  A chunk's base is the last row of the chunk
     # before, never row 0, since every chunk but the last has two steps or
@@ -309,57 +295,28 @@ def _check_closed_loops(F, M, gamma_tilde, power_horizon):
     # faster and raised the peak RSS of the cascade chain by 0.5 MB.
     most = min(power_horizon, max(_BLOCK_ELEMENTS // 2 // max(L * n * n, 1), 2))
     Q = np.empty((most, L, n, n))
-    live, P, F_live, k = np.arange(L), np.eye(n), F, 0
-    while k < power_horizon and live.size:
+    P, F_live, k = np.eye(n), F, 0
+    while k < power_horizon and len(F_live):
         steps = min(power_horizon - k, most)
-        chunk = Q[:steps, : live.size]
+        chunk = Q[:steps, : len(F_live)]
         for j in range(steps):
             np.matmul(F_live, chunk[j - 1] if j else P, out=chunk[j])
         u = _frobenius(chunk) * (1.0 + _LOG_SLACK)
         b = bounds[k : k + steps, None]
-        d = u - b  # its sign is exact: d <= 0 where u <= b and nowhere else
-        exact = ~(d <= 0.0)
-        P, counted = chunk[-1], live
+        exact = ~(u - b <= 0.0)
+        P = chunk[-1]
         if exact.any():
             # the SVDs step by step, of the loops that have not yet exceeded
-            stay = np.ones(live.size, dtype=bool)
+            stay = np.ones(len(F_live), dtype=bool)
             for j in np.flatnonzero(exact.any(axis=1)):
                 rows = np.flatnonzero(exact[j] & stay)
                 if rows.size:
-                    excess = operator_norm(chunk[j, rows]) - b[j]
-                    worst = max(worst, float(excess.max()))
-                    over = rows[~(excess <= 0)]
-                    stay[over] = False
-                    d[j + 1 :, over] = -np.inf
-            d[exact] = -np.inf
+                    stay[rows[~(operator_norm(chunk[j, rows]) - b[j] <= 0)]] = False
             if not stay.all():
                 violations += int(np.count_nonzero(~stay))
-                live, F_live, P = live[stay], F_live[stay], P[stay]
-        gap[k : k + steps, counted] = d
+                F_live, P = F_live[stay], P[stay]
         k += steps
-    if gap.size and gap.max() > worst:
-        top = np.unravel_index(np.argmax(gap), gap.shape)
-        worst = max(worst, _largest_power_excess(F, bounds, *top))
-        gap[top] = -np.inf
-        worst = max(worst, _largest_power_excess(F, bounds, *np.nonzero(gap >= worst)))
-    if not np.isfinite(worst):
-        worst = 0.0
-    return worst_radius, violations, worst
-
-
-def _largest_power_excess(F, bounds, steps, loops):
-    """Largest ||F[j]^(k+1)|| - bounds[k] over the pairs (k, j) zipped from
-    ``steps`` and ``loops``, each power formed as pass 1 of
-    ``_check_closed_loops`` forms it, from F alone; -inf for no pair."""
-    steps, loops = np.atleast_1d(steps), np.atleast_1d(loops)
-    used, slot = np.unique(loops, return_inverse=True)
-    F, P, worst = F[used], np.eye(F.shape[-1]), -np.inf
-    for k in range(steps.max(initial=-1) + 1):
-        P = F @ P
-        at = slot[steps == k]
-        if at.size:
-            worst = max(worst, float((operator_norm(P[at]) - bounds[k]).max()))
-    return worst
+    return worst_radius, violations
 
 
 def range_breaking_noise(x0_cols, k0):

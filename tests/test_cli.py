@@ -58,16 +58,20 @@ class TestGenerate:
     @pytest.mark.parametrize(
         "option",
         [["--n", "-2"], ["--n", "0"], ["--m", "-1"], ["--radius", "-1"], ["--radius", "0"],
-         ["--radius", "nan"], ["--radius", "inf"]],
+         ["--radius", "nan"], ["--radius", "inf"], ["--scale", "nan"], ["--scale", "inf"]],
         ids=["n-negative", "n-zero", "m-negative", "radius-negative", "radius-zero",
-             "radius-nan", "radius-inf"],
+             "radius-nan", "radius-inf", "scale-nan", "scale-inf"],
     )
     def test_random_lti_rejects_bad_size_or_radius(self, tmp_path, option, capsys):
-        """No state, a negative input count and a radius that is not finite
-        and positive are input errors: exit 2 with a message, and no file."""
+        """No state, a negative input count, a radius that is not finite and
+        positive and a scale that is not finite are input errors: exit 2
+        with a message, and no file.  A bad scale is named in the message."""
         path = tmp_path / "x.json"
         assert run("generate", "--scenario", "random-lti", *option, "--out", str(path)) == 2
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err
+        if option[0] == "--scale":
+            assert "--scale" in err
         assert not path.exists()
 
     def test_batch_without_state_exits_2(self, tmp_path, capsys):
@@ -731,6 +735,18 @@ class TestNoise:
         )
         assert code == 0
         assert "warning: trials = 0, verification passes vacuously" in capsys.readouterr().out
+
+    def test_zero_trials_not_applicable_prints_no_warning(self, cascade_file, capsys):
+        """Without --project the synthesis stops at the frame stage, so no
+        verification runs and the zero-trials warning is not printed."""
+        code = run(
+            "noise", "--in", str(cascade_file), "--gamma", "0.9", "--c1", "0.003",
+            "--c0", "0.003", "--trials", "0",
+        )
+        assert code == 1
+        assert capsys.readouterr().out == (
+            "not applicable: stage frame (state sequence is not a frame: rank 5 < dim 52)\n"
+        )
 
     @pytest.mark.parametrize(
         "bad",
