@@ -20,7 +20,7 @@ from .errors import (
     InvalidParams,
 )
 from .informativity import NotInformative, _check_sampling, synthesize_gain
-from .operators import _ACCEPT_SLACK, DEFAULT_TOL, _pinv_and_rank, spectral_radius
+from .operators import _ACCEPT_SLACK, DEFAULT_TOL, _finite_product, _pinv_and_rank, spectral_radius
 from .systems import DataBatch, HeatCascadeParams
 
 
@@ -146,19 +146,22 @@ def verify_on_compatible_plus(
     loops are Xi1 W^+ L and Xi1 W^+ is reported.  Else, with (y, sigma, x)
     D's top singular triple, y^T W = 0 and Xi1 W^+ + t x y^T is reported,
     t = (n (gamma + 1) - tr(Xi1 W^+ L)) / sigma: its loop has trace
-    n (gamma + 1), so radius >= gamma + 1.  K_plus must be finite;
+    n (gamma + 1), so radius >= gamma + 1.  K_plus must be m x n and finite;
     ``trials``, ``seed`` and ``scale`` play no part in the verdict and are
     only checked, as in sample_compatible_systems.
     """
+    K_plus = np.atleast_2d(np.asarray(K_plus, dtype=float))
+    if K_plus.shape != (batch.m, batch.n):
+        raise DimensionMismatch(f"gain must be m x n = {(batch.m, batch.n)}, got {K_plus.shape}")
     if not (0.0 < gamma < np.inf):
         raise InvalidParams("gamma must be finite and positive")
     _check_sampling(trials, seed, scale)
-    K_plus = np.atleast_2d(np.asarray(K_plus, dtype=float))
     if not np.isfinite(K_plus).all():
         raise InvalidParams("gain entries must be finite")
     npl, W = batch.n, np.vstack([batch.Xi0, batch.Ups0])
-    Wp, rank, U = _pinv_and_rank(W, DEFAULT_TOL)
-    AB = batch.Xi1 @ Wp
+    with np.errstate(over="ignore", invalid="ignore"):
+        Wp, rank, U = _pinv_and_rank(W, DEFAULT_TOL)
+        AB = _finite_product(batch.Xi1 @ Wp, "Xi1 W^+")
     L, Ur = np.vstack([np.eye(npl), K_plus]), U[:, :rank]
     Y, s, Xt = np.linalg.svd(L - Ur @ (Ur.T @ L), full_matrices=False)
     if s[0] > DEFAULT_TOL * np.linalg.norm(L, 2):

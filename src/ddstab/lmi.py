@@ -43,6 +43,7 @@ from .operators import (
     _CERTIFICATE_HORIZON,
     DEFAULT_TOL,
     PowerStabilityCertificate,
+    _finite_product,
     _frobenius,
     _rank_count,
     least_certificate,
@@ -322,8 +323,9 @@ def solve_feasibility(problem: LmiProblem, max_iters=None, seed=None):
     if rank < n:
         # a unit x orthogonal to Ran Xi0 gives [x; 0]^T M [x; 0] = -1
         return Infeasible(best_margin=-1.0, iterations=0, reason="rank", rank=rank)
-    Xi0_pinv = (Vt[:n].T / s) @ U.T
-    A = Xi1 @ Xi0_pinv
+    with np.errstate(over="ignore", invalid="ignore"):
+        Xi0_pinv = (Vt[:n].T / s) @ U.T
+        A = _finite_product(Xi1 @ Xi0_pinv, "Xi1 Xi0^+")
     # B^ cut to its range: B^ Zc = Ub sb with Zc = Z Vb, so that
     # R = Xi0^+ + Zc K for a gain K of (A^, Ub sb)
     Z = Vt[n:].T

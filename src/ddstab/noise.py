@@ -197,28 +197,14 @@ class RobustVerificationReport:
 _FILL = 0.9
 
 
-def _draw_factors(rng, count, n, m, N, c1, c0):
+def _draw_factors(rng, count, n, c1, c0):
     """The factor stacks (Phi1, Phi0), each (count, n, n), of ``count``
-    trials from the generator ``rng``: Gaussian matrices rescaled to operator
-    norm ``_FILL`` c1 and ``_FILL`` c0, zero for a zero constant.
-
-    Trial t takes row t of one ``standard_normal((count, size))`` call, with
-    the blocks G1, G0 (n x n), E1 (n x N) and E0 (n + m x N) in this order,
-    those of a zero constant left out, so a trial's draw does not depend on
-    the other trials.  E1 and E0, noise that Omega does not see and that
-    moves no loop, are drawn but not used: leaving them out would change
-    the factors, and so the report, of every seed."""
-    s1, s0 = (n * n if c > 0 else 0 for c in (c1, c0))
-    unseen = (n * N if c1 > 0 else 0) + ((n + m) * N if c0 > 0 else 0)
-    Z = rng.standard_normal((count, s1 + s0 + unseen))
-    factors = []
-    for G, c in ((Z[:, :s1], c1), (Z[:, s1 : s1 + s0], c0)):
-        if c > 0:
-            G = G.reshape((count, n, n))
-            factors.append(G * (_FILL * c / operator_norm(G))[:, None, None])
-        else:
-            factors.append(np.zeros((count, n, n)))
-    return tuple(factors)
+    trials from ``rng``: trial t takes the pair (G1, G0) in row t of one
+    ``standard_normal((count, 2, n, n))`` call, so its draw does not depend
+    on the other trials, and rescales it to operator norms _FILL (c1, c0)."""
+    G = rng.standard_normal((count, 2, n, n))
+    G *= (_FILL * np.array([c1, c0]) / operator_norm(G))[..., None, None]
+    return G[:, 0], G[:, 1]
 
 
 #: Power-check horizon of ``verify_robust_gain``.
@@ -251,7 +237,7 @@ def verify_robust_gain(noisy_batch: DataBatch, M, gamma_tilde, c1, c0, Omega, tr
     Om = np.asarray(Omega, dtype=float)
     if Om.shape != (N, n):
         raise DimensionMismatch(f"Omega must be N x n = {(N, n)}, got {Om.shape}")
-    Phi1, Phi0 = _draw_factors(np.random.default_rng(seed), int(trials), n, noisy_batch.m, N, c1, c0)
+    Phi1, Phi0 = _draw_factors(np.random.default_rng(seed), int(trials), n, c1, c0)
     F, I = noisy_batch.Xi1 @ Om, np.eye(n)
     # X (I - Phi0) = F (I - Phi1), solved as (I - Phi0)^T X^T = (F (I - Phi1))^T
     loops = np.swapaxes(

@@ -154,6 +154,14 @@ def pseudo_inverse(M, tol=DEFAULT_TOL):
     return _pinv_and_rank(M, tol)[0]
 
 
+def _finite_product(P, name):
+    """P, a product of the data taken under np.errstate(over="ignore",
+    invalid="ignore"); InvalidParams unless every entry is finite."""
+    if not np.isfinite(P).all():
+        raise InvalidParams(f"the data overflow double precision: {name} is not finite")
+    return P
+
+
 def _pinv_and_rank(M, tol):
     """pseudo_inverse of M (at least one row), and from the same SVD the rank
     of each slice (the count of singular values kept) and the left vectors U."""

@@ -193,6 +193,8 @@ class DataBatch:
         if x1.shape[1] < 1:
             raise EmptyData("a data batch needs at least one state coordinate")
         for name, arr in (("x1", x1), ("x0", x0), ("u0", u0)):
+            if arr.ndim != 2:
+                raise DimensionMismatch(f"{name} must be a matrix, got {arr.ndim} dimensions")
             if not np.all(np.isfinite(arr)):
                 raise InvalidParams(f"{name} contains non-finite entries")
         object.__setattr__(self, "x1", x1)

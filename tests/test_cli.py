@@ -270,8 +270,18 @@ class TestAnalyze:
 
     @pytest.mark.parametrize(
         "fields",
-        [{"x0": [[float("nan"), 0.0]]}, {"u0": None}, {"x0": [[0.0, 0.0, 0.0]]}],
-        ids=["nan-entry", "no-u0", "widths-differ"],
+        [
+            {"x0": [[float("nan"), 0.0]]},
+            {"u0": None},
+            {"x0": [[0.0, 0.0, 0.0]]},
+            {
+                "x1": [[[1.0, 2.0]], [[0.5, 1.0]]],
+                "x0": [[[1.0, 0.0]], [[0.0, 1.0]]],
+                "u0": [[1.0], [0.0]],
+            },
+            {"u0": [[[1.0]]]},
+        ],
+        ids=["nan-entry", "no-u0", "widths-differ", "states-3d", "inputs-3d"],
     )
     def test_bad_batch_file_exit_2(self, tmp_path, capsys, fields):
         """A batch file whose arrays are not a valid batch is an input
@@ -985,3 +995,45 @@ class TestNoInputRoundTrip:
         ) == 0
         worst = json.loads(checked.read_text())["worst_radius"]
         assert worst == pytest.approx(analysis["achieved_radius"], rel=1e-12)
+
+
+class TestOverflowingData:
+    """Data whose products Xi1 Xi0^+ (or Xi1 W^+) leave double precision are
+    an input error for every command that forms them: exit 2, one error
+    line, nothing on stdout, no report and no RuntimeWarning.  On
+    huge-over-tiny, W = [Xi0; Ups0] has rank 1, so Xi1 W^+ is finite and
+    verify decides the family."""
+
+    BATCHES = {
+        "huge-over-tiny": {
+            "x1": [[1e200, 0.0], [0.0, 1e200]], "x0": [[1e-200, 0.0], [0.0, 1e-200]],
+            "u0": [[1.0], [0.0]],
+        },
+        "subnormal": {
+            "x1": [[1e-320, 0.0], [0.0, 1e-320]], "x0": [[1e-320, 0.0], [0.0, 1e-320]],
+            "u0": [[1e-320], [0.0]],
+        },
+    }
+    COMMANDS = {
+        "stabilize": ["analyze", "--mode", "stabilize"],
+        "finite-plus": ["analyze", "--mode", "finite-plus", "--head-dim", "1", "--a0", "100"],
+        "noise": ["noise", "--gamma", "0.9", "--c1", "0", "--c0", "0"],
+        "verify": ["verify", "--mode", "full"],
+    }
+
+    @pytest.mark.parametrize(
+        "data, command",
+        [("huge-over-tiny", c) for c in ("stabilize", "finite-plus", "noise")]
+        + [("subnormal", c) for c in ("stabilize", "finite-plus", "noise", "verify")],
+    )
+    def test_exit_2(self, tmp_path, capsys, data, command):
+        path, gain, report = tmp_path / "data.json", tmp_path / "gain.json", tmp_path / "r.json"
+        path.write_text(json.dumps(self.BATCHES[data]))
+        write_gain(gain, [[0.0, 0.0]])
+        argv = self.COMMANDS[command] + (["--gain", str(gain)] if command == "verify" else [])
+        assert run(*argv, "--in", str(path), "--out", str(report)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: the data overflow double precision")
+        assert captured.err.count("\n") == 1
+        assert not report.exists()

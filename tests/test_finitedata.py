@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -427,6 +428,14 @@ class TestVerifyOnCompatiblePlus:
         pd = project_data(batch, dec)
         with pytest.raises(InvalidParams):
             verify_on_compatible_plus(pd, REFERENCE_CASCADE_GAIN_PLUS, gamma, trials=5)
+
+    @pytest.mark.parametrize("shape", [(1, 3), (2, 4), (1, 4, 1)])
+    def test_gain_must_be_m_by_n(self, reference_setup, shape):
+        """A gain of the wrong shape is a dimension error, checked first."""
+        _, batch, _, dec = reference_setup
+        message = re.escape(f"gain must be m x n = (1, 4), got {shape}")
+        with pytest.raises(DimensionMismatch, match=message):
+            verify_on_compatible_plus(project_data(batch, dec), np.zeros(shape), -1.0, trials=-1)
 
     @pytest.mark.parametrize("entry", [float("nan"), float("inf"), -float("inf")])
     def test_gain_must_be_finite(self, reference_setup, entry):

@@ -172,14 +172,15 @@ def power_check_case(name, batch):
     return np.empty((0, 4, 4)), 2.0, 0.9
 
 
-def draws_one_at_a_time(rng, count, batch, Omega, c1, c0, fill):
-    """The noise of ``count`` trials written one trial at a time (c1, c0 >
-    0): each trial draws its blocks G1, G0, E1, E0 from the one generator,
-    in trial order.  The factors Phi1 and Phi0 are G1 and G0 rescaled to
-    norm fill c1 and fill c0; the noise seen through Omega is the data seen
-    through Omega times Phi, and E1, E0 add a free component along
-    I - Omega Omega^+, which Omega does not see, at the data's rms entry
-    times fill c.  A list of (Phi1, Phi0, noise as a DataBatch)."""
+def draws_one_at_a_time(rng, count, batch, Omega, c1, c0, fill, free_rng):
+    """The noise of ``count`` trials written one trial at a time: each trial
+    draws its factor pair (G1, G0) as one (2, n, n) block from the shared
+    generator ``rng``, in trial order.  The factors Phi1 and Phi0 are G1 and
+    G0 rescaled to norm fill c1 and fill c0; the noise seen through Omega is
+    the data seen through Omega times Phi, and a free component along
+    I - Omega Omega^+, which Omega does not see, is drawn from the second
+    generator ``free_rng`` at the data's rms entry times fill c.  A list of
+    (Phi1, Phi0, noise as a DataBatch)."""
     n, m, N = batch.n, batch.m, batch.N
     Om_pinv = pseudo_inverse(Omega)
     perp = np.eye(N) - Omega @ Om_pinv
@@ -189,11 +190,11 @@ def draws_one_at_a_time(rng, count, batch, Omega, c1, c0, fill):
     rms0 = np.linalg.norm(data0) / max(1.0, np.sqrt(N * (n + m)))
     drawn = []
     for _ in range(count):
-        G1, G0 = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+        G1, G0 = rng.standard_normal((2, n, n))
         Phi1 = G1 * (fill * c1 / operator_norm(G1))
         Phi0 = G0 * (fill * c0 / operator_norm(G0))
-        free1 = fill * c1 * rms1 * rng.standard_normal((n, N)) @ perp
-        free0 = fill * c0 * rms0 * rng.standard_normal((n + m, N)) @ perp
+        free1 = fill * c1 * rms1 * free_rng.standard_normal((n, N)) @ perp
+        free0 = fill * c0 * rms0 * free_rng.standard_normal((n + m, N)) @ perp
         D0 = B0 @ Phi0 @ Om_pinv + free0
         noise = DataBatch(x1=(B1 @ Phi1 @ Om_pinv + free1).T, x0=D0[:n].T, u0=D0[n:].T)
         drawn.append((Phi1, Phi0, noise))
@@ -510,7 +511,8 @@ class TestVerifyRobustGain:
         assert report.worst_radius == worst_radius
         assert report.rejected_draws == 0
         drawn = draws_one_at_a_time(
-            np.random.default_rng(seed), trials, projected_cascade, res.Omega, c, c, 0.9
+            np.random.default_rng(seed), trials, projected_cascade, res.Omega, c, c, 0.9,
+            np.random.default_rng(seed + 1),
         )
         sampled = np.concatenate([
             sampled_loops(projected_cascade, res.K, res.Omega, noise, 3, t)
@@ -652,20 +654,22 @@ class TestVerifyRobustGain:
     @pytest.mark.parametrize("c, fill", [(0.003, 0.9), (0.02, 0.9)])
     def test_stacked_draws_match_one_at_a_time(self, projected_cascade, c, fill):
         """Drawing the factors of all trials as one stack gives bitwise what
-        the trials draw one block at a time from the same generator, at
-        share ``fill`` of the budget, for many trials and for one.  A
-        trial's draw is its own row, so fewer trials give a prefix."""
+        the trials draw one (2, n, n) block at a time from the same
+        generator, at share ``fill`` of the budget, for many trials and for
+        one.  A trial's draw is its own row, so fewer trials give a prefix."""
         assert fill == noise_mod._FILL
         res = robust_stabilization(projected_cascade, 0.9, 0.003, 0.003)
         b = projected_cascade
         for count in (74, 1):
-            Phi1, Phi0 = _draw_factors(np.random.default_rng(9), count, b.n, b.m, b.N, c, c)
-            refs = draws_one_at_a_time(np.random.default_rng(9), count, b, res.Omega, c, c, fill)
+            Phi1, Phi0 = _draw_factors(np.random.default_rng(9), count, b.n, c, c)
+            refs = draws_one_at_a_time(
+                np.random.default_rng(9), count, b, res.Omega, c, c, fill, np.random.default_rng(10)
+            )
             assert len(Phi1) == len(Phi0) == len(refs) == count
             for phi1, phi0, (ref1, ref0, _) in zip(Phi1, Phi0, refs):
                 assert np.array_equal(phi1, ref1) and np.array_equal(phi0, ref0)
-        first = _draw_factors(np.random.default_rng(9), 74, b.n, b.m, b.N, c, c)
-        fewer = _draw_factors(np.random.default_rng(9), 30, b.n, b.m, b.N, c, c)
+        first = _draw_factors(np.random.default_rng(9), 74, b.n, c, c)
+        fewer = _draw_factors(np.random.default_rng(9), 30, b.n, c, c)
         for a, f in zip(first, fewer):
             assert np.array_equal(a[:30], f)
 
@@ -701,7 +705,10 @@ class TestVerifyRobustGain:
         )
         assert report.trials == len(loops) == trials and report.rejected_draws == 0
         params = NoiseClassParams(c, c, res.Omega)
-        drawn = draws_one_at_a_time(np.random.default_rng(seed), trials, batch, res.Omega, c, c, 0.9)
+        drawn = draws_one_at_a_time(
+            np.random.default_rng(seed), trials, batch, res.Omega, c, c, 0.9,
+            np.random.default_rng(seed + 1),
+        )
         scale = np.linalg.norm(batch.Xi1) * np.linalg.norm(res.Omega)
         for t, (loop, (Phi1, Phi0, noise)) in enumerate(zip(loops, drawn)):
             assert noise_in_class(noise, batch, params)
@@ -710,16 +717,32 @@ class TestVerifyRobustGain:
                 assert np.linalg.norm(sampled - loop) <= 1e-10 * scale
 
     def test_no_state_budget_keeps_every_draw(self, wide_batch):
-        """With c1 = 0 the state factor is zero and only Phi0 is drawn: each
-        factor pair is in the class, and every trial is checked."""
+        """With c1 = 0 the state factor is zero and Phi0 is the one drawn one
+        trial at a time: each factor pair is in the class, and every trial
+        is checked."""
         res = robust_stabilization(wide_batch, 0.9, 0.0, 0.01)
         b, params = wide_batch, NoiseClassParams(0.0, 0.01, res.Omega)
-        Phi1, Phi0 = _draw_factors(np.random.default_rng(4), 10, b.n, b.m, b.N, 0.0, 0.01)
+        Phi1, Phi0 = _draw_factors(np.random.default_rng(4), 10, b.n, 0.0, 0.01)
+        refs = draws_one_at_a_time(
+            np.random.default_rng(4), 10, b, res.Omega, 0.0, 0.01, 0.9, np.random.default_rng(5)
+        )
         assert not Phi1.any() and Phi0.any()
-        for phi1, phi0 in zip(Phi1, Phi0):
+        for phi1, phi0, (ref1, ref0, _) in zip(Phi1, Phi0, refs):
+            assert np.array_equal(phi1, ref1) and np.array_equal(phi0, ref0)
             assert noise_in_class(factor_noise(b, res.Omega, phi1, phi0), b, params)
         report = verify_robust_gain(b, res.M, res.gamma_tilde, 0.0, 0.01, res.Omega, trials=10, seed=4)
         assert report.rejected_draws == 0 and report.worst_radius > 0.0
+
+    @pytest.mark.parametrize("seed", [0, 4])
+    def test_input_factor_does_not_depend_on_c1(self, seed):
+        """For a given seed, Phi0 does not depend on c1, and c1 = 0 gives
+        Phi1 = 0 through the scaling alone."""
+        draws = {
+            c1: _draw_factors(np.random.default_rng(seed), 6, 3, c1, 0.01) for c1 in (0.0, 1e-3, 0.05)
+        }
+        assert not draws[0.0][0].any() and draws[1e-3][0].any()
+        for _, Phi0 in draws.values():
+            assert Phi0.any() and np.array_equal(Phi0, draws[0.0][1])
 
     def test_negative_trials_rejected(self, wide_batch):
         res = robust_stabilization(wide_batch, 0.9, 0.002, 0.002)

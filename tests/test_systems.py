@@ -296,6 +296,14 @@ class TestDataBatch:
         with pytest.raises(EmptyData):
             DataBatch(x1=np.zeros((0, 2)), x0=np.zeros((0, 2)), u0=np.zeros((0, 1)))
 
+    @pytest.mark.parametrize("bad", ["x1", "x0", "u0"])
+    def test_arrays_must_be_matrices(self, bad):
+        """A 3-D x1, x0 or u0 is a dimension error, not a later numpy one."""
+        arrays = {"x1": np.zeros((2, 2)), "x0": np.zeros((2, 2)), "u0": np.zeros((2, 1))}
+        arrays[bad] = arrays[bad][..., None]
+        with pytest.raises(DimensionMismatch, match=f"{bad} must be a matrix, got 3 dimensions"):
+            DataBatch(**arrays)
+
     def test_sample_count_mismatch(self):
         with pytest.raises(LengthMismatch):
             DataBatch(x1=np.zeros((2, 2)), x0=np.zeros((2, 2)), u0=np.zeros((3, 1)))
