@@ -31,11 +31,9 @@ from .finitedata import (
 from .informativity import (
     GainResult,
     IdentificationReport,
-    NotInformative,
     identification_informative,
     least_squares_gain_norm_growth,
     sample_compatible_systems,
-    stabilization_informative,
 )
 from .lmi import (
     Infeasible,

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from . import finitedata, informativity, noise as noise_mod
+from . import finitedata, informativity, lmi, noise as noise_mod
 from .errors import DdstabError, InvalidParams
 from .operators import DEFAULT_TOL, spectral_radius
 from .systems import (
@@ -111,7 +111,8 @@ def _random_lti_batch(args):
     x0 = rng.standard_normal(args.n)
     steps = args.samples if args.samples is not None else 2 * (args.n + args.m)
     inputs = [args.scale * rng.standard_normal(args.m) for _ in range(steps)]
-    traj = simulate(sys_, x0, inputs)
+    with np.errstate(over="ignore", invalid="ignore"):  # DataBatch rejects what overflows
+        traj = simulate(sys_, x0, inputs)
     return assemble_single_trajectory(
         traj, inputs, meta=f"random-lti n={args.n} m={args.m} seed={args.seed}"
     )
@@ -136,34 +137,37 @@ def cmd_analyze(args):
         )
         code = 0 if verdict else 1
     elif args.mode == "stabilize":
-        result = informativity.stabilization_informative(batch, args.gamma, args.tol)
+        result = informativity.synthesize_gain(batch, args.gamma, args.tol)
         code = _fill_gain_report(report, result, args.gamma)
     else:
         batch, dec = _project_plus(args, batch)
         report["decomposition"] = {**dec, "gamma_minus": args.gamma_minus}
         result = finitedata.finite_informative(batch, args.gamma, args.gamma_minus, args.tol)
-        code = _fill_gain_report(report, result, args.gamma, gain_key="K_plus")
+        code = _fill_gain_report(report, result, args.gamma, n_plus=dec["n_plus"])
         if code == 0:
             print(f"decomposition: n0={dec['n0']}, n_plus={dec['n_plus']}")
     _write_report(report, args.out)
     return code
 
 
-def _fill_gain_report(report, result, gamma, gain_key="K"):
+def _fill_gain_report(report, result, gamma, n_plus=None):
+    """Write the verdict into an analyze report and print its line.  An
+    lmi.Infeasible is stage "lmi"; on X+ (``n_plus`` given, the gain written
+    as K_plus) a short Xi0 is stage "rank" with margin rank - n_plus."""
     report["gamma"] = gamma
-    if isinstance(result, informativity.NotInformative):
-        report["informative"] = False
-        report["stage"] = result.stage
-        report["reason"] = result.reason
-        report["margin"] = result.margin
+    if isinstance(result, lmi.Infeasible):
+        stage, margin = "lmi", result.best_margin
+        if n_plus is not None and result.reason == "rank":
+            stage, margin = "rank", float(result.rank - n_plus)
+        report.update(informative=False, stage=stage, reason=result.reason, margin=margin)
         why = result.reason
         if result.mode is not None:
             report["pbh_mode"] = [result.mode.real, result.mode.imag]
             why += f" mode {result.mode:.6g} (|mode| {abs(result.mode):.6g})"
-        print(f"not informative at gamma={gamma} (stage {result.stage}, {why}, margin {result.margin:.3e})")
+        print(f"not informative at gamma={gamma} (stage {stage}, {why}, margin {margin:.3e})")
         return 1
     report["informative"] = True
-    report[gain_key] = result.K.tolist()
+    report["K" if n_plus is None else "K_plus"] = result.K.tolist()
     report["lmi_margin"] = result.lmi_margin
     report["achieved_radius"] = result.achieved_radius
     cert = result.certificate
@@ -231,18 +235,11 @@ def cmd_noise(args):
     report["gamma_tilde"] = result.gamma_tilde
     report["margin_ok"] = result.margin_ok
     report["K"] = result.K.tolist()
+    verification = noise_mod.verify_robust_gain(
+        batch, result.M, result.gamma_tilde, args.c1, args.c0, result.Omega, trials=args.trials, seed=args.seed
+    )
     if args.trials == 0:
         print("warning: trials = 0, verification passes vacuously")
-    verification = noise_mod.verify_robust_gain(
-        batch,
-        result.M,
-        result.gamma_tilde,
-        args.c1,
-        args.c0,
-        result.Omega,
-        trials=args.trials,
-        seed=args.seed,
-    )
     report["verification"] = verification.to_dict()
     print(
         f"robust synthesis: M={result.M:.4f}, gamma_tilde={result.gamma_tilde:.6f}, "

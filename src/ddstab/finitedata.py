@@ -10,7 +10,7 @@ modes the truncation keeps.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .errors import (
     DimensionMismatch,
     InvalidParams,
 )
-from .informativity import NotInformative, _check_sampling, synthesize_gain
+from .informativity import _check_sampling, synthesize_gain
 from .operators import _ACCEPT_SLACK, DEFAULT_TOL, _finite_product, _pinv_and_rank, spectral_radius
 from .systems import DataBatch, HeatCascadeParams
 
@@ -100,16 +100,13 @@ def finite_informative(batch: DataBatch, gamma, gamma_minus, tol=DEFAULT_TOL):
     """Informativity for stabilization on X+ at decay rate gamma.
 
     ``batch`` holds data on X+ (from project_data).  Requires
-    gamma_minus < gamma < 1 (``_check_rates``).  Decides and solves the LMI;
-    when its SVD finds Xi0 short of full row rank (the finite stand-in for
-    Ran Xi0+ = X+), the verdict is stage "rank" with margin rank - n.  The
-    returned gain acts on X+ coordinates; lift it with lift_gain.
+    gamma_minus < gamma < 1 (``_check_rates``), then returns what
+    synthesize_gain returns; an Infeasible with reason "rank" is the finite
+    stand-in for Ran Xi0+ != X+.  The returned gain acts on X+ coordinates;
+    lift it with lift_gain.
     """
     _check_rates(gamma, gamma_minus)
-    result = synthesize_gain(batch.Xi0, batch.Xi1, batch.Ups0, gamma, tol)
-    if isinstance(result, NotInformative) and result.reason == "rank":
-        return replace(result, stage="rank", margin=float(result.rank - batch.n))
-    return result
+    return synthesize_gain(batch, gamma, tol)
 
 
 def lift_gain(K_plus, dec: Decomposition):

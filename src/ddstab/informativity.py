@@ -41,25 +41,6 @@ class IdentificationReport:
 
 
 @dataclass(frozen=True)
-class NotInformative:
-    """Stabilization test failed at ``stage`` ('rank' or 'lmi').
-
-    ``reason`` says whether the verdict is a certificate: "rank" (the state
-    data do not span), "pbh" (the eigenvalue ``mode`` of the data's open
-    loop, at or above gamma, is out of the inputs' reach) or "numerical"
-    (inconclusive: no candidate gain was accepted).  ``rank`` is the rank of
-    Xi0 at ``tol`` that the synthesis SVD decided: below n for "rank", n
-    otherwise.
-    """
-
-    stage: str
-    margin: float
-    reason: str
-    rank: int
-    mode: complex | None = None
-
-
-@dataclass(frozen=True)
 class GainResult:
     """Synthesized gain with its closed-loop certificate.
 
@@ -87,46 +68,27 @@ def identification_informative(batch: DataBatch, tol=DEFAULT_TOL) -> Identificat
     )
 
 
-def synthesize_gain(Xi0, Xi1, Ups0, gamma, tol=DEFAULT_TOL):
-    """Shared LMI route: decide, and take the gain from the right inverse.
+def synthesize_gain(batch: DataBatch, gamma, tol=DEFAULT_TOL):
+    """Decide informativity for stabilization at decay rate gamma.
 
-    The lmi module returns a right inverse R of Xi0 with rho(Xi1 R) < gamma
-    and the certificate and spectral radius of F = Xi1 R from the ranking
-    that chose it; the gain is K = Ups0 R.  Returns GainResult or
-    NotInformative; used by the full-dimension test here and by the
-    projected test in finitedata.
-    ``tol`` is the rank and PBH tolerance of the LMI decision; feasibility
-    and symmetry thresholds are the lmi module defaults.
+    lmi.solve_feasibility decides the block LMI exactly (rank of Xi0, then
+    PBH) and returns a right inverse R of Xi0 with rho(Xi1 R) < gamma, with
+    the certificate and radius of Xi1 R; the gain is K = Ups0 R, returned in
+    a GainResult.  Else the very lmi.Infeasible it made is returned.  ``tol``
+    is the rank and PBH tolerance; lmi.LmiProblem checks gamma and tol.
     """
-    problem = lmi.LmiProblem(Xi0=Xi0, Xi1=Xi1, gamma=gamma, tol=tol)
+    problem = lmi.LmiProblem(Xi0=batch.Xi0, Xi1=batch.Xi1, gamma=gamma, tol=tol)
     outcome = lmi.solve_feasibility(problem)
     if isinstance(outcome, lmi.Infeasible):
-        return NotInformative(
-            stage="lmi", margin=outcome.best_margin, reason=outcome.reason,
-            rank=outcome.rank, mode=outcome.mode,
-        )
+        return outcome
     right_inverse = outcome.right_inverse
     return GainResult(
-        K=Ups0 @ right_inverse,
+        K=batch.Ups0 @ right_inverse,
         certificate=outcome.certificate,
         lmi_margin=outcome.min_eig,
         achieved_radius=outcome.radius,
         right_inverse=right_inverse,
     )
-
-
-def stabilization_informative(batch: DataBatch, gamma, tol=DEFAULT_TOL):
-    """Decide informativity for stabilization with decay rate gamma.
-
-    Decides the block LMI exactly (rank of Xi0, then a PBH test); on success
-    returns the gain K = Ups0 R, for a right inverse R of Xi0, together with
-    a power-stability certificate of the reconstructed closed loop Xi1 R at
-    rate gamma.  Failure returns NotInformative with its reason; rank
-    deficiency of the state data surfaces there rather than as a separate
-    stage.  ``tol`` is the rank and PBH tolerance; feasibility and symmetry
-    thresholds are the lmi defaults, and lmi.LmiProblem checks gamma and tol.
-    """
-    return synthesize_gain(batch.Xi0, batch.Xi1, batch.Ups0, gamma, tol)
 
 
 def _check_sampling(trials, seed, scale=1.0):

@@ -339,9 +339,11 @@ def solve_feasibility(problem: LmiProblem, max_iters=None, seed=None):
     unreachable = _unreachable_modes(A, B, modes[np.abs(modes) >= gamma], tol)
     if unreachable.size:
         # with w^* A^ = mode w^*, w^* B^ = 0, the vector [w; -conj(mode) w]
-        # bounds the margin of every admissible Lambda by -1 / (1 + |mode|^2)
+        # bounds the margin of every admissible Lambda by -1 / (1 + |mode|^2),
+        # taken as -(1 / |mode|)^2 where |mode|^2 would overflow
         mode = complex(unreachable[0])
-        margin = -1.0 / (1.0 + abs(mode) ** 2)
+        r = abs(mode)
+        margin = -1.0 / (1.0 + r**2) if r < 2.0**511 else -((1.0 / r) ** 2)
         return Infeasible(best_margin=margin, iterations=0, reason="pbh", rank=n, mode=mode)
 
     R, F = Xi0_pinv[None], A[None]  # no kernel direction moves the loop

@@ -17,7 +17,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, IndexOutOfRange, InvalidParams
-from .informativity import NotInformative, _check_sampling, synthesize_gain
+from .informativity import _check_sampling, synthesize_gain
+from .lmi import Infeasible
 from .operators import (
     _ACCEPT_SLACK,
     _BLOCK_ELEMENTS,
@@ -155,12 +156,11 @@ def robust_stabilization(noisy_batch: DataBatch, gamma, c1, c0, tol=DEFAULT_TOL)
     if not (0.0 < gamma < 1.0):
         raise InvalidParams("gamma must lie in (0, 1)")
     _check_noise_constants(c1, c0)
-    synth = synthesize_gain(noisy_batch.Xi0, noisy_batch.Xi1, noisy_batch.Ups0, gamma, tol)
-    if isinstance(synth, NotInformative) and synth.reason == "rank":
-        detail = f"state sequence is not a frame: rank {synth.rank} < dim {noisy_batch.n}"
-        return NotApplicable(stage="frame", detail=detail)
-    if isinstance(synth, NotInformative):
-        return NotApplicable(stage=synth.stage, detail=f"{synth.reason}, margin {synth.margin:.3e}")
+    synth = synthesize_gain(noisy_batch, gamma, tol)
+    if isinstance(synth, Infeasible) and synth.reason == "rank":
+        return NotApplicable("frame", f"state sequence is not a frame: rank {synth.rank} < dim {noisy_batch.n}")
+    if isinstance(synth, Infeasible):
+        return NotApplicable(stage="lmi", detail=f"{synth.reason}, margin {synth.best_margin:.3e}")
     M = synth.certificate.M
     if M * c0 >= 1.0:
         return NotApplicable(stage="margin", detail=f"M*c0 = {M * c0:.3g} >= 1")
@@ -228,7 +228,8 @@ def verify_robust_gain(noisy_batch: DataBatch, M, gamma_tilde, c1, c0, Omega, tr
     gamma_tilde + s and ||(A + B K)^k|| <= (M + s) gamma_tilde^k for k up
     to ``_POWER_HORIZON``, s = ``_ACCEPT_SLACK``; ``violations`` counts the
     trials over each bound, so a trial over both counts twice.  Raises
-    InvalidParams where ``robust_decay_rate`` does (M < 1 or M c0 >= 1).
+    InvalidParams where ``robust_decay_rate`` does (M < 1 or M c0 >= 1)
+    and where a bound (M + s) gamma_tilde^k overflows.
     """
     _check_sampling(trials, seed)
     _check_noise_constants(c1, c0)
@@ -265,14 +266,18 @@ def _check_closed_loops(F, M, gamma_tilde, power_horizon):
     one buffer, and ||P|| is bounded by u = ||P||_F (1 + _LOG_SLACK), from
     one contraction per chunk; only where u exceeds the step's bound b_k
     can the loop exceed it, so only there the SVD runs, step by step, and a
-    violator takes no SVD after its first excess.
+    violator takes no SVD after its first excess, nor a power that overflowed
+    (it is over its finite bound).  Bounds that overflow raise InvalidParams.
     """
     L, n = F.shape[0], F.shape[-1]
+    # (M + _ACCEPT_SLACK) gamma_tilde^k, one rounded product per step
+    with np.errstate(over="ignore"):
+        bounds = np.multiply.accumulate(np.r_[M + _ACCEPT_SLACK, np.full(power_horizon, gamma_tilde)])[1:]
+    if not np.isfinite(bounds).all():
+        raise InvalidParams(f"the bound (M + s) gamma_tilde^k overflows: gamma_tilde = {gamma_tilde:.6g}")
     radii = spectral_radius(F)
     worst_radius = float(radii.max(initial=0.0))
     violations = int(np.sum(radii > gamma_tilde + _ACCEPT_SLACK))
-    # (M + _ACCEPT_SLACK) gamma_tilde^k, one rounded product per step
-    bounds = np.multiply.accumulate(np.r_[M + _ACCEPT_SLACK, np.full(power_horizon, gamma_tilde)])[1:]
     # one buffer for the powers of every chunk, which fills its first rows
     # for the live loops.  A chunk's base is the last row of the chunk
     # before, never row 0, since every chunk but the last has two steps or
@@ -285,9 +290,10 @@ def _check_closed_loops(F, M, gamma_tilde, power_horizon):
     while k < power_horizon and len(F_live):
         steps = min(power_horizon - k, most)
         chunk = Q[:steps, : len(F_live)]
-        for j in range(steps):
-            np.matmul(F_live, chunk[j - 1] if j else P, out=chunk[j])
-        u = _frobenius(chunk) * (1.0 + _LOG_SLACK)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(steps):
+                np.matmul(F_live, chunk[j - 1] if j else P, out=chunk[j])
+            u = _frobenius(chunk) * (1.0 + _LOG_SLACK)
         b = bounds[k : k + steps, None]
         exact = ~(u - b <= 0.0)
         P = chunk[-1]
@@ -296,6 +302,8 @@ def _check_closed_loops(F, M, gamma_tilde, power_horizon):
             stay = np.ones(len(F_live), dtype=bool)
             for j in np.flatnonzero(exact.any(axis=1)):
                 rows = np.flatnonzero(exact[j] & stay)
+                stay[rows[~np.isfinite(chunk[j, rows]).all(axis=(1, 2))]] = False
+                rows = rows[stay[rows]]
                 if rows.size:
                     stay[rows[~(operator_norm(chunk[j, rows]) - b[j] <= 0)]] = False
             if not stay.all():

@@ -74,6 +74,21 @@ class TestGenerate:
             assert "--scale" in err
         assert not path.exists()
 
+    @pytest.mark.parametrize(
+        "option", [["--radius", "1e200"], ["--radius", "3", "--samples", "700"]],
+        ids=["radius-1e200", "radius-3-samples-700"],
+    )
+    def test_overflowing_trajectory_one_error_line(self, tmp_path, option, capsys):
+        """A trajectory that leaves double precision is rejected by the
+        batch's own check: exit 2, that one line on stderr and no
+        RuntimeWarning before it, nothing on stdout, no file."""
+        path = tmp_path / "x.json"
+        assert run("generate", "--scenario", "random-lti", *option, "--out", str(path)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: x1 contains non-finite entries\n"
+        assert not path.exists()
+
     def test_batch_without_state_exits_2(self, tmp_path, capsys):
         """A hand-written batch with samples but no state columns is rejected
         on load, so analyze exits 2 rather than with a negative verdict."""
@@ -169,6 +184,24 @@ class TestAnalyze:
         payload = json.loads(report.read_text())
         assert payload["stage"] == "lmi" and payload["reason"] == "rank"
         assert payload["margin"] < 0.0 and "pbh_mode" not in payload
+
+    def test_finite_plus_short_state_data_is_stage_rank(self, tmp_path, capsys):
+        """finite-plus labels state data short of rank n_plus as stage "rank"
+        with margin rank - n_plus, in the report and on stdout; stabilize
+        reports the same verdict as stage "lmi" with the LMI's margin -1."""
+        x0 = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 0.0]])  # rank 1 of 3
+        path, report = tmp_path / "short.json", tmp_path / "report.json"
+        DataBatch(x1=np.zeros((3, 3)), x0=x0, u0=np.zeros((3, 1))).save(path)
+        plus = ["--mode", "finite-plus", "--head-dim", "2", "--a0", "100"]
+        for mode, stage, margin in ((plus, "rank", -2.0), (["--mode", "stabilize"], "lmi", -1.0)):
+            capsys.readouterr()
+            assert run("analyze", "--in", str(path), *mode, "--out", str(report)) == 1
+            assert capsys.readouterr().out == (
+                f"not informative at gamma=0.9 (stage {stage}, rank, margin {margin:.3e})\n"
+            )
+            payload = json.loads(report.read_text())
+            assert (payload["stage"], payload["reason"], payload["margin"]) == (stage, "rank", margin)
+            assert payload.get("decomposition", {"n_plus": 3})["n_plus"] == 3
 
     def test_unreachable_mode_reported(self, tmp_path, capsys):
         """x1 = A x0 + B u0 with the mode 1.25 of A out of the input's reach:
@@ -738,6 +771,29 @@ class TestNoise:
         assert capsys.readouterr().err.startswith("error:")
         assert not report.exists()
 
+    @pytest.mark.parametrize(
+        "constants",
+        [["--c1", "400", "--c0", "0.003"], ["--c1", "1000", "--c0", "0.003"],
+         ["--c1", "1000", "--c0", "0.003", "--trials", "0"], ["--c1", "0.003", "--c0", "0.2535"]],
+        ids=["c1-400", "c1-1000", "c1-1000-trials-0", "c0-0.2535"],
+    )
+    def test_overflowing_power_bound_exit_2(self, cascade_file, tmp_path, capfd, constants):
+        """Constants whose gamma_tilde makes (M + s) gamma_tilde^k overflow
+        within the power horizon (gamma_tilde above about 1.19e3 at M =
+        3.94) leave no bound to check against: exit 2 with one error line,
+        nothing on stdout (no LAPACK message either), no warning and no
+        report."""
+        report = tmp_path / "noise.json"
+        assert run(
+            "noise", "--in", str(cascade_file), "--gamma", "0.9", *constants, "--project",
+            "--out", str(report),
+        ) == 2
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: the bound (M + s) gamma_tilde^k overflows")
+        assert captured.err.count("\n") == 1
+        assert not report.exists()
+
     def test_zero_trials_vacuous_pass(self, cascade_file, capsys):
         code = run(
             "noise", "--in", str(cascade_file), "--gamma", "0.9", "--c1", "0.003",
@@ -1037,3 +1093,32 @@ class TestOverflowingData:
         assert captured.err.startswith("error: the data overflow double precision")
         assert captured.err.count("\n") == 1
         assert not report.exists()
+
+
+class TestHugePbhMode:
+    """x1 = 1e155 x0 with no input reaching either mode: |mode|^2 leaves
+    double precision above about 1.34e154, but the PBH verdict still stands,
+    with margin -(1 / |mode|)^2 = -1e-310, a subnormal below zero.  Each
+    command that decides it exits 1 with its negative verdict, no traceback."""
+
+    BATCH = {"x1": [[1e155, 0.0], [0.0, 1e155]], "x0": [[1.0, 0.0], [0.0, 1.0]], "u0": [[1.0], [0.0]]}
+    MARGIN = -((1.0 / 1e155) ** 2)
+
+    @pytest.mark.parametrize("command", ["stabilize", "finite-plus", "noise"])
+    def test_pbh_verdict(self, tmp_path, capsys, command):
+        path, report = tmp_path / "data.json", tmp_path / "r.json"
+        path.write_text(json.dumps(self.BATCH))
+        argv = TestOverflowingData.COMMANDS[command]
+        assert run(*argv, "--in", str(path), "--out", str(report)) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        payload = json.loads(report.read_text())
+        assert payload["stage"] == "lmi"
+        assert self.MARGIN < 0.0
+        if command == "noise":
+            assert payload["detail"] == "pbh, margin -1.000e-310"
+            assert captured.out == "not applicable: stage lmi (pbh, margin -1.000e-310)\n"
+        else:
+            assert (payload["reason"], payload["margin"]) == ("pbh", self.MARGIN)
+            assert payload["pbh_mode"] == [1e155, 0.0]
+            assert "pbh mode 1e+155+0j (|mode| 1e+155), margin -1.000e-310)" in captured.out

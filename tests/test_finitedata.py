@@ -16,8 +16,8 @@ from ddstab.finitedata import (
     project_data,
     verify_on_compatible_plus,
 )
-from ddstab.informativity import GainResult, NotInformative, stabilization_informative
-from ddstab.lmi import LmiProblem, LmiSolution, solve_feasibility
+from ddstab.informativity import GainResult, synthesize_gain
+from ddstab.lmi import Infeasible, LmiProblem, LmiSolution, solve_feasibility
 from ddstab.noise import NotApplicable, robust_stabilization
 from ddstab.operators import (
     DEFAULT_TOL,
@@ -223,16 +223,16 @@ class TestFiniteInformative:
         x0 = np.array([[1.0, 2.0], [2.0, 4.0]])  # proportional samples
         pd = DataBatch(x1=np.zeros((2, 2)), x0=x0, u0=np.zeros((2, 1)))
         result = finite_informative(pd, 0.9, 0.5)
-        assert isinstance(result, NotInformative)
-        assert result.stage == "rank"
+        assert isinstance(result, Infeasible)
+        assert result.reason == "rank" and result.rank == 1
 
     def test_uncontrollable_unstable_block(self):
         # identity data with an expanding map and no input authority
         pd = DataBatch(x1=1.1 * np.eye(2), x0=np.eye(2), u0=np.zeros((2, 1)))
         result = finite_informative(pd, 0.95, 0.5)
-        assert isinstance(result, NotInformative)
-        assert result.stage == "lmi"
+        assert isinstance(result, Infeasible)
         assert result.reason == "pbh" and result.mode == pytest.approx(1.1)
+        assert result.best_margin == pytest.approx(-1.0 / (1.0 + 1.1**2))
 
     def test_gamma_ordering_guard(self, reference_setup):
         _, batch, _, dec = reference_setup
@@ -311,7 +311,7 @@ def underdetermined_cases():
         inputs = [rng.standard_normal(m) for _ in range(N)]
         traj = simulate(LinearSystem(A=A, B=B), rng.standard_normal(n), inputs)
         batch = assemble_single_trajectory(traj, inputs)
-        result = stabilization_informative(batch, 0.9)
+        result = synthesize_gain(batch, 0.9)
         if isinstance(result, GainResult):
             cases.append((batch, result))
     return cases
@@ -539,11 +539,11 @@ class TestOneRankDecision:
 
     def test_knife_edge_verdicts_agree(self):
         batch, tol = knife_edge_batch()
-        stabilize = stabilization_informative(batch, 0.9, tol)
+        stabilize = synthesize_gain(batch, 0.9, tol)
         plus = finite_informative(batch, 0.9, 0.5, tol)
         robust = robust_stabilization(batch, 0.9, 0.0, 0.0, tol)
-        deficient = isinstance(stabilize, NotInformative) and stabilize.reason == "rank"
-        assert (isinstance(plus, NotInformative) and plus.stage == "rank") == deficient
+        deficient = isinstance(stabilize, Infeasible) and stabilize.reason == "rank"
+        assert (isinstance(plus, Infeasible) and plus.reason == "rank") == deficient
         assert (isinstance(robust, NotApplicable) and robust.stage == "frame") == deficient
 
     @pytest.mark.parametrize("samples", [5, 3], ids=["full-rank", "rank-deficient"])
@@ -570,7 +570,7 @@ class TestOneRankDecision:
         x0 = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 0.0]])
         pd = DataBatch(x1=np.zeros((3, 3)), x0=x0, u0=np.zeros((3, 1)))
         result = finite_informative(pd, 0.9, 0.5)
-        assert (result.stage, result.reason, result.rank, result.margin) == ("rank", "rank", 1, -2.0)
+        assert (result.reason, result.rank, result.best_margin) == ("rank", 1, -1.0)
         assert robust_stabilization(pd, 0.9, 0.0, 0.0).detail == (
             "state sequence is not a frame: rank 1 < dim 3"
         )

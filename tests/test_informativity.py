@@ -3,18 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddstab import cli
+from ddstab import cli, lmi
 from ddstab.errors import InvalidParams
 from ddstab.finitedata import cascade_decomposition, project_data
 from ddstab.informativity import (
     GainResult,
-    NotInformative,
     identification_informative,
     least_squares_gain_norm_growth,
     sample_compatible_systems,
-    stabilization_informative,
     synthesize_gain,
 )
+from ddstab.lmi import Infeasible
 from ddstab.operators import construct_certificate, pseudo_inverse, spectral_radius
 from ddstab.systems import (
     DataBatch,
@@ -111,7 +110,7 @@ class TestIdentification:
 class TestStabilization:
     def test_zero_closed_loop_toy(self):
         batch = batch_from(np.eye(2), np.zeros((1, 2)), np.zeros((2, 2)))
-        result = stabilization_informative(batch, 0.9)
+        result = synthesize_gain(batch, 0.9)
         assert isinstance(result, GainResult)
         assert np.allclose(result.K, 0.0)
         assert result.achieved_radius == pytest.approx(0.0, abs=1e-12)
@@ -121,9 +120,23 @@ class TestStabilization:
         batch = batch_from(
             np.array([[1.0, 0.0], [0.0, 0.0]]), np.zeros((1, 2)), np.zeros((2, 2))
         )
-        result = stabilization_informative(batch, 0.9)
-        assert isinstance(result, NotInformative)
-        assert result.margin < 0.0
+        result = synthesize_gain(batch, 0.9)
+        assert isinstance(result, Infeasible)
+        assert result.reason == "rank" and result.rank == 1 and result.best_margin < 0.0
+
+    @pytest.mark.parametrize("reason", ["rank", "pbh"])
+    def test_infeasible_is_the_lmi_verdict(self, monkeypatch, reason):
+        """synthesize_gain hands on the very Infeasible that solve_feasibility
+        made, not a copy."""
+        made, solve = [], lmi.solve_feasibility
+        monkeypatch.setattr(lmi, "solve_feasibility", lambda problem: made.append(solve(problem)) or made[-1])
+        if reason == "rank":
+            batch = batch_from(np.array([[1.0, 0.0], [0.0, 0.0]]), np.zeros((1, 2)), np.zeros((2, 2)))
+        else:
+            batch = batch_from(np.eye(2), np.zeros((1, 2)), 1.1 * np.eye(2))
+        result = synthesize_gain(batch, 0.9)
+        assert len(made) == 1 and result is made[0]
+        assert isinstance(result, Infeasible) and result.reason == reason
 
     def test_random_controllable_system(self):
         rng = np.random.default_rng(12)
@@ -131,7 +144,7 @@ class TestStabilization:
         A *= 1.1 / spectral_radius(A)  # unstable open loop
         B = rng.standard_normal((3, 1))
         batch = excited_batch(A, B, N=8, seed=3)
-        result = stabilization_informative(batch, 0.95)
+        result = synthesize_gain(batch, 0.95)
         assert isinstance(result, GainResult)
         assert spectral_radius(A + B @ result.K) <= 0.95 + 1e-6
 
@@ -140,7 +153,7 @@ class TestStabilization:
         A = 0.9 * rng.standard_normal((2, 2))
         B = rng.standard_normal((2, 1))
         batch = excited_batch(A, B, N=4, seed=4)  # N > n keeps a nontrivial family
-        result = stabilization_informative(batch, 0.9)
+        result = synthesize_gain(batch, 0.9)
         assert isinstance(result, GainResult)
         F_data = batch.Xi1 @ result.right_inverse
         for seed in (0, 1):
@@ -158,18 +171,16 @@ class TestStabilization:
         N = n + 1, seed 0)."""
         if scenario == "cascade":
             _, batch, params = reference_cascade_scenario(n_modes=50, n_samples=5)
-            pd = project_data(batch, cascade_decomposition(params, 0.89, 0.1, 0.0))
-            Xi0, Xi1, Ups0 = pd.Xi0, pd.Xi1, pd.Ups0
+            batch = project_data(batch, cascade_decomposition(params, 0.89, 0.1, 0.0))
         else:
             path = tmp_path / "data.json"
             argv = ["generate", "--scenario", "random-lti", "--n", "8", "--seed", "0",
                     "--samples", "9", "--radius", "2.0", "--out", str(path)]
             assert cli.main(argv) == 0
             batch = DataBatch.load(path)
-            Xi0, Xi1, Ups0 = batch.Xi0, batch.Xi1, batch.Ups0
-        result = synthesize_gain(Xi0, Xi1, Ups0, 0.9)
+        result = synthesize_gain(batch, 0.9)
         assert isinstance(result, GainResult)
-        assert result.certificate == construct_certificate(Xi1 @ result.right_inverse, 0.9)
+        assert result.certificate == construct_certificate(batch.Xi1 @ result.right_inverse, 0.9)
 
 
 class TestSampleCompatible:

@@ -3,7 +3,7 @@ import pytest
 
 from ddstab import lmi, operators
 from ddstab.errors import DimensionMismatch, InvalidParams
-from ddstab.informativity import NotInformative, synthesize_gain
+from ddstab.informativity import synthesize_gain
 from ddstab.lmi import (
     Infeasible,
     LmiProblem,
@@ -12,7 +12,7 @@ from ddstab.lmi import (
     solve_feasibility,
 )
 from ddstab.operators import spectral_radius
-from ddstab.systems import reference_cascade_scenario
+from ddstab.systems import DataBatch, reference_cascade_scenario
 
 
 def random_feasible_instance(rng, n=None, N=None, gamma=0.9):
@@ -162,6 +162,11 @@ def data_from_system(A, B, rng, N):
     return Xi0, A @ Xi0 + B @ Ups0, Ups0
 
 
+def batch_of(Xi0, Xi1, Ups0):
+    """The DataBatch whose data matrices are (Xi0, Xi1, Ups0)."""
+    return DataBatch(x1=Xi1.T, x0=Xi0.T, u0=Ups0.T)
+
+
 def admissible_margins(Xi0, Xi1, gamma, rng, count=20):
     """Block margins at random admissible points Lambda = R P: R a random
     right inverse of Xi0, P symmetric positive definite, so Xi0 Lambda = P."""
@@ -197,10 +202,10 @@ class TestExactVerdict:
             Ups0 = rng.standard_normal((1, n + 1))
             AB = np.linalg.solve(np.vstack([Xi0, Ups0]).T, Xi1.T).T
             A, B = AB[:, :n], AB[:, n:]
-            result = synthesize_gain(Xi0, Xi1, Ups0, gamma)
-            if isinstance(result, NotInformative):
+            result = synthesize_gain(batch_of(Xi0, Xi1, Ups0), gamma)
+            if isinstance(result, Infeasible):
                 verdicts[result.reason] += 1
-                assert result.margin < 0.0
+                assert result.best_margin < 0.0 and result.rank == n
                 A_hat, Z = Xi1 @ np.linalg.pinv(Xi0), np.linalg.svd(Xi0)[2][n:].T
                 pencils = [
                     np.linalg.svd(np.hstack([A_hat - lam * np.eye(n), Xi1 @ Z]), compute_uv=False)
@@ -220,8 +225,8 @@ class TestExactVerdict:
             ratios = []
             P = np.eye(n)
             for k in range(2 * k0 + 100):
-                ratios.append(np.linalg.norm(P, 2) / gamma**k)
-                P = F @ P
+                ratios.append(np.linalg.norm(P, 2))  # ||F^k|| / gamma^k, which cannot underflow
+                P = F @ P / gamma
             assert max(ratios) <= M * (1.0 + 1e-9)
             assert max(ratios) >= M * (1.0 - 1e-6)
         print(f"minimal-data fuzz verdicts: {verdicts}")
@@ -258,8 +263,8 @@ class TestExactVerdict:
         A[1, 2] = 0.5
         B = np.array([[0.0], [1.0], [0.7]])
         Xi0, Xi1, Ups0 = data_from_system(A, B, rng, 6)
-        result = synthesize_gain(Xi0, Xi1, Ups0, 0.9)
-        assert not isinstance(result, NotInformative), result
+        result = synthesize_gain(batch_of(Xi0, Xi1, Ups0), 0.9)
+        assert not isinstance(result, Infeasible), result
         radius = np.max(np.abs(np.linalg.eigvals(A + B @ result.K)))
         assert slow - 1e-6 <= radius < 0.9
 
@@ -277,9 +282,9 @@ class TestExactVerdict:
         B = rng.standard_normal((6, 1))
         B[0] = 0.0
         Xi0, Xi1, Ups0 = data_from_system(A, B, rng, 7)
-        result = synthesize_gain(Xi0, Xi1, Ups0, 0.9)
-        assert not isinstance(result, NotInformative), result
-        assert spectral_radius(A + B @ result.K) < 0.9
+        sol = solve_feasibility(LmiProblem(Xi0=Xi0, Xi1=Xi1, gamma=0.9))
+        assert isinstance(sol, LmiSolution), sol
+        assert spectral_radius(A + B @ (Ups0 @ sol.right_inverse)) < 0.9
 
 
 def riccati_reference(A, B, rates, weights):
@@ -362,7 +367,7 @@ class TestRiccatiGains:
         B = rng.standard_normal((6, 1))
         B[0] = 0.0
         Xi0, Xi1, Ups0 = data_from_system(A, B, rng, 7)
-        assert not isinstance(synthesize_gain(Xi0, Xi1, Ups0, 0.9), NotInformative)
+        assert isinstance(solve_feasibility(LmiProblem(Xi0=Xi0, Xi1=Xi1, gamma=0.9)), LmiSolution)
         assert len(calls) == 1 and calls[0].any() and not calls[0].all()
 
 
@@ -441,11 +446,11 @@ class TestSteinSolution:
         result reports as its achieved radius."""
         rng = np.random.default_rng(n)
         Xi0, Xi1, gamma = random_feasible_instance(rng, n, N)
-        Xi1 = Xi1 + rng.standard_normal(Xi1.shape)
-        sol = solve_feasibility(LmiProblem(Xi0=Xi0, Xi1=Xi1, gamma=gamma))
+        batch = batch_of(Xi0, Xi1 + rng.standard_normal(Xi1.shape), np.ones((1, N)))
+        sol = solve_feasibility(LmiProblem(Xi0=batch.Xi0, Xi1=batch.Xi1, gamma=gamma))
         assert isinstance(sol, LmiSolution)
-        assert sol.radius == spectral_radius(Xi1 @ sol.right_inverse)
-        result = synthesize_gain(Xi0, Xi1, np.ones((1, N)), gamma)
+        assert sol.radius == spectral_radius(batch.Xi1 @ sol.right_inverse)
+        result = synthesize_gain(batch, gamma)
         assert result.achieved_radius == sol.radius
 
 
@@ -468,8 +473,9 @@ def near_gamma_unreachable_instance():
 
 
 class TestRankField:
-    """Infeasible.rank and NotInformative.rank are the count of the rank cut
-    of Xi0 at tol: below n on rank-deficient data, n on every other verdict."""
+    """Infeasible.rank, from solve_feasibility and as synthesize_gain hands it
+    on, is the count of the rank cut of Xi0 at tol: below n on rank-deficient
+    data, n on every other verdict."""
 
     @pytest.mark.parametrize("tol, rank", [(1e-9, 3), (1e-4, 2), (1e-2, 1)])
     def test_rank_deficient_data(self, tol, rank):
@@ -478,7 +484,7 @@ class TestRankField:
         Xi1, Ups0 = rng.standard_normal((4, 7)), rng.standard_normal((1, 7))
         out = solve_feasibility(LmiProblem(Xi0=Xi0, Xi1=Xi1, gamma=0.9, tol=tol))
         assert (out.reason, out.rank) == ("rank", rank)
-        verdict = synthesize_gain(Xi0, Xi1, Ups0, 0.9, tol)
+        verdict = synthesize_gain(batch_of(Xi0, Xi1, Ups0), 0.9, tol)
         assert (verdict.reason, verdict.rank) == ("rank", rank)
 
     def test_full_rank_verdicts(self):
@@ -489,7 +495,7 @@ class TestRankField:
         reasons = []
         for Xi0, Xi1, Ups0 in (data_from_system(A, B, rng, 6), near_gamma_unreachable_instance()):
             out = solve_feasibility(LmiProblem(Xi0=Xi0, Xi1=Xi1, gamma=0.9))
-            verdict = synthesize_gain(Xi0, Xi1, Ups0, 0.9)
+            verdict = synthesize_gain(batch_of(Xi0, Xi1, Ups0), 0.9)
             assert out.reason == verdict.reason
             assert out.rank == verdict.rank == Xi0.shape[0]
             reasons.append(out.reason)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from ddstab.errors import DimensionMismatch, IndexOutOfRange, InvalidParams
 from ddstab.finitedata import cascade_decomposition, project_data
-from ddstab.informativity import sample_compatible_systems, stabilization_informative
+from ddstab.informativity import sample_compatible_systems, synthesize_gain
 from ddstab.noise import (
     NoiseClassParams,
     NotApplicable,
@@ -382,7 +382,7 @@ class TestRobustStabilization:
         res = robust_stabilization(projected_cascade, 0.9, 0.0, 0.0)
         assert isinstance(res, RobustGainResult)
         assert res.gamma_tilde == pytest.approx(0.9)
-        base = stabilization_informative(projected_cascade, 0.9)
+        base = synthesize_gain(projected_cascade, 0.9)
         assert np.linalg.norm(res.K - base.K) < 1e-10
         assert np.linalg.norm(projected_cascade.Xi0 @ res.Omega - np.eye(4)) < 1e-9
 
@@ -453,7 +453,7 @@ class TestVerifyRobustGain:
             projected_cascade, res.M, res.gamma_tilde, 0.0, 0.0, res.Omega,
             trials=3, seed=0,
         )
-        base = stabilization_informative(projected_cascade, 0.9)
+        base = synthesize_gain(projected_cascade, 0.9)
         assert report.worst_radius == pytest.approx(base.achieved_radius, abs=1e-9)
 
     def test_tiny_budget_continuity(self, projected_cascade):
@@ -462,7 +462,7 @@ class TestVerifyRobustGain:
             projected_cascade, res.M, res.gamma_tilde, 1e-8, 1e-8, res.Omega,
             trials=5, seed=1,
         )
-        base = stabilization_informative(projected_cascade, 0.9)
+        base = synthesize_gain(projected_cascade, 0.9)
         assert abs(report.worst_radius - base.achieved_radius) < 1e-4
 
     def test_fixed_seed_identical_report(self, projected_cascade):
@@ -631,6 +631,24 @@ class TestVerifyRobustGain:
         expected = full_power_check(F, 3.0, 0.95, horizon)[:2]
         assert expected[1] > 0
         assert _check_closed_loops(F, 3.0, 0.95, horizon) == expected
+
+    def test_overflowing_bound_raises(self):
+        """(M + s) gamma_tilde^k past double precision within the horizon
+        leaves no bound to check against: InvalidParams, whatever the loops."""
+        with pytest.raises(InvalidParams, match="overflows"):
+            _check_closed_loops(np.zeros((0, 2, 2)), 4.0, 2000.0, 100)
+
+    def test_overflowing_power_is_an_excess_without_svd(self, monkeypatch):
+        """A power that leaves double precision in one step from within its
+        finite bound is over that bound: it counts, and no SVD sees it."""
+        F = np.array([[[0.0, 1e200], [1e200, 0.0]], [[0.5, 0.0], [0.0, 0.5]]])
+        finite = []
+        monkeypatch.setattr(
+            noise_mod, "operator_norm", lambda P: finite.append(np.isfinite(P).all()) or operator_norm(P)
+        )
+        worst_radius, violations = _check_closed_loops(F, 1e300, 0.9, 10)
+        assert worst_radius == pytest.approx(1e200) and violations == 2
+        assert all(finite)
 
     def test_reference_chain_takes_few_svds(self, projected_cascade, monkeypatch):
         """On the reference chain at c = 0.003 and at c = 0.02 (200 trials
