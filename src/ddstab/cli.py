@@ -163,7 +163,7 @@ def _fill_gain_report(report, result, gamma, n_plus=None):
         why = result.reason
         if result.mode is not None:
             report["pbh_mode"] = [result.mode.real, result.mode.imag]
-            why += f" mode {result.mode:.6g} (|mode| {abs(result.mode):.6g})"
+            why += f" mode {result.mode:.6g} (|mode| {lmi._modulus(result.mode):.6g})"
         print(f"not informative at gamma={gamma} (stage {stage}, {why}, margin {margin:.3e})")
         return 1
     report["informative"] = True

@@ -38,13 +38,12 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidParams
 from .operators import (
-    _BLOCK_ELEMENTS,
-    _BLOCK_STEPS,
     _CERTIFICATE_HORIZON,
     DEFAULT_TOL,
     PowerStabilityCertificate,
+    _block_steps,
     _finite_product,
-    _frobenius,
+    _power_block,
     _rank_count,
     least_certificate,
     spectral_radius,
@@ -73,6 +72,8 @@ class LmiProblem:
     the size of Xi0 Lambda, which on ill-conditioned data can be large
     enough that round-off alone exceeds any fixed absolute level.  ``tol``
     is the relative singular-value threshold of the rank and PBH tests.
+    Xi0 and Xi1 are kept in the Fortran order of a DataBatch's views, so
+    that the bits do not depend on the caller's layout.
     """
 
     Xi0: np.ndarray
@@ -83,8 +84,8 @@ class LmiProblem:
     sym_tol: ClassVar[float] = 1e-9
 
     def __post_init__(self):
-        Xi0 = np.asarray(self.Xi0, dtype=float)
-        Xi1 = np.asarray(self.Xi1, dtype=float)
+        Xi0 = np.asarray(self.Xi0, dtype=float, order="F")
+        Xi1 = np.asarray(self.Xi1, dtype=float, order="F")
         if Xi0.ndim != 2 or Xi0.shape != Xi1.shape:
             raise DimensionMismatch(f"Xi0 {Xi0.shape} and Xi1 {Xi1.shape} must be equal-shape 2-D")
         if not (np.all(np.isfinite(Xi0)) and np.all(np.isfinite(Xi1))):
@@ -148,6 +149,7 @@ def evaluate_block(Xi0, Xi1, gamma, Lambda):
 
     Never rejects: asymmetric Xi0 Lambda is folded in by symmetrizing the
     assembled block at machine level and reported through the residual.
+    The smallest eigenvalue is NaN where the block is not finite.
     """
     Xi0 = np.asarray(Xi0, dtype=float)
     Xi1 = np.asarray(Xi1, dtype=float)
@@ -161,9 +163,17 @@ def evaluate_block(Xi0, Xi1, gamma, Lambda):
     T = Xi1 @ Lambda
     M = np.block([[gamma**2 * S - np.eye(n), T], [T.T, S]])
     M = 0.5 * (M + M.T)
-    min_eig = float(np.linalg.eigvalsh(M)[0])
+    min_eig = float(np.linalg.eigvalsh(M)[0]) if np.isfinite(M).all() else np.nan
     sym_residual = float(np.linalg.norm(S - S.T))
     return min_eig, sym_residual
+
+
+def _modulus(mode):
+    """|mode| by Python's abs, and inf where that overflows."""
+    try:
+        return abs(mode)
+    except OverflowError:
+        return np.inf
 
 
 def _unreachable_modes(A, B, modes, tol):
@@ -256,9 +266,9 @@ def _stein_solution(F, rate):
     1968): step j adds the next 2^j terms through A^(2^j).  Squaring A only
     after its powers contract keeps the squares accurate; doubling from Fs
     itself loses the solution when the powers have a large transient.  The
-    head forms its powers in the blocks of least_certificate for one loop and
-    takes their norms by _frobenius; one within ``_STEIN_NORM_MARGIN`` of 1/2
-    is taken again by np.linalg.norm, so L is the L of a one-by-one loop.
+    head forms its powers in the blocks of operators._power_block, unscaled
+    exactly where rescaled; a norm within ``_STEIN_NORM_MARGIN`` of 1/2 is
+    taken again by np.linalg.norm, so L is the L of a one-by-one loop.
     Each block's terms come from one stacked product and are added to P in
     one call, term after term, so P has the bits of that loop too.
     """
@@ -266,17 +276,14 @@ def _stein_solution(F, rate):
     Fs = F / rate
     A = np.eye(n)
     P = np.eye(n)
-    size = min(_BLOCK_STEPS, max(_BLOCK_ELEMENTS // max(n * n, 1), 1))
-    powers = np.empty((size, n, n))
     # slot 0 holds P and the next slots the block's terms; a running sum
     # adds them in the order of a one-by-one loop (np.add.reduce may sum a
     # 1 x 1 stack pairwise)
+    size = _block_steps(1, n, _CERTIFICATE_HORIZON)
     terms = np.empty((size + 1, n, n))
-    for start in range(0, _CERTIFICATE_HORIZON, size):
-        block = powers[: min(size, _CERTIFICATE_HORIZON - start)]
-        for j in range(len(block)):
-            np.matmul(Fs, block[j - 1] if j else A, out=block[j])
-        norms = _frobenius(block)
+    for k in range(0, _CERTIFICATE_HORIZON, size):
+        Q, e, norms = (x[0] for x in _power_block(Fs[None], A[None], min(size, _CERTIFICATE_HORIZON - k)))
+        block, norms = (np.ldexp(Q, e[:, None, None]), np.ldexp(norms, e)) if e.any() else (Q, norms)
         near = np.flatnonzero(np.abs(norms - 0.5) <= _STEIN_NORM_MARGIN)
         norms[near] = [np.linalg.norm(block[j]) for j in near]
         stop = np.flatnonzero(norms <= 0.5)
@@ -285,7 +292,7 @@ def _stein_solution(F, rate):
             terms[0] = P
             np.matmul(head, np.swapaxes(head, 1, 2), out=terms[1 : len(head) + 1])
             P = np.add.accumulate(terms[: len(head) + 1], axis=0)[-1]
-        A = block[stop[0] if stop.size else -1].copy()
+        A = block[stop[0] if stop.size else -1]
         if stop.size:
             break
     P /= rate**2
@@ -340,9 +347,10 @@ def solve_feasibility(problem: LmiProblem, max_iters=None, seed=None):
     if unreachable.size:
         # with w^* A^ = mode w^*, w^* B^ = 0, the vector [w; -conj(mode) w]
         # bounds the margin of every admissible Lambda by -1 / (1 + |mode|^2),
-        # taken as -(1 / |mode|)^2 where |mode|^2 would overflow
+        # taken as -(1 / |mode|)^2 where |mode|^2 would overflow (-0.0 where
+        # |mode| does)
         mode = complex(unreachable[0])
-        r = abs(mode)
+        r = _modulus(mode)
         margin = -1.0 / (1.0 + r**2) if r < 2.0**511 else -((1.0 / r) ** 2)
         return Infeasible(best_margin=margin, iterations=0, reason="pbh", rank=n, mode=mode)
 
@@ -357,10 +365,11 @@ def solve_feasibility(problem: LmiProblem, max_iters=None, seed=None):
     if least is not None:
         R, F, certificate = R[ok[least[0]]], F[ok[least[0]]], least[1]
         radius = spectral_radius(F)
-        P = _stein_solution(F, 0.5 * (radius + gamma))
-        Lambda = R @ P
-        min_eig, sym_residual = evaluate_block(Xi0, Xi1, gamma, Lambda)
-        size = max(1.0, float(np.linalg.norm(Xi0 @ Lambda)))
+        # a witness that overflows has a NaN min_eig, so it is not accepted
+        with np.errstate(over="ignore", invalid="ignore"):
+            Lambda = R @ _stein_solution(F, 0.5 * (radius + gamma))
+            min_eig, sym_residual = evaluate_block(Xi0, Xi1, gamma, Lambda)
+            size = max(1.0, float(np.linalg.norm(Xi0 @ Lambda)))
         if min_eig >= -problem.feas_margin and sym_residual <= problem.sym_tol * size:
             return LmiSolution(
                 Lambda=Lambda,

@@ -21,10 +21,10 @@ from .informativity import _check_sampling, synthesize_gain
 from .lmi import Infeasible
 from .operators import (
     _ACCEPT_SLACK,
-    _BLOCK_ELEMENTS,
     _LOG_SLACK,
     DEFAULT_TOL,
-    _frobenius,
+    _block_steps,
+    _power_block,
     operator_norm,
     spectral_radius,
 )
@@ -260,16 +260,13 @@ def _check_closed_loops(F, M, gamma_tilde, power_horizon):
     ``power_horizon``, s = ``_ACCEPT_SLACK``; a loop leaves the power check
     at its first excess, and ``violations`` counts the loops over each bound.
 
-    The live loops are powered in chunks of steps, each power the product
-    of F with the one before and each chunk at most half the numbers of a
-    block of least_certificate but two steps or more (bar the last), all in
-    one buffer, and ||P|| is bounded by u = ||P||_F (1 + _LOG_SLACK), from
-    one contraction per chunk; only where u exceeds the step's bound b_k
-    can the loop exceed it, so only there the SVD runs, step by step, and a
-    violator takes no SVD after its first excess, nor a power that overflowed
-    (it is over its finite bound).  Bounds that overflow raise InvalidParams.
+    The live loops are powered in the blocks of operators._power_block,
+    F^k = Q 2^e, against the step's bound at the power's scale, b_k 2^-e
+    (exact: a power of two).  ||Q|| <= u = ||Q||_F (1 + _LOG_SLACK), so only
+    where u exceeds that bound does the SVD run, step by step, and a violator
+    takes no SVD after its first excess.  Bounds that overflow raise InvalidParams.
     """
-    L, n = F.shape[0], F.shape[-1]
+    n = F.shape[-1]
     # (M + _ACCEPT_SLACK) gamma_tilde^k, one rounded product per step
     with np.errstate(over="ignore"):
         bounds = np.multiply.accumulate(np.r_[M + _ACCEPT_SLACK, np.full(power_horizon, gamma_tilde)])[1:]
@@ -278,37 +275,23 @@ def _check_closed_loops(F, M, gamma_tilde, power_horizon):
     radii = spectral_radius(F)
     worst_radius = float(radii.max(initial=0.0))
     violations = int(np.sum(radii > gamma_tilde + _ACCEPT_SLACK))
-    # one buffer for the powers of every chunk, which fills its first rows
-    # for the live loops.  A chunk's base is the last row of the chunk
-    # before, never row 0, since every chunk but the last has two steps or
-    # more, so no product overwrites its own factor.  A chunk is at most
-    # half a block of least_certificate: chunks of a whole block were no
-    # faster and raised the peak RSS of the cascade chain by 0.5 MB.
-    most = min(power_horizon, max(_BLOCK_ELEMENTS // 2 // max(L * n * n, 1), 2))
-    Q = np.empty((most, L, n, n))
-    P, F_live, k = np.eye(n), F, 0
-    while k < power_horizon and len(F_live):
-        steps = min(power_horizon - k, most)
-        chunk = Q[:steps, : len(F_live)]
-        with np.errstate(over="ignore", invalid="ignore"):
-            for j in range(steps):
-                np.matmul(F_live, chunk[j - 1] if j else P, out=chunk[j])
-            u = _frobenius(chunk) * (1.0 + _LOG_SLACK)
-        b = bounds[k : k + steps, None]
-        exact = ~(u - b <= 0.0)
-        P = chunk[-1]
-        if exact.any():
-            # the SVDs step by step, of the loops that have not yet exceeded
-            stay = np.ones(len(F_live), dtype=bool)
-            for j in np.flatnonzero(exact.any(axis=1)):
-                rows = np.flatnonzero(exact[j] & stay)
-                stay[rows[~np.isfinite(chunk[j, rows]).all(axis=(1, 2))]] = False
-                rows = rows[stay[rows]]
-                if rows.size:
-                    stay[rows[~(operator_norm(chunk[j, rows]) - b[j] <= 0)]] = False
-            if not stay.all():
-                violations += int(np.count_nonzero(~stay))
-                F_live, P = F_live[stay], P[stay]
+    P, exponent, k = np.tile(np.eye(n), (len(F), 1, 1)), 0, 0
+    while k < power_horizon and len(F):
+        steps = _block_steps(len(F), n, power_horizon - k)
+        Q, e, fro = _power_block(F, P, steps)
+        e += exponent
+        with np.errstate(over="ignore"):  # b = inf: a power far below its bound
+            b = np.ldexp(bounds[k : k + steps], -e.astype(np.int32))  # int32: ldexp's fast loop
+        exact = ~(fro * (1.0 + _LOG_SLACK) <= b)
+        # the SVDs step by step, of the loops that have not yet exceeded
+        stay = np.ones(len(F), dtype=bool)
+        for j in np.flatnonzero(exact.any(axis=0)):
+            rows = np.flatnonzero(exact[:, j] & stay)
+            stay[rows[~(operator_norm(Q[rows, j]) <= b[rows, j])]] = False
+        violations += int(np.count_nonzero(~stay))
+        # copies, so that the block is freed before the next one reuses its memory
+        F, P, exponent = F[stay], Q[stay, -1], e[stay, -1:]
+        del Q
         k += steps
     return worst_radius, violations
 

@@ -20,15 +20,15 @@ DEFAULT_TOL = 1e-9
 _LOG_SLACK = 1e-9
 #: Slack of the radius and power bounds that verify and noise accept a loop by.
 _ACCEPT_SLACK = 1e-6
-#: Most numbers (loops x steps x n x n) in one block of powers of
-#: least_certificate, and most steps in a block.
+#: Most numbers (loops x steps x n x n) in one block of powers
+#: (_block_steps), and most steps in a block.
 _BLOCK_ELEMENTS = 2**16
 _BLOCK_STEPS = 64
 #: A block of powers whose Frobenius norms all lie in [2^-400, 2^400] (or
 #: are zero) keeps the mantissas of a chain rescaled at every step: the
 #: squares in the norm stay normal, and LAPACK's SVD rescales a matrix only
 #: when an entry passes about 2^459.  Other blocks are formed again one
-#: step at a time.
+#: step at a time, each power rescaled by the exponent of its largest entry.
 _RANGE = 2.0**400
 #: ln 2, by which least_certificate turns power-of-two exponents into logs.
 _LN2 = np.log(2.0)
@@ -290,24 +290,31 @@ def _log_norm(norm, exponent):
     return np.log(mantissa) + (own + exponent) * _LN2
 
 
+def _block_steps(loops, n, left):
+    """Steps of the next block of powers of ``loops`` n x n loops, ``left``
+    to go: at most _BLOCK_STEPS, _BLOCK_ELEMENTS numbers and ``left``; at least 1."""
+    return min(_BLOCK_STEPS, max(_BLOCK_ELEMENTS // max(loops * n * n, 1), 1), left)
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def _power_block(F, P, steps):
     """The next ``steps`` powers F^j P of each loop of the stack F (L, n, n)
     from its base P (L, n, n), each the product of F with the power before:
-    one matmul per step for the whole stack.
+    one matmul per step for the whole stack.  The one routine that forms a
+    chain of powers, for the ranking, the Stein head and the noise check.
 
     Returns the block Q (L, steps, n, n), the exponents e (L, steps) with
     F^j P = Q_j 2^e_j (zero unless rescaled, see below), and the Frobenius
     norms of Q (L, steps).
 
-    A loop whose block has a norm outside the range of _RANGE, an overflow
-    among them, is formed again one step at a time, each power rescaled by
-    the power of two that puts its Frobenius norm in [1/2, 1).  Powers of
-    two are exact, so either way Q_j 2^e_j has the mantissas of the plain
-    product F...F."""
-    Q = np.empty((len(F), steps) + F.shape[1:])
+    A loop whose block has a norm outside the range of _RANGE (an overflow
+    among them) is formed again step by step, each power rescaled to a
+    largest entry in [1/2, 1), finite wherever the power is; powers of two
+    are exact, so either way Q_j 2^e_j has the mantissas of F...F."""
+    Q = np.empty((steps,) + F.shape)  # step-major, so each product is written in one piece
     for j in range(steps):
-        np.matmul(F, Q[:, j - 1] if j else P, out=Q[:, j])
-    fro = _frobenius(Q)
+        np.matmul(F, Q[j - 1] if j else P, out=Q[j])
+    Q, fro = Q.swapaxes(0, 1), _frobenius(Q).T
     exponents = np.zeros(fro.shape, dtype=np.int64)
     wild = ~((fro == 0.0) | ((fro >= 1.0 / _RANGE) & (fro <= _RANGE))).all(axis=1)
     if wild.any():
@@ -315,7 +322,7 @@ def _power_block(F, P, steps):
         e, before = 0, P[rows]
         for j in range(steps):
             Qj = F[rows] @ before
-            shift = np.frexp(_frobenius(Qj))[1]
+            shift = np.frexp(np.abs(Qj).max(axis=(1, 2), initial=0.0))[1]
             Q[rows, j] = before = np.ldexp(Qj, -shift[:, None, None])
             e = e + shift
             exponents[rows, j] = e
@@ -428,7 +435,7 @@ class _Ranking:
             if not self.index.size:
                 return best
         F, k, n = self.F, self.k, max(self.F.shape[-1], 1)
-        steps = min(_BLOCK_STEPS, max(_BLOCK_ELEMENTS // (len(F) * n * n), 1), self.k_max - k)
+        steps = _block_steps(len(F), n, self.k_max - k)
         if self.check_radius:
             steps = min(steps, self.checkpoint - k)
         Q, exponents, fro = _power_block(F, self.P, steps)

@@ -1122,3 +1122,39 @@ class TestHugePbhMode:
             assert (payload["reason"], payload["margin"]) == ("pbh", self.MARGIN)
             assert payload["pbh_mode"] == [1e155, 0.0]
             assert "pbh mode 1e+155+0j (|mode| 1e+155), margin -1.000e-310)" in captured.out
+
+
+class TestOutOfRangeVerdicts:
+    """Two batches whose verdict leaves double precision: modes 1.5e308
+    (1 +- i) out of reach of the input, whose modulus overflows, give the
+    pbh verdict with margin -0.0; a loop of radius 0.5 with a transient of
+    1e160 gives "numerical", as its Stein witness overflows.  Each exits 1
+    with its verdict line and nothing on stderr."""
+
+    HUGE_MODULUS = {"x1": [[1.5e308, -1.5e308], [1.5e308, 1.5e308]], "x0": [[1, 0], [0, 1]], "u0": [[1], [0]]}
+    HUGE_WITNESS = {"x1": [[0.5, 0.0], [1e160, 0.5]], "x0": [[1, 0], [0, 1]], "u0": [[], []]}
+    LINES = {
+        ("modulus", "stabilize"): "not informative at gamma=0.9 (stage lmi, pbh mode "
+        "1.5e+308+1.5e+308j (|mode| inf), margin -0.000e+00)\n",
+        ("modulus", "noise"): "not applicable: stage lmi (pbh, margin -0.000e+00)\n",
+        ("witness", "stabilize"): "not informative at gamma=0.9 (stage lmi, numerical, margin -1.235e+160)\n",
+        ("witness", "noise"): "not applicable: stage lmi (numerical, margin -1.235e+160)\n",
+    }
+
+    @pytest.mark.parametrize("batch", ["modulus", "witness"])
+    @pytest.mark.parametrize("command", ["stabilize", "noise"])
+    def test_verdict(self, tmp_path, capfd, batch, command):
+        path, report = tmp_path / "data.json", tmp_path / "r.json"
+        path.write_text(json.dumps(self.HUGE_MODULUS if batch == "modulus" else self.HUGE_WITNESS))
+        argv = TestOverflowingData.COMMANDS[command]
+        assert run(*argv, "--in", str(path), "--out", str(report)) == 1
+        captured = capfd.readouterr()
+        assert (captured.out, captured.err) == (self.LINES[batch, command], "")
+        payload = json.loads(report.read_text())
+        if command == "stabilize":
+            margin = payload["margin"]
+            if batch == "modulus":
+                assert payload["reason"] == "pbh" and margin == 0.0 and np.signbit(margin)
+                assert payload["pbh_mode"][0] == 1.5e308
+            else:
+                assert payload["reason"] == "numerical" and margin == pytest.approx(-1e160 / 0.81)

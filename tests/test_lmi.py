@@ -182,6 +182,50 @@ def admissible_margins(Xi0, Xi1, gamma, rng, count=20):
     return margins
 
 
+class TestOutOfRange:
+    """Data whose verdict or witness leaves double precision end in a
+    verdict, not an error."""
+
+    def test_overflowing_witness_is_numerical(self):
+        """A loop of radius 0.5 with a transient of 1e160: its certificate
+        is finite, M = 1e160 / 0.81, but the Stein witness overflows, so the
+        verdict is the inconclusive "numerical" at the least-squares point."""
+        Xi1 = np.array([[0.5, 1e160], [0.0, 0.5]])
+        out = solve_feasibility(LmiProblem(Xi0=np.eye(2), Xi1=Xi1, gamma=0.9))
+        assert isinstance(out, Infeasible) and out.reason == "numerical"
+        assert out.best_margin == evaluate_block(np.eye(2), Xi1, 0.9, np.eye(2) / 0.81)[0] < 0.0
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(evaluate_block(np.eye(2), Xi1, 0.9, np.full((2, 2), np.inf))[0])
+
+    def test_overflowing_modulus_is_pbh(self):
+        """Modes 1.5e308 (1 +- i), unreachable, whose modulus overflows: the
+        pbh verdict with margin -(1 / inf)^2 = -0.0."""
+        Xi1 = np.array([[1.5e308, 1.5e308], [-1.5e308, 1.5e308]])
+        Xi0 = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        out = solve_feasibility(LmiProblem(Xi0=Xi0, Xi1=np.hstack([Xi1, np.zeros((2, 1))]), gamma=0.9))
+        assert isinstance(out, Infeasible) and out.reason == "pbh"
+        assert out.best_margin == 0.0 and np.signbit(out.best_margin)
+        assert lmi._modulus(out.mode) == np.inf
+        assert lmi._modulus(3 + 4j) == 5.0
+
+    @pytest.mark.parametrize("n", [3, 8, 20])
+    def test_layout_does_not_move_the_certificate(self, n):
+        """C-order matrices and the Fortran-order views of a DataBatch give
+        one problem, so one certificate, bit for bit."""
+        rng = np.random.default_rng(n)
+        Xi0, Xi1 = rng.standard_normal((n, n + 1)), rng.standard_normal((n, n + 1))
+        batch = batch_of(Xi0, Xi1, rng.standard_normal((1, n + 1)))
+        assert Xi0.flags.c_contiguous and batch.Xi0.flags.f_contiguous
+        raw = solve_feasibility(LmiProblem(Xi0=Xi0, Xi1=Xi1, gamma=0.9))
+        viewed = solve_feasibility(LmiProblem(Xi0=batch.Xi0, Xi1=batch.Xi1, gamma=0.9))
+        assert type(raw) is type(viewed)
+        if isinstance(raw, LmiSolution):
+            assert raw.certificate == viewed.certificate
+            assert raw.Lambda.tobytes() == viewed.Lambda.tobytes()
+        else:
+            assert raw == viewed
+
+
 class TestExactVerdict:
     def test_minimal_data_fuzz(self):
         """Minimal data N = n + 1, random Xi0, Xi1 and one input, n up to 32,
@@ -268,7 +312,7 @@ class TestExactVerdict:
         radius = np.max(np.abs(np.linalg.eigvals(A + B @ result.K)))
         assert slow - 1e-6 <= radius < 0.9
 
-    @pytest.mark.parametrize("seed", [2, 5])
+    @pytest.mark.parametrize("seed", [5, 16])
     def test_singular_doubling_step_breaks_down_one_pair(self, seed):
         """An unreachable mode at 0.895, just below gamma = 0.9: at the scan
         rates below it the scaled pair cannot be stabilized, and a doubling
@@ -344,7 +388,7 @@ class TestRiccatiGains:
             K = lmi._riccati_gains(A, B, rates, weights)
             assert K.tobytes() == riccati_reference(A, B, rates, weights).tobytes()
 
-    @pytest.mark.parametrize("seed", [2, 5])
+    @pytest.mark.parametrize("seed", [5, 16])
     def test_same_bits_as_reference_on_singular_step(self, seed, monkeypatch):
         """The instances of the singular doubling step: the pairs that break
         down give NaN gains, and every gain of the scan, NaN or not, has the
@@ -425,6 +469,8 @@ class TestSteinSolution:
             pytest.param(0.25 * np.eye(4), 1.0, id="half-at-step-1"),
             pytest.param(np.array([[0.9, 40.0], [0.0, 0.9]]), 0.95, id="transient"),
             pytest.param(np.zeros((3, 3)), 0.5, id="zero"),
+            pytest.param(np.array([[0.5, 1e130], [0.0, 0.5]]), 0.9, id="rescaled-block"),
+            pytest.param(1e-130 * slow_loop(0.9), 1.0, id="tiny-block"),
             pytest.param(np.array([[0.998]]), 1.0, id="one-by-one"),
             *[
                 pytest.param(head_of_length(steps), 1.0, id=f"stop-at-{steps}")
@@ -436,9 +482,12 @@ class TestSteinSolution:
     )
     def test_blocked_head_matches_one_step_loop(self, F, rate):
         """Forming the head's powers in blocks keeps every bit of P, with
-        heads that stop on either side of a block's edge, and at n = 40,
-        where the element budget cuts a block to 40 powers."""
-        assert lmi._stein_solution(F, rate).tobytes() == stein_one_step(F, rate).tobytes()
+        heads that stop on either side of a block's edge, at n = 40, where
+        the element budget cuts a block to 40 powers, and where a block's
+        norms leave [2^-400, 2^400], so that it is rescaled and unscaled
+        (there the norms of the doubling steps overflow in both)."""
+        with np.errstate(over="ignore"):
+            assert lmi._stein_solution(F, rate).tobytes() == stein_one_step(F, rate).tobytes()
 
     @pytest.mark.parametrize("n, N", [(4, 5), (8, 9), (12, 30)])
     def test_achieved_radius_is_the_loop_radius(self, n, N):

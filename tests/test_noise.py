@@ -97,11 +97,30 @@ def full_power_check(F, M, gamma_tilde, horizon=100):
     return worst_radius, violations + len(steps), steps
 
 
-def violating_loops(n):
-    """100 Gaussian n x n loops with spectral radii drawn from [0.5, 1.05]."""
+def violating_loops(n, count=100):
+    """``count`` Gaussian n x n loops with spectral radii drawn from [0.5, 1.05]."""
     rng = np.random.default_rng(n)
-    G = rng.standard_normal((100, n, n))
-    return G * (rng.uniform(0.5, 1.05, 100) / spectral_radius(G))[:, None, None]
+    G = rng.standard_normal((count, n, n))
+    return G * (rng.uniform(0.5, 1.05, count) / spectral_radius(G))[:, None, None]
+
+
+def scaled_power_check(F, M, gamma_tilde, horizon=100):
+    """The power check with one SVD per step of every remaining loop, each
+    power carried as P 2^e with P rescaled at every step by the power of two
+    that puts its 2-norm in [1/2, 1), against the bound at that scale: the
+    full check at any scale, overflow and underflow of the powers included."""
+    radii = spectral_radius(F)
+    violations = int(np.sum(radii > gamma_tilde + 1e-6))
+    P, e, bound = np.tile(np.eye(F.shape[-1]), (len(F), 1, 1)), np.zeros(len(F), dtype=int), M + 1e-6
+    for _ in range(horizon):
+        P, bound = F @ P, bound * gamma_tilde
+        norm = operator_norm(P)
+        with np.errstate(over="ignore"):
+            keep = norm <= np.ldexp(bound, -e)
+        violations += int(np.sum(~keep))
+        shift = np.frexp(norm)[1]
+        F, P, e = F[keep], np.ldexp(P, -shift[:, None, None])[keep], (e + shift)[keep]
+    return float(radii.max(initial=0.0)), violations
 
 
 def random_loops(count, radii, seed):
@@ -611,23 +630,25 @@ class TestVerifyRobustGain:
         assert violations > 150
         assert sum(sizes) == expected
 
-    @pytest.mark.parametrize("n, steps", [(20, 2), (12, 2), (6, 9)])
+    @pytest.mark.parametrize("n, steps", [(20, 1), (20, 2), (12, 2), (6, 9)])
     def test_chunks_of_one_two_and_more_steps(self, n, steps):
-        """100 loops of n x n, some violating, whose chunks hold ``steps``
-        powers, two where the element budget alone would allow one: the
-        pruned check gives the full check's pair, bit for bit."""
-        assert max(noise_mod._BLOCK_ELEMENTS // 2 // (100 * n * n), 2) == steps
-        F = violating_loops(n)
+        """As many n x n loops, some violating, as the shared block rule
+        (operators._block_steps) powers ``steps`` at a time: the pruned
+        check gives the full check's pair, bit for bit."""
+        count = operators._BLOCK_ELEMENTS // (steps * n * n)
+        assert operators._block_steps(count, n, 30) == steps
+        F = violating_loops(n, count)
         expected = full_power_check(F, 3.0, 0.95, 30)[:2]
         assert expected[1] > 0
         assert _check_closed_loops(F, 3.0, 0.95, 30) == expected
 
     @pytest.mark.parametrize("horizon", [31, 1])
     def test_last_chunk_of_one_step(self, horizon):
-        """An odd horizon over chunks of two steps ends in a chunk of one,
-        whose base is the last row of the chunk before; horizon 1 is that
-        one chunk alone.  Both give the full check's pair, bit for bit."""
-        F = violating_loops(20)
+        """An odd horizon over blocks of two steps ends in a block of one,
+        whose base is the last power of the block before; horizon 1 is that
+        one block alone.  Both give the full check's pair, bit for bit."""
+        F = violating_loops(20, 81)
+        assert operators._block_steps(len(F), 20, horizon) == min(horizon, 2)
         expected = full_power_check(F, 3.0, 0.95, horizon)[:2]
         assert expected[1] > 0
         assert _check_closed_loops(F, 3.0, 0.95, horizon) == expected
@@ -640,7 +661,8 @@ class TestVerifyRobustGain:
 
     def test_overflowing_power_is_an_excess_without_svd(self, monkeypatch):
         """A power that leaves double precision in one step from within its
-        finite bound is over that bound: it counts, and no SVD sees it."""
+        finite bound is over that bound: it counts, and no SVD sees a
+        non-finite matrix, as the power is taken at its own scale."""
         F = np.array([[[0.0, 1e200], [1e200, 0.0]], [[0.5, 0.0], [0.0, 0.5]]])
         finite = []
         monkeypatch.setattr(
@@ -649,6 +671,35 @@ class TestVerifyRobustGain:
         worst_radius, violations = _check_closed_loops(F, 1e300, 0.9, 10)
         assert worst_radius == pytest.approx(1e200) and violations == 2
         assert all(finite)
+
+    @pytest.mark.parametrize("scale", [-1000, -600, -300, 0, 300, 520, 700, 1000])
+    def test_powers_out_of_range_match_one_svd_per_step(self, monkeypatch, scale):
+        """At scale >= 0, Jordan loops [[0.5, h], [0, 0.5]] with h = 2^scale r
+        against M = 2^scale, about half of them over the bound, whose
+        Frobenius squares overflow from scale 512 on, and rotations times
+        2^(scale / 2), whose powers past their excess at step 2 overflow
+        within a block from scale 684 on; at scale < 0, Jordan and Gaussian
+        loops times 2^scale, whose powers underflow.  The check gives the
+        pair of one SVD per step at each power's own scale, and no SVD sees
+        a non-finite matrix."""
+        r = np.geomspace(0.1, 10.0, 12)
+        jordan = np.zeros((12, 2, 2))
+        jordan[:, 0, 0] = jordan[:, 1, 1] = 0.5
+        jordan[:, 0, 1] = np.ldexp(r, max(scale, 0))
+        if scale >= 0:
+            angles = np.linspace(0.3, 2.0, 4)
+            rotations = np.stack([[np.cos(angles), -np.sin(angles)], [np.sin(angles), np.cos(angles)]], axis=-1)
+            F, M = np.concatenate([jordan, np.ldexp(rotations.swapaxes(0, 1), scale // 2)]), np.ldexp(1.0, scale)
+        else:
+            F, M = np.ldexp(np.concatenate([jordan, random_loops(12, [0.9] * 12, seed=8)[:, :2, :2]]), scale), 30.0
+        finite = []
+        monkeypatch.setattr(
+            noise_mod, "operator_norm", lambda P: finite.append(np.isfinite(P).all()) or operator_norm(P)
+        )
+        expected = scaled_power_check(F, M, 0.95)
+        assert _check_closed_loops(F, M, 0.95, 100) == expected
+        assert all(finite)
+        assert (0 < expected[1] < len(F)) if scale >= 0 else expected[1] == 0
 
     def test_reference_chain_takes_few_svds(self, projected_cascade, monkeypatch):
         """On the reference chain at c = 0.003 and at c = 0.02 (200 trials

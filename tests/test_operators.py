@@ -365,6 +365,26 @@ class TestCertificate:
         assert cert.M == pytest.approx(1.0)
         assert cert.horizon_checked == 1
 
+    @pytest.mark.parametrize("e", [*range(-300, 301, 50), 160])
+    def test_huge_transient_against_brute_force(self, e):
+        """[[0.5, h], [0, 0.5]] with h = 10^e at gamma = 0.9, against a 2-norm
+        power loop: the same k0 and M to 1e-12 relative, also where the
+        Frobenius squares of the powers overflow (h above about 1.3e154);
+        at h = 1e160, M = h / 0.81 (step 2) and k0 = 639."""
+        F = np.array([[0.5, 10.0**e], [0.0, 0.5]])
+        P, M = np.eye(2), 1.0
+        for k in range(1, 10001):
+            P = F @ P
+            ratio = np.linalg.norm(P, 2) / 0.9**k
+            if ratio <= 1.0:
+                break
+            M = max(M, ratio)
+        cert = construct_certificate(F, 0.9)
+        assert cert.horizon_checked == k
+        assert cert.M == pytest.approx(M, rel=1e-12, abs=0.0)
+        if e == 160:
+            assert (k, cert.M) == (639, pytest.approx(1e160 / 0.81, rel=1e-12))
+
     def test_jordan_block_against_brute_force(self):
         F = np.array([[0.9, 1.0], [0.0, 0.9]])
         gamma = 0.95
