@@ -16,7 +16,7 @@ import numpy as np
 
 from . import finitedata, informativity, lmi, noise as noise_mod
 from .errors import DdstabError, InvalidParams
-from .operators import DEFAULT_TOL, spectral_radius
+from .operators import DEFAULT_TOL, _check_addressable, spectral_radius
 from .systems import (
     DataBatch,
     LinearSystem,
@@ -101,6 +101,8 @@ def _random_lti_batch(args):
         raise InvalidParams(f"--scale must be finite, got {args.scale}")
     if args.seed < 0:
         raise InvalidParams(f"--seed must be >= 0, got {args.seed}")
+    _check_addressable((args.n, args.n), "A")
+    _check_addressable((args.n, args.m), "B")
     rng = np.random.default_rng(args.seed)
     A = rng.standard_normal((args.n, args.n))
     rho = spectral_radius(A)

@@ -24,6 +24,7 @@ from .operators import (
     _LOG_SLACK,
     DEFAULT_TOL,
     _block_steps,
+    _check_addressable,
     _power_block,
     operator_norm,
     spectral_radius,
@@ -228,8 +229,9 @@ def verify_robust_gain(noisy_batch: DataBatch, M, gamma_tilde, c1, c0, Omega, tr
     gamma_tilde + s and ||(A + B K)^k|| <= (M + s) gamma_tilde^k for k up
     to ``_POWER_HORIZON``, s = ``_ACCEPT_SLACK``; ``violations`` counts the
     trials over each bound, so a trial over both counts twice.  Raises
-    InvalidParams where ``robust_decay_rate`` does (M < 1 or M c0 >= 1)
-    and where a bound (M + s) gamma_tilde^k overflows.
+    InvalidParams where ``robust_decay_rate`` does (M < 1 or M c0 >= 1),
+    where a bound (M + s) gamma_tilde^k overflows, and where the draw has
+    more bytes than numpy can address.
     """
     _check_sampling(trials, seed)
     _check_noise_constants(c1, c0)
@@ -238,6 +240,7 @@ def verify_robust_gain(noisy_batch: DataBatch, M, gamma_tilde, c1, c0, Omega, tr
     Om = np.asarray(Omega, dtype=float)
     if Om.shape != (N, n):
         raise DimensionMismatch(f"Omega must be N x n = {(N, n)}, got {Om.shape}")
+    _check_addressable((int(trials), 2, n, n), "the noise draw")
     Phi1, Phi0 = _draw_factors(np.random.default_rng(seed), int(trials), n, c1, c0)
     F, I = noisy_batch.Xi1 @ Om, np.eye(n)
     # X (I - Phi0) = F (I - Phi1), solved as (I - Phi0)^T X^T = (F (I - Phi1))^T

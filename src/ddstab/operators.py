@@ -7,6 +7,7 @@ real double precision; complex data must be embedded by the caller.
 """
 
 import copy
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,9 +33,9 @@ _BLOCK_STEPS = 64
 _RANGE = 2.0**400
 #: ln 2, by which least_certificate turns power-of-two exponents into logs.
 _LN2 = np.log(2.0)
-#: First step at which least_certificate drops live loops with rho >= gamma;
-#: the next checks follow at four times the last.
-_FIRST_CHECKPOINT = 64
+#: The step at which least_certificate drops the live loops with
+#: rho >= gamma, after which it takes no spectral radius of a loop.
+_RADIUS_CHECKPOINT = 64
 #: Blocks the probe of least_certificate powers for each block of the rest.
 _PROBE_BLOCKS = 4
 #: Largest power examined by construct_certificate by default and by the LMI.
@@ -162,6 +163,13 @@ def _finite_product(P, name):
     return P
 
 
+def _check_addressable(shape, name):
+    """InvalidParams unless numpy can address a float array of ``shape``, so
+    that a size past np.intp is an input error before anything is drawn."""
+    if math.prod(shape) * np.dtype(float).itemsize > np.iinfo(np.intp).max:
+        raise InvalidParams(f"{name} of shape {shape} is too big for numpy to address")
+
+
 def _pinv_and_rank(M, tol):
     """pseudo_inverse of M (at least one row), and from the same SVD the rank
     of each slice (the count of singular values kept) and the left vectors U."""
@@ -262,8 +270,9 @@ def least_certificate(F, gamma, k_max):
     A finisher has rho <= gamma, since rho^k0 <= ||F^k0|| <= gamma^k0, so
     spectral radii are taken only of the finishers that can still win, in
     the order of the lower ends of their M, of the loops a probe meets, and
-    of the live loops at steps 64, 256, 1024, ..., where loops with
-    rho >= gamma leave rather than run to ``k_max``.
+    of the live loops at step 64, where loops with rho >= gamma leave
+    rather than run to ``k_max``; the loops left have rho < gamma, so no
+    radius is taken after that step.
     """
     if not (0.0 < gamma < np.inf):
         raise InvalidParams("gamma must be finite and positive")
@@ -377,7 +386,7 @@ class _Ranking:
     def __init__(self, F, gamma, k_max, check_radius):
         self.F, self.index = F, np.arange(len(F))
         self.gamma, self.log_gamma, self.check_radius = gamma, np.log(gamma), check_radius
-        self.k, self.k_max, self.checkpoint = 0, k_max, _FIRST_CHECKPOINT
+        self.k, self.k_max = 0, k_max
         self.P = np.tile(np.eye(F.shape[-1]), (len(F), 1, 1))  # F^0; tiled, so BLAS multiplies
         self.exponent = np.zeros(len(F), dtype=np.int64)
         self.running = np.zeros(len(F))  # r = 0 gives 0
@@ -437,7 +446,7 @@ class _Ranking:
         F, k, n = self.F, self.k, max(self.F.shape[-1], 1)
         steps = _block_steps(len(F), n, self.k_max - k)
         if self.check_radius:
-            steps = min(steps, self.checkpoint - k)
+            steps = min(steps, _RADIUS_CHECKPOINT - k)
         Q, exponents, fro = _power_block(F, self.P, steps)
         exponents += self.exponent[:, None]
         drift = np.arange(k + 1, k + steps + 1) * self.log_gamma  # log gamma^r
@@ -541,8 +550,8 @@ class _Ranking:
 
         self.k = k = k + steps
         keep = ~fin & (lower <= best[0])
-        if self.check_radius and k == self.checkpoint:
-            self.checkpoint *= 4
+        if self.check_radius and k == _RADIUS_CHECKPOINT:
+            self.check_radius = False  # every loop kept has rho < gamma
             if keep.any() and k < self.k_max:
                 keep[keep] = spectral_radius(F[keep]) < self.gamma
         # the next base, rescaled by a power of two to a norm in [1/2, 1)
@@ -576,7 +585,7 @@ def _least_certificate(F, gamma, k_max, check_radius):
     while main.live() or alone is not None:
         if main.live():
             best = main.advance(best)
-        if alone is None and len(main.index) > 1 and main.k < _FIRST_CHECKPOINT:
+        if alone is None and len(main.index) > 1 and main.k < _RADIUS_CHECKPOINT:
             alone = main.probe(best)
         for _ in range(_PROBE_BLOCKS):
             if alone is not None and alone.live():

@@ -19,6 +19,7 @@ from .errors import (
     InvalidParams,
     LengthMismatch,
 )
+from .operators import _check_addressable
 
 
 def _readonly(a):
@@ -321,6 +322,7 @@ def counterexample_sequences(n) -> DataBatch:
     """
     if n < 1:
         raise InvalidParams("n must be >= 1")
+    _check_addressable((n, n), "x0")
     ks = np.arange(1, n + 1, dtype=float)
     x0 = np.diag(1.0 / ks)  # row k-1 is e_k / k
     u0 = (ks ** (-1.5)).reshape(-1, 1)

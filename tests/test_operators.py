@@ -692,9 +692,21 @@ class TestLeastCertificate:
         rng = np.random.default_rng(5)
         F = np.stack([fuzz_loop("unstable", 6, 0.9, rng) for _ in range(3)])
         F[0] = 0.9 * 1.001 * np.eye(6) + 0.5 * np.eye(6, k=1)  # a slow Jordan transient
-        steps = count_block_steps(monkeypatch, limit=operators._FIRST_CHECKPOINT)
+        steps = count_block_steps(monkeypatch, limit=operators._RADIUS_CHECKPOINT)
         assert least_certificate(F, 0.9, 10**6) is None
         assert steps[0] > 0
+
+    def test_one_radius_for_a_loop_past_the_checkpoint(self, monkeypatch):
+        """A loop that survives the radius check at step 64 has rho < gamma,
+        so no radius is taken after it: 0.891 I + 0.2 N at gamma = 0.9
+        reaches k0 = 462 with one spectral_radius call."""
+        calls = []
+        radius = operators.spectral_radius
+        monkeypatch.setattr(operators, "spectral_radius", lambda F: calls.append(F) or radius(F))
+        F = 0.9 * 0.99 * np.eye(2) + 0.2 * np.eye(2, k=1)
+        index, cert = least_certificate(F[None], 0.9, 10**4)
+        assert (index, cert.horizon_checked) == (0, 462)
+        assert len(calls) == 1
 
 
 
