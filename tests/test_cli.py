@@ -45,6 +45,258 @@ def cascade_file(tmp_path):
     return path
 
 
+# One table for the contract every rejected input holds: exit 2, nothing on
+# stdout, one "error: " line on stderr and no --out file (`rejects`).
+# Each row is (command line, --out, stderr fragment) by id; a placeholder
+# names a file of BAD_INPUT_FILES or GENERATED_INPUTS, {missing} a file
+# never written, and {tmp} the row's own tmp_path.  A test class checks the
+# rows of its command with table_test, and test_bad_input the rest.
+
+GAIN = np.atleast_2d(REFERENCE_CASCADE_GAIN_PLUS).tolist()
+BAD_INPUT_FILES = {
+    "gain": {"K": GAIN},
+    # the n_plus columns of a bad split, so that the split is what is rejected
+    "gain_1": {"K": [row[:1] for row in GAIN]},
+    "gain_0": {"K": [[]]},
+    "zeros_1x2": {"K": [[0.0] * 2]},
+    "zeros_1x3": {"K": [[0.0] * 3]},
+    "zeros_2x3": {"K": [[0.0] * 3] * 2},
+    "two_rows": {"K": [[0.1, 0.2, 0.3, 0.4]] * 2},
+    **{
+        f"{mode}_{name}": {"K": [[value] + [0.0] * (columns - 1)]}
+        for mode, columns in (("plus", 4), ("full", 52))
+        for name, value in (("nan", np.nan), ("inf", np.inf), ("neg_inf", -np.inf))
+    },
+    "both_keys": {"K": [[0.0] * 4], "K_plus": [[0.0] * 4]},
+    "no_key": {"informative": False},
+    "bare_matrix": [[0.0] * 4],
+    "not_json": "{not json",
+    "no_state": {"x1": [[], []], "x0": [[], []], "u0": [[1.0], [2.0]]},
+    "nan_entry": {"x1": [[1.0, 0.0]], "x0": [[np.nan, 0.0]], "u0": [[1.0]]},
+    "no_u0": {"x1": [[1.0, 0.0]], "x0": [[0.0, 1.0]]},
+    "widths_differ": {"x1": [[1.0, 0.0]], "x0": [[0.0, 0.0, 0.0]], "u0": [[1.0]]},
+    "states_3d": {"x1": [[[1.0, 2.0]], [[0.5, 1.0]]], "x0": [[[1.0, 0.0]], [[0.0, 1.0]]],
+                  "u0": [[1.0], [0.0]]},
+    "inputs_3d": {"x1": [[1.0, 0.0]], "x0": [[0.0, 1.0]], "u0": [[[1.0]]]},
+    # Xi1 Xi0^+ leaves double precision; on huge_over_tiny W = [Xi0; Ups0]
+    # has rank 1, so Xi1 W^+ is finite and verify decides the family there
+    "huge_over_tiny": {"x1": [[1e200, 0.0], [0.0, 1e200]], "x0": [[1e-200, 0.0], [0.0, 1e-200]],
+                       "u0": [[1.0], [0.0]]},
+    "subnormal": {"x1": [[1e-320, 0.0], [0.0, 1e-320]], "x0": [[1e-320, 0.0], [0.0, 1e-320]],
+                  "u0": [[1e-320], [0.0]]},
+}
+GENERATED_INPUTS = {
+    "cascade": "--scenario heat-cascade",
+    "lti": "--scenario random-lti --n 3 --seed 7",
+    "wide": "--scenario random-lti --n 3 --m 2 --samples 4 --seed 1",
+}
+
+
+def rejected(id, line, fragment, out="{tmp}/out.json"):
+    return id, (line, out, fragment)
+
+
+LTI = "generate --scenario random-lti"
+PLUS = "analyze --in {cascade} --mode finite-plus"
+VERIFY = "verify --in {cascade} --gain {gain} --mode plus"
+NOISE = "noise --in {cascade} --gamma 0.9 --c1 0.003 --c0 0.003"
+PROJECTED = NOISE + " --project"
+TOL = "tol must be finite and positive"
+BOUNDS = "a0 and tau must be finite and positive, and b0 finite"
+CONTRACT = "need 0 < gamma_minus < gamma < 1"
+SAMPLING = "trials and seed must be >= 0"
+SIZES = "need --n >= 1 and --m >= 0"
+RADIUS = "--radius must be finite and positive"
+TRAJECTORY = "x1 contains non-finite entries"
+OVERFLOW = "the data overflow double precision"
+POWER_BOUND = "the bound (M + s) gamma_tilde^k overflows"
+UNADDRESSABLE = "too big for numpy to address"
+#: Decomposition options that give no valid X+: a negative head block, and
+#: an X+ of dimension 0 (no head block, and a reaction bound that leaves no
+#: slow mode).
+NEGATIVE_HEAD, NO_PLUS = "--head-dim -1", "--head-dim 0 --b0 -3"
+
+BAD_INPUTS = dict([
+    rejected("generate-counterexample-n-0", "generate --scenario counterexample --n 0", "n must be >= 1"),
+    rejected("generate-counterexample-n-2^62", "generate --scenario counterexample --n 4611686018427387904",
+             UNADDRESSABLE),
+    rejected("generate-n-negative", f"{LTI} --n -2", SIZES),
+    rejected("generate-n-zero", f"{LTI} --n 0", SIZES),
+    rejected("generate-m-negative", f"{LTI} --m -1", SIZES),
+    rejected("generate-n-2^31", f"{LTI} --n 2147483648", UNADDRESSABLE),
+    rejected("generate-m-10^18", f"{LTI} --m 1000000000000000000", UNADDRESSABLE),
+    rejected("generate-radius-negative", f"{LTI} --radius -1", RADIUS),
+    rejected("generate-radius-zero", f"{LTI} --radius 0", RADIUS),
+    rejected("generate-radius-nan", f"{LTI} --radius nan", RADIUS),
+    rejected("generate-radius-inf", f"{LTI} --radius inf", RADIUS),
+    rejected("generate-scale-nan", f"{LTI} --scale nan", "--scale must be finite"),
+    rejected("generate-scale-inf", f"{LTI} --scale inf", "--scale must be finite"),
+    rejected("generate-seed-negative", f"{LTI} --seed -1", "--seed must be >= 0"),
+    rejected("generate-radius-1e200", f"{LTI} --radius 1e200", TRAJECTORY),
+    rejected("generate-radius-3-samples-700", f"{LTI} --radius 3 --samples 700", TRAJECTORY),
+    # batch files that are not a valid batch
+    *(rejected(f"analyze-{name.replace('_', '-')}", f"analyze --in {{{name}}} --mode identify",
+               f"cannot read data batch from {{{name}}}")
+      for name in ("not_json", "missing", "nan_entry", "no_u0", "widths_differ", "states_3d", "inputs_3d")),
+    rejected("analyze-no-state", "analyze --in {no_state} --mode stabilize", "state coordinate"),
+    # batches whose products Xi1 Xi0^+ (or Xi1 W^+) leave double precision
+    *(rejected(f"{command}-{data.replace('_', '-')}", f"{line} --in {{{data}}}", OVERFLOW)
+      for command, line in BATCH_COMMANDS.items() for data in ("huge_over_tiny", "subnormal")),
+    rejected("verify-subnormal", "verify --mode full --gain {zeros_1x2} --in {subnormal}", OVERFLOW),
+    # analyze options
+    *(rejected(f"analyze-{mode}-tol-{value}", f"analyze --in {{cascade}} --mode {mode} --tol {value}", TOL)
+      for mode in ("identify", "stabilize", "finite-plus") for value in ("nan", "inf")),
+    *(rejected(f"analyze-{option}-{value}", f"{PLUS} --{option} {value}", BOUNDS)
+      for option in ("a0", "b0", "tau") for value in ("nan", "inf")),
+    rejected("analyze-head-dim-1", f"{PLUS} {NEGATIVE_HEAD}", "head_dim = -1 must be >= 0"),
+    rejected("analyze-head-dim-2", f"{PLUS} --head-dim -2", "head_dim = -2 must be >= 0"),
+    rejected("analyze-no-plus", f"{PLUS} {NO_PLUS}", "n_plus = 0 outside 1..52"),
+    # verify gains and options
+    *(rejected(f"verify-{name.replace('_', '-')}", f"verify --in {{cascade}} --gain {{{name}}} --mode plus",
+               f"cannot read gain from {{{name}}}")
+      for name in ("both_keys", "no_key", "bare_matrix")),
+    rejected("verify-plus-gain-1x3", "verify --in {cascade} --gain {zeros_1x3} --mode plus",
+             "gain must be m x n = (1, 4), got (1, 3)"),
+    rejected("verify-full-gain-1x3", "verify --in {cascade} --gain {zeros_1x3} --mode full",
+             "gain must be m x n = (1, 52), got (1, 3)"),
+    rejected("verify-plus-gain-2x4", "verify --in {cascade} --gain {two_rows} --mode plus",
+             "gain must be m x n = (1, 4), got (2, 4)"),
+    *(rejected(f"verify-{mode}-gain-{value.replace('_', '-')}",
+               f"verify --in {{cascade}} --gain {{{mode}_{value}}} --mode {mode}",
+               "gain entries must be finite")
+      for mode in ("plus", "full") for value in ("nan", "inf", "neg_inf")),
+    *(rejected(f"verify-{option}-{value}", f"{VERIFY} --{option} {value}", fragment)
+      for option, fragment in (("gamma", CONTRACT), ("gamma-minus", "gamma_minus must lie in (0, 1)"),
+                               ("a0", BOUNDS), ("b0", BOUNDS), ("tau", BOUNDS))
+      for value in ("nan", "inf")),
+    rejected("verify-head-dim-1", f"verify --in {{cascade}} --gain {{gain_1}} --mode plus {NEGATIVE_HEAD}",
+             "head_dim = -1 must be >= 0"),
+    rejected("verify-head-dim-2", "verify --in {cascade} --gain {gain_0} --mode plus --head-dim -2",
+             "head_dim = -2 must be >= 0"),
+    rejected("verify-no-plus", f"verify --in {{cascade}} --gain {{gain_0}} --mode plus {NO_PLUS}",
+             "n_plus = 0 outside 1..52"),
+    rejected("verify-seed-negative", f"{VERIFY} --seed -1", SAMPLING),
+    rejected("verify-trials-negative", f"{VERIFY} --trials -1", SAMPLING),
+    rejected("verify-drawn-family-seed-negative",
+             "verify --in {wide} --gain {zeros_2x3} --mode full --seed -2", SAMPLING),
+    rejected("verify-point-family-seed-negative",
+             "verify --in {lti} --gain {zeros_1x3} --mode full --seed -2", SAMPLING),
+    # noise options; a negative --trials or --seed is found before synthesis,
+    # where the unprojected cascade is not a frame and the projected one
+    # certifies
+    rejected("noise-tol-nan", f"{PROJECTED} --tol nan", TOL),
+    rejected("noise-tol-inf", f"{PROJECTED} --tol inf", TOL),
+    *(rejected(f"noise-{option}-{value}", f"{PROJECTED} --{option} {value}", BOUNDS)
+      for option, value in (("a0", "nan"), ("b0", "nan"), ("b0", "inf"), ("tau", "nan"), ("tau", "inf"))),
+    rejected("noise-c1-nan", "noise --in {cascade} --gamma 0.9 --c0 0.003 --project --c1 nan",
+             "c1 and c0 must be finite"),
+    rejected("noise-c0-inf", "noise --in {cascade} --gamma 0.9 --c1 0.003 --project --c0 inf",
+             "c1 and c0 must be finite"),
+    rejected("noise-c1-negative", "noise --in {cascade} --gamma 0.9 --c0 0.003 --project --c1 -0.001",
+             "c1 and c0 must be nonnegative"),
+    rejected("noise-head-dim-1", f"{PROJECTED} {NEGATIVE_HEAD}", "head_dim = -1 must be >= 0"),
+    rejected("noise-head-dim-2", f"{PROJECTED} --head-dim -2", "head_dim = -2 must be >= 0"),
+    rejected("noise-no-plus", f"{PROJECTED} {NO_PLUS}", "n_plus = 0 outside 1..52"),
+    rejected("noise-seed-negative", f"{NOISE} --seed -1", SAMPLING),
+    rejected("noise-trials-negative", f"{NOISE} --trials -1", SAMPLING),
+    rejected("noise-projected-seed-negative", f"{PROJECTED} --seed -1", SAMPLING),
+    rejected("noise-projected-trials-negative", f"{PROJECTED} --trials -1", SAMPLING),
+    rejected("noise-projected-trials-minus-5", f"{PROJECTED} --trials -5", SAMPLING),
+    rejected("noise-lti-seed-negative", "noise --in {lti} --gamma 0.9 --c1 0.001 --c0 0.001 --seed -1",
+             SAMPLING),
+    # the zero-trials warning waits for the inputs to pass
+    rejected("noise-trials-0-projected-gamma", f"{PROJECTED} --trials 0 --gamma 1.5", CONTRACT),
+    rejected("noise-trials-0-gamma", f"{NOISE} --trials 0 --gamma 1.5", "gamma must lie in (0, 1)"),
+    rejected("noise-trials-0-c1-negative", "noise --in {cascade} --gamma 0.9 --c0 0.003 --trials 0 --c1 -0.001",
+             "c1 and c0 must be nonnegative"),
+    # gamma_tilde above about 1.19e3 at M = 3.94 makes (M + s) gamma_tilde^k
+    # overflow within the power horizon, found after synthesis
+    rejected("noise-c1-400", "noise --in {cascade} --gamma 0.9 --c1 400 --c0 0.003 --project", POWER_BOUND),
+    rejected("noise-c1-1000", "noise --in {cascade} --gamma 0.9 --c1 1000 --c0 0.003 --project", POWER_BOUND),
+    rejected("noise-c1-1000-trials-0",
+             "noise --in {cascade} --gamma 0.9 --c1 1000 --c0 0.003 --project --trials 0", POWER_BOUND),
+    rejected("noise-c0-0.2535", "noise --in {cascade} --gamma 0.9 --c1 0.003 --c0 0.2535 --project",
+             POWER_BOUND),
+    # a noise draw numpy cannot address, found after synthesis
+    rejected("noise-trials-2^62", f"{PROJECTED} --trials 4611686018427387904", UNADDRESSABLE),
+    rejected("noise-trials-2^63", f"{PROJECTED} --trials 9223372036854775808", UNADDRESSABLE),
+    # gamma outside 0 < gamma_minus < gamma < 1 on X+
+    *(rejected(f"{command}-gamma-{name}", f"{line} --gamma {gamma} --gamma-minus 0.89", CONTRACT)
+      for command, line in (("analyze", PLUS), ("verify", VERIFY),
+                            ("noise", "noise --in {cascade} --c1 0.001 --c0 0.001 --project"))
+      for name, gamma in (("below", "0.88"), ("equal", "0.89"), ("one", "1.0"))),
+    # outputs that cannot be written, found before any work
+    *(rejected(f"{command}-out-in-missing-directory", line, "cannot write {tmp}/missing/out.json",
+               out="{tmp}/missing/out.json")
+      for command, line in (("generate", "generate --scenario heat-cascade"), ("analyze", PLUS),
+                            ("verify", VERIFY), ("noise", PROJECTED))),
+    rejected("analyze-out-is-a-directory", PLUS, "cannot write {tmp}", out="{tmp}"),
+    rejected("analyze-out-under-a-file", PLUS, "cannot write {cascade}/out.json", out="{cascade}/out.json"),
+])
+
+
+@pytest.fixture(scope="module")
+def bad_input_files(tmp_path_factory):
+    """The files of BAD_INPUTS by placeholder; {missing} is never written."""
+    root = tmp_path_factory.mktemp("bad-inputs")
+    paths = {name: str(root / f"{name}.json")
+             for name in (*GENERATED_INPUTS, *BAD_INPUT_FILES, "missing")}
+    for name, options in GENERATED_INPUTS.items():
+        assert run("generate", *options.split(), "--out", paths[name]) == 0
+    for name, payload in BAD_INPUT_FILES.items():
+        with open(paths[name], "w") as fh:
+            fh.write(payload if isinstance(payload, str) else json.dumps(payload))
+    return paths
+
+
+@pytest.fixture()
+def rejects(bad_input_files, tmp_path, capfd):
+    """Check a row of BAD_INPUTS: the input exits 2 with one stderr line
+    "error: ..." that holds the row's fragment, prints nothing on stdout (at
+    the file descriptor, so a LAPACK message counts), warns nothing, and
+    writes no --out file and no missing parent directory."""
+    paths = {**bad_input_files, "tmp": str(tmp_path)}
+
+    def check(row):
+        line, out, fragment = BAD_INPUTS[row]
+        out = Path(out.format(**paths))
+        before = out.exists(), out.parent.exists()
+        argv = [word.format(**paths) for word in line.split()] + ["--out", str(out)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(*argv) == 2
+        captured = capfd.readouterr()
+        assert captured.out == "" and caught == []
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.err.endswith("\n") and fragment.format(**paths) in captured.err
+        assert (out.exists(), out.parent.exists()) == before and not out.is_file()
+
+    return check
+
+
+#: The BAD_INPUTS rows that a table_test checks; test_bad_input checks the rest.
+CLAIMED = set()
+
+
+def table_test(rows):
+    """A test that checks BAD_INPUTS rows with `rejects`: one row, or a dict
+    from the test's parameter ids to rows."""
+    if isinstance(rows, str):
+        CLAIMED.add(rows)
+
+        def test(self, rejects):
+            rejects(rows)
+
+        return test
+    CLAIMED.update(rows.values())
+
+    @pytest.mark.parametrize("row", list(rows.values()), ids=list(rows))
+    def test(self, rejects, row):
+        rejects(row)
+
+    return test
+
+
 class TestGenerate:
     def test_heat_cascade_defaults(self, cascade_file):
         batch = DataBatch.load(cascade_file)
@@ -74,6 +326,18 @@ class TestGenerate:
         ) == 0
         batch = DataBatch.load(path)
         assert batch.n == 14 and batch.N == 8
+
+    # rejected inputs, checked by the contract of BAD_INPUTS
+    test_invalid_config_nonzero_exit = table_test("generate-counterexample-n-0")
+    test_batch_without_state_exits_2 = table_test("analyze-no-state")
+    test_random_lti_rejects_bad_size_or_radius = table_test({
+        **{name: f"generate-{name}" for name in ("n-negative", "n-zero", "m-negative")},
+        **{f"{option}-{value}": f"generate-{option}-{value}"
+           for option, values in (("radius", ("negative", "zero", "nan", "inf")), ("scale", ("nan", "inf")))
+           for value in values},
+    })
+    test_overflowing_trajectory_one_error_line = table_test(
+        {name: f"generate-{name}" for name in ("radius-1e200", "radius-3-samples-700")})
 
 
 class TestParser:
@@ -229,6 +493,20 @@ class TestAnalyze:
         assert r1.read_bytes() == r2.read_bytes()
         payload = json.loads(r1.read_text())
         assert json.dumps(payload, indent=2, sort_keys=True) + "\n" == r1.read_text()
+
+    # rejected inputs, checked by the contract of BAD_INPUTS
+    test_missing_file_exit_2 = table_test("analyze-missing")
+    test_malformed_input_exit_2 = table_test("analyze-not-json")
+    test_bad_batch_file_exit_2 = table_test(
+        {name: f"analyze-{name}" for name in ("nan-entry", "no-u0", "widths-differ", "states-3d", "inputs-3d")})
+    test_non_finite_tol_exit_2 = table_test(
+        {f"{mode}-{value}": f"analyze-{mode}-tol-{value}"
+         for mode in ("identify", "stabilize", "finite-plus") for value in ("nan", "inf")})
+    test_non_finite_decomposition_bound_exit_2 = table_test(
+        {f"{value}---{option}": f"analyze-{option}-{value}"
+         for option in ("a0", "b0", "tau") for value in ("nan", "inf")})
+    test_bad_split_exit_2 = table_test(
+        {"head-dim-1": "analyze-head-dim-1", "head-dim-2": "analyze-head-dim-2", "empty": "analyze-no-plus"})
 
 
 class TestVerify:
@@ -444,6 +722,20 @@ class TestVerify:
             )
         assert exc.value.code == 2
 
+    # rejected inputs, checked by the contract of BAD_INPUTS
+    test_gain_file_needs_exactly_one_key = table_test(
+        {"both": "verify-both-keys", "neither": "verify-no-key", "bare-matrix": "verify-bare-matrix"})
+    test_gain_shape_mismatch_exit_2 = table_test("verify-plus-gain-1x3")
+    test_non_finite_gain_exit_2 = table_test(
+        {f"{value}-{mode}-{columns}": f"verify-{mode}-gain-{name}"
+         for mode, columns in (("plus", 4), ("full", 52))
+         for value, name in (("nan", "nan"), ("inf", "inf"), ("-inf", "neg-inf"))})
+    test_non_finite_gamma_or_scale_exit_2 = table_test(
+        {f"{value}---{option}": f"verify-{option}-{value}"
+         for option in ("gamma", "gamma-minus", "a0", "b0", "tau") for value in ("nan", "inf")})
+    test_bad_split_exit_2 = table_test(
+        {"head-dim-1": "verify-head-dim-1", "head-dim-2": "verify-head-dim-2", "empty": "verify-no-plus"})
+
 
 class TestVerdictChain:
     def test_generate_analyze_verify_under_time_budget(self, tmp_path):
@@ -582,6 +874,22 @@ class TestNoise:
             "not applicable: stage frame (state sequence is not a frame: rank 5 < dim 52)\n"
         )
 
+    # rejected inputs, checked by the contract of BAD_INPUTS
+    test_negative_trials_rejected = table_test("noise-projected-trials-minus-5")
+    test_non_finite_tol_or_constant_exit_2 = table_test({
+        **{f"--{option}-{value}": f"noise-{option}-{value}"
+           for option, value in (("tol", "nan"), ("tol", "inf"), ("a0", "nan"), ("b0", "nan"), ("b0", "inf"),
+                                 ("tau", "nan"), ("tau", "inf"), ("c1", "nan"), ("c0", "inf"))},
+        "--c1--0.001": "noise-c1-negative",
+    })
+    test_bad_split_exit_2 = table_test(
+        {"head-dim-1": "noise-head-dim-1", "head-dim-2": "noise-head-dim-2", "empty": "noise-no-plus"})
+    test_zero_trials_bad_input_prints_nothing = table_test(
+        {"projected-gamma": "noise-trials-0-projected-gamma", "gamma": "noise-trials-0-gamma",
+         "negative-c1": "noise-trials-0-c1-negative"})
+    test_overflowing_power_bound_exit_2 = table_test(
+        {name: f"noise-{name}" for name in ("c1-400", "c1-1000", "c1-1000-trials-0", "c0-0.2535")})
+
 
 class TestOneGainPerDataset:
     @pytest.mark.parametrize("seed", [0, 1, 7])
@@ -716,227 +1024,64 @@ class TestOutOfRangeVerdicts:
                 assert payload["reason"] == "numerical" and margin == pytest.approx(-1e160 / 0.81)
 
 
-# One table for the contract every rejected input holds: exit 2, nothing on
-# stdout, one "error: " line on stderr and no --out file (test_bad_input).
-# Each row is (command line, --out, stderr fragment); a placeholder names a
-# file of BAD_INPUT_FILES or GENERATED_INPUTS, {missing} a file never
-# written, and {tmp} the row's own tmp_path.
+class TestPlusContract:
+    """Every command on X+ runs one X+ step, which holds the finite-data
+    contract 0 < gamma_minus < gamma < 1."""
 
-GAIN = np.atleast_2d(REFERENCE_CASCADE_GAIN_PLUS).tolist()
-BAD_INPUT_FILES = {
-    "gain": {"K": GAIN},
-    # the n_plus columns of a bad split, so that the split is what is rejected
-    "gain_1": {"K": [row[:1] for row in GAIN]},
-    "gain_0": {"K": [[]]},
-    "zeros_1x2": {"K": [[0.0] * 2]},
-    "zeros_1x3": {"K": [[0.0] * 3]},
-    "zeros_2x3": {"K": [[0.0] * 3] * 2},
-    "two_rows": {"K": [[0.1, 0.2, 0.3, 0.4]] * 2},
-    **{
-        f"{mode}_{name}": {"K": [[value] + [0.0] * (columns - 1)]}
-        for mode, columns in (("plus", 4), ("full", 52))
-        for name, value in (("nan", np.nan), ("inf", np.inf), ("neg_inf", -np.inf))
-    },
-    "both_keys": {"K": [[0.0] * 4], "K_plus": [[0.0] * 4]},
-    "no_key": {"informative": False},
-    "bare_matrix": [[0.0] * 4],
-    "not_json": "{not json",
-    "no_state": {"x1": [[], []], "x0": [[], []], "u0": [[1.0], [2.0]]},
-    "nan_entry": {"x1": [[1.0, 0.0]], "x0": [[np.nan, 0.0]], "u0": [[1.0]]},
-    "no_u0": {"x1": [[1.0, 0.0]], "x0": [[0.0, 1.0]]},
-    "widths_differ": {"x1": [[1.0, 0.0]], "x0": [[0.0, 0.0, 0.0]], "u0": [[1.0]]},
-    "states_3d": {"x1": [[[1.0, 2.0]], [[0.5, 1.0]]], "x0": [[[1.0, 0.0]], [[0.0, 1.0]]],
-                  "u0": [[1.0], [0.0]]},
-    "inputs_3d": {"x1": [[1.0, 0.0]], "x0": [[0.0, 1.0]], "u0": [[[1.0]]]},
-    # Xi1 Xi0^+ leaves double precision; on huge_over_tiny W = [Xi0; Ups0]
-    # has rank 1, so Xi1 W^+ is finite and verify decides the family there
-    "huge_over_tiny": {"x1": [[1e200, 0.0], [0.0, 1e200]], "x0": [[1e-200, 0.0], [0.0, 1e-200]],
-                       "u0": [[1.0], [0.0]]},
-    "subnormal": {"x1": [[1e-320, 0.0], [0.0, 1e-320]], "x0": [[1e-320, 0.0], [0.0, 1e-320]],
-                  "u0": [[1e-320], [0.0]]},
-}
-GENERATED_INPUTS = {
-    "cascade": "--scenario heat-cascade",
-    "lti": "--scenario random-lti --n 3 --seed 7",
-    "wide": "--scenario random-lti --n 3 --m 2 --samples 4 --seed 1",
-}
+    test_gamma_outside_contract_exit_2 = table_test(
+        {f"{command}-{name}": f"{command}-gamma-{name}"
+         for command in ("analyze", "verify", "noise") for name in ("below", "equal", "one")})
+    test_plus_gain_with_wrong_row_count_exit_2 = table_test("verify-plus-gain-2x4")
 
 
-def rejected(id, line, fragment, out="{tmp}/out.json"):
-    return pytest.param(line, out, fragment, id=id)
+class TestUnwritableOutput:
+    """An output that cannot be written is an input error, found before any
+    work."""
+
+    test_missing_directory_exit_2 = table_test(
+        {command: f"{command}-out-in-missing-directory" for command in ("generate", "analyze", "verify", "noise")})
+    test_directory_or_under_a_file_exit_2 = table_test(
+        {"directory": "analyze-out-is-a-directory", "under-a-file": "analyze-out-under-a-file"})
 
 
-LTI = "generate --scenario random-lti"
-PLUS = "analyze --in {cascade} --mode finite-plus"
-VERIFY = "verify --in {cascade} --gain {gain} --mode plus"
-NOISE = "noise --in {cascade} --gamma 0.9 --c1 0.003 --c0 0.003"
-PROJECTED = NOISE + " --project"
-TOL = "tol must be finite and positive"
-BOUNDS = "a0 and tau must be finite and positive, and b0 finite"
-CONTRACT = "need 0 < gamma_minus < gamma < 1"
-SAMPLING = "trials and seed must be >= 0"
-SIZES = "need --n >= 1 and --m >= 0"
-RADIUS = "--radius must be finite and positive"
-TRAJECTORY = "x1 contains non-finite entries"
-OVERFLOW = "the data overflow double precision"
-POWER_BOUND = "the bound (M + s) gamma_tilde^k overflows"
-UNADDRESSABLE = "too big for numpy to address"
-#: Decomposition options that give no valid X+: a negative head block, and
-#: an X+ of dimension 0 (no head block, and a reaction bound that leaves no
-#: slow mode).
-NEGATIVE_HEAD, NO_PLUS = "--head-dim -1", "--head-dim 0 --b0 -3"
+class TestNegativeSeed:
+    """A negative seed is an input error wherever a seed keys a stream, also
+    where no stream ends up drawn."""
 
-BAD_INPUTS = [
-    rejected("generate-counterexample-n-0", "generate --scenario counterexample --n 0", "n must be >= 1"),
-    rejected("generate-counterexample-n-2^62", "generate --scenario counterexample --n 4611686018427387904",
-             UNADDRESSABLE),
-    rejected("generate-n-negative", f"{LTI} --n -2", SIZES),
-    rejected("generate-n-zero", f"{LTI} --n 0", SIZES),
-    rejected("generate-m-negative", f"{LTI} --m -1", SIZES),
-    rejected("generate-n-2^31", f"{LTI} --n 2147483648", UNADDRESSABLE),
-    rejected("generate-m-10^18", f"{LTI} --m 1000000000000000000", UNADDRESSABLE),
-    rejected("generate-radius-negative", f"{LTI} --radius -1", RADIUS),
-    rejected("generate-radius-zero", f"{LTI} --radius 0", RADIUS),
-    rejected("generate-radius-nan", f"{LTI} --radius nan", RADIUS),
-    rejected("generate-radius-inf", f"{LTI} --radius inf", RADIUS),
-    rejected("generate-scale-nan", f"{LTI} --scale nan", "--scale must be finite"),
-    rejected("generate-scale-inf", f"{LTI} --scale inf", "--scale must be finite"),
-    rejected("generate-seed-negative", f"{LTI} --seed -1", "--seed must be >= 0"),
-    rejected("generate-radius-1e200", f"{LTI} --radius 1e200", TRAJECTORY),
-    rejected("generate-radius-3-samples-700", f"{LTI} --radius 3 --samples 700", TRAJECTORY),
-    # batch files that are not a valid batch
-    *(rejected(f"analyze-{name.replace('_', '-')}", f"analyze --in {{{name}}} --mode identify",
-               f"cannot read data batch from {{{name}}}")
-      for name in ("not_json", "missing", "nan_entry", "no_u0", "widths_differ", "states_3d", "inputs_3d")),
-    rejected("analyze-no-state", "analyze --in {no_state} --mode stabilize", "state coordinate"),
-    # batches whose products Xi1 Xi0^+ (or Xi1 W^+) leave double precision
-    *(rejected(f"{command}-{data.replace('_', '-')}", f"{line} --in {{{data}}}", OVERFLOW)
-      for command, line in BATCH_COMMANDS.items() for data in ("huge_over_tiny", "subnormal")),
-    rejected("verify-subnormal", "verify --mode full --gain {zeros_1x2} --in {subnormal}", OVERFLOW),
-    # analyze options
-    *(rejected(f"analyze-{mode}-tol-{value}", f"analyze --in {{cascade}} --mode {mode} --tol {value}", TOL)
-      for mode in ("identify", "stabilize", "finite-plus") for value in ("nan", "inf")),
-    *(rejected(f"analyze-{option}-{value}", f"{PLUS} --{option} {value}", BOUNDS)
-      for option in ("a0", "b0", "tau") for value in ("nan", "inf")),
-    rejected("analyze-head-dim-1", f"{PLUS} {NEGATIVE_HEAD}", "head_dim = -1 must be >= 0"),
-    rejected("analyze-head-dim-2", f"{PLUS} --head-dim -2", "head_dim = -2 must be >= 0"),
-    rejected("analyze-no-plus", f"{PLUS} {NO_PLUS}", "n_plus = 0 outside 1..52"),
-    # verify gains and options
-    *(rejected(f"verify-{name.replace('_', '-')}", f"verify --in {{cascade}} --gain {{{name}}} --mode plus",
-               f"cannot read gain from {{{name}}}")
-      for name in ("both_keys", "no_key", "bare_matrix")),
-    rejected("verify-plus-gain-1x3", "verify --in {cascade} --gain {zeros_1x3} --mode plus",
-             "gain must be m x n = (1, 4), got (1, 3)"),
-    rejected("verify-full-gain-1x3", "verify --in {cascade} --gain {zeros_1x3} --mode full",
-             "gain must be m x n = (1, 52), got (1, 3)"),
-    rejected("verify-plus-gain-2x4", "verify --in {cascade} --gain {two_rows} --mode plus",
-             "gain must be m x n = (1, 4), got (2, 4)"),
-    *(rejected(f"verify-{mode}-gain-{value.replace('_', '-')}",
-               f"verify --in {{cascade}} --gain {{{mode}_{value}}} --mode {mode}",
-               "gain entries must be finite")
-      for mode in ("plus", "full") for value in ("nan", "inf", "neg_inf")),
-    *(rejected(f"verify-{option}-{value}", f"{VERIFY} --{option} {value}", fragment)
-      for option, fragment in (("gamma", CONTRACT), ("gamma-minus", "gamma_minus must lie in (0, 1)"),
-                               ("a0", BOUNDS), ("b0", BOUNDS), ("tau", BOUNDS))
-      for value in ("nan", "inf")),
-    rejected("verify-head-dim-1", f"verify --in {{cascade}} --gain {{gain_1}} --mode plus {NEGATIVE_HEAD}",
-             "head_dim = -1 must be >= 0"),
-    rejected("verify-head-dim-2", "verify --in {cascade} --gain {gain_0} --mode plus --head-dim -2",
-             "head_dim = -2 must be >= 0"),
-    rejected("verify-no-plus", f"verify --in {{cascade}} --gain {{gain_0}} --mode plus {NO_PLUS}",
-             "n_plus = 0 outside 1..52"),
-    rejected("verify-seed-negative", f"{VERIFY} --seed -1", SAMPLING),
-    rejected("verify-trials-negative", f"{VERIFY} --trials -1", SAMPLING),
-    rejected("verify-drawn-family-seed-negative",
-             "verify --in {wide} --gain {zeros_2x3} --mode full --seed -2", SAMPLING),
-    rejected("verify-point-family-seed-negative",
-             "verify --in {lti} --gain {zeros_1x3} --mode full --seed -2", SAMPLING),
-    # noise options; a negative --trials or --seed is found before synthesis,
-    # where the unprojected cascade is not a frame and the projected one
-    # certifies
-    rejected("noise-tol-nan", f"{PROJECTED} --tol nan", TOL),
-    rejected("noise-tol-inf", f"{PROJECTED} --tol inf", TOL),
-    *(rejected(f"noise-{option}-{value}", f"{PROJECTED} --{option} {value}", BOUNDS)
-      for option, value in (("a0", "nan"), ("b0", "nan"), ("b0", "inf"), ("tau", "nan"), ("tau", "inf"))),
-    rejected("noise-c1-nan", "noise --in {cascade} --gamma 0.9 --c0 0.003 --project --c1 nan",
-             "c1 and c0 must be finite"),
-    rejected("noise-c0-inf", "noise --in {cascade} --gamma 0.9 --c1 0.003 --project --c0 inf",
-             "c1 and c0 must be finite"),
-    rejected("noise-c1-negative", "noise --in {cascade} --gamma 0.9 --c0 0.003 --project --c1 -0.001",
-             "c1 and c0 must be nonnegative"),
-    rejected("noise-head-dim-1", f"{PROJECTED} {NEGATIVE_HEAD}", "head_dim = -1 must be >= 0"),
-    rejected("noise-head-dim-2", f"{PROJECTED} --head-dim -2", "head_dim = -2 must be >= 0"),
-    rejected("noise-no-plus", f"{PROJECTED} {NO_PLUS}", "n_plus = 0 outside 1..52"),
-    rejected("noise-seed-negative", f"{NOISE} --seed -1", SAMPLING),
-    rejected("noise-trials-negative", f"{NOISE} --trials -1", SAMPLING),
-    rejected("noise-projected-seed-negative", f"{PROJECTED} --seed -1", SAMPLING),
-    rejected("noise-projected-trials-negative", f"{PROJECTED} --trials -1", SAMPLING),
-    rejected("noise-projected-trials-minus-5", f"{PROJECTED} --trials -5", SAMPLING),
-    rejected("noise-lti-seed-negative", "noise --in {lti} --gamma 0.9 --c1 0.001 --c0 0.001 --seed -1",
-             SAMPLING),
-    # the zero-trials warning waits for the inputs to pass
-    rejected("noise-trials-0-projected-gamma", f"{PROJECTED} --trials 0 --gamma 1.5", CONTRACT),
-    rejected("noise-trials-0-gamma", f"{NOISE} --trials 0 --gamma 1.5", "gamma must lie in (0, 1)"),
-    rejected("noise-trials-0-c1-negative", "noise --in {cascade} --gamma 0.9 --c0 0.003 --trials 0 --c1 -0.001",
-             "c1 and c0 must be nonnegative"),
-    # gamma_tilde above about 1.19e3 at M = 3.94 makes (M + s) gamma_tilde^k
-    # overflow within the power horizon, found after synthesis
-    rejected("noise-c1-400", "noise --in {cascade} --gamma 0.9 --c1 400 --c0 0.003 --project", POWER_BOUND),
-    rejected("noise-c1-1000", "noise --in {cascade} --gamma 0.9 --c1 1000 --c0 0.003 --project", POWER_BOUND),
-    rejected("noise-c1-1000-trials-0",
-             "noise --in {cascade} --gamma 0.9 --c1 1000 --c0 0.003 --project --trials 0", POWER_BOUND),
-    rejected("noise-c0-0.2535", "noise --in {cascade} --gamma 0.9 --c1 0.003 --c0 0.2535 --project",
-             POWER_BOUND),
-    # a noise draw numpy cannot address, found after synthesis
-    rejected("noise-trials-2^62", f"{PROJECTED} --trials 4611686018427387904", UNADDRESSABLE),
-    rejected("noise-trials-2^63", f"{PROJECTED} --trials 9223372036854775808", UNADDRESSABLE),
-    # gamma outside 0 < gamma_minus < gamma < 1 on X+
-    *(rejected(f"{command}-gamma-{name}", f"{line} --gamma {gamma} --gamma-minus 0.89", CONTRACT)
-      for command, line in (("analyze", PLUS), ("verify", VERIFY),
-                            ("noise", "noise --in {cascade} --c1 0.001 --c0 0.001 --project"))
-      for name, gamma in (("below", "0.88"), ("equal", "0.89"), ("one", "1.0"))),
-    # outputs that cannot be written, found before any work
-    *(rejected(f"{command}-out-in-missing-directory", line, "cannot write {tmp}/missing/out.json",
-               out="{tmp}/missing/out.json")
-      for command, line in (("generate", "generate --scenario heat-cascade"), ("analyze", PLUS),
-                            ("verify", VERIFY), ("noise", PROJECTED))),
-    rejected("analyze-out-is-a-directory", PLUS, "cannot write {tmp}", out="{tmp}"),
-    rejected("analyze-out-under-a-file", PLUS, "cannot write {cascade}/out.json", out="{cascade}/out.json"),
-]
+    test_generate_random_lti = table_test("generate-seed-negative")
+    test_verify_full = table_test(
+        {family: f"verify-{family}-seed-negative" for family in ("drawn-family", "point-family")})
+    test_noise_unprojected = table_test("noise-lti-seed-negative")
+    test_noise_projected = table_test("noise-projected-seed-negative")
 
 
-@pytest.fixture(scope="module")
-def bad_input_files(tmp_path_factory):
-    """The files of BAD_INPUTS by placeholder; {missing} is never written."""
-    root = tmp_path_factory.mktemp("bad-inputs")
-    paths = {name: str(root / f"{name}.json")
-             for name in (*GENERATED_INPUTS, *BAD_INPUT_FILES, "missing")}
-    for name, options in GENERATED_INPUTS.items():
-        assert run("generate", *options.split(), "--out", paths[name]) == 0
-    for name, payload in BAD_INPUT_FILES.items():
-        with open(paths[name], "w") as fh:
-            fh.write(payload if isinstance(payload, str) else json.dumps(payload))
-    return paths
+class TestSamplingCheckedBeforeSynthesis:
+    """noise rejects a negative --trials or --seed before it synthesizes, so
+    the error does not depend on the verdict: the unprojected cascade is not
+    a frame, the projected one certifies.  verify rejects them in the same
+    words."""
+
+    test_exit_2_without_report = table_test(
+        {f"{name}-{option}": f"noise-{prefix}{option}-negative"
+         for name, prefix in (("unprojected", ""), ("projected", "projected-")) for option in ("seed", "trials")})
+    test_verify_names_trials = table_test({option: f"verify-{option}-negative" for option in ("seed", "trials")})
 
 
-@pytest.mark.parametrize("line, out, fragment", BAD_INPUTS)
-def test_bad_input(bad_input_files, tmp_path, capfd, line, out, fragment):
-    """A rejected input exits 2 with one stderr line "error: ..." that holds
-    the row's fragment, prints nothing on stdout (at the file descriptor,
-    so a LAPACK message counts), warns nothing, and writes no --out file
-    and no missing parent directory."""
-    paths = {**bad_input_files, "tmp": str(tmp_path)}
-    out = Path(out.format(**paths))
-    before = out.exists(), out.parent.exists()
-    argv = [word.format(**paths) for word in line.split()] + ["--out", str(out)]
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert run(*argv) == 2
-    captured = capfd.readouterr()
-    assert captured.out == "" and caught == []
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert captured.err.endswith("\n") and fragment.format(**paths) in captured.err
-    assert (out.exists(), out.parent.exists()) == before and not out.is_file()
+class TestOverflowingData:
+    """Data whose products Xi1 Xi0^+ (or Xi1 W^+) leave double precision are
+    an input error for every command that forms them."""
+
+    test_exit_2 = table_test({
+        **{f"{data}-{command}": f"{command}-{data}"
+           for data in ("huge-over-tiny", "subnormal") for command in BATCH_COMMANDS},
+        "subnormal-verify": "verify-subnormal",
+    })
+
+
+@pytest.mark.parametrize("row", [row for row in BAD_INPUTS if row not in CLAIMED])
+def test_bad_input(rejects, row):
+    """The rows of BAD_INPUTS that no test above checks."""
+    rejects(row)
 
 
 def test_module_entry_point(tmp_path):
